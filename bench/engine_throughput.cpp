@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "alloc_hook.hpp"
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "util/cli.hpp"
 #include "util/strfmt.hpp"
@@ -165,11 +166,12 @@ int main(int argc, char** argv) {
   }
   DemtOptions demt_options;
   demt_options.shuffles = shuffles;
+  const DemtPolicy demt_policy(demt_options);
+  const FlatListPolicy flat_policy;
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::Demt;
-    requests[i].demt = demt_options;
+    requests[i].policy = &demt_policy;
   }
 
   // On-line simulation request set: job streams over the same machine.
@@ -188,8 +190,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < streams.size(); ++i) {
     online_requests[i].m = m;
     online_requests[i].jobs = &streams[i];
-    online_requests[i].offline_algorithm = EngineAlgorithm::Demt;
-    online_requests[i].demt = demt_options;
+    online_requests[i].policy = &demt_policy;
   }
 
   std::cout << strfmt(
@@ -279,7 +280,7 @@ int main(int argc, char** argv) {
   {
     SchedulerEngine engine(EngineOptions{1, false});
     std::vector<EngineRequest> flat_requests = requests;
-    for (auto& r : flat_requests) r.algorithm = EngineAlgorithm::FlatList;
+    for (auto& r : flat_requests) r.policy = &flat_policy;
     std::vector<EngineResult> results;
     measure("engine_flatlist_metrics_only", requests.size(),
             [&] { engine.schedule_batch(flat_requests, results); });

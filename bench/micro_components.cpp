@@ -206,7 +206,8 @@ int main(int argc, char** argv) {
     // Per-test allocations, isolated from the CmaxEstimate return value:
     // one search sizes the workspace, then dual_test_into runs directly
     // across the search's typical guess range.
-    const CmaxEstimate sized = estimate_cmax(instance, 1e-4, tables, ws);
+    CmaxEstimate sized;
+    estimate_cmax_into(instance, 1e-4, tables, ws, sized);
     dual_test_into(instance, sized.estimate, tables, ws, scratch);  // warm
     const std::uint64_t before = g_alloc_count.load();
     const int probes = 64;

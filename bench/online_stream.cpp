@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "alloc_hook.hpp"
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
@@ -196,6 +197,8 @@ int main(int argc, char** argv) {
 
   DemtOptions demt_options;
   demt_options.shuffles = shuffles;
+  const DemtPolicy demt_policy(demt_options);
+  const FlatListPolicy flat_policy;
 
   std::cout << strfmt(
       "# online_stream: %d streams x %d jobs (m=%d), gap=%.2f, "
@@ -220,7 +223,7 @@ int main(int argc, char** argv) {
   std::vector<EngineRequest> oneshot_requests(oneshot_instances.size());
   for (std::size_t i = 0; i < oneshot_instances.size(); ++i) {
     oneshot_requests[i].instance = &oneshot_instances[i];
-    oneshot_requests[i].algorithm = EngineAlgorithm::FlatList;
+    oneshot_requests[i].policy = &flat_policy;
   }
 
   // --- determinism: streamed chunks vs the off-line reference ----------
@@ -239,8 +242,9 @@ int main(int argc, char** argv) {
     std::cout << strfmt("%-10s %-8s %10s %10s\n", "algorithm", "shards",
                         "streams", "one-shots");
     for (const bool flat : {true, false}) {
-      const EngineAlgorithm algorithm =
-          flat ? EngineAlgorithm::FlatList : EngineAlgorithm::Demt;
+      const SchedulingPolicy* policy =
+          flat ? static_cast<const SchedulingPolicy*>(&flat_policy)
+               : &demt_policy;
       // Off-line oracle with the matching per-batch plug-in.
       const OfflineScheduler oracle_offline =
           flat ? OfflineScheduler([](const Instance& batch) {
@@ -269,11 +273,10 @@ int main(int argc, char** argv) {
 
         std::vector<StreamTicket> streams;
         for (int s = 0; s < num_streams; ++s) {
-          StreamOptions stream_options;
-          stream_options.m = m;
-          stream_options.offline_algorithm = algorithm;
-          stream_options.demt = demt_options;
-          streams.push_back(async.open_stream(stream_options));
+          StreamConfig stream_config;
+          stream_config.m = m;
+          stream_config.policy = policy;
+          streams.push_back(async.open_stream(stream_config));
         }
         // Feed chunks round-robin across streams, one-shots in between.
         Rng chunk_rng(seed ^ 0xC0FFEEULL);
@@ -425,11 +428,11 @@ int main(int argc, char** argv) {
       WallTimer timer;
       for (int r = 0; r < reps; ++r) {
         std::vector<StreamTicket> streams;
-        StreamOptions stream_options;
-        stream_options.m = m;
-        stream_options.offline_algorithm = EngineAlgorithm::FlatList;
+        StreamConfig stream_config;
+        stream_config.m = m;
+        stream_config.policy = &flat_policy;
         for (int s = 0; s < num_streams; ++s) {
-          streams.push_back(async.open_stream(stream_options));
+          streams.push_back(async.open_stream(stream_config));
         }
         std::vector<Ticket> tickets;
         for (int s = 0; s < num_streams; ++s) {
@@ -487,12 +490,12 @@ int main(int argc, char** argv) {
     for (const auto& job : jobs) {
       tape.push_back(moldable_arrival(job.task, job.release));
     }
-    StreamOptions stream_options;
-    stream_options.m = m;
-    stream_options.offline_algorithm = EngineAlgorithm::FlatList;
+    StreamConfig stream_config;
+    stream_config.m = m;
+    stream_config.policy = &flat_policy;
     StreamDelivery delivery;
     const auto round = [&] {
-      const StreamTicket stream = async.open_stream(stream_options);
+      const StreamTicket stream = async.open_stream(stream_config);
       const Ticket feed = async.submit_stream(stream, tape.data(),
                                               tape.size(),
                                               tape.back().release);

@@ -1,7 +1,7 @@
 /// Async serving bench for the submit/poll layer: verifies the async path
 /// is bit-identical to the synchronous SchedulerEngine for shard counts
-/// {1, 2, 4} — through both the deprecated enum spelling and the
-/// SchedulingPolicy-object API — sweeps throughput and submit-to-done
+/// {1, 2, 4} under the same SchedulingPolicy object (with priority lanes
+/// active) — sweeps throughput and submit-to-done
 /// latency percentiles over the shard counts, exercises admission control
 /// (including weighted priority lanes: per-lane latency percentiles and a
 /// per-lane-capacity rejection report), and counts steady-state heap
@@ -89,7 +89,7 @@ reference for every shard count, steady-state hit rate >= 0.80, and 0.00
 allocs/request on the pure-hit DEMT metrics-only path — while reporting
 the cache-off vs cache-on throughput delta.
 
-With --speculate, a stream-speculation section (StreamOptions::speculate)
+With --speculate, a stream-speculation section (StreamConfig::speculate)
 also runs: a sparse-watermark DEMT stream — every feed carries one batch
 of arrivals with the watermark held exactly at the batch's open instant,
 so each decision becomes final only at the *next* feed — is served twice,
@@ -102,7 +102,7 @@ feeds that deliver finalised batch decisions): with speculation the
 confirming feed only replays the staged decision, so its p99 drops.
 
 Exit status: non-zero when any async result differs from the synchronous
-reference (enum or policy-object path), when the chaos-smoke run loses,
+reference (policy objects, lanes active), when the chaos-smoke run loses,
 duplicates, or mis-delivers a request or stream feed, when a --zipf
 cache gate fails (identity, hit rate, or hit-path allocations), when a
 --speculate gate fails (identity, speculation counters, or steady-state
@@ -212,15 +212,11 @@ int main(int argc, char** argv) {
   const FlatListPolicy flat_policy;
   std::vector<EngineRequest> demt_requests(instances.size());
   std::vector<EngineRequest> flat_requests(instances.size());
-  std::vector<EngineRequest> demt_policy_requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     demt_requests[i].instance = &instances[i];
-    demt_requests[i].algorithm = EngineAlgorithm::Demt;
-    demt_requests[i].demt = demt_options;
+    demt_requests[i].policy = &demt_policy;
     flat_requests[i] = demt_requests[i];
-    flat_requests[i].algorithm = EngineAlgorithm::FlatList;
-    demt_policy_requests[i].instance = &instances[i];
-    demt_policy_requests[i].policy = &demt_policy;
+    flat_requests[i].policy = &flat_policy;
   }
 
   std::cout << strfmt(
@@ -231,13 +227,11 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
 
-  // --- determinism: async vs synchronous engine, schedules kept, via
-  // --- both the deprecated enum spelling and the policy-object API (the
-  // --- policy run also spreads submissions across the priority lanes:
-  // --- lanes must never change a result, only its timing) ------------
+  // --- determinism: async vs synchronous engine, schedules kept, under
+  // --- the same policy object (submissions spread across the priority
+  // --- lanes: lanes must never change a result, only its timing) -----
   struct DeterminismRow {
     int shards = 0;
-    bool identical = true;        ///< enum adapter path
     bool policy_identical = true; ///< SchedulingPolicy path, lanes active
   };
   std::vector<DeterminismRow> determinism_rows;
@@ -245,8 +239,7 @@ int main(int argc, char** argv) {
     SchedulerEngine sync(EngineOptions{1, true});
     std::vector<EngineResult> reference;
     sync.schedule_batch(demt_requests, reference);
-    std::cout << strfmt("%-10s %10s %18s\n", "shards", "identical",
-                        "policy+lanes");
+    std::cout << strfmt("%-10s %18s\n", "shards", "policy+lanes");
     for (int shards : shard_settings) {
       AsyncOptions options;
       options.shards = shards;
@@ -254,29 +247,15 @@ int main(int argc, char** argv) {
       options.flush_after_ms = flush_ms;
       options.queue_capacity = std::max(capacity, num_requests);
       options.keep_schedules = true;
+      options.admission = &lanes_admission;
       DeterminismRow row;
       row.shards = shards;
       {
         AsyncScheduler async(options);
         std::vector<Ticket> tickets;
         tickets.reserve(demt_requests.size());
-        for (const auto& request : demt_requests) {
-          tickets.push_back(async.submit(request));
-        }
-        async.drain();
-        EngineResult result;
-        for (std::size_t i = 0; i < tickets.size(); ++i) {
-          row.identical &= async.take(tickets[i], result) &&
-                           results_identical(result, reference[i]);
-        }
-      }
-      {
-        options.admission = &lanes_admission;
-        AsyncScheduler async(options);
-        std::vector<Ticket> tickets;
-        tickets.reserve(demt_policy_requests.size());
-        for (std::size_t i = 0; i < demt_policy_requests.size(); ++i) {
-          tickets.push_back(async.submit(demt_policy_requests[i],
+        for (std::size_t i = 0; i < demt_requests.size(); ++i) {
+          tickets.push_back(async.submit(demt_requests[i],
                                          static_cast<int>(i) % num_lanes));
         }
         async.drain();
@@ -287,9 +266,8 @@ int main(int argc, char** argv) {
         }
       }
       determinism_rows.push_back(row);
-      all_ok &= row.identical && row.policy_identical;
-      std::cout << strfmt("%-10d %10s %18s\n", shards,
-                          row.identical ? "yes" : "NO",
+      all_ok &= row.policy_identical;
+      std::cout << strfmt("%-10d %18s\n", shards,
                           row.policy_identical ? "yes" : "NO");
     }
   }
@@ -578,9 +556,10 @@ int main(int argc, char** argv) {
     std::vector<std::vector<double>> completions(kChaosStreams);
     std::vector<int> next_job(kChaosStreams, 0);
     for (int s = 0; s < kChaosStreams; ++s) {
-      StreamOptions stream_options;
-      stream_options.m = m;
-      chaos_streams.push_back(async.open_stream(stream_options));
+      StreamConfig stream_config;
+      stream_config.m = m;
+      stream_config.policy = &flat_policy;
+      chaos_streams.push_back(async.open_stream(stream_config));
       if (!chaos_streams.back().accepted()) chaos.streams_identical = false;
     }
     StreamDelivery delivery;
@@ -973,12 +952,11 @@ int main(int argc, char** argv) {
     const auto run_tape = [&](bool speculate,
                               std::vector<StreamDelivery>* deliveries,
                               std::vector<double>* decision_ms) {
-      StreamOptions stream_options;
-      stream_options.m = m;
-      stream_options.offline_algorithm = EngineAlgorithm::Demt;
-      stream_options.demt = demt_options;
-      stream_options.speculate = speculate;
-      const StreamTicket stream = async.open_stream(stream_options);
+      StreamConfig stream_config;
+      stream_config.m = m;
+      stream_config.policy = &demt_policy;
+      stream_config.speculate = speculate;
+      const StreamTicket stream = async.open_stream(stream_config);
       if (!stream.accepted()) return false;
       bool ok = true;
       for (const SpecFeed& feed : tape) {
@@ -1112,10 +1090,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < determinism_rows.size(); ++i) {
       const auto& row = determinism_rows[i];
       out << strfmt(
-          "    {\"shards\": %d, \"identical_to_sync\": %s, "
+          "    {\"shards\": %d, "
           "\"policy_lanes_identical_to_sync\": %s}%s\n",
-          row.shards, row.identical ? "true" : "false",
-          row.policy_identical ? "true" : "false",
+          row.shards, row.policy_identical ? "true" : "false",
           i + 1 < determinism_rows.size() ? "," : "");
     }
     out << "  ],\n  \"throughput\": [\n";

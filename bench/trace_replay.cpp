@@ -175,7 +175,7 @@ void replay_online_stream(const Tape& tape, const SchedulingPolicy& policy,
 bool replay_async(AsyncScheduler& async, const Tape& tape,
                   const SchedulingPolicy& policy, int chunk,
                   AssembledStream& acc) {
-  StreamOptions options;
+  StreamConfig options;
   options.m = tape.m;
   options.policy = &policy;
   const StreamTicket stream = async.open_stream(options);
@@ -423,7 +423,7 @@ int main(int argc, char** argv) {
     options.queue_capacity = 8;  // small slot ring: warm-up visits every slot
     options.max_streams = 4;
     AsyncScheduler async(options);
-    StreamOptions stream_options;
+    StreamConfig stream_options;
     stream_options.m = tape.m;
     stream_options.policy = &flat_policy;
     StreamDelivery delivery;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -43,9 +44,12 @@ int main(int argc, char** argv) {
   const int m = static_cast<int>(args.get_int("m", 32));
   const int workers = static_cast<int>(args.get_int("workers", 0));
   const std::string algorithm_name = args.get_string("algorithm", "demt");
-  const EngineAlgorithm algorithm = algorithm_name == "flatlist"
-                                        ? EngineAlgorithm::FlatList
-                                        : EngineAlgorithm::Demt;
+  const DemtPolicy demt_policy;
+  const FlatListPolicy flat_policy;
+  const SchedulingPolicy& policy =
+      algorithm_name == "flatlist"
+          ? static_cast<const SchedulingPolicy&>(flat_policy)
+          : demt_policy;
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   const std::vector<WorkloadFamily> families = {
@@ -75,7 +79,7 @@ int main(int argc, char** argv) {
     std::vector<EngineRequest> requests(instances.size());
     for (std::size_t i = 0; i < instances.size(); ++i) {
       requests[i].instance = &instances[i];
-      requests[i].algorithm = algorithm;
+      requests[i].policy = &policy;
     }
 
     WallTimer timer;

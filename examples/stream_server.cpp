@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "serve/async_scheduler.hpp"
 #include "trace/tape.hpp"
 #include "util/cli.hpp"
@@ -63,6 +64,8 @@ int main(int argc, char** argv) {
   int m = static_cast<int>(args.get_int("m", trace_path.empty() ? 32 : 0));
   const double mean_gap = args.get_double("gap", 0.5);
   const std::string algorithm_name = args.get_string("algorithm", "flatlist");
+  const DemtPolicy demt_policy;
+  const FlatListPolicy flat_policy;
   AsyncOptions options;
   options.shards = static_cast<int>(args.get_int("shards", 2));
   options.max_streams = std::max(8, num_streams);
@@ -101,11 +104,12 @@ int main(int argc, char** argv) {
     int moldable = 0, rigid = 0, divisible = 0;
   };
   std::vector<Client> clients(static_cast<std::size_t>(num_streams));
-  StreamOptions stream_options;
-  stream_options.m = m;
-  stream_options.offline_algorithm = algorithm_name == "demt"
-                                         ? EngineAlgorithm::Demt
-                                         : EngineAlgorithm::FlatList;
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy =
+      algorithm_name == "demt"
+          ? static_cast<const SchedulingPolicy*>(&demt_policy)
+          : &flat_policy;
   if (!trace_path.empty()) {
     for (std::size_t i = 0; i < log_tape.arrivals.size(); ++i) {
       Client& client = clients[i % clients.size()];
@@ -118,7 +122,7 @@ int main(int argc, char** argv) {
       }
     }
     for (auto& client : clients) {
-      client.stream = server.open_stream(stream_options);
+      client.stream = server.open_stream(stream_config);
     }
   } else {
     for (auto& client : clients) {
@@ -141,7 +145,7 @@ int main(int argc, char** argv) {
         }
         release += rng.exponential(mean_gap);
       }
-      client.stream = server.open_stream(stream_options);
+      client.stream = server.open_stream(stream_config);
     }
   }
   int total_arrivals = 0;

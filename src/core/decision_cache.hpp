@@ -46,9 +46,8 @@
 /// default) means "never cache me", a nonzero key must change whenever
 /// any option that can change the schedule changes. The built-ins
 /// (DemtPolicy, FlatListPolicy, LptRigidPolicy) return keys derived from
-/// their frozen options, so the deprecated enum adapters — which
-/// stack-construct a fresh policy per request — still share cache
-/// entries correctly.
+/// their frozen options, so separate policy objects built from equal
+/// options share cache entries.
 ///
 /// Thread safety: lookup/insert/stats/clear are safe from any number of
 /// strands (per-shard mutexes, atomic counters). One DecisionCache may

@@ -322,7 +322,6 @@ struct DemtWorkspace::Impl {
   std::vector<int> order_scratch;
   FlatPlacements naive;
   CompactionBuffers naive_compact;
-  FlatPlacements result_flat;  ///< demt_schedule wrapper's out buffer
 };
 
 DemtWorkspace::DemtWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -332,13 +331,8 @@ DemtWorkspace& DemtWorkspace::operator=(DemtWorkspace&&) noexcept = default;
 
 DemtResult demt_schedule(const Instance& instance, const DemtOptions& options) {
   DemtWorkspace workspace;
-  return demt_schedule(instance, options, workspace);
-}
-
-DemtResult demt_schedule(const Instance& instance, const DemtOptions& options,
-                         DemtWorkspace& workspace) {
+  FlatPlacements flat;
   DemtDiagnostics diag;
-  FlatPlacements& flat = workspace.impl_->result_flat;
   demt_schedule_into(instance, options, workspace, flat, diag);
   return DemtResult{flat.to_schedule(instance.procs()), diag};
 }

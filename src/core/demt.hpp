@@ -103,7 +103,7 @@ struct DemtResult {
   DemtDiagnostics diag;
 };
 
-/// Reusable buffers for repeated demt_schedule calls: the shuffle/list/
+/// Reusable buffers for repeated demt_schedule_into calls: the shuffle/list/
 /// compaction workspaces of the hot path plus every per-call scratch vector
 /// of the driver (pending sets, batch ranges, candidate RNG streams, ...).
 /// One workspace per thread/strand — the engine pools one per strand so a
@@ -118,9 +118,6 @@ class DemtWorkspace {
   DemtWorkspace& operator=(DemtWorkspace&&) noexcept;
 
  private:
-  friend DemtResult demt_schedule(const Instance& instance,
-                                  const DemtOptions& options,
-                                  DemtWorkspace& workspace);
   friend void demt_schedule_into(const Instance& instance,
                                  const DemtOptions& options,
                                  DemtWorkspace& workspace,
@@ -134,12 +131,6 @@ class DemtWorkspace {
 /// instance. The returned schedule is always complete and feasible.
 [[nodiscard]] DemtResult demt_schedule(const Instance& instance,
                                        const DemtOptions& options = {});
-
-/// Same algorithm, reusing a caller-owned workspace across calls (identical
-/// results; only the allocation profile changes).
-[[nodiscard]] DemtResult demt_schedule(const Instance& instance,
-                                       const DemtOptions& options,
-                                       DemtWorkspace& workspace);
 
 /// The serving-path entry point: the whole pipeline — allotment tables,
 /// dual-approximation search, batch construction, knapsack selection,

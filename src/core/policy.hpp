@@ -22,10 +22,8 @@
 /// the allocation-free serving baseline). A third baseline,
 /// `LptRigidPolicy`, lives with the paper baselines
 /// (baselines/lpt_policy.hpp) as proof the extension point needs no
-/// engine/serve changes. The legacy `EngineAlgorithm` enum + `DemtOptions`
-/// pair on requests remains as a deprecated adapter: the engine resolves
-/// it to the matching built-in policy, so both spellings are bit-identical
-/// (regression-gated by tests/test_policy.cpp).
+/// engine/serve changes. A policy object is the only way to choose the
+/// per-batch algorithm: every request and stream config requires one.
 ///
 /// Writing a policy:
 ///  1. subclass PolicyWorkspace with whatever scratch the algorithm reuses
@@ -35,8 +33,9 @@
 ///  3. override `workspace_key()` with a per-class tag when workspaces of
 ///     different instances are interchangeable (true whenever the
 ///     workspace carries no per-instance state) so pooled workspaces are
-///     shared across temporaries — the built-ins do this, which is what
-///     keeps the deprecated enum adapters allocation-free.
+///     shared across policy objects — the built-ins do this, so DemtPolicy
+///     objects with different options share one pooled workspace per
+///     strand.
 
 #pragma once
 
@@ -95,9 +94,9 @@ class SchedulingPolicy {
   /// Pooling identity: callers share one pooled workspace among all
   /// policies returning the same key. Default = `this` (per-instance,
   /// always safe). Override with a per-class tag when any instance's
-  /// workspace serves any other instance of the class — required for the
-  /// engine's deprecated enum adapters (stack-constructed per request) to
-  /// stay allocation-free.
+  /// workspace serves any other instance of the class: DemtPolicy objects
+  /// with different options then share one pooled workspace instead of
+  /// each warming its own.
   [[nodiscard]] virtual const void* workspace_key() const noexcept;
 
   /// Decision-cache identity (core/decision_cache.hpp). 0 — the default —
@@ -106,7 +105,7 @@ class SchedulingPolicy {
   /// option that can change the schedule changes, and must be stable
   /// across policy objects built from equal options — it is a *value*
   /// identity, unlike workspace_key()'s class identity, so two DemtPolicy
-  /// temporaries with different DemtOptions never share cache entries.
+  /// objects with different DemtOptions never share cache entries.
   /// The built-ins override this with option-derived keys.
   [[nodiscard]] virtual std::uint64_t cache_key() const noexcept;
 };

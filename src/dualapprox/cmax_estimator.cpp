@@ -222,26 +222,15 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
   out.lower_bound = std::max(lb, lo);
 }
 
-CmaxEstimate estimate_cmax(const Instance& instance, double rel_eps,
-                           const InstanceAllotments& tables,
-                           DualTestWorkspace& ws) {
-  CmaxEstimate out;
-  estimate_cmax_into(instance, rel_eps, tables, ws, out);
-  return out;
-}
-
-CmaxEstimate estimate_cmax(const Instance& instance, double rel_eps,
-                           const InstanceAllotments& tables) {
-  DualTestWorkspace ws;
-  return estimate_cmax(instance, rel_eps, tables, ws);
-}
-
 CmaxEstimate estimate_cmax(const Instance& instance, double rel_eps) {
   if (instance.empty()) {
     throw std::invalid_argument("estimate_cmax: empty instance");
   }
   const InstanceAllotments tables(instance);
-  return estimate_cmax(instance, rel_eps, tables);
+  DualTestWorkspace ws;
+  CmaxEstimate out;
+  estimate_cmax_into(instance, rel_eps, tables, ws, out);
+  return out;
 }
 
 CmaxEstimate estimate_cmax_reference(const Instance& instance,

@@ -33,27 +33,12 @@ struct CmaxEstimate {
 [[nodiscard]] CmaxEstimate estimate_cmax(const Instance& instance,
                                          double rel_eps = 1e-4);
 
-/// Same search with caller-provided allotment tables (built once, shared
-/// with the DEMT batch loop); every dual_test call inside the bisection
-/// uses the O(log max_procs) lookups.
-[[nodiscard]] CmaxEstimate estimate_cmax(const Instance& instance,
-                                         double rel_eps,
-                                         const InstanceAllotments& tables);
-
-/// Same search again with a caller-owned dual-test workspace: after the
-/// first test call the whole bisection performs no heap allocation (the
-/// pick matrix, DP rows and option pools live in `ws`, and the two
-/// candidate partitions rotate through reused buffers). Identical results
-/// and identical search trajectory — dual_tests is the regression anchor.
-/// demt_schedule pools one workspace per strand and calls this form.
-[[nodiscard]] CmaxEstimate estimate_cmax(const Instance& instance,
-                                         double rel_eps,
-                                         const InstanceAllotments& tables,
-                                         DualTestWorkspace& ws);
-
-/// Fully pooled form: identical search, but the result lands in `out`
-/// whose partition buffer is reused across calls (it doubles as the
-/// accepted-guess rotation buffer together with ws.scratch). Zero heap
+/// The same search with caller-provided allotment tables (built once,
+/// shared with the DEMT batch loop) and a caller-owned dual-test
+/// workspace; the result lands in `out`, whose partition buffer is reused
+/// across calls (it doubles as the accepted-guess rotation buffer together
+/// with ws.scratch). Identical results and search trajectory to the
+/// wrapper above — dual_tests is the regression anchor. Zero heap
 /// allocation once `ws` and `out` are warm — this is what
 /// demt_schedule_into calls per request.
 void estimate_cmax_into(const Instance& instance, double rel_eps,

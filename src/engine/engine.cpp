@@ -36,8 +36,7 @@ void finish_offline_result(const Instance& instance, bool keep_schedules,
   }
 }
 
-/// Serve one off-line request under `policy` (the single execution path:
-/// the deprecated enum adapters resolve here too). With a decision cache
+/// Serve one off-line request under `policy`. With a decision cache
 /// configured and a policy that opts in (cache_key() != 0, request not
 /// bypassed), a recurring shape is served by signature lookup + replay;
 /// the replayed doubles are the cached run's verbatim, so hit and fresh
@@ -68,38 +67,19 @@ void run_policy_request(const SchedulingPolicy& policy,
   }
 }
 
+/// Throws std::invalid_argument(message) when `policy` is null.
+void require_policy(const SchedulingPolicy* policy, const char* message) {
+  if (policy == nullptr) throw std::invalid_argument(message);
+}
+
 void serve_offline(const EngineRequest& request, const EngineOptions& options,
                    EngineWorkspace& ws, EngineResult& out) {
   if (request.instance == nullptr) {
     throw std::invalid_argument("SchedulerEngine: request without instance");
   }
-  const Instance& instance = *request.instance;
-  if (request.policy != nullptr) {
-    run_policy_request(*request.policy, instance, options,
-                       request.bypass_cache, ws, out);
-    return;
-  }
-  // Deprecated enum adapter: resolve to the matching built-in policy.
-  // Construction only copies options (no heap), the built-ins share
-  // per-class workspace keys, and cache_key() is a value identity (so
-  // per-request temporaries share cache entries correctly) — the adapter
-  // stays allocation-free and bit-identical to passing the policy object
-  // directly.
-  switch (request.algorithm) {
-    case EngineAlgorithm::Demt: {
-      const DemtPolicy policy(request.demt);
-      run_policy_request(policy, instance, options, request.bypass_cache, ws,
-                         out);
-      return;
-    }
-    case EngineAlgorithm::FlatList: {
-      const FlatListPolicy policy;
-      run_policy_request(policy, instance, options, request.bypass_cache, ws,
-                         out);
-      return;
-    }
-  }
-  throw std::logic_error("SchedulerEngine: unknown algorithm");
+  require_policy(request.policy, "SchedulerEngine: request without policy");
+  run_policy_request(*request.policy, *request.instance, options,
+                     request.bypass_cache, ws, out);
 }
 
 void serve_online(const OnlineRequest& request, EngineWorkspace& ws,
@@ -107,44 +87,14 @@ void serve_online(const OnlineRequest& request, EngineWorkspace& ws,
   if (request.jobs == nullptr) {
     throw std::invalid_argument("SchedulerEngine: request without jobs");
   }
+  require_policy(request.policy, "SchedulerEngine: request without policy");
   static const std::vector<NodeReservation> kNoReservations;
-  const std::vector<NodeReservation>& reservations =
+  online_batch_schedule_into(
+      request.m, *request.jobs, *request.policy,
+      ws.policy_workspace(*request.policy),
       request.reservations != nullptr ? *request.reservations
-                                      : kNoReservations;
-  if (request.policy != nullptr) {
-    online_batch_schedule_into(request.m, *request.jobs, *request.policy,
-                               ws.policy_workspace(*request.policy),
-                               reservations, ws.online, out);
-    return;
-  }
-  if (request.offline_algorithm == EngineAlgorithm::FlatList) {
-    const FlatListPolicy policy;
-    online_batch_schedule_into(request.m, *request.jobs, policy,
-                               ws.policy_workspace(policy), reservations,
-                               ws.online, out);
-  } else {
-    const DemtPolicy policy(request.demt);
-    online_batch_schedule_into(request.m, *request.jobs, policy,
-                               ws.policy_workspace(policy), reservations,
-                               ws.online, out);
-  }
-}
-
-/// Run `fn(policy, policy_workspace)` under the stream's off-line policy —
-/// the borrowed policy object when one was configured, else a
-/// stack-constructed built-in adapter whose lifetime spans the call.
-template <typename Fn>
-void with_stream_policy(EngineStreamState& state, EngineWorkspace& ws,
-                        const Fn& fn) {
-  if (state.policy != nullptr) {
-    fn(*state.policy, ws.policy_workspace(*state.policy));
-  } else if (state.offline_algorithm == EngineAlgorithm::FlatList) {
-    const FlatListPolicy policy;
-    fn(policy, ws.policy_workspace(policy));
-  } else {
-    const DemtPolicy policy(state.demt);
-    fn(policy, ws.policy_workspace(policy));
-  }
+                                      : kNoReservations,
+      ws.online, out);
 }
 
 /// Fold a session's cumulative speculation counters into the engine stats
@@ -206,18 +156,6 @@ void SchedulerEngine::schedule_batch_into(const EngineRequest* requests,
 }
 
 std::vector<EngineResult> SchedulerEngine::schedule_all(
-    const std::vector<Instance>& instances, EngineAlgorithm algorithm,
-    const DemtOptions& demt) {
-  std::vector<EngineRequest> requests(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    requests[i].instance = &instances[i];
-    requests[i].algorithm = algorithm;
-    requests[i].demt = demt;
-  }
-  return schedule_batch(requests);
-}
-
-std::vector<EngineResult> SchedulerEngine::schedule_all(
     const std::vector<Instance>& instances, const SchedulingPolicy& policy) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -237,7 +175,9 @@ void SchedulerEngine::simulate_batch(
   stats_.online_requests += requests.size();
 }
 
-EngineStreamId SchedulerEngine::open_stream(const StreamConfig& config) {
+EngineStreamId SchedulerEngine::acquire_stream(const StreamConfig& config,
+                                               const StreamCheckpoint* ckpt) {
+  require_policy(config.policy, "SchedulerEngine: stream without policy");
   if (workspaces_.empty()) workspaces_.resize(1);
   EngineWorkspace& ws = workspaces_[0];
   int index = -1;
@@ -251,25 +191,41 @@ EngineStreamId SchedulerEngine::open_stream(const StreamConfig& config) {
   EngineStreamState& state = *ws.streams[static_cast<std::size_t>(index)];
   static const std::vector<NodeReservation> kNoReservations;
   try {
-    state.sim.open(config.m, config.reservations != nullptr
-                                 ? *config.reservations
-                                 : kNoReservations);
+    if (ckpt != nullptr) {
+      state.sim.restore(*ckpt);
+    } else {
+      state.sim.open(config.m, config.reservations != nullptr
+                                   ? *config.reservations
+                                   : kNoReservations);
+    }
   } catch (...) {
     ws.free_streams.push_back(index);
     throw;
   }
   state.sim.set_speculate(config.speculate);
   state.sim.set_speculate_depth(config.speculate_depth);
-  state.demt = config.demt;
-  state.offline_algorithm = config.offline_algorithm;
   state.policy = config.policy;
   state.in_use = true;
   state.spec_seen_decided = 0;
   state.spec_seen_committed = 0;
   state.spec_seen_rolled_back = 0;
   ++state.serial;
-  ++stats_.streams_opened;
   return EngineStreamId{index, state.serial};
+}
+
+void SchedulerEngine::release_stream(int index) noexcept {
+  EngineWorkspace& ws = workspaces_[0];
+  EngineStreamState& state = *ws.streams[static_cast<std::size_t>(index)];
+  state.in_use = false;
+  state.policy = nullptr;
+  ++state.serial;
+  ws.free_streams.push_back(index);
+}
+
+EngineStreamId SchedulerEngine::open_stream(const StreamConfig& config) {
+  const EngineStreamId id = acquire_stream(config, nullptr);
+  ++stats_.streams_opened;
+  return id;
 }
 
 EngineStreamState& SchedulerEngine::stream_state(const EngineStreamId& id) {
@@ -290,11 +246,8 @@ void SchedulerEngine::feed_stream(const EngineStreamId& id,
                                   std::size_t count, double watermark,
                                   StreamDelivery& out) {
   EngineStreamState& state = stream_state(id);
-  with_stream_policy(
-      state, workspaces_[0],
-      [&](const SchedulingPolicy& policy, PolicyWorkspace& policy_ws) {
-        state.sim.feed(arrivals, count, watermark, policy, policy_ws, out);
-      });
+  state.sim.feed(arrivals, count, watermark, *state.policy,
+                 workspaces_[0].policy_workspace(*state.policy), out);
   harvest_speculation(state, stats_);
   ++stats_.stream_feeds;
   stats_.stream_arrivals += count;
@@ -305,26 +258,16 @@ void SchedulerEngine::close_stream(const EngineStreamId& id,
   EngineStreamState& state = stream_state(id);
   // The session returns to the pool whatever finish() does: close is
   // terminal, and a broken stream must not leak its slot.
-  EngineWorkspace& ws = workspaces_[0];
   try {
-    with_stream_policy(
-        state, ws,
-        [&](const SchedulingPolicy& policy, PolicyWorkspace& policy_ws) {
-          state.sim.finish(policy, policy_ws, out);
-        });
+    state.sim.finish(*state.policy,
+                     workspaces_[0].policy_workspace(*state.policy), out);
   } catch (...) {
     harvest_speculation(state, stats_);
-    state.in_use = false;
-    state.policy = nullptr;
-    ++state.serial;
-    ws.free_streams.push_back(id.index);
+    release_stream(id.index);
     throw;
   }
   harvest_speculation(state, stats_);
-  state.in_use = false;
-  state.policy = nullptr;
-  ++state.serial;
-  ws.free_streams.push_back(id.index);
+  release_stream(id.index);
 }
 
 void SchedulerEngine::checkpoint_stream(const EngineStreamId& id,
@@ -334,35 +277,9 @@ void SchedulerEngine::checkpoint_stream(const EngineStreamId& id,
 
 EngineStreamId SchedulerEngine::restore_stream(const StreamConfig& config,
                                                const StreamCheckpoint& ckpt) {
-  if (workspaces_.empty()) workspaces_.resize(1);
-  EngineWorkspace& ws = workspaces_[0];
-  int index = -1;
-  if (!ws.free_streams.empty()) {
-    index = ws.free_streams.back();
-    ws.free_streams.pop_back();
-  } else {
-    index = static_cast<int>(ws.streams.size());
-    ws.streams.push_back(std::make_unique<EngineStreamState>());
-  }
-  EngineStreamState& state = *ws.streams[static_cast<std::size_t>(index)];
-  try {
-    state.sim.restore(ckpt);
-  } catch (...) {
-    ws.free_streams.push_back(index);
-    throw;
-  }
-  state.sim.set_speculate(config.speculate);
-  state.sim.set_speculate_depth(config.speculate_depth);
-  state.demt = config.demt;
-  state.offline_algorithm = config.offline_algorithm;
-  state.policy = config.policy;
-  state.in_use = true;
-  state.spec_seen_decided = 0;
-  state.spec_seen_committed = 0;
-  state.spec_seen_rolled_back = 0;
-  ++state.serial;
+  const EngineStreamId id = acquire_stream(config, &ckpt);
   ++stats_.streams_restored;
-  return EngineStreamId{index, state.serial};
+  return id;
 }
 
 void SchedulerEngine::abandon_stream(const EngineStreamId& id) noexcept {
@@ -373,10 +290,7 @@ void SchedulerEngine::abandon_stream(const EngineStreamId& id) noexcept {
   EngineStreamState& state =
       *workspaces_[0].streams[static_cast<std::size_t>(id.index)];
   if (!state.in_use || state.serial != id.serial) return;
-  state.in_use = false;
-  state.policy = nullptr;
-  ++state.serial;
-  workspaces_[0].free_streams.push_back(id.index);
+  release_stream(id.index);
 }
 
 bool SchedulerEngine::stream_open(const EngineStreamId& id) const noexcept {

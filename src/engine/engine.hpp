@@ -8,13 +8,11 @@
 /// request.
 ///
 /// The per-request algorithm is a SchedulingPolicy object
-/// (core/policy.hpp): requests carry `const SchedulingPolicy*`, the engine
-/// pools one policy workspace per (strand, workspace key), and any
-/// user-defined policy plugs into every entry point below without engine
-/// changes. The legacy `EngineAlgorithm` enum + `DemtOptions` request
-/// fields remain as deprecated adapters the engine resolves to the
-/// built-in DemtPolicy/FlatListPolicy — bit-identical to the policy path
-/// (regression-gated by tests/test_policy.cpp) and still allocation-free.
+/// (core/policy.hpp): every request and stream config carries a required
+/// `const SchedulingPolicy*` (null is rejected with
+/// std::invalid_argument), the engine pools one policy workspace per
+/// (strand, workspace key), and any user-defined policy plugs into every
+/// entry point below without engine changes.
 ///
 /// Determinism contract: results depend only on the requests, never on the
 /// worker count. Requests are independent, each runs with per-request
@@ -26,12 +24,10 @@
 /// replay design does not change the schedule either.
 ///
 /// Allocation contract: the engine's own dispatch adds no per-request heap
-/// allocation in steady state. FlatList requests in metrics-only mode
-/// (`keep_schedules == false`) are fully allocation-free after warm-up;
-/// Demt requests reuse a per-strand DemtWorkspace (the remaining
-/// allocations are demt_schedule internals — allotment tables, batch item
-/// vectors, the result Schedule). bench/engine_throughput.cpp measures all
-/// three numbers.
+/// allocation in steady state. FlatListPolicy and DemtPolicy requests in
+/// metrics-only mode (`keep_schedules == false`) are fully
+/// allocation-free after warm-up (DEMT reuses a pooled per-strand
+/// DemtWorkspace). bench/engine_throughput.cpp gates both.
 
 #pragma once
 
@@ -54,30 +50,12 @@
 
 namespace moldsched {
 
-/// Deprecated spelling of the per-request algorithm choice. New code
-/// passes a `SchedulingPolicy` object (core/policy.hpp) on the request
-/// instead; the enum remains as a thin adapter the engine resolves to the
-/// matching built-in policy (DemtPolicy / FlatListPolicy), bit-identical
-/// to the policy path and still allocation-free.
-enum class EngineAlgorithm {
-  /// Full bi-criteria DEMT (paper §3.2). Highest quality; allocates inside
-  /// demt_schedule (workspace-reduced).
-  Demt,
-  /// Min-work allotments + one Smith-ordered flat list pass. A fast,
-  /// allocation-free baseline for latency-critical serving.
-  FlatList,
-};
-
-/// One off-line request: schedule `*instance` with the given policy. The
-/// instance (and the policy, when set) is borrowed — the caller keeps it
-/// alive until the batch call returns.
+/// One off-line request: schedule `*instance` with `*policy`. Both are
+/// borrowed — the caller keeps them alive until the batch call returns —
+/// and both are required.
 struct EngineRequest {
   const Instance* instance = nullptr;
-  /// Deprecated adapter pair, used only while `policy == nullptr`.
-  EngineAlgorithm algorithm = EngineAlgorithm::Demt;
-  DemtOptions demt;  ///< options when algorithm == EngineAlgorithm::Demt
-  /// The per-batch algorithm as a first-class object; overrides the
-  /// enum+options pair above when set.
+  /// The per-batch algorithm (required).
   const SchedulingPolicy* policy = nullptr;
   /// Skip the decision cache (EngineOptions::cache) for this request:
   /// no lookup, no insert — the exact pre-cache execution path, for
@@ -93,10 +71,7 @@ struct OnlineRequest {
   const std::vector<OnlineJob>* jobs = nullptr;
   /// Optional node reservations (nullptr = none).
   const std::vector<NodeReservation>* reservations = nullptr;
-  /// Deprecated adapter pair, used only while `policy == nullptr`.
-  EngineAlgorithm offline_algorithm = EngineAlgorithm::Demt;
-  DemtOptions demt;
-  /// Per-batch off-line policy (borrowed); overrides the enum pair.
+  /// Per-batch off-line policy (borrowed, required).
   const SchedulingPolicy* policy = nullptr;
 };
 
@@ -107,7 +82,7 @@ struct EngineResult {
   /// mode skips materialisation to keep the hot path allocation-free).
   bool has_schedule = false;
   Schedule schedule{1, 0};
-  DemtDiagnostics diag;  ///< meaningful for Demt requests only
+  DemtDiagnostics diag;  ///< meaningful for DemtPolicy requests only
 };
 
 struct EngineOptions {
@@ -136,11 +111,8 @@ struct StreamConfig {
   int m = 1;
   /// Optional node reservations (nullptr = none); copied at open.
   const std::vector<NodeReservation>* reservations = nullptr;
-  /// Deprecated adapter pair, used only while `policy == nullptr`.
-  EngineAlgorithm offline_algorithm = EngineAlgorithm::FlatList;
-  DemtOptions demt;  ///< options when offline_algorithm == Demt
-  /// Per-batch off-line policy, borrowed for the stream's whole life
-  /// (open through close); overrides the enum pair when set.
+  /// Per-batch off-line policy (required), borrowed for the stream's whole
+  /// life (open through close).
   const SchedulingPolicy* policy = nullptr;
   /// Decide batches speculatively ahead of the watermark (see
   /// OnlineStream::set_speculate). Off by default; deliveries are
@@ -179,14 +151,11 @@ struct EngineStats {
 };
 
 /// One pooled streaming session: the OnlineStream (which owns its
-/// simulator state and scratch) plus the per-stream off-line plug-in
-/// configuration (a borrowed policy, or the deprecated enum adapter pair).
-/// Sessions live behind unique_ptr so their addresses stay stable while
-/// the pool grows.
+/// simulator state and scratch) plus the stream's borrowed per-batch
+/// policy. Sessions live behind unique_ptr so their addresses stay stable
+/// while the pool grows.
 struct EngineStreamState {
   OnlineStream sim;
-  DemtOptions demt;
-  EngineAlgorithm offline_algorithm = EngineAlgorithm::FlatList;
   const SchedulingPolicy* policy = nullptr;  ///< borrowed while open
   std::uint64_t serial = 0;
   bool in_use = false;
@@ -202,8 +171,7 @@ struct EngineStreamState {
 /// one. Policy scratch is pooled per (strand, SchedulingPolicy::
 /// workspace_key): the first request a strand serves under a given key
 /// allocates its workspace, every later one reuses it — which is what
-/// keeps the steady-state serving loop (and the deprecated enum adapters,
-/// whose stack-constructed built-ins share per-class keys) allocation-free.
+/// keeps the steady-state serving loop allocation-free.
 struct EngineWorkspace {
   FlatPlacements flat;         ///< policy output staging
   OnlineWorkspace online;      ///< on-line simulator state
@@ -250,13 +218,6 @@ class SchedulerEngine {
   void schedule_batch_into(const EngineRequest* requests, std::size_t count,
                            EngineResult* results);
 
-  /// Convenience: one algorithm/options for a whole instance set
-  /// (deprecated enum spelling; resolves to the built-in policies).
-  [[nodiscard]] std::vector<EngineResult> schedule_all(
-      const std::vector<Instance>& instances,
-      EngineAlgorithm algorithm = EngineAlgorithm::Demt,
-      const DemtOptions& demt = {});
-
   /// Convenience: one policy for a whole instance set (borrowed for the
   /// duration of the call).
   [[nodiscard]] std::vector<EngineResult> schedule_all(
@@ -273,7 +234,7 @@ class SchedulerEngine {
   /// are pinned to this engine. Stream calls follow the engine's thread
   /// contract — one caller at a time; the serving layer pins each engine
   /// (shard) to one strand. Throws std::invalid_argument on a bad config
-  /// (m < 1, bad reservation).
+  /// (no policy, m < 1, bad reservation).
   [[nodiscard]] EngineStreamId open_stream(const StreamConfig& config);
 
   /// Feed `count` arrivals with the new watermark; decisions that became
@@ -298,11 +259,11 @@ class SchedulerEngine {
   void checkpoint_stream(const EngineStreamId& id, StreamCheckpoint& out);
 
   /// Open a session resuming from `ckpt`: machine size and reservations
-  /// come from the checkpoint, the per-batch policy (or deprecated enum
-  /// pair) from `config` — the same configuration the original stream ran,
-  /// or the resumed decisions will differ. Future feeds/close deliver
-  /// bit-identically to the original session's continuation. Throws
-  /// std::invalid_argument on a malformed checkpoint.
+  /// come from the checkpoint, the per-batch policy from `config` — the
+  /// same policy the original stream ran, or the resumed decisions will
+  /// differ. Future feeds/close deliver bit-identically to the original
+  /// session's continuation. Throws std::invalid_argument on a missing
+  /// policy or a malformed checkpoint.
   [[nodiscard]] EngineStreamId restore_stream(const StreamConfig& config,
                                               const StreamCheckpoint& ckpt);
 
@@ -345,6 +306,15 @@ class SchedulerEngine {
   /// Resolve a stream id to its pooled session; throws
   /// std::invalid_argument when the id is unknown, closed, or recycled.
   [[nodiscard]] EngineStreamState& stream_state(const EngineStreamId& id);
+
+  /// Take a pooled session (or grow the pool), initialise its simulator —
+  /// open(m, reservations) when `ckpt` is null, restore(*ckpt) otherwise,
+  /// the slot returning to the pool if that throws — and apply `config`.
+  [[nodiscard]] EngineStreamId acquire_stream(const StreamConfig& config,
+                                              const StreamCheckpoint* ckpt);
+
+  /// Return session `index` to the pool; its ids become invalid.
+  void release_stream(int index) noexcept;
 
   EngineOptions options_;
   EngineStats stats_;

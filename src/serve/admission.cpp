@@ -12,7 +12,7 @@ int AdmissionPolicy::classify(const EngineRequest& /*request*/) const noexcept {
 }
 
 int AdmissionPolicy::classify_stream(
-    const StreamOptions& /*options*/) const noexcept {
+    const StreamConfig& /*config*/) const noexcept {
   return 0;
 }
 
@@ -46,7 +46,7 @@ int WeightedLanesAdmission::classify(
 }
 
 int WeightedLanesAdmission::classify_stream(
-    const StreamOptions& /*options*/) const noexcept {
+    const StreamConfig& /*config*/) const noexcept {
   return default_lane_;
 }
 

@@ -35,8 +35,6 @@
 
 namespace moldsched {
 
-struct StreamOptions;  // serve/async_scheduler.hpp
-
 /// One priority lane of the admission table.
 struct LaneSpec {
   std::string name = "default";  ///< stable label (stats, benches, logs)
@@ -78,7 +76,7 @@ class AdmissionPolicy {
   /// Lane of a stream opened without an explicit lane; the stream's feeds
   /// and close all ride this lane. Default: lane 0.
   [[nodiscard]] virtual int classify_stream(
-      const StreamOptions& options) const noexcept;
+      const StreamConfig& config) const noexcept;
 };
 
 /// The pre-policy behaviour: one lane, pure FIFO, global bound only. This
@@ -102,7 +100,7 @@ class WeightedLanesAdmission : public AdmissionPolicy {
   [[nodiscard]] int classify(
       const EngineRequest& request) const noexcept override;
   [[nodiscard]] int classify_stream(
-      const StreamOptions& options) const noexcept override;
+      const StreamConfig& config) const noexcept override;
 
  private:
   std::vector<LaneSpec> lanes_;

@@ -60,12 +60,33 @@ AsyncOptions validated(AsyncOptions options) {
   return options;
 }
 
-/// Policy label for error messages: the configured policy object's name,
-/// or the built-in the deprecated enum pair resolves to.
-[[nodiscard]] const char* policy_name(const SchedulingPolicy* policy,
-                                      EngineAlgorithm algorithm) noexcept {
-  if (policy != nullptr) return policy->name();
-  return algorithm == EngineAlgorithm::Demt ? "demt" : "flatlist";
+/// Admission-time checks of a one-shot request (before any classifier or
+/// shard sees it); throws std::invalid_argument.
+void validate_request(const EngineRequest& request) {
+  if (request.instance == nullptr) {
+    throw std::invalid_argument("AsyncScheduler: request without instance");
+  }
+  if (request.policy == nullptr) {
+    throw std::invalid_argument("AsyncScheduler: request without policy");
+  }
+}
+
+/// Admission-time checks of a stream configuration; throws
+/// std::invalid_argument.
+void validate_stream_config(const StreamConfig& config) {
+  if (config.policy == nullptr) {
+    throw std::invalid_argument("AsyncScheduler: stream without policy");
+  }
+  if (config.m < 1) {
+    throw std::invalid_argument("AsyncScheduler: stream m < 1");
+  }
+  if (config.reservations != nullptr) {
+    for (const auto& r : *config.reservations) {
+      if (r.proc < 0 || r.proc >= config.m || !(r.finish > r.start)) {
+        throw std::invalid_argument("AsyncScheduler: bad stream reservation");
+      }
+    }
+  }
 }
 
 /// Copy (and validate) the admission policy's lane table; no policy means
@@ -157,14 +178,11 @@ struct AsyncScheduler::Impl {
   struct StreamEntry {
     std::atomic<std::uint64_t> ticket{0};
     std::atomic<std::uint32_t> shard{0};
-    int m = 1;
-    EngineAlgorithm offline_algorithm = EngineAlgorithm::FlatList;
-    DemtOptions demt;
-    const SchedulingPolicy* policy = nullptr;   ///< borrowed while open
-    bool speculate = false;  ///< StreamOptions::speculate, applied at open
-    int speculate_depth = 0;  ///< StreamOptions::speculate_depth
-    std::uint32_t lane = 0;  ///< every feed/close of the stream rides it
+    /// The caller's config as given at open, except that `reservations`
+    /// points at the entry's own copy below (the policy stays borrowed).
+    StreamConfig config;
     std::vector<NodeReservation> reservations;  ///< copied at open
+    std::uint32_t lane = 0;  ///< every feed/close of the stream rides it
     EngineStreamId engine_stream{};
     bool engine_open = false;
     /// Migration hand-off: a failed shard's strand checkpoints the engine
@@ -617,8 +635,7 @@ struct AsyncScheduler::Impl {
         slot.result.has_schedule = false;
         slot.result.diag = DemtDiagnostics{};
         slot.error += " (policy: ";
-        slot.error += policy_name(slot.request.policy,
-                                  slot.request.algorithm);
+        slot.error += slot.request.policy->name();
         if (tried > 1) {
           slot.error += ", attempts: ";
           slot.error += std::to_string(tried);
@@ -665,20 +682,12 @@ struct AsyncScheduler::Impl {
         // workspace) belongs to the shard's engine, so no other thread
         // ever touches it. A migrated stream resumes from its checkpoint
         // instead — bit-identically to the tape it left behind.
-        StreamConfig config;
-        config.m = entry.m;
-        config.reservations = &entry.reservations;
-        config.offline_algorithm = entry.offline_algorithm;
-        config.demt = entry.demt;
-        config.policy = entry.policy;
-        config.speculate = entry.speculate;
-        config.speculate_depth = entry.speculate_depth;
         if (entry.has_checkpoint) {
           entry.engine_stream =
-              shard.engine.restore_stream(config, entry.checkpoint);
+              shard.engine.restore_stream(entry.config, entry.checkpoint);
           entry.has_checkpoint = false;
         } else {
-          entry.engine_stream = shard.engine.open_stream(config);
+          entry.engine_stream = shard.engine.open_stream(entry.config);
         }
         entry.engine_open = true;
       }
@@ -702,7 +711,7 @@ struct AsyncScheduler::Impl {
     if (failed && owns_entry) {
       // Entry fields are safe to read only while we own the entry.
       slot.error += " (policy: ";
-      slot.error += policy_name(entry.policy, entry.offline_algorithm);
+      slot.error += entry.config.policy->name();
       slot.error += ")";
     }
     if (slot.kind == SlotKind::StreamClose && owns_entry) {
@@ -1108,6 +1117,7 @@ AsyncScheduler::~AsyncScheduler() {
 
 Ticket AsyncScheduler::submit(const EngineRequest& request) {
   const Impl& im = *impl_;
+  validate_request(request);
   return submit(request, im.options.admission != nullptr
                              ? im.options.admission->classify(request)
                              : 0);
@@ -1115,9 +1125,7 @@ Ticket AsyncScheduler::submit(const EngineRequest& request) {
 
 Ticket AsyncScheduler::submit(const EngineRequest& request, int lane) {
   Impl& im = *impl_;
-  if (request.instance == nullptr) {
-    throw std::invalid_argument("AsyncScheduler: request without instance");
-  }
+  validate_request(request);
   const std::uint32_t lane_index = im.clamp_lane(lane);
   if (im.stopping.load(std::memory_order_acquire)) {
     return im.reject(lane_index);
@@ -1145,27 +1153,19 @@ const LaneSpec& AsyncScheduler::lane_spec(int lane) const {
   return impl_->lanes.at(static_cast<std::size_t>(lane));
 }
 
-StreamTicket AsyncScheduler::open_stream(const StreamOptions& options) {
+StreamTicket AsyncScheduler::open_stream(const StreamConfig& config) {
   const Impl& im = *impl_;
-  return open_stream(options,
+  validate_stream_config(config);
+  return open_stream(config,
                      im.options.admission != nullptr
-                         ? im.options.admission->classify_stream(options)
+                         ? im.options.admission->classify_stream(config)
                          : 0);
 }
 
-StreamTicket AsyncScheduler::open_stream(const StreamOptions& options,
+StreamTicket AsyncScheduler::open_stream(const StreamConfig& config,
                                          int lane) {
   Impl& im = *impl_;
-  if (options.m < 1) {
-    throw std::invalid_argument("AsyncScheduler: stream m < 1");
-  }
-  if (options.reservations != nullptr) {
-    for (const auto& r : *options.reservations) {
-      if (r.proc < 0 || r.proc >= options.m || !(r.finish > r.start)) {
-        throw std::invalid_argument("AsyncScheduler: bad stream reservation");
-      }
-    }
-  }
+  validate_stream_config(config);
   if (im.stopping.load(std::memory_order_acquire)) {
     im.stat_stream_rejected.fetch_add(1, std::memory_order_relaxed);
     return StreamTicket{};
@@ -1180,16 +1180,12 @@ StreamTicket AsyncScheduler::open_stream(const StreamOptions& options,
       im.next_ticket.fetch_add(1, std::memory_order_relaxed);
   entry.shard.store(im.route_one_shot(id), std::memory_order_relaxed);
   entry.has_checkpoint = false;  // recycled entries carry no stale image
-  entry.m = options.m;
-  entry.offline_algorithm = options.offline_algorithm;
-  entry.demt = options.demt;
-  entry.policy = options.policy;
-  entry.speculate = options.speculate;
-  entry.speculate_depth = options.speculate_depth;
+  entry.config = config;
+  entry.config.reservations = &entry.reservations;
   entry.lane = im.clamp_lane(lane);
   entry.reservations.clear();
-  if (options.reservations != nullptr) {
-    entry.reservations = *options.reservations;
+  if (config.reservations != nullptr) {
+    entry.reservations = *config.reservations;
   }
   entry.engine_open = false;
   entry.ticket.store(id, std::memory_order_release);

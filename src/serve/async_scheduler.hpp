@@ -201,36 +201,18 @@ struct AsyncStats {
   std::uint64_t cache_misses = 0;      ///< decision-cache lookups that ran fresh
   std::uint64_t cache_evictions = 0;   ///< decision-cache records recycled (CLOCK)
   // Speculative frontier decisions across all streams opened with
-  // StreamOptions::speculate (see OnlineStream::set_speculate).
+  // StreamConfig::speculate (see OnlineStream::set_speculate).
   std::uint64_t spec_decided = 0;      ///< batches decided ahead of watermark
   std::uint64_t spec_committed = 0;    ///< staged decisions later confirmed
   std::uint64_t spec_rolled_back = 0;  ///< staged decisions invalidated
   std::vector<LaneStats> lanes;        ///< per-lane rows, in lane order
 };
 
-/// Per-stream configuration for open_stream. The reservations vector is
-/// copied at open; everything else is plain data (the policy, when set,
-/// is borrowed for the stream's whole life).
-struct StreamOptions {
-  int m = 1;                  ///< machine size the stream schedules onto
-  const std::vector<NodeReservation>* reservations = nullptr;
-  /// Deprecated adapter pair, used only while `policy == nullptr`.
-  EngineAlgorithm offline_algorithm = EngineAlgorithm::FlatList;
-  DemtOptions demt;           ///< options when offline_algorithm == Demt
-  /// Per-batch off-line policy of every decision this stream makes;
-  /// overrides the enum pair when set.
-  const SchedulingPolicy* policy = nullptr;
-  /// Decide batches speculatively ahead of the watermark (see
-  /// OnlineStream::set_speculate). Off by default; deliveries are
-  /// bit-identical either way — speculation trades idle shard time for
-  /// lower feed-to-decision latency and shows up in the AsyncStats
-  /// spec_* counters.
-  bool speculate = false;
-  /// Speculation budget per frontier advance for this stream (see
-  /// OnlineStream::set_speculate_depth); 0 = unlimited. Bounds the work a
-  /// rollback-heavy tape wastes; only meaningful with `speculate` on.
-  int speculate_depth = 0;
-};
+/// open_stream takes the engine's StreamConfig (engine/engine.hpp)
+/// unchanged: the reservations vector is copied at open, the policy is
+/// borrowed for the stream's whole life. This older name remains an alias
+/// for existing callers.
+using StreamOptions = StreamConfig;
 
 /// Handle to one open stream. Value type, freely copyable; id 0 means
 /// open_stream refused (stream table full or scheduler stopping). `lane`
@@ -257,9 +239,9 @@ class AsyncScheduler {
   /// (classify; lane 0 without a policy). Returns a rejected Ticket
   /// (accepted() == false) when queue_capacity requests are already in
   /// flight or the lane's own queue_capacity is. The request is copied;
-  /// the Instance (and SchedulingPolicy, when set) it points at is
-  /// borrowed and must stay alive until the ticket is terminal. Throws
-  /// std::invalid_argument on a request without an instance.
+  /// the Instance and SchedulingPolicy it points at are borrowed and must
+  /// stay alive until the ticket is terminal. Throws
+  /// std::invalid_argument on a request without an instance or policy.
   [[nodiscard]] Ticket submit(const EngineRequest& request);
 
   /// Same, naming the admission lane explicitly (clamped to the lane
@@ -310,11 +292,11 @@ class AsyncScheduler {
   /// admission policy picks (classify_stream). Non-blocking: returns a
   /// rejected StreamTicket when max_streams sessions are open or the
   /// scheduler is stopping. Throws std::invalid_argument on a bad
-  /// configuration (m < 1, bad reservation).
-  [[nodiscard]] StreamTicket open_stream(const StreamOptions& options);
+  /// configuration (no policy, m < 1, bad reservation).
+  [[nodiscard]] StreamTicket open_stream(const StreamConfig& config);
 
   /// Same, naming the stream's admission lane explicitly (clamped).
-  [[nodiscard]] StreamTicket open_stream(const StreamOptions& options,
+  [[nodiscard]] StreamTicket open_stream(const StreamConfig& config,
                                          int lane);
 
   /// Enqueue a feed: `count` arrivals plus the stream's new watermark

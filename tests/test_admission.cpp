@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
@@ -31,6 +33,8 @@ std::vector<Instance> make_instances(int count, int n, int m,
   }
   return instances;
 }
+
+const FlatListPolicy kFlatList;
 
 std::vector<LaneSpec> two_lanes(int high_weight, int low_weight,
                                 int high_cap = 0, int low_cap = 0) {
@@ -61,7 +65,7 @@ TEST(Admission, ExplicitLaneTagsTicketsAndStats) {
   const auto instances = make_instances(1, 15, 8, 3);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
@@ -99,7 +103,7 @@ TEST(Admission, PerLaneCapacityRejectsAndRecovers) {
   const auto instances = make_instances(1, 15, 8, 5);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   const WeightedLanesAdmission admission(two_lanes(1, 1, /*high_cap=*/0,
                                                    /*low_cap=*/2));
@@ -147,12 +151,14 @@ TEST(Admission, WeightedFairServiceFavoursTheHeavyLane) {
   // re-pops, every later batch takes ~3 high for every 1 low — the last
   // high-lane request must finish before the last low-lane one.
   const auto instances = make_instances(1, 60, 24, 7);
+  DemtOptions busy;
+  busy.shuffles = 64;  // keep the strand busy while queues load
+  const DemtPolicy slow_policy(busy);
   EngineRequest slow;
   slow.instance = &instances[0];
-  slow.algorithm = EngineAlgorithm::Demt;
-  slow.demt.shuffles = 64;  // keep the strand busy while queues load
+  slow.policy = &slow_policy;
   EngineRequest fast = slow;
-  fast.algorithm = EngineAlgorithm::FlatList;
+  fast.policy = &kFlatList;
 
   const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
@@ -214,9 +220,10 @@ TEST(Admission, StreamsRideTheirLaneAndStayOrdered) {
   options.admission = &admission;
   AsyncScheduler async(options);
 
-  StreamOptions stream_options;
-  stream_options.m = m;
-  const StreamTicket stream = async.open_stream(stream_options, 1);
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config, 1);
   ASSERT_TRUE(stream.accepted());
   EXPECT_EQ(stream.lane, 1u);
 
@@ -262,11 +269,12 @@ TEST(Admission, ClassifierRoutesByContent) {
     }
     [[nodiscard]] int classify(
         const EngineRequest& request) const noexcept override {
-      return request.algorithm == EngineAlgorithm::Demt ? 1 : 0;
+      return std::strcmp(request.policy->name(), "demt") == 0 ? 1 : 0;
     }
   };
   const auto instances = make_instances(1, 12, 8, 9);
   const ByAlgorithm admission;
+  const DemtPolicy demt_policy;
   AsyncOptions options;
   options.flush_after_ms = 0.0;
   options.admission = &admission;
@@ -274,9 +282,9 @@ TEST(Admission, ClassifierRoutesByContent) {
 
   EngineRequest fast;
   fast.instance = &instances[0];
-  fast.algorithm = EngineAlgorithm::FlatList;
+  fast.policy = &kFlatList;
   EngineRequest slow = fast;
-  slow.algorithm = EngineAlgorithm::Demt;
+  slow.policy = &demt_policy;
   const Ticket a = async.submit(fast);
   const Ticket b = async.submit(slow);
   EXPECT_EQ(a.lane, 0u);
@@ -322,7 +330,7 @@ TEST(Admission, SingleLaneBehaviourMatchesPrePolicyScheduler) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::FlatList;
+    requests[i].policy = &kFlatList;
   }
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
@@ -367,9 +375,10 @@ TEST(Admission, FailedStreamFeedKeepsLaneTagAndNamesPolicy) {
   options.admission = &admission;
   AsyncScheduler async(options);
 
-  StreamOptions stream_options;
-  stream_options.m = m;
-  const StreamTicket stream = async.open_stream(stream_options, 1);
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config, 1);
   ASSERT_TRUE(stream.accepted());
 
   const Ticket good = async.submit_stream(stream, &first, 1, 1.0);

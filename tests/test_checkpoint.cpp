@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/stream.hpp"
@@ -324,10 +325,11 @@ TEST(SchedulerEngine, CheckpointRestoreAbandonStreams) {
   const auto tape = make_mix(12, m, /*mixed=*/true, 11);
   const auto reference = run_reference(tape, m, flat_offline());
 
+  const FlatListPolicy flat_policy;
   SchedulerEngine engine(EngineOptions{1, false});
   StreamConfig config;
   config.m = m;
-  config.offline_algorithm = EngineAlgorithm::FlatList;
+  config.policy = &flat_policy;
   EngineStreamId id = engine.open_stream(config);
   StreamDelivery out;
   const std::size_t cut = tape.size() / 2;

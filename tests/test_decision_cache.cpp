@@ -270,9 +270,8 @@ TEST(DecisionCache, PermutedResubmissionIsItsOwnRecord) {
 TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   // Same instance served under two DemtOptions: each must replay its own
   // decision. This is why the cache keys on cache_key(), not the
-  // per-class workspace_key() — the enum adapter stack-constructs a
-  // DemtPolicy per request, and two different option sets would
-  // otherwise collide.
+  // per-class workspace_key() — DemtPolicy objects with different option
+  // sets share one workspace key and would otherwise collide.
   const auto instances = make_instances(1, 24, 12, 555);
   DemtOptions fast;
   fast.shuffles = 0;
@@ -292,8 +291,8 @@ TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   SchedulerEngine plain(EngineOptions{1, true});
 
   std::vector<EngineRequest> requests(4);
-  requests[0] = EngineRequest{&instances[0], EngineAlgorithm::Demt, fast};
-  requests[1] = EngineRequest{&instances[0], EngineAlgorithm::Demt, thorough};
+  requests[0] = EngineRequest{&instances[0], &fast_policy};
+  requests[1] = EngineRequest{&instances[0], &thorough_policy};
   requests[2] = requests[0];  // replay of the fast decision
   requests[3] = requests[1];  // replay of the thorough decision
   std::vector<EngineResult> with_cache, without_cache;
@@ -316,11 +315,13 @@ TEST(DecisionCache, BypassFlagRunsFreshAndStoresNothing) {
   SchedulerEngine cached(EngineOptions{1, true, &cache});
   SchedulerEngine plain(EngineOptions{1, true});
 
+  DemtOptions demt;
+  demt.shuffles = 2;
+  const DemtPolicy policy(demt);
   std::vector<EngineRequest> requests(4);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     requests[i].instance = &instances[i % 2];
-    requests[i].algorithm = EngineAlgorithm::Demt;
-    requests[i].demt.shuffles = 2;
+    requests[i].policy = &policy;
     requests[i].bypass_cache = true;
   }
   std::vector<EngineResult> with_cache, without_cache;
@@ -342,6 +343,7 @@ TEST(DecisionCache, EvictionPressureCapacityOneStaysBitIdentical) {
   const auto instances = make_instances(2, 20, 10, 2718);
   DemtOptions demt;
   demt.shuffles = 2;
+  const DemtPolicy policy(demt);
 
   DecisionCache cache(DecisionCacheOptions{1, 1, 32});
   SchedulerEngine cached(EngineOptions{1, true, &cache});
@@ -351,8 +353,7 @@ TEST(DecisionCache, EvictionPressureCapacityOneStaysBitIdentical) {
   for (int round = 0; round < 3; ++round) {
     for (int s = 0; s < 2; ++s) {
       requests.push_back(
-          EngineRequest{&instances[static_cast<std::size_t>(s)],
-                        EngineAlgorithm::Demt, demt});
+          EngineRequest{&instances[static_cast<std::size_t>(s)], &policy});
     }
   }
   std::vector<EngineResult> with_cache, without_cache;
@@ -402,6 +403,7 @@ TEST(DecisionCache, SharedAcrossEnginesLikeServeShards) {
   const auto instances = make_instances(3, 20, 10, 808);
   DemtOptions demt;
   demt.shuffles = 2;
+  const DemtPolicy policy(demt);
   DecisionCache cache(DecisionCacheOptions{32, 4, 32});
   SchedulerEngine a(EngineOptions{1, true, &cache});
   SchedulerEngine b(EngineOptions{1, true, &cache});
@@ -409,7 +411,7 @@ TEST(DecisionCache, SharedAcrossEnginesLikeServeShards) {
 
   std::vector<EngineRequest> requests;
   for (const Instance& instance : instances) {
-    requests.push_back(EngineRequest{&instance, EngineAlgorithm::Demt, demt});
+    requests.push_back(EngineRequest{&instance, &policy});
   }
   std::vector<EngineResult> via_a, via_b, fresh;
   a.schedule_batch(requests, via_a);
@@ -428,10 +430,10 @@ TEST(DecisionCache, HitMaterializesValidSchedule) {
   const auto instances = make_instances(1, 24, 12, 64);
   DemtOptions demt;
   demt.shuffles = 2;
+  const DemtPolicy policy(demt);
   DecisionCache cache(DecisionCacheOptions{8, 1, 32});
   SchedulerEngine engine(EngineOptions{1, true, &cache});
-  std::vector<EngineRequest> requests(
-      2, EngineRequest{&instances[0], EngineAlgorithm::Demt, demt});
+  std::vector<EngineRequest> requests(2, EngineRequest{&instances[0], &policy});
   std::vector<EngineResult> results;
   engine.schedule_batch(requests, results);
   ASSERT_EQ(cache.stats().hits, 1u);
@@ -516,10 +518,11 @@ TEST(DecisionCache, AsyncStatsWithoutCacheStayZero) {
   const auto instances = make_instances(1, 12, 8, 3);
   AsyncOptions options;
   options.flush_after_ms = 0.0;
+  const FlatListPolicy policy;
   AsyncScheduler serve(options);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &policy;
   const Ticket t = serve.submit(request);
   ASSERT_TRUE(t.accepted());
   EXPECT_EQ(serve.wait(t), TicketStatus::Done);

@@ -415,8 +415,9 @@ TEST(DemtKernel, DualTestMonotoneFastPathSurvives) {
       ASSERT_TRUE(InstanceAllotments(instance).table(t).strictly_monotone());
     }
     const InstanceAllotments tables(instance);
-    const CmaxEstimate est = estimate_cmax(instance, 1e-4, tables);
     DualTestWorkspace ws;
+    CmaxEstimate est;
+    estimate_cmax_into(instance, 1e-4, tables, ws, est);
     DualTestResult out;
     dual_test_into(instance, est.estimate, tables, ws, out);
     ASSERT_TRUE(out.feasible);
@@ -432,8 +433,10 @@ TEST(DemtKernel, DualTestMonotoneFastPathSurvives) {
 TEST(DemtKernel, DualTestCallCountRegression) {
   // The search trajectory is part of the contract: the vectorized search
   // must perform exactly as many dual tests as the scalar reference, for
-  // every workspace form.
+  // every workspace form: fresh, and pooled across instances.
   Rng rng(0xC3);
+  DualTestWorkspace pooled_ws;
+  CmaxEstimate pooled;
   for (int trial = 0; trial < 40; ++trial) {
     const int m = machine_sizes()[trial % machine_sizes().size()];
     const Instance instance = make_mix_instance(
@@ -442,11 +445,12 @@ TEST(DemtKernel, DualTestCallCountRegression) {
     EXPECT_GT(ref.dual_tests, 0);
     EXPECT_EQ(estimate_cmax(instance).dual_tests, ref.dual_tests);
     const InstanceAllotments tables(instance);
-    EXPECT_EQ(estimate_cmax(instance, 1e-4, tables).dual_tests,
-              ref.dual_tests);
     DualTestWorkspace ws;
-    EXPECT_EQ(estimate_cmax(instance, 1e-4, tables, ws).dual_tests,
-              ref.dual_tests);
+    CmaxEstimate fresh;
+    estimate_cmax_into(instance, 1e-4, tables, ws, fresh);
+    EXPECT_EQ(fresh.dual_tests, ref.dual_tests);
+    estimate_cmax_into(instance, 1e-4, tables, pooled_ws, pooled);
+    EXPECT_EQ(pooled.dual_tests, ref.dual_tests);
   }
 }
 

@@ -190,11 +190,12 @@ TEST(DualTest, WorkspaceFormBitIdenticalToPlainOverloads) {
 TEST(CmaxEstimator, WorkspaceFormKeepsTheSearchTrajectory) {
   Rng rng(18);
   DualTestWorkspace ws;
+  CmaxEstimate pooled;
   for (auto family : all_families()) {
     const Instance instance = generate_instance(family, 30, 10, rng);
     const InstanceAllotments tables(instance);
-    const auto plain = estimate_cmax(instance, 1e-4, tables);
-    const auto pooled = estimate_cmax(instance, 1e-4, tables, ws);
+    const auto plain = estimate_cmax(instance, 1e-4);
+    estimate_cmax_into(instance, 1e-4, tables, ws, pooled);
     EXPECT_EQ(pooled.estimate, plain.estimate) << family_name(family);
     EXPECT_EQ(pooled.lower_bound, plain.lower_bound);
     // The regression anchor: pooling must not change the search at all.

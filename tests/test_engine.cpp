@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/demt.hpp"
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "sched/validator.hpp"
 #include "sim/online.hpp"
@@ -45,16 +46,15 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
   const auto instances = make_instances(6, 40, 16, 20040627);
   DemtOptions demt;
   demt.shuffles = 8;
+  const DemtPolicy policy(demt);
 
   SchedulerEngine sequential(EngineOptions{1, true});
-  const auto base = sequential.schedule_all(instances,
-                                            EngineAlgorithm::Demt, demt);
+  const auto base = sequential.schedule_all(instances, policy);
   ASSERT_EQ(base.size(), instances.size());
 
   for (int workers : {2, 4, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
-    const auto results =
-        engine.schedule_all(instances, EngineAlgorithm::Demt, demt);
+    const auto results = engine.schedule_all(instances, policy);
     ASSERT_EQ(results.size(), base.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].cmax, base[i].cmax) << "workers=" << workers;
@@ -69,7 +69,7 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
 TEST(Engine, MatchesDirectDemtCalls) {
   const auto instances = make_instances(4, 30, 12, 42);
   SchedulerEngine engine(EngineOptions{0, true});
-  const auto results = engine.schedule_all(instances);
+  const auto results = engine.schedule_all(instances, DemtPolicy{});
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto direct = demt_schedule(instances[i]);
     expect_identical(results[i].schedule, direct.schedule);
@@ -83,11 +83,10 @@ TEST(Engine, MatchesDirectDemtCalls) {
 TEST(Engine, FlatListIsFeasibleAndDeterministic) {
   const auto instances = make_instances(5, 50, 16, 7);
   SchedulerEngine engine(EngineOptions{1, true});
-  const auto first =
-      engine.schedule_all(instances, EngineAlgorithm::FlatList);
+  const FlatListPolicy policy;
+  const auto first = engine.schedule_all(instances, policy);
   SchedulerEngine parallel(EngineOptions{0, true});
-  const auto second =
-      parallel.schedule_all(instances, EngineAlgorithm::FlatList);
+  const auto second = parallel.schedule_all(instances, policy);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     require_valid(first[i].schedule, instances[i]);
     expect_identical(first[i].schedule, second[i].schedule);
@@ -101,9 +100,12 @@ TEST(Engine, MetricsOnlyModeMatchesScheduleMode) {
   const auto instances = make_instances(4, 35, 12, 9);
   SchedulerEngine with_schedules(EngineOptions{1, true});
   SchedulerEngine metrics_only(EngineOptions{1, false});
-  for (auto algorithm : {EngineAlgorithm::Demt, EngineAlgorithm::FlatList}) {
-    const auto full = with_schedules.schedule_all(instances, algorithm);
-    const auto lean = metrics_only.schedule_all(instances, algorithm);
+  const DemtPolicy demt_policy;
+  const FlatListPolicy flat_policy;
+  const SchedulingPolicy* policies[] = {&demt_policy, &flat_policy};
+  for (const SchedulingPolicy* policy : policies) {
+    const auto full = with_schedules.schedule_all(instances, *policy);
+    const auto lean = metrics_only.schedule_all(instances, *policy);
     for (std::size_t i = 0; i < instances.size(); ++i) {
       EXPECT_TRUE(full[i].has_schedule);
       EXPECT_FALSE(lean[i].has_schedule);
@@ -118,9 +120,10 @@ TEST(Engine, WorkspaceReuseAcrossBatchesIsStateless) {
   const auto big = make_instances(4, 45, 16, 11);
   const auto small = make_instances(4, 10, 8, 13);
   SchedulerEngine engine(EngineOptions{1, true});
-  const auto base = engine.schedule_all(big);
-  (void)engine.schedule_all(small);  // shrink then regrow the workspaces
-  const auto again = engine.schedule_all(big);
+  const DemtPolicy policy;
+  const auto base = engine.schedule_all(big, policy);
+  (void)engine.schedule_all(small, policy);  // shrink then regrow
+  const auto again = engine.schedule_all(big, policy);
   for (std::size_t i = 0; i < big.size(); ++i) {
     expect_identical(again[i].schedule, base[i].schedule);
   }
@@ -138,11 +141,12 @@ TEST(Engine, OnlineSimulationMatchesDirectPath) {
       release += rng.uniform(0.0, 1.0);
     }
   }
+  const DemtPolicy policy;
   std::vector<OnlineRequest> requests(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
     requests[i].m = m;
     requests[i].jobs = &streams[i];
-    requests[i].offline_algorithm = EngineAlgorithm::Demt;
+    requests[i].policy = &policy;
   }
 
   SchedulerEngine sequential(EngineOptions{1, true});
@@ -176,9 +180,10 @@ TEST(Engine, OnlineSimulationMatchesDirectPath) {
 TEST(Engine, StatsCountRequestsAndBatches) {
   const auto instances = make_instances(3, 15, 8, 21);
   SchedulerEngine engine(EngineOptions{1, true});
+  const DemtPolicy policy;
   EXPECT_EQ(engine.stats().requests, 0u);
-  (void)engine.schedule_all(instances);
-  (void)engine.schedule_all(instances);
+  (void)engine.schedule_all(instances, policy);
+  (void)engine.schedule_all(instances, policy);
   EXPECT_EQ(engine.stats().requests, 2 * instances.size());
   EXPECT_EQ(engine.stats().batches, 2u);
   EXPECT_EQ(engine.stats().strands_last_batch, 1);
@@ -202,7 +207,7 @@ TEST(Engine, SingleRequestBatchMatchesDirectCall) {
   const auto instances = make_instances(1, 25, 12, 23);
   for (int workers : {1, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
-    const auto results = engine.schedule_all(instances);
+    const auto results = engine.schedule_all(instances, DemtPolicy{});
     ASSERT_EQ(results.size(), 1u);
     const auto direct = demt_schedule(instances[0]);
     EXPECT_EQ(results[0].cmax, direct.schedule.cmax());
@@ -215,11 +220,14 @@ TEST(Engine, RawPointerBatchHookMatchesVectorOverload) {
   // schedule_batch_into is the async layer's batch-assembly hook; it must
   // be bit-identical to the vector path it backs.
   const auto instances = make_instances(5, 30, 12, 29);
+  const DemtPolicy demt_policy;
+  const FlatListPolicy flat_policy;
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm =
-        i % 2 == 0 ? EngineAlgorithm::Demt : EngineAlgorithm::FlatList;
+    requests[i].policy =
+        i % 2 == 0 ? static_cast<const SchedulingPolicy*>(&demt_policy)
+                   : &flat_policy;
   }
   SchedulerEngine vector_engine(EngineOptions{1, true});
   std::vector<EngineResult> expected;
@@ -241,12 +249,17 @@ TEST(Engine, RawPointerBatchHookMatchesVectorOverload) {
 
 TEST(Engine, RejectsBadRequests) {
   SchedulerEngine engine;
-  EXPECT_THROW((void)engine.schedule_batch({EngineRequest{}}),
+  const DemtPolicy policy;
+  EngineRequest no_instance;
+  no_instance.policy = &policy;
+  EXPECT_THROW((void)engine.schedule_batch({no_instance}),
                std::invalid_argument);
   EXPECT_THROW(SchedulerEngine(EngineOptions{-1, true}),
                std::invalid_argument);
   std::vector<FlatOnlineResult> results;
-  EXPECT_THROW(engine.simulate_batch({OnlineRequest{}}, results),
+  OnlineRequest no_jobs;
+  no_jobs.policy = &policy;
+  EXPECT_THROW(engine.simulate_batch({no_jobs}, results),
                std::invalid_argument);
 }
 

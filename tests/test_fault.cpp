@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
@@ -26,6 +27,8 @@
 
 namespace moldsched {
 namespace {
+
+const FlatListPolicy kFlatList;
 
 std::vector<Instance> make_instances(int count, int n, int m,
                                      std::uint64_t seed) {
@@ -154,7 +157,7 @@ TEST(FaultTolerance, RetryRecoversInjectedThrowBitIdentically) {
   const auto instances = make_instances(1, 24, 8, 5);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
@@ -188,7 +191,7 @@ TEST(FaultTolerance, RetryExhaustionReportsPolicyAndAttempts) {
   const auto instances = make_instances(1, 16, 8, 6);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   AsyncOptions options;
   options.shards = 1;
@@ -219,7 +222,7 @@ TEST(FaultTolerance, TimedWaitBoundsAStalledStrand) {
   const auto instances = make_instances(1, 16, 8, 7);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   AsyncOptions options;
   options.shards = 1;
@@ -244,7 +247,7 @@ TEST(FaultTolerance, CancelDropsPendingOneShotsButNeverStreams) {
   const auto instances = make_instances(2, 16, 8, 8);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   AsyncOptions options;
   options.shards = 1;
@@ -269,9 +272,10 @@ TEST(FaultTolerance, CancelDropsPendingOneShotsButNeverStreams) {
 
   // Stream feeds are never cancellable: a skipped feed would corrupt the
   // tape. The refused cancel leaves the feed to complete normally.
-  StreamOptions stream_options;
-  stream_options.m = 4;
-  const StreamTicket stream = async.open_stream(stream_options);
+  StreamConfig stream_config;
+  stream_config.m = 4;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config);
   ASSERT_TRUE(stream.accepted());
   const auto jobs = make_jobs(2, 4, 9);
   std::vector<StreamArrival> arrivals;
@@ -295,7 +299,7 @@ TEST(FaultTolerance, LaneMaxQueueMsDropsStaleRequests) {
   const auto instances = make_instances(1, 16, 8, 10);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
 
   const WeightedLanesAdmission policy(
       {LaneSpec{"patient", 1, 0, 0.0}, LaneSpec{"deadline", 1, 0, 1.0}});
@@ -331,7 +335,7 @@ TEST(FaultTolerance, WatchdogFailsStalledShardAndSurvivorsAbsorbQueue) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::FlatList;
+    requests[i].policy = &kFlatList;
   }
 
   SchedulerEngine sync(EngineOptions{1, false});
@@ -392,7 +396,7 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::FlatList;
+    requests[i].policy = &kFlatList;
   }
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
@@ -413,7 +417,7 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   // (round-robin routing), so exactly one sits on the doomed shard.
   std::vector<StreamTicket> streams;
   for (int s = 0; s < kStreams; ++s) {
-    streams.push_back(async.open_stream(StreamOptions{m}));
+    streams.push_back(async.open_stream(StreamConfig{m, nullptr, &kFlatList}));
     ASSERT_TRUE(streams.back().accepted());
   }
 

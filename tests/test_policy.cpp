@@ -1,15 +1,14 @@
-/// The policy-object redesign's regression gate: the deprecated
-/// EngineAlgorithm enum adapters must be bit-identical to passing the
-/// matching SchedulingPolicy object, across every entry point — engine
-/// batch, engine online simulation, engine streams, and the async serving
-/// layer for shards {1, 2, 4} — for both built-ins (demt, flatlist). Plus
-/// the extension-point proof: LptRigidPolicy (baselines/lpt_policy.hpp)
-/// rides through engine, simulator, stream, and serve without any change
-/// to those layers.
+/// The policy-object surface's regression gate: the async serving layer
+/// must be bit-identical to the synchronous engine under the same
+/// SchedulingPolicy object for shards {1, 2, 4}, for both built-ins (demt,
+/// flatlist), one-shot and streaming; and every entry point refuses a
+/// missing policy. Plus the extension-point proof: LptRigidPolicy
+/// (baselines/lpt_policy.hpp) rides through engine, simulator, stream,
+/// and serve without any change to those layers.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "baselines/lpt_policy.hpp"
@@ -91,126 +90,6 @@ std::vector<OnlineJob> make_online_jobs(int count, int m, std::uint64_t seed) {
   return jobs;
 }
 
-TEST(Policy, EnumAdapterBitIdenticalForBatch) {
-  const auto instances = make_instances(8, 30, 16, 20040627);
-  DemtOptions demt;
-  demt.shuffles = 4;
-  const DemtPolicy demt_policy(demt);
-  const FlatListPolicy flat_policy;
-
-  for (int workers : {1, 0}) {
-    SchedulerEngine engine(EngineOptions{workers, true});
-    struct Pair {
-      EngineAlgorithm algorithm;
-      const SchedulingPolicy* policy;
-    };
-    const DemtOptions& options = demt;
-    for (const auto& [algorithm, policy] :
-         {Pair{EngineAlgorithm::Demt, &demt_policy},
-          Pair{EngineAlgorithm::FlatList, &flat_policy}}) {
-      const auto via_enum = engine.schedule_all(instances, algorithm, options);
-      const auto via_policy = engine.schedule_all(instances, *policy);
-      ASSERT_EQ(via_enum.size(), via_policy.size());
-      for (std::size_t i = 0; i < via_enum.size(); ++i) {
-        expect_identical(via_policy[i], via_enum[i]);
-        EXPECT_EQ(via_policy[i].diag.num_batches,
-                  via_enum[i].diag.num_batches);
-        EXPECT_EQ(via_policy[i].diag.dual_tests, via_enum[i].diag.dual_tests);
-      }
-    }
-  }
-}
-
-TEST(Policy, EnumAdapterBitIdenticalForSimulate) {
-  const int m = 8;
-  const auto jobs = make_online_jobs(14, m, 17);
-  DemtOptions demt;
-  demt.shuffles = 2;
-  const DemtPolicy demt_policy(demt);
-  const FlatListPolicy flat_policy;
-
-  SchedulerEngine engine(EngineOptions{1, true});
-  for (const bool flat : {false, true}) {
-    OnlineRequest via_enum;
-    via_enum.m = m;
-    via_enum.jobs = &jobs;
-    via_enum.offline_algorithm =
-        flat ? EngineAlgorithm::FlatList : EngineAlgorithm::Demt;
-    via_enum.demt = demt;
-    OnlineRequest via_policy = via_enum;
-    via_policy.policy = flat ? static_cast<const SchedulingPolicy*>(&flat_policy)
-                             : &demt_policy;
-    std::vector<FlatOnlineResult> results;
-    engine.simulate_batch({via_enum, via_policy}, results);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[1].cmax, results[0].cmax);
-    EXPECT_EQ(results[1].weighted_completion_sum,
-              results[0].weighted_completion_sum);
-    EXPECT_EQ(results[1].num_batches, results[0].num_batches);
-    EXPECT_EQ(results[1].schedule.start, results[0].schedule.start);
-    EXPECT_EQ(results[1].schedule.duration, results[0].schedule.duration);
-    EXPECT_EQ(results[1].schedule.proc_ids, results[0].schedule.proc_ids);
-    EXPECT_EQ(results[1].completion, results[0].completion);
-  }
-}
-
-TEST(Policy, EnumAdapterBitIdenticalForEngineStreams) {
-  const int m = 8;
-  Rng rng(23);
-  std::vector<StreamArrival> arrivals;
-  double release = 0.0;
-  for (int j = 0; j < 12; ++j) {
-    Instance tmp = generate_instance(WorkloadFamily::Mixed, 1, m, rng);
-    arrivals.push_back(moldable_arrival(tmp.task(0), release));
-    release += rng.uniform(0.0, 0.8);
-    if (j % 4 == 1) {
-      arrivals.push_back(divisible_arrival(3.0, 1.0, release));
-    }
-    if (j % 4 == 3) {
-      arrivals.push_back(rigid_arrival(2, 1.5, 1.0, release));
-    }
-  }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const StreamArrival& a, const StreamArrival& b) {
-              return a.release < b.release;
-            });
-
-  DemtOptions demt;
-  demt.shuffles = 2;
-  const DemtPolicy demt_policy(demt);
-  const FlatListPolicy flat_policy;
-  SchedulerEngine engine(EngineOptions{1, true});
-
-  for (const bool flat : {true, false}) {
-    StreamConfig via_enum;
-    via_enum.m = m;
-    via_enum.offline_algorithm =
-        flat ? EngineAlgorithm::FlatList : EngineAlgorithm::Demt;
-    via_enum.demt = demt;
-    StreamConfig via_policy = via_enum;
-    via_policy.policy = flat ? static_cast<const SchedulingPolicy*>(&flat_policy)
-                             : &demt_policy;
-
-    const EngineStreamId a = engine.open_stream(via_enum);
-    const EngineStreamId b = engine.open_stream(via_policy);
-    StreamDelivery da;
-    StreamDelivery db;
-    std::size_t fed = 0;
-    double watermark = 0.0;
-    while (fed < arrivals.size()) {
-      const std::size_t chunk = std::min<std::size_t>(3, arrivals.size() - fed);
-      watermark = arrivals[fed + chunk - 1].release;
-      engine.feed_stream(a, arrivals.data() + fed, chunk, watermark, da);
-      engine.feed_stream(b, arrivals.data() + fed, chunk, watermark, db);
-      expect_identical(db, da);
-      fed += chunk;
-    }
-    engine.close_stream(a, da);
-    engine.close_stream(b, db);
-    expect_identical(db, da);
-  }
-}
-
 TEST(Policy, ServePolicyPathBitIdenticalForShardCounts) {
   const auto instances = make_instances(12, 30, 16, 7);
   DemtOptions demt;
@@ -219,14 +98,9 @@ TEST(Policy, ServePolicyPathBitIdenticalForShardCounts) {
   const FlatListPolicy flat_policy;
 
   for (const bool flat : {false, true}) {
-    // Reference: the synchronous engine on the deprecated enum spelling.
-    std::vector<EngineRequest> enum_requests(instances.size());
+    // Reference: the synchronous engine under the same policy object.
     std::vector<EngineRequest> policy_requests(instances.size());
     for (std::size_t i = 0; i < instances.size(); ++i) {
-      enum_requests[i].instance = &instances[i];
-      enum_requests[i].algorithm =
-          flat ? EngineAlgorithm::FlatList : EngineAlgorithm::Demt;
-      enum_requests[i].demt = demt;
       policy_requests[i].instance = &instances[i];
       policy_requests[i].policy =
           flat ? static_cast<const SchedulingPolicy*>(&flat_policy)
@@ -234,7 +108,7 @@ TEST(Policy, ServePolicyPathBitIdenticalForShardCounts) {
     }
     SchedulerEngine sync(EngineOptions{1, true});
     std::vector<EngineResult> reference;
-    sync.schedule_batch(enum_requests, reference);
+    sync.schedule_batch(policy_requests, reference);
 
     for (int shards : {1, 2, 4}) {
       AsyncOptions options;
@@ -271,11 +145,11 @@ TEST(Policy, ServeStreamPolicyPathBitIdenticalForShardCounts) {
   }
   const FlatListPolicy flat_policy;
 
-  // Reference: the engine's enum-adapter stream.
+  // Reference: the synchronous engine's stream under the same policy.
   SchedulerEngine engine(EngineOptions{1, true});
   StreamConfig config;
   config.m = m;
-  config.offline_algorithm = EngineAlgorithm::FlatList;
+  config.policy = &flat_policy;
   const EngineStreamId reference_id = engine.open_stream(config);
   std::vector<StreamDelivery> reference;
   StreamDelivery scratch;
@@ -292,10 +166,7 @@ TEST(Policy, ServeStreamPolicyPathBitIdenticalForShardCounts) {
     options.shards = shards;
     options.queue_capacity = 64;
     AsyncScheduler async(options);
-    StreamOptions stream_options;
-    stream_options.m = m;
-    stream_options.policy = &flat_policy;
-    const StreamTicket stream = async.open_stream(stream_options);
+    const StreamTicket stream = async.open_stream(config);
     ASSERT_TRUE(stream.accepted());
     std::vector<Ticket> tickets;
     for (std::size_t j = 0; j < arrivals.size(); ++j) {
@@ -313,6 +184,56 @@ TEST(Policy, ServeStreamPolicyPathBitIdenticalForShardCounts) {
       expect_identical(delivery, reference[j]);
     }
   }
+}
+
+TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
+  // The policy object is the only way to choose the per-batch algorithm:
+  // a null policy is refused with std::invalid_argument at every engine
+  // entry point, and by the serving layer at admission — before any
+  // shard sees the request.
+  const int m = 8;
+  const auto instances = make_instances(1, 12, m, 3);
+  const auto jobs = make_online_jobs(6, m, 5);
+  const FlatListPolicy flat_policy;
+
+  SchedulerEngine engine(EngineOptions{1, true});
+  EngineRequest request;
+  request.instance = &instances[0];
+  EXPECT_THROW((void)engine.schedule_batch({request}), std::invalid_argument);
+  OnlineRequest online;
+  online.m = m;
+  online.jobs = &jobs;
+  std::vector<FlatOnlineResult> online_results;
+  EXPECT_THROW(engine.simulate_batch({online}, online_results),
+               std::invalid_argument);
+
+  StreamConfig config;
+  config.m = m;
+  EXPECT_THROW((void)engine.open_stream(config), std::invalid_argument);
+  config.policy = &flat_policy;
+  const EngineStreamId live = engine.open_stream(config);
+  StreamCheckpoint ckpt;
+  engine.checkpoint_stream(live, ckpt);
+  config.policy = nullptr;
+  EXPECT_THROW((void)engine.restore_stream(config, ckpt),
+               std::invalid_argument);
+  EXPECT_EQ(engine.stats().streams_opened, 1u);
+  EXPECT_EQ(engine.stats().streams_restored, 0u);
+  EXPECT_TRUE(engine.stream_open(live));
+
+  AsyncOptions options;
+  options.flush_after_ms = 0.0;
+  AsyncScheduler async(options);
+  EXPECT_THROW((void)async.submit(request), std::invalid_argument);
+  EXPECT_THROW((void)async.submit(request, 0), std::invalid_argument);
+  EXPECT_THROW((void)async.open_stream(config), std::invalid_argument);
+  EXPECT_THROW((void)async.open_stream(config, 0), std::invalid_argument);
+  const AsyncStats stats = async.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.streams_opened, 0u);
+  EXPECT_EQ(async.in_flight(), 0u);
+  EXPECT_EQ(async.open_streams(), 0u);
 }
 
 TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {

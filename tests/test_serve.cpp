@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/async_scheduler.hpp"
 #include "util/rng.hpp"
@@ -43,14 +44,15 @@ void expect_identical(const Schedule& a, const Schedule& b) {
   }
 }
 
+const DemtPolicy kDemt;
+const FlatListPolicy kFlatList;
+
 std::vector<EngineRequest> make_requests(const std::vector<Instance>& instances,
-                                         EngineAlgorithm algorithm,
-                                         const DemtOptions& demt = {}) {
+                                         const SchedulingPolicy& policy) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = algorithm;
-    requests[i].demt = demt;
+    requests[i].policy = &policy;
   }
   return requests;
 }
@@ -59,7 +61,8 @@ TEST(AsyncScheduler, BitIdenticalToSyncForShardCounts) {
   const auto instances = make_instances(12, 30, 16, 20040627);
   DemtOptions demt;
   demt.shuffles = 4;
-  const auto requests = make_requests(instances, EngineAlgorithm::Demt, demt);
+  const DemtPolicy policy(demt);
+  const auto requests = make_requests(instances, policy);
 
   SchedulerEngine sync(EngineOptions{1, true});
   std::vector<EngineResult> reference;
@@ -97,7 +100,7 @@ TEST(AsyncScheduler, BitIdenticalToSyncForShardCounts) {
 
 TEST(AsyncScheduler, FlatListMetricsOnlyMatchesSync) {
   const auto instances = make_instances(10, 40, 16, 7);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
 
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
@@ -127,7 +130,7 @@ TEST(AsyncScheduler, FlatListMetricsOnlyMatchesSync) {
 
 TEST(AsyncScheduler, AdmissionControlRejectsBeyondCapacityAndRecovers) {
   const auto instances = make_instances(1, 20, 8, 3);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
   EngineRequest request = requests[0];
 
   AsyncOptions options;
@@ -176,7 +179,7 @@ TEST(AsyncScheduler, WorkloadLargerThanQueueBoundStaysBitIdentical) {
   // resubmits, and every served result must still be bit-identical to the
   // synchronous batch — for 1, 2 and 4 shards.
   const auto instances = make_instances(24, 25, 12, 19);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
   sync.schedule_batch(requests, reference);
@@ -224,7 +227,7 @@ TEST(AsyncScheduler, WorkloadLargerThanQueueBoundStaysBitIdentical) {
 
 TEST(AsyncScheduler, DeadlineFlushCompletesPartialBatchWithoutWait) {
   const auto instances = make_instances(1, 15, 8, 5);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
 
   AsyncOptions options;
   options.max_batch = 64;       // a single request never fills the batch
@@ -248,7 +251,7 @@ TEST(AsyncScheduler, DeadlineFlushCompletesPartialBatchWithoutWait) {
 
 TEST(AsyncScheduler, ImmediateDispatchWhenFlushAfterIsZero) {
   const auto instances = make_instances(1, 15, 8, 9);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
   AsyncOptions options;
   options.max_batch = 64;
   options.flush_after_ms = 0.0;  // dispatch on every submit
@@ -261,7 +264,7 @@ TEST(AsyncScheduler, ImmediateDispatchWhenFlushAfterIsZero) {
 
 TEST(AsyncScheduler, TakenTicketBecomesInvalidAndSlotIsRecycled) {
   const auto instances = make_instances(1, 10, 4, 11);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
   AsyncOptions options;
   options.queue_capacity = 1;
   options.flush_after_ms = 0.0;
@@ -289,7 +292,7 @@ TEST(AsyncScheduler, FailedBatchReportsErrorPerTicket) {
   const Instance empty(8);
   EngineRequest request;
   request.instance = &empty;
-  request.algorithm = EngineAlgorithm::Demt;
+  request.policy = &kDemt;
 
   AsyncOptions options;
   options.flush_after_ms = 0.0;
@@ -306,7 +309,7 @@ TEST(AsyncScheduler, FailedBatchReportsErrorPerTicket) {
 
 TEST(AsyncScheduler, TicketFromAnotherSchedulerIsInvalid) {
   const auto instances = make_instances(1, 10, 4, 31);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
   AsyncOptions big;
   big.queue_capacity = 64;
   big.flush_after_ms = 0.0;
@@ -343,7 +346,9 @@ TEST(AsyncScheduler, TicketFromAnotherSchedulerIsInvalid) {
 
 TEST(AsyncScheduler, SubmitWithoutInstanceThrows) {
   AsyncScheduler async;
-  EXPECT_THROW((void)async.submit(EngineRequest{}), std::invalid_argument);
+  EngineRequest request;
+  request.policy = &kFlatList;
+  EXPECT_THROW((void)async.submit(request), std::invalid_argument);
 }
 
 TEST(AsyncScheduler, RejectsBadOptions) {
@@ -357,7 +362,7 @@ TEST(AsyncScheduler, RejectsBadOptions) {
 
 TEST(AsyncScheduler, ConcurrentSubmittersSeeConsistentResults) {
   const auto instances = make_instances(4, 25, 8, 13);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
 
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
@@ -403,7 +408,7 @@ TEST(AsyncScheduler, ConcurrentSubmittersSeeConsistentResults) {
 
 TEST(AsyncScheduler, StatsCountFlushKinds) {
   const auto instances = make_instances(1, 10, 4, 17);
-  const auto requests = make_requests(instances, EngineAlgorithm::FlatList);
+  const auto requests = make_requests(instances, kFlatList);
   AsyncOptions options;
   options.max_batch = 2;
   options.flush_after_ms = 1e6;  // only size- and forced flushes
@@ -442,7 +447,7 @@ TEST(AsyncScheduler, FailedOneShotErrorNamesPolicyAndLane) {
   AsyncScheduler scheduler(options);
   EngineRequest request;
   request.instance = &empty;
-  request.algorithm = EngineAlgorithm::Demt;
+  request.policy = &kDemt;
   const Ticket ticket = scheduler.submit(request, 0);
   ASSERT_TRUE(ticket.accepted());
   EXPECT_EQ(scheduler.wait(ticket), TicketStatus::Failed);
@@ -461,7 +466,7 @@ TEST(AsyncScheduler, TimedWaitDoesNotConsumeTheTicket) {
   AsyncScheduler scheduler(options);
   EngineRequest request;
   request.instance = &instances[0];
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
   const Ticket ticket = scheduler.submit(request);
   ASSERT_TRUE(ticket.accepted());
   // However the race lands, the ticket stays live/terminal — never consumed.

@@ -7,13 +7,13 @@
 /// on a staged batch's open instant; crafted tapes pin the commit,
 /// rollback, toggle-off and checkpoint/restore paths individually and
 /// assert the speculation counters are not vacuous. The same lock runs
-/// through the engine (StreamConfig::speculate) and the serving layer
-/// (StreamOptions::speculate) for shards {1, 2, 4} x both policies. The
-/// warm-start side extends the dual-test call-count regression: a
-/// warm-seeded search replays the cold trajectory bit-identically
-/// (estimate, lower bound, partition, schedules) while performing strictly
-/// fewer dual tests on consecutive near-identical batches, and falls back
-/// to exactly the cold search (same call count) on its first use.
+/// through the engine and the serving layer (StreamConfig::speculate on
+/// both) for shards {1, 2, 4} x both policies. The warm-start side
+/// extends the dual-test call-count regression: a warm-seeded search
+/// replays the cold trajectory bit-identically (estimate, lower bound,
+/// partition, schedules) while performing strictly fewer dual tests on
+/// consecutive near-identical batches, and falls back to exactly the cold
+/// search (same call count) on its first use.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +37,9 @@
 
 namespace moldsched {
 namespace {
+
+const FlatListPolicy kFlatList;
+const DemtPolicy kDemt;
 
 FlatOfflineScheduler flat_offline() {
   return [](const Instance& batch, OnlineWorkspace& ws,
@@ -606,6 +609,7 @@ TEST(Speculation, EngineStreamSpeculationIsBitIdenticalAndCounted) {
     for (const bool speculate : {false, true}) {
       StreamConfig config;
       config.m = tape.m;
+      config.policy = &kFlatList;
       config.speculate = speculate;
       const EngineStreamId id = engine.open_stream(config);
       StreamDelivery out;
@@ -627,9 +631,9 @@ TEST(Speculation, EngineStreamSpeculationIsBitIdenticalAndCounted) {
 }
 
 TEST(Speculation, DepthOptionRidesEngineAndServeConfigs) {
-  // StreamConfig::speculate_depth and StreamOptions::speculate_depth reach
-  // the session: capped speculation stays bit-identical to the unlimited
-  // run while rolling back no more than the cap allows.
+  // StreamConfig::speculate_depth reaches the session through the engine
+  // and the serving layer: capped speculation stays bit-identical to the
+  // unlimited run while rolling back no more than the cap allows.
   const Tape tape = make_tape(333);
   Rng plan_rng(333);
   const std::vector<FeedStep> plan = plan_chunks(tape, plan_rng);
@@ -639,6 +643,7 @@ TEST(Speculation, DepthOptionRidesEngineAndServeConfigs) {
     SchedulerEngine engine(EngineOptions{1, false});
     StreamConfig config;
     config.m = tape.m;
+    config.policy = &kFlatList;
     config.speculate = true;
     config.speculate_depth = depth;
     const EngineStreamId id = engine.open_stream(config);
@@ -664,11 +669,12 @@ TEST(Speculation, DepthOptionRidesEngineAndServeConfigs) {
     options.shards = 2;
     options.flush_after_ms = 0.1;
     AsyncScheduler async(options);
-    StreamOptions stream_options;
-    stream_options.m = tape.m;
-    stream_options.speculate = true;
-    stream_options.speculate_depth = depth;
-    const StreamTicket stream = async.open_stream(stream_options);
+    StreamConfig stream_config;
+    stream_config.m = tape.m;
+    stream_config.policy = &kFlatList;
+    stream_config.speculate = true;
+    stream_config.speculate_depth = depth;
+    const StreamTicket stream = async.open_stream(stream_config);
     ASSERT_TRUE(stream.accepted());
     std::vector<Ticket> tickets;
     for (const FeedStep& step : plan) {
@@ -706,12 +712,13 @@ TEST(Speculation, ServeLayerIsBitIdenticalAcrossShardsAndPolicies) {
         options.shards = shards;
         options.flush_after_ms = 0.1;
         AsyncScheduler async(options);
-        StreamOptions stream_options;
-        stream_options.m = tape.m;
-        stream_options.offline_algorithm =
-            use_demt ? EngineAlgorithm::Demt : EngineAlgorithm::FlatList;
-        stream_options.speculate = speculate;
-        const StreamTicket stream = async.open_stream(stream_options);
+        StreamConfig stream_config;
+        stream_config.m = tape.m;
+        stream_config.policy =
+            use_demt ? static_cast<const SchedulingPolicy*>(&kDemt)
+                     : &kFlatList;
+        stream_config.speculate = speculate;
+        const StreamTicket stream = async.open_stream(stream_config);
         ASSERT_TRUE(stream.accepted());
         std::vector<Ticket> tickets;
         for (const FeedStep& step : plan) {

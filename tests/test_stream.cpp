@@ -13,6 +13,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "sim/divisible.hpp"
 #include "sim/online.hpp"
@@ -374,12 +375,13 @@ TEST(OnlineStream, EngineStreamLifecycleAndPooling) {
     arrivals.push_back(moldable_arrival(job.task, job.release));
   }
 
+  const FlatListPolicy flat_policy;
   SchedulerEngine engine(EngineOptions{1, false});
   StreamDelivery out;
   for (int round = 0; round < 3; ++round) {
     StreamConfig config;
     config.m = m;
-    config.offline_algorithm = EngineAlgorithm::FlatList;
+    config.policy = &flat_policy;
     const EngineStreamId id = engine.open_stream(config);
     ASSERT_TRUE(engine.stream_open(id));
     std::vector<double> completions;

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
@@ -21,6 +22,8 @@
 
 namespace moldsched {
 namespace {
+
+const FlatListPolicy kFlatList;
 
 std::vector<OnlineJob> make_jobs(int count, int m, std::uint64_t seed) {
   Rng rng(seed);
@@ -112,9 +115,10 @@ TEST(StreamServe, OrderedDeliveryUnderConcurrentFlushes) {
     }
   });
 
-  StreamOptions stream_options;
-  stream_options.m = m;
-  const StreamTicket stream = async.open_stream(stream_options);
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config);
   ASSERT_TRUE(stream.accepted());
   std::vector<Ticket> tickets;
   for (std::size_t f = 0; f < plan.chunks.size(); ++f) {
@@ -155,7 +159,7 @@ TEST(StreamServe, StreamsAndOneShotsInterleaveDeterministically) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].algorithm = EngineAlgorithm::FlatList;
+    requests[i].policy = &kFlatList;
   }
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> oneshot_reference;
@@ -167,14 +171,15 @@ TEST(StreamServe, StreamsAndOneShotsInterleaveDeterministically) {
     options.max_batch = 3;
     options.flush_after_ms = 0.2;
     AsyncScheduler async(options);
-    StreamOptions stream_options;
-    stream_options.m = m;
+    StreamConfig stream_config;
+    stream_config.m = m;
+    stream_config.policy = &kFlatList;
 
     std::vector<StreamTicket> streams;
     std::vector<std::vector<Ticket>> tickets(
         static_cast<std::size_t>(num_streams));
     for (int s = 0; s < num_streams; ++s) {
-      streams.push_back(async.open_stream(stream_options));
+      streams.push_back(async.open_stream(stream_config));
     }
     std::vector<Ticket> oneshot_tickets;
     std::size_t feed = 0;
@@ -223,9 +228,10 @@ TEST(StreamServe, FeedsShareTheAdmissionSlotTable) {
   options.queue_capacity = 3;
   options.flush_after_ms = 0.1;
   AsyncScheduler async(options);
-  StreamOptions stream_options;
-  stream_options.m = m;
-  const StreamTicket stream = async.open_stream(stream_options);
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config);
 
   std::vector<Ticket> accepted;
   for (std::size_t f = 0; f < 3; ++f) {
@@ -264,13 +270,14 @@ TEST(StreamServe, StreamTableBoundsAndRecycles) {
   options.shards = 1;
   options.max_streams = 2;
   AsyncScheduler async(options);
-  StreamOptions stream_options;
-  stream_options.m = 4;
-  const StreamTicket a = async.open_stream(stream_options);
-  const StreamTicket b = async.open_stream(stream_options);
+  StreamConfig stream_config;
+  stream_config.m = 4;
+  stream_config.policy = &kFlatList;
+  const StreamTicket a = async.open_stream(stream_config);
+  const StreamTicket b = async.open_stream(stream_config);
   ASSERT_TRUE(a.accepted());
   ASSERT_TRUE(b.accepted());
-  const StreamTicket c = async.open_stream(stream_options);
+  const StreamTicket c = async.open_stream(stream_config);
   EXPECT_FALSE(c.accepted());
   EXPECT_EQ(async.stats().stream_rejected, 1u);
   EXPECT_EQ(async.open_streams(), 2u);
@@ -282,7 +289,7 @@ TEST(StreamServe, StreamTableBoundsAndRecycles) {
   ASSERT_TRUE(async.take_stream(close, delivery));
   EXPECT_TRUE(delivery.final_delivery);
 
-  const StreamTicket d = async.open_stream(stream_options);
+  const StreamTicket d = async.open_stream(stream_config);
   EXPECT_TRUE(d.accepted());
   // The recycled entry rejects traffic for the old stream ticket.
   const StreamArrival arrival = rigid_arrival(1, 1.0, 1.0, 0.0);
@@ -296,9 +303,10 @@ TEST(StreamServe, FailedFeedLeavesStreamUsable) {
   AsyncOptions options;
   options.shards = 1;
   AsyncScheduler async(options);
-  StreamOptions stream_options;
-  stream_options.m = m;
-  const StreamTicket stream = async.open_stream(stream_options);
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config);
 
   std::vector<StreamArrival> arrivals;
   for (const auto& job : jobs) {
@@ -345,12 +353,13 @@ TEST(StreamServe, TakeKindsDoNotCross) {
   AsyncScheduler async(options);
   EngineRequest request;
   request.instance = &instance;
-  request.algorithm = EngineAlgorithm::FlatList;
+  request.policy = &kFlatList;
   const Ticket oneshot = async.submit(request);
 
-  StreamOptions stream_options;
-  stream_options.m = m;
-  const StreamTicket stream = async.open_stream(stream_options);
+  StreamConfig stream_config;
+  stream_config.m = m;
+  stream_config.policy = &kFlatList;
+  const StreamTicket stream = async.open_stream(stream_config);
   const StreamArrival arrival = rigid_arrival(1, 1.0, 1.0, 0.0);
   const Ticket feed = async.submit_stream(stream, &arrival, 1, 1.0);
   (void)async.wait(oneshot);
