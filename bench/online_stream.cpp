@@ -26,6 +26,7 @@
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
+#include "trace/slo.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/strfmt.hpp"
@@ -72,26 +73,6 @@ reference, an interleaved one-shot differs from the synchronous engine, or
 the steady-state FlatList stream path allocates per arrival (allocation
 counting is compiled out under AddressSanitizer and reported as -1).
 )";
-
-struct Percentiles {
-  double p50 = 0.0, p90 = 0.0, p99 = 0.0, max = 0.0;
-};
-
-Percentiles percentiles(std::vector<double>& samples) {
-  Percentiles out;
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  const auto at = [&](double q) {
-    const auto last = samples.size() - 1;
-    const auto index = static_cast<std::size_t>(q * static_cast<double>(last));
-    return samples[std::min(index, last)];
-  };
-  out.p50 = at(0.50);
-  out.p90 = at(0.90);
-  out.p99 = at(0.99);
-  out.max = samples.back();
-  return out;
-}
 
 /// One stream's workload: a release-ordered moldable job list.
 std::vector<OnlineJob> make_jobs(int count, int m, double mean_gap,
@@ -380,7 +361,7 @@ int main(int argc, char** argv) {
   struct LatencyRow {
     int shards = 0;
     double arrivals_per_s = 0.0;
-    Percentiles latency;
+    SloPercentiles latency;
   };
   std::vector<LatencyRow> latency_rows;
   {
@@ -466,7 +447,7 @@ int main(int argc, char** argv) {
       LatencyRow row;
       row.shards = shards;
       row.arrivals_per_s = static_cast<double>(arrivals_served) / elapsed;
-      row.latency = percentiles(latencies);
+      row.latency = percentiles_of(latencies);
       latency_rows.push_back(row);
       std::cout << strfmt("%-8d %14.1f %10.3f %10.3f %10.3f %10.3f\n",
                           row.shards, row.arrivals_per_s, row.latency.p50,

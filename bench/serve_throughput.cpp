@@ -27,6 +27,7 @@
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
+#include "trace/slo.hpp"
 #include "util/cli.hpp"
 #include "util/strfmt.hpp"
 #include "util/thread_pool.hpp"
@@ -112,29 +113,6 @@ out under AddressSanitizer and reported as -1: sanitized builds gate
 determinism and admission only; the same applies to the --zipf hit-path
 and --speculate allocation gates).
 )";
-
-struct Percentiles {
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-Percentiles percentiles(std::vector<double>& samples) {
-  Percentiles out;
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  const auto at = [&](double q) {
-    const auto last = samples.size() - 1;
-    const auto index = static_cast<std::size_t>(q * static_cast<double>(last));
-    return samples[std::min(index, last)];
-  };
-  out.p50 = at(0.50);
-  out.p90 = at(0.90);
-  out.p99 = at(0.99);
-  out.max = samples.back();
-  return out;
-}
 
 bool results_identical(const EngineResult& a, const EngineResult& b) {
   if (a.cmax != b.cmax ||
@@ -277,7 +255,7 @@ int main(int argc, char** argv) {
     int shards = 0;
     std::string algorithm;
     double per_s = 0.0;
-    Percentiles latency;
+    SloPercentiles latency;
   };
   std::vector<ThroughputRow> throughput_rows;
   std::cout << strfmt("\n%-10s %-10s %14s %10s %10s %10s %10s\n", "shards",
@@ -322,7 +300,7 @@ int main(int argc, char** argv) {
       row.algorithm = flat ? "flatlist" : "demt";
       row.per_s =
           static_cast<double>(requests.size()) * reps / elapsed;
-      row.latency = percentiles(latencies);
+      row.latency = percentiles_of(latencies);
       throughput_rows.push_back(row);
       std::cout << strfmt("%-10d %-10s %14.1f %10.3f %10.3f %10.3f %10.3f\n",
                           row.shards, row.algorithm.c_str(), row.per_s,
@@ -375,7 +353,7 @@ int main(int argc, char** argv) {
     std::string name;
     int weight = 1;
     std::uint64_t served = 0;
-    Percentiles latency;
+    SloPercentiles latency;
   };
   std::vector<LaneLatencyRow> lane_rows;
   struct LaneAdmissionRow {
@@ -424,7 +402,8 @@ int main(int argc, char** argv) {
       row.name = lane_specs[static_cast<std::size_t>(l)].name;
       row.weight = lane_specs[static_cast<std::size_t>(l)].weight;
       row.served = stats.lanes[static_cast<std::size_t>(l)].completed;
-      row.latency = percentiles(lane_latencies[static_cast<std::size_t>(l)]);
+      row.latency =
+          percentiles_of(lane_latencies[static_cast<std::size_t>(l)]);
       lane_rows.push_back(row);
       std::cout << strfmt("%-10s %8d %10llu %10.3f %10.3f %10.3f %10.3f\n",
                           row.name.c_str(), row.weight,
@@ -906,8 +885,8 @@ int main(int argc, char** argv) {
     std::uint64_t decided = 0;
     std::uint64_t committed = 0;
     std::uint64_t rolled_back = 0;
-    Percentiles off_ms;  ///< feed-to-decision, speculation off
-    Percentiles on_ms;   ///< feed-to-decision, speculation on
+    SloPercentiles off_ms;  ///< feed-to-decision, speculation off
+    SloPercentiles on_ms;   ///< feed-to-decision, speculation on
     double allocs_per_feed = -1.0;
   };
   SpeculationReport spec;
@@ -1018,8 +997,8 @@ int main(int argc, char** argv) {
     for (int r = 0; r < reps; ++r) (void)run_tape(false, nullptr, &off_ms);
     (void)run_tape(true, nullptr, nullptr);
     for (int r = 0; r < reps; ++r) (void)run_tape(true, nullptr, &on_ms);
-    spec.off_ms = percentiles(off_ms);
-    spec.on_ms = percentiles(on_ms);
+    spec.off_ms = percentiles_of(off_ms);
+    spec.on_ms = percentiles_of(on_ms);
     const AsyncStats stats = async.stats();
     spec.decided = stats.spec_decided;
     spec.committed = stats.spec_committed;

@@ -76,15 +76,6 @@ struct DemtOptions {
   /// experiment harness's parallel replicates) always run sequentially to
   /// avoid nested-pool deadlock.
   int shuffle_workers = 1;
-
-  /// Warm-start the Cmax bisection from the previous call's accepted dual
-  /// bounds, kept in the workspace's DualTestWorkspace (consecutive online
-  /// batches are near-identical, so most probes of the cold search are
-  /// proven by monotonicity instead of run). The schedule is bit-identical
-  /// to the cold search — only DemtDiagnostics::dual_tests drops — so like
-  /// shuffle_workers this flag stays out of DemtPolicy::cache_key(). Off
-  /// by default: the first call on a workspace is always a cold start.
-  bool warm_dual_start = false;
 };
 
 struct DemtDiagnostics {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace moldsched {
 
@@ -11,6 +13,30 @@ SchedulingPolicy::~SchedulingPolicy() = default;
 const void* SchedulingPolicy::workspace_key() const noexcept { return this; }
 
 std::uint64_t SchedulingPolicy::cache_key() const noexcept { return 0; }
+
+void SchedulingPolicy::check_output(const Instance& batch,
+                                    const FlatPlacements& out) const {
+  const auto fail = [&](const char* what) {
+    throw std::logic_error(std::string("policy '") + name() + "' " + what);
+  };
+  if (out.size() != batch.num_tasks()) {
+    fail("returned a placement count other than the batch's task count");
+  }
+  const auto pool = static_cast<long long>(out.proc_ids.size());
+  for (int e = 0; e < out.size(); ++e) {
+    const auto entry = static_cast<std::size_t>(e);
+    const long long begin = out.proc_begin[entry];
+    const long long count = out.proc_count[entry];
+    if (!out.assigned(e) || count < 1 || begin < 0 || begin + count > pool) {
+      fail("left a task without a placement");
+    }
+  }
+  for (const int id : out.proc_ids) {
+    if (id < 0 || id >= batch.procs()) {
+      fail("placed a task on a processor outside the batch's machine");
+    }
+  }
+}
 
 namespace {
 
@@ -94,10 +120,8 @@ const void* DemtPolicy::workspace_key() const noexcept {
 }
 
 std::uint64_t DemtPolicy::cache_key() const noexcept {
-  // Every schedule-affecting option, by value. shuffle_workers and
-  // warm_dual_start stay out: the shuffle engine is bit-identical for any
-  // worker count, and the warm-started bisection only changes how many
-  // dual tests run, never the schedule.
+  // Every schedule-affecting option, by value. shuffle_workers stays out:
+  // the shuffle engine is bit-identical for any worker count.
   std::uint64_t h = 0x44454D5450434B59ULL;  // class tag ("DEMTPCKY")
   h = mix_key(h, options_.dual_eps);
   h = mix_key(h, static_cast<std::uint64_t>(options_.merge_small_tasks));

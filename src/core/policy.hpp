@@ -91,6 +91,13 @@ class SchedulingPolicy {
   virtual void schedule_into(const Instance& batch, PolicyWorkspace& ws,
                              FlatPlacements& out) const = 0;
 
+  /// Reject a malformed schedule_into output before a caller indexes with
+  /// it: throws std::logic_error naming this policy unless `out` has one
+  /// assigned entry per task of `batch`, every processor range lies inside
+  /// the id pool, and every id lies in [0, batch.procs()). The on-line
+  /// simulator and the engine run it after every fresh call.
+  void check_output(const Instance& batch, const FlatPlacements& out) const;
+
   /// Pooling identity: callers share one pooled workspace among all
   /// policies returning the same key. Default = `this` (per-instance,
   /// always safe). Override with a per-class tag when any instance's
@@ -162,7 +169,7 @@ void fill_min_work_jobs(const Instance& instance, ListPassWorkspace& list);
 /// The FlatList algorithm as a free function: give every task its min-work
 /// allotment, order by Smith ratio (weight/duration decreasing, task id
 /// tie-break), run one allocation-free list pass into `out`. FlatListPolicy
-/// wraps this; exposed for tests and direct flat plug-in use.
+/// wraps this; exposed for tests and bench oracles.
 void flat_list_schedule(const Instance& instance, ListPassWorkspace& list,
                         FlatPlacements& out);
 

@@ -242,14 +242,6 @@ DualTestResult dual_test(const Instance& instance, double lambda) {
   return result;
 }
 
-DualTestResult dual_test(const Instance& instance, double lambda,
-                         const InstanceAllotments& tables) {
-  DualTestWorkspace ws;
-  DualTestResult result;
-  dual_test_vec_impl(instance, lambda, &tables, ws, result);
-  return result;
-}
-
 void dual_test_into(const Instance& instance, double lambda,
                     const InstanceAllotments& tables, DualTestWorkspace& ws,
                     DualTestResult& out) {

@@ -43,31 +43,12 @@ struct DualTestResult {
   std::vector<ShelfAssignment> assignment;
 };
 
-/// Previous-call dual bounds for warm-starting estimate_cmax_into's
-/// bisection (opt-in via DemtOptions::warm_dual_start). `hi` is the last
-/// accepted estimate, `lo` the final rejected bracket bound (0 when the
-/// combinatorial bound was accepted outright). Consecutive online batches
-/// are near-identical, so re-testing these two guesses up front usually
-/// proves most of the cold search's probes by monotonicity — the search
-/// replays the cold trajectory against inferred outcomes and stays
-/// bit-identical, only DemtDiagnostics::dual_tests drops. `valid` is the
-/// cold-start fallback: false until a search completes with warm-starting
-/// enabled.
-struct WarmDualBounds {
-  bool enabled = false;  ///< set per call by the owner; off = cold search
-  bool valid = false;    ///< true once a previous search recorded bounds
-  double lo = 0.0;       ///< last rejected lambda (0 = none rejected)
-  double hi = 0.0;       ///< last accepted estimate
-};
-
 /// Reusable buffers for repeated dual_test calls: the DP rows, the flat
 /// (task x budget) pick matrix, and the per-task shelf choice pools all
 /// keep their capacity across calls, so the bisection in estimate_cmax —
 /// which runs dozens of tests per schedule — performs no heap allocation
 /// after its first test at a given problem size. Reuse never changes
-/// results: apart from the opt-in `warm` bounds (which only ever change
-/// how many tests run, never what the search returns), the workspace
-/// carries capacity, not state, between calls.
+/// results: the workspace carries capacity, not state, between calls.
 struct DualTestWorkspace {
   /// Shelf-1 Pareto options pooled across tasks: task i's options are
   /// opt_procs/opt_work[opt_begin[i] .. opt_begin[i+1]).
@@ -82,26 +63,20 @@ struct DualTestWorkspace {
   /// Trial-partition buffer for estimate_cmax_into's accept/reject
   /// rotation; carries capacity only, never state, between calls.
   DualTestResult scratch;
-  /// Previous-call bounds for the warm-started bisection (see above).
-  WarmDualBounds warm;
 };
 
-/// Run the dual test for guess `lambda` (> 0).
+/// Run the dual test for guess `lambda` (> 0) in fresh buffers, with
+/// scan-based allotment lookups instead of precomputed tables.
 [[nodiscard]] DualTestResult dual_test(const Instance& instance, double lambda);
 
-/// Same test with precomputed allotment tables: canonical / min-work
-/// lookups cost O(log max_procs) instead of O(max_procs), and for strictly
-/// monotone tasks the shelf-1 Pareto set collapses to the single canonical
-/// allotment without a scan. Produces bit-identical results to the
-/// table-free overload — the bisection in estimate_cmax builds the tables
-/// once and reuses them across all its calls.
-[[nodiscard]] DualTestResult dual_test(const Instance& instance, double lambda,
-                                       const InstanceAllotments& tables);
-
-/// Allocation-free form: identical results to the overloads above, but the
-/// test runs entirely inside `ws` and writes into `out` (whose assignment
-/// buffer reuses its capacity). This is what estimate_cmax's bisection
-/// calls per guess.
+/// Allocation-free form: the test runs entirely inside `ws` and writes into
+/// `out` (whose assignment buffer reuses its capacity). The precomputed
+/// allotment `tables` make canonical / min-work lookups cost
+/// O(log max_procs) instead of O(max_procs), and for strictly monotone
+/// tasks the shelf-1 Pareto set collapses to the single canonical
+/// allotment without a scan — results are bit-identical to the
+/// table-free wrapper above. This is what estimate_cmax's bisection calls
+/// per guess, with tables built once for the whole search.
 void dual_test_into(const Instance& instance, double lambda,
                     const InstanceAllotments& tables, DualTestWorkspace& ws,
                     DualTestResult& out);

@@ -37,17 +37,16 @@ void finish_offline_result(const Instance& instance, bool keep_schedules,
 }
 
 /// Serve one off-line request under `policy`. With a decision cache
-/// configured and a policy that opts in (cache_key() != 0, request not
-/// bypassed), a recurring shape is served by signature lookup + replay;
-/// the replayed doubles are the cached run's verbatim, so hit and fresh
-/// results are bit-identical.
+/// configured and a policy that opts in (cache_key() != 0), a recurring
+/// shape is served by signature lookup + replay; the replayed doubles are
+/// the cached run's verbatim, so hit and fresh results are bit-identical.
 void run_policy_request(const SchedulingPolicy& policy,
                         const Instance& instance,
-                        const EngineOptions& options, bool bypass_cache,
-                        EngineWorkspace& ws, EngineResult& out) {
+                        const EngineOptions& options, EngineWorkspace& ws,
+                        EngineResult& out) {
   DecisionCache* cache = options.cache;
   const std::uint64_t policy_key =
-      (cache != nullptr && !bypass_cache) ? policy.cache_key() : 0;
+      cache != nullptr ? policy.cache_key() : 0;
   InstanceSignature sig;
   if (policy_key != 0) {
     sig = canonical_signature(instance, cache->options().quantize_steps,
@@ -60,6 +59,8 @@ void run_policy_request(const SchedulingPolicy& policy,
   PolicyWorkspace& policy_ws = ws.policy_workspace(policy);
   policy_ws.last_diag = DemtDiagnostics{};  // workspaces carry no state
   policy.schedule_into(instance, policy_ws, ws.flat);
+  // The metrics scan and the cache insert assume one placement per task.
+  policy.check_output(instance, ws.flat);
   out.diag = policy_ws.last_diag;
   finish_offline_result(instance, options.keep_schedules, ws, out);
   if (policy_key != 0) {
@@ -78,8 +79,7 @@ void serve_offline(const EngineRequest& request, const EngineOptions& options,
     throw std::invalid_argument("SchedulerEngine: request without instance");
   }
   require_policy(request.policy, "SchedulerEngine: request without policy");
-  run_policy_request(*request.policy, *request.instance, options,
-                     request.bypass_cache, ws, out);
+  run_policy_request(*request.policy, *request.instance, options, ws, out);
 }
 
 void serve_online(const OnlineRequest& request, EngineWorkspace& ws,
@@ -203,7 +203,6 @@ EngineStreamId SchedulerEngine::acquire_stream(const StreamConfig& config,
     throw;
   }
   state.sim.set_speculate(config.speculate);
-  state.sim.set_speculate_depth(config.speculate_depth);
   state.policy = config.policy;
   state.in_use = true;
   state.spec_seen_decided = 0;

@@ -57,10 +57,6 @@ struct EngineRequest {
   const Instance* instance = nullptr;
   /// The per-batch algorithm (required).
   const SchedulingPolicy* policy = nullptr;
-  /// Skip the decision cache (EngineOptions::cache) for this request:
-  /// no lookup, no insert — the exact pre-cache execution path, for
-  /// callers that need a guaranteed fresh run.
-  bool bypass_cache = false;
 };
 
 /// One on-line simulation request: run the batch framework for `*jobs` on
@@ -95,11 +91,11 @@ struct EngineOptions {
   /// Decision cache (core/decision_cache.hpp), borrowed for the engine's
   /// whole life; nullptr (default) disables caching entirely — the
   /// pre-cache hot path, bit-identical to before the cache existed. When
-  /// set, off-line requests whose policy opts in (cache_key() != 0 and
-  /// the request does not set bypass_cache) are served by signature
-  /// lookup + allotment replay on a hit, and inserted on a miss. Results
-  /// are bit-identical either way (the cache verifies task descriptors
-  /// exactly before replaying). One cache may be shared by any number of
+  /// set, off-line requests whose policy opts in (cache_key() != 0) are
+  /// served by signature lookup + allotment replay on a hit, and inserted
+  /// on a miss. Results are bit-identical either way (the cache verifies
+  /// task descriptors exactly before replaying); an engine without a cache
+  /// is the guaranteed fresh run. One cache may be shared by any number of
   /// engines — the serving layer passes one to every shard.
   DecisionCache* cache = nullptr;
 };
@@ -119,12 +115,6 @@ struct StreamConfig {
   /// bit-identical either way — only EngineStats speculation counters and
   /// feed latency change.
   bool speculate = false;
-  /// Speculation budget per frontier advance (see
-  /// OnlineStream::set_speculate_depth): at most this many batch decisions
-  /// are staged ahead of the watermark before one becomes final, bounding
-  /// wasted work on rollback-heavy tapes; 0 = unlimited. Only meaningful
-  /// with `speculate` on.
-  int speculate_depth = 0;
 };
 
 /// Handle to an open engine stream: a dense pool index plus a serial that

@@ -40,8 +40,8 @@ struct FlatPlacements {
   void reset(int num_entries);
 
   /// Copy a Schedule into the flat form, reusing buffer capacity (the
-  /// bridge the online simulator and the engine use to run Schedule-based
-  /// plug-ins on the flat path). Unassigned tasks stay unassigned entries;
+  /// bridge the on-line simulator's object path uses to run
+  /// Schedule-based plug-ins on the flat path). Unassigned tasks stay unassigned entries;
   /// every double is copied verbatim, so metrics computed on the flat copy
   /// are bit-identical to the Schedule's own.
   void assign_from(const Schedule& schedule);

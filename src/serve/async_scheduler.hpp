@@ -156,10 +156,9 @@ struct AsyncOptions {
   /// (core/decision_cache.hpp), borrowed for the scheduler's whole life
   /// and shared by every shard's engine. nullptr (default) = no caching,
   /// the exact pre-cache path. With a cache, one-shot requests whose
-  /// policy opts in (SchedulingPolicy::cache_key() != 0 and
-  /// EngineRequest::bypass_cache unset) replay recurring shapes instead
-  /// of re-running the policy — bit-identical results, hit/miss/evict
-  /// counters in AsyncStats.
+  /// policy opts in (SchedulingPolicy::cache_key() != 0) replay recurring
+  /// shapes instead of re-running the policy — bit-identical results,
+  /// hit/miss/evict counters in AsyncStats.
   DecisionCache* cache = nullptr;
 };
 

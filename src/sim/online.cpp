@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -82,6 +83,29 @@ std::vector<bool> blocked_procs(int m,
   return blocked;
 }
 
+/// The object path's plug-in as a policy: the Schedule `offline` returns
+/// is copied verbatim into the flat form, so the flat core's results are
+/// bit-identical to the object path's. Needs no scratch of its own.
+class OfflineSchedulerPolicy final : public SchedulingPolicy {
+ public:
+  explicit OfflineSchedulerPolicy(const OfflineScheduler& offline)
+      : offline_(offline) {}
+  [[nodiscard]] const char* name() const noexcept override {
+    return "offline scheduler";
+  }
+  [[nodiscard]] std::unique_ptr<PolicyWorkspace> make_workspace()
+      const override {
+    return std::make_unique<PolicyWorkspace>();
+  }
+  void schedule_into(const Instance& batch, PolicyWorkspace& /*ws*/,
+                     FlatPlacements& out) const override {
+    out.assign_from(offline_(batch));
+  }
+
+ private:
+  const OfflineScheduler& offline_;
+};
+
 }  // namespace
 
 void FlatOnlineResult::reset(int num_jobs) {
@@ -106,26 +130,11 @@ void online_blocked_procs_into(
   }
 }
 
-FlatOfflineScheduler wrap_offline(OfflineScheduler offline) {
-  return [offline = std::move(offline)](const Instance& batch,
-                                        OnlineWorkspace& /*ws*/,
-                                        FlatPlacements& out) {
-    out.assign_from(offline(batch));
-  };
-}
-
-FlatOfflineScheduler policy_offline(const SchedulingPolicy& policy,
-                                    PolicyWorkspace& ws) {
-  const SchedulingPolicy* p = &policy;  // two-pointer capture: stays in SBO
-  PolicyWorkspace* w = &ws;
-  return [p, w](const Instance& batch, OnlineWorkspace& /*ows*/,
-                FlatPlacements& out) { p->schedule_into(batch, *w, out); };
-}
-
 void online_settle_batch(int m, const OnlineJob* jobs,
                          const std::vector<NodeReservation>& reservations,
-                         const FlatOfflineScheduler& offline,
-                         OnlineWorkspace& ws, double& now) {
+                         const SchedulingPolicy& policy,
+                         PolicyWorkspace& policy_ws, OnlineWorkspace& ws,
+                         double& now) {
   // Determine the available processors against reservations: start from
   // "everything free", schedule, check which reservations the batch
   // overlaps, remove those processors and retry until stable — the shared
@@ -137,7 +146,9 @@ void online_settle_batch(int m, const OnlineJob* jobs,
       m, reservations, ws, now,
       [&](int avail) {
         rebuild_batch_instance(jobs, ws.batch_jobs, avail, ws.batch_instance);
-        offline(ws.batch_instance, ws, ws.batch);
+        policy.schedule_into(ws.batch_instance, policy_ws, ws.batch);
+        // The lift indexes free_procs by the local ids: never trust them.
+        policy.check_output(ws.batch_instance, ws.batch);
         return ws.batch.cmax();
       },
       "online_batch_schedule");
@@ -176,18 +187,18 @@ void online_lift_batch(const OnlineJob* jobs, const int* batch_jobs,
 
 void online_decide_batch(int m, const OnlineJob* jobs,
                          const std::vector<NodeReservation>& reservations,
-                         const FlatOfflineScheduler& offline,
-                         OnlineWorkspace& ws, double& now,
-                         FlatOnlineResult& out) {
-  online_settle_batch(m, jobs, reservations, offline, ws, now);
+                         const SchedulingPolicy& policy,
+                         PolicyWorkspace& policy_ws, OnlineWorkspace& ws,
+                         double& now, FlatOnlineResult& out) {
+  online_settle_batch(m, jobs, reservations, policy, policy_ws, ws, now);
   online_lift_batch(jobs, ws.batch_jobs.data(), ws.batch_jobs.size(), ws.batch,
                     ws.free_procs, now, out);
   now += ws.batch.cmax();
 }
 
 void online_batch_schedule_into(
-    int m, const std::vector<OnlineJob>& jobs,
-    const FlatOfflineScheduler& offline,
+    int m, const std::vector<OnlineJob>& jobs, const SchedulingPolicy& policy,
+    PolicyWorkspace& policy_ws,
     const std::vector<NodeReservation>& reservations, OnlineWorkspace& ws,
     FlatOnlineResult& out) {
   check_inputs(m, jobs, reservations);
@@ -220,25 +231,19 @@ void online_batch_schedule_into(
       ws.batch_jobs.push_back(ws.order[next]);
       ++next;
     }
-    online_decide_batch(m, jobs.data(), reservations, offline, ws, now, out);
+    online_decide_batch(m, jobs.data(), reservations, policy, policy_ws, ws,
+                        now, out);
   }
-}
-
-void online_batch_schedule_into(
-    int m, const std::vector<OnlineJob>& jobs, const SchedulingPolicy& policy,
-    PolicyWorkspace& policy_ws,
-    const std::vector<NodeReservation>& reservations, OnlineWorkspace& ws,
-    FlatOnlineResult& out) {
-  online_batch_schedule_into(m, jobs, policy_offline(policy, policy_ws),
-                             reservations, ws, out);
 }
 
 OnlineResult online_batch_schedule(
     int m, const std::vector<OnlineJob>& jobs, const OfflineScheduler& offline,
     const std::vector<NodeReservation>& reservations) {
+  const OfflineSchedulerPolicy policy(offline);
+  const auto policy_ws = policy.make_workspace();
   OnlineWorkspace ws;
   FlatOnlineResult flat;
-  online_batch_schedule_into(m, jobs, wrap_offline(offline), reservations, ws,
+  online_batch_schedule_into(m, jobs, policy, *policy_ws, reservations, ws,
                              flat);
   OnlineResult result(m, static_cast<int>(jobs.size()));
   result.schedule = flat.schedule.to_schedule(m);

@@ -35,7 +35,6 @@
 
 #include "core/policy.hpp"
 #include "sched/flat_schedule.hpp"
-#include "sched/list_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "tasks/instance.hpp"
 #include "tasks/moldable_task.hpp"
@@ -66,11 +65,8 @@ inline constexpr double kReleaseTieEps = 1e-12;
 /// Reusable state for repeated on-line simulations (one per engine strand).
 /// Every buffer is cleared (capacity kept) per run; after warm-up the
 /// simulator machinery performs no heap allocation. The remaining per-batch
-/// allocations are the batch Instance handed to the off-line plug-in (its
-/// task time vectors must be materialised) and whatever the plug-in itself
-/// allocates.
+/// allocations are whatever the policy itself allocates.
 struct OnlineWorkspace {
-  ListPassWorkspace list;            ///< scratch for flat off-line plug-ins
   FlatPlacements batch;              ///< off-line output, batch-local ids
   std::vector<int> order;            ///< jobs in release order
   std::vector<int> batch_jobs;       ///< job ids of the open batch
@@ -82,25 +78,6 @@ struct OnlineWorkspace {
   /// no heap allocation at all once the pool is warm.
   Instance batch_instance{1};
 };
-
-/// Off-line plug-in for the flat path: schedule `batch` (every task must be
-/// placed), writing flat placements into `out`; `ws` offers reusable
-/// scratch (`ws.list`) so a plug-in can itself run allocation-free.
-using FlatOfflineScheduler = std::function<void(
-    const Instance& batch, OnlineWorkspace& ws, FlatPlacements& out)>;
-
-/// Adapt a Schedule-returning off-line scheduler to the flat plug-in form
-/// (the Schedule the plug-in allocates is copied verbatim, so results are
-/// bit-identical to the object path).
-[[nodiscard]] FlatOfflineScheduler wrap_offline(OfflineScheduler offline);
-
-/// Adapt a SchedulingPolicy (+ a workspace it made) to the flat plug-in
-/// form. Captures two pointers, so the returned std::function stays in its
-/// small-object storage — adapting a policy per call allocates nothing.
-/// Both referents are borrowed for the adapter's lifetime, and `ws` must
-/// not be shared with a concurrent call.
-[[nodiscard]] FlatOfflineScheduler policy_offline(
-    const SchedulingPolicy& policy, PolicyWorkspace& ws);
 
 /// Flat-path result; buffers keep capacity across runs when reused.
 struct FlatOnlineResult {
@@ -202,30 +179,33 @@ double reservation_fixpoint(int m,
 /// release <= now + kReleaseTieEps) and `now` is the machine-idle instant
 /// the batch opens at; `now` may move forward when the machine is fully
 /// reserved at that instant. The call runs the reservation fixpoint, the
-/// off-line plug-in, and the lift into global time/processor ids, appends
-/// placements, metrics and batch bookkeeping to `out` (which must already
-/// have entries for every job id in the batch), and advances `now` to the
-/// batch's completion. Afterwards `ws.batch` holds the batch-local
-/// placements and `ws.free_procs` the processors the batch was allowed to
-/// use — exactly what the divisible filler consumes. Throws like
+/// policy (inside `policy_ws`), and the lift into global time/processor
+/// ids, appends placements, metrics and batch bookkeeping to `out` (which
+/// must already have entries for every job id in the batch), and advances
+/// `now` to the batch's completion. Afterwards `ws.batch` holds the
+/// batch-local placements and `ws.free_procs` the processors the batch was
+/// allowed to use — exactly what the divisible filler consumes. Throws like
 /// online_batch_schedule_into.
 void online_decide_batch(int m, const OnlineJob* jobs,
                          const std::vector<NodeReservation>& reservations,
-                         const FlatOfflineScheduler& offline,
-                         OnlineWorkspace& ws, double& now,
-                         FlatOnlineResult& out);
+                         const SchedulingPolicy& policy,
+                         PolicyWorkspace& policy_ws, OnlineWorkspace& ws,
+                         double& now, FlatOnlineResult& out);
 
 /// The fixpoint half of online_decide_batch: run the reservation fixpoint
-/// and the off-line plug-in for the batch named by `ws.batch_jobs` at clock
-/// `now` (which may jump forward when the machine is fully reserved),
-/// leaving `ws.batch` / `ws.free_procs` settled exactly as
-/// online_decide_batch would just before its lift — but without touching
-/// any result. The streaming core (sim/stream.hpp) stages speculative
-/// frontier decisions through this entry point.
+/// and the policy for the batch named by `ws.batch_jobs` at clock `now`
+/// (which may jump forward when the machine is fully reserved), leaving
+/// `ws.batch` / `ws.free_procs` settled exactly as online_decide_batch
+/// would just before its lift — but without touching any result. The
+/// streaming core (sim/stream.hpp) stages speculative frontier decisions
+/// through this entry point. Every policy output is checked before use
+/// (SchedulingPolicy::check_output): a malformed one throws
+/// std::logic_error naming the policy.
 void online_settle_batch(int m, const OnlineJob* jobs,
                          const std::vector<NodeReservation>& reservations,
-                         const FlatOfflineScheduler& offline,
-                         OnlineWorkspace& ws, double& now);
+                         const SchedulingPolicy& policy,
+                         PolicyWorkspace& policy_ws, OnlineWorkspace& ws,
+                         double& now);
 
 /// The lift half of online_decide_batch: write the settled batch-local
 /// placements `batch` (whose local processor ids index `free_procs`) for
@@ -239,29 +219,23 @@ void online_lift_batch(const OnlineJob* jobs, const int* batch_jobs,
                        const std::vector<int>& free_procs, double clock,
                        FlatOnlineResult& out);
 
-/// Flat core of the batch framework: runs inside `ws`, writes into `out`.
-/// Throws std::invalid_argument on an empty job list, negative releases, or
-/// a job needing more processors than a batch can ever obtain (m minus
-/// permanently reserved).
-void online_batch_schedule_into(
-    int m, const std::vector<OnlineJob>& jobs,
-    const FlatOfflineScheduler& offline,
-    const std::vector<NodeReservation>& reservations, OnlineWorkspace& ws,
-    FlatOnlineResult& out);
-
-/// Policy form of the flat core: every batch decision runs
-/// `policy.schedule_into` inside `policy_ws` (one workspace per strand,
-/// from policy.make_workspace()). Bit-identical to passing the equivalent
-/// FlatOfflineScheduler; adds no per-call allocation beyond the plug-in's
-/// own.
+/// Flat core of the batch framework: runs inside `ws`, writes into `out`;
+/// every batch decision runs `policy.schedule_into` inside `policy_ws` (one
+/// workspace per strand, from policy.make_workspace()), adding no per-call
+/// allocation beyond the policy's own. Throws std::invalid_argument on an
+/// empty job list, negative releases, or a job needing more processors
+/// than a batch can ever obtain (m minus permanently reserved), and
+/// std::logic_error on a malformed policy output.
 void online_batch_schedule_into(
     int m, const std::vector<OnlineJob>& jobs, const SchedulingPolicy& policy,
     PolicyWorkspace& policy_ws,
     const std::vector<NodeReservation>& reservations, OnlineWorkspace& ws,
     FlatOnlineResult& out);
 
-/// Run the batch framework (object path; wrapper over the flat core with
-/// identical results). Throws as online_batch_schedule_into.
+/// Run the batch framework (object path): the Schedule-returning `offline`
+/// runs inside the flat core, its Schedule copied verbatim into the flat
+/// form, so results are identical to the flat path's. Throws as
+/// online_batch_schedule_into.
 [[nodiscard]] OnlineResult online_batch_schedule(
     int m, const std::vector<OnlineJob>& jobs, const OfflineScheduler& offline,
     const std::vector<NodeReservation>& reservations = {});

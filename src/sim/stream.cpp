@@ -86,8 +86,6 @@ void OnlineStream::open(int m,
   divisible_live_ = 0;
   divisible_wcs_ = 0.0;
   speculate_ = false;
-  speculate_depth_ = 0;
-  spec_frontier_staged_ = 0;
   spec_head_ = 0;
   spec_count_ = 0;
   spec_decided_ = 0;
@@ -98,21 +96,6 @@ void OnlineStream::open(int m,
 void OnlineStream::set_speculate(bool on) {
   if (!on && spec_head_ < spec_count_) drop_speculation(spec_head_);
   speculate_ = on;
-}
-
-void OnlineStream::set_speculate_depth(int depth) {
-  if (depth < 0) {
-    throw std::invalid_argument(
-        "OnlineStream: speculate depth must be >= 0");
-  }
-  speculate_depth_ = depth;
-  // Shrink an already-staged frontier that exceeds the new cap: the
-  // records past the cap are exactly what a stream with this budget from
-  // the start would never have staged.
-  if (depth > 0) {
-    const std::size_t cap = spec_head_ + static_cast<std::size_t>(depth);
-    if (spec_count_ > cap) drop_speculation(cap);
-  }
 }
 
 double OnlineStream::divisible_work_pending() const noexcept {
@@ -142,8 +125,8 @@ void OnlineStream::append_batch_job(const StreamArrival& arrival) {
 }
 
 void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
-                        double watermark, const FlatOfflineScheduler& offline,
-                        StreamDelivery& out) {
+                        double watermark, const SchedulingPolicy& policy,
+                        PolicyWorkspace& policy_ws, StreamDelivery& out) {
   out.clear();
   if (!open_ || finished_) {
     throw std::logic_error("OnlineStream: stream is not open");
@@ -205,23 +188,12 @@ void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
     }
   }
   watermark_ = watermark;
-  advance(false, offline, out);
-  if (speculate_) speculate_ahead(offline);
-}
-
-void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
-                        double watermark, const SchedulingPolicy& policy,
-                        PolicyWorkspace& policy_ws, StreamDelivery& out) {
-  feed(arrivals, count, watermark, policy_offline(policy, policy_ws), out);
+  advance(false, policy, policy_ws, out);
+  if (speculate_) speculate_ahead(policy, policy_ws);
 }
 
 void OnlineStream::finish(const SchedulingPolicy& policy,
                           PolicyWorkspace& policy_ws, StreamDelivery& out) {
-  finish(policy_offline(policy, policy_ws), out);
-}
-
-void OnlineStream::finish(const FlatOfflineScheduler& offline,
-                          StreamDelivery& out) {
   out.clear();
   out.final_delivery = true;
   if (!open_ || finished_) {
@@ -230,11 +202,11 @@ void OnlineStream::finish(const FlatOfflineScheduler& offline,
   finished_ = true;
   if (broken_) return;  // close quietly; state is unusable anyway
   watermark_ = std::numeric_limits<double>::infinity();
-  advance(true, offline, out);
+  advance(true, policy, policy_ws, out);
 }
 
-void OnlineStream::advance(bool finishing, const FlatOfflineScheduler& offline,
-                           StreamDelivery& out) {
+void OnlineStream::advance(bool finishing, const SchedulingPolicy& policy,
+                           PolicyWorkspace& policy_ws, StreamDelivery& out) {
   const std::size_t first = next_;
   const std::size_t starts_mark = result_.batch_starts.size();
   try {
@@ -269,8 +241,8 @@ void OnlineStream::advance(bool finishing, const FlatOfflineScheduler& offline,
           ++next_;
         }
         now_ = open_time;
-        online_decide_batch(m_, jobs_.data(), reservations_, offline, ws_,
-                            now_, result_);
+        online_decide_batch(m_, jobs_.data(), reservations_, policy,
+                            policy_ws, ws_, now_, result_);
         const double opened = result_.batch_starts.back();
         fill_batch_divisible(opened, now_ - opened, out);
       }
@@ -280,10 +252,6 @@ void OnlineStream::advance(bool finishing, const FlatOfflineScheduler& offline,
     broken_ = true;
     throw;
   }
-
-  // The frontier advanced: newly final batches refresh the speculation
-  // budget (spent stages were not wasted, or their waste is already paid).
-  if (next_ > first) spec_frontier_staged_ = 0;
 
   // Copy the newly final range into the delivery.
   out.first_job = static_cast<int>(first);
@@ -435,7 +403,8 @@ void OnlineStream::commit_record(const SpecRecord& rec, StreamDelivery& out) {
   ++spec_committed_;
 }
 
-void OnlineStream::speculate_ahead(const FlatOfflineScheduler& offline) {
+void OnlineStream::speculate_ahead(const SchedulingPolicy& policy,
+                                   PolicyWorkspace& policy_ws) {
   std::size_t spec_next =
       spec_head_ < spec_count_ ? spec_pool_[spec_count_ - 1].last_job : next_;
   if (spec_next >= jobs_live_) return;
@@ -458,17 +427,6 @@ void OnlineStream::speculate_ahead(const FlatOfflineScheduler& offline) {
                                : now_;
   try {
     while (spec_next < jobs_live_) {
-      // Depth budget: stop once speculate_depth_ stages have been spent
-      // since the frontier last advanced. Rolled-back stages still count —
-      // on a rollback-heavy tape every late arrival invalidates the staged
-      // batch, and without the budget the stream would re-stage the merged
-      // batch on every feed; with it the waste is bounded at depth
-      // decisions per real batch. Never changes any delivery.
-      if (speculate_depth_ > 0 &&
-          spec_frontier_staged_ >=
-              static_cast<std::uint64_t>(speculate_depth_)) {
-        break;
-      }
       // Same membership rule as the fresh loop; everything still undecided
       // here failed the finality test, which is exactly the speculative
       // frontier.
@@ -481,8 +439,8 @@ void OnlineStream::speculate_ahead(const FlatOfflineScheduler& offline) {
         ++last;
       }
       double spec_clock = member_open;
-      online_settle_batch(m_, jobs_.data(), reservations_, offline, ws_,
-                          spec_clock);
+      online_settle_batch(m_, jobs_.data(), reservations_, policy, policy_ws,
+                          ws_, spec_clock);
       if (spec_count_ >= spec_pool_.size()) spec_pool_.emplace_back();
       SpecRecord& rec = spec_pool_[spec_count_];
       rec.first_job = spec_next;
@@ -499,7 +457,6 @@ void OnlineStream::speculate_ahead(const FlatOfflineScheduler& offline) {
       stage_fill(rec);
       ++spec_count_;
       ++spec_decided_;
-      ++spec_frontier_staged_;
       clock = rec.clock_after;
       spec_next = last;
     }

@@ -38,10 +38,10 @@
 ///
 /// Error contract: feed() validates the watermark and every arrival
 /// *before* mutating any state — a throwing feed leaves the stream exactly
-/// as it was. An error thrown mid-decision (from the off-line plug-in or a
-/// job that cannot fit the reduced machine) marks the stream broken;
-/// further feeds throw, and finish() closes it quietly with an empty final
-/// delivery.
+/// as it was. An error thrown mid-decision (from the policy, a malformed
+/// policy output, or a job that cannot fit the reduced machine) marks the
+/// stream broken; further feeds throw, and finish() closes it quietly with
+/// an empty final delivery.
 ///
 /// Operator documentation (lifecycle, ordering/determinism contracts,
 /// serving integration, tuning): docs/ONLINE.md.
@@ -61,7 +61,7 @@ struct StreamCheckpoint;  // sim/checkpoint.hpp
 
 /// The three job types of the paper's §5 mix.
 enum class ArrivalKind {
-  Moldable,   ///< allotment chosen by the off-line plug-in
+  Moldable,   ///< allotment chosen by the per-batch policy
   Rigid,      ///< fixed allotment (min_procs == max_procs)
   Divisible,  ///< bag of work, split arbitrarily into idle holes
 };
@@ -128,18 +128,12 @@ class OnlineStream {
 
   /// Feed `count` arrivals and advance the watermark. Arrival releases
   /// must be non-decreasing, >= the previous watermark, and <= the new
-  /// one; the watermark must not move backwards. Decisions that became
-  /// final are written into `out` (cleared first). Throws
-  /// std::invalid_argument on a contract violation (state untouched) and
-  /// std::logic_error on a closed/broken stream.
-  void feed(const StreamArrival* arrivals, std::size_t count,
-            double watermark, const FlatOfflineScheduler& offline,
-            StreamDelivery& out);
-
-  /// Policy form of feed: every batch decision runs `policy.schedule_into`
-  /// inside `policy_ws` (a workspace the policy made; one per stream
-  /// strand). Bit-identical to the plug-in form, allocation-free beyond
-  /// what the policy itself allocates.
+  /// one; the watermark must not move backwards. Every batch decision runs
+  /// `policy.schedule_into` inside `policy_ws` (a workspace the policy
+  /// made; one per stream strand), allocation-free beyond what the policy
+  /// itself allocates. Decisions that became final are written into `out`
+  /// (cleared first). Throws std::invalid_argument on a contract violation
+  /// (state untouched) and std::logic_error on a closed/broken stream.
   void feed(const StreamArrival* arrivals, std::size_t count,
             double watermark, const SchedulingPolicy& policy,
             PolicyWorkspace& policy_ws, StreamDelivery& out);
@@ -147,9 +141,6 @@ class OnlineStream {
   /// Close the stream: decide every remaining batch, drain leftover
   /// divisible work, and deliver with final_delivery == true. A broken
   /// stream closes quietly with an empty final delivery.
-  void finish(const FlatOfflineScheduler& offline, StreamDelivery& out);
-
-  /// Policy form of finish (see the policy feed overload).
   void finish(const SchedulingPolicy& policy, PolicyWorkspace& policy_ws,
               StreamDelivery& out);
 
@@ -165,21 +156,6 @@ class OnlineStream {
   /// Turning it off rolls back anything currently staged.
   void set_speculate(bool on);
   [[nodiscard]] bool speculate() const noexcept { return speculate_; }
-  /// Bound the staged frontier: with depth d > 0 at most d batch decisions
-  /// are staged ahead of the watermark per frontier advance — once d
-  /// stages have been spent without any batch becoming final (committed or
-  /// decided fresh), the stream stops re-speculating until the frontier
-  /// moves. On a rollback-heavy tape, where every late arrival invalidates
-  /// the staged batch and an unbounded stream immediately re-stages the
-  /// merged batch, this caps the wasted (rolled-back) work at d decisions
-  /// per real batch. 0 (the default) = unlimited. Purely a work bound:
-  /// deliveries are bit-identical for every depth. Throws
-  /// std::invalid_argument on a negative depth. Lowering the depth below
-  /// the live staged count rolls the excess back.
-  void set_speculate_depth(int depth);
-  [[nodiscard]] int speculate_depth() const noexcept {
-    return speculate_depth_;
-  }
   /// Batches decided ahead of the watermark this session.
   [[nodiscard]] std::uint64_t speculated_batches() const noexcept {
     return spec_decided_;
@@ -265,14 +241,15 @@ class OnlineStream {
   };
 
   void append_batch_job(const StreamArrival& arrival);
-  void advance(bool finishing, const FlatOfflineScheduler& offline,
-               StreamDelivery& out);
+  void advance(bool finishing, const SchedulingPolicy& policy,
+               PolicyWorkspace& policy_ws, StreamDelivery& out);
   void fill_batch_divisible(double open_time, double horizon,
                             StreamDelivery& out);
   void drain_divisible(StreamDelivery& out);
   void collect_divisible_candidates(double open_time);
   void settle_fill(double open_time, StreamDelivery& out);
-  void speculate_ahead(const FlatOfflineScheduler& offline);
+  void speculate_ahead(const SchedulingPolicy& policy,
+                       PolicyWorkspace& policy_ws);
   void stage_fill(SpecRecord& rec);
   void commit_record(const SpecRecord& rec, StreamDelivery& out);
   void invalidate_speculation(const StreamArrival* arrivals,
@@ -304,8 +281,6 @@ class OnlineStream {
   FlatPlacements empty_batch_;  ///< zero-entry placements for the drain
 
   bool speculate_ = false;
-  int speculate_depth_ = 0;  ///< staging budget per frontier advance; 0 = unlimited
-  std::uint64_t spec_frontier_staged_ = 0;  ///< stages spent at this frontier
   std::vector<SpecRecord> spec_pool_;  ///< pooled records, capacity kept
   std::size_t spec_head_ = 0;   ///< first live staged record
   std::size_t spec_count_ = 0;  ///< one past the last live staged record

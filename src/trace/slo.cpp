@@ -7,10 +7,7 @@
 
 namespace moldsched {
 
-namespace {
-
-/// Shared bench percentile convention: sorted, index q * (n - 1).
-[[nodiscard]] SloPercentiles percentiles_of(std::vector<double>& samples) {
+SloPercentiles percentiles_of(std::vector<double>& samples) {
   SloPercentiles out;
   if (samples.empty()) return out;
   std::sort(samples.begin(), samples.end());
@@ -25,8 +22,6 @@ namespace {
   out.max = samples.back();
   return out;
 }
-
-}  // namespace
 
 void SloAccumulator::open(int lanes, std::size_t expected_jobs) {
   if (lanes < 1) {

@@ -14,7 +14,7 @@
 ///
 /// The JSON emitted by slo_report_json is the per-lane block of the
 /// BENCH_trace.json schema (docs/BENCHMARKS.md); percentiles use the
-/// benches' shared convention (index q * (n - 1) after sorting).
+/// benches' shared convention (percentiles_of).
 
 #pragma once
 
@@ -32,6 +32,11 @@ struct SloPercentiles {
   double p99 = 0.0;
   double max = 0.0;
 };
+
+/// The benches' one percentile convention: sort `samples` in place and
+/// read index q * (n - 1) for q in {0.50, 0.90, 0.99}, plus the maximum.
+/// An empty sample set yields all zeros.
+[[nodiscard]] SloPercentiles percentiles_of(std::vector<double>& samples);
 
 /// Aggregated SLO numbers of one lane.
 struct SloLaneReport {

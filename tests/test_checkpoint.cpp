@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -24,19 +23,8 @@
 namespace moldsched {
 namespace {
 
-FlatOfflineScheduler flat_offline() {
-  return [](const Instance& batch, OnlineWorkspace& ws,
-            FlatPlacements& out) { flat_list_schedule(batch, ws.list, out); };
-}
-
-FlatOfflineScheduler demt_offline() {
-  auto policy = std::make_shared<DemtPolicy>();
-  auto ws = std::shared_ptr<PolicyWorkspace>(policy->make_workspace());
-  return [policy, ws](const Instance& batch, OnlineWorkspace&,
-                      FlatPlacements& out) {
-    policy->schedule_into(batch, *ws, out);
-  };
-}
+const FlatListPolicy kFlatList;
+const DemtPolicy kDemt;
 
 /// A small §5 mix: moldable, rigid, and divisible arrivals with strictly
 /// increasing releases (every chunk boundary is a watermark boundary).
@@ -62,9 +50,9 @@ std::vector<StreamArrival> make_mix(int count, int m, bool mixed,
 }
 
 void feed_one(OnlineStream& stream, const std::vector<StreamArrival>& tape,
-              std::size_t i, const FlatOfflineScheduler& offline,
-              StreamDelivery& out) {
-  stream.feed(&tape[i], 1, tape[i].release, offline, out);
+              std::size_t i, const SchedulingPolicy& policy,
+              PolicyWorkspace& policy_ws, StreamDelivery& out) {
+  stream.feed(&tape[i], 1, tape[i].release, policy, policy_ws, out);
 }
 
 void expect_delivery_identical(const StreamDelivery& a,
@@ -99,16 +87,16 @@ void expect_delivery_identical(const StreamDelivery& a,
 /// delivery (finish delivery last).
 std::vector<StreamDelivery> run_reference(
     const std::vector<StreamArrival>& tape, int m,
-    const FlatOfflineScheduler& offline) {
+    const SchedulingPolicy& policy, PolicyWorkspace& policy_ws) {
   OnlineStream stream;
   stream.open(m, {});
   std::vector<StreamDelivery> deliveries;
   StreamDelivery out;
   for (std::size_t i = 0; i < tape.size(); ++i) {
-    feed_one(stream, tape, i, offline, out);
+    feed_one(stream, tape, i, policy, policy_ws, out);
     deliveries.push_back(out);
   }
-  stream.finish(offline, out);
+  stream.finish(policy, policy_ws, out);
   deliveries.push_back(out);
   return deliveries;
 }
@@ -117,14 +105,14 @@ std::vector<StreamDelivery> run_reference(
 /// byte codec), feed [cut, n) on the restored session, finish, and demand
 /// every post-cut delivery match the reference bit for bit.
 void check_cut(const std::vector<StreamArrival>& tape, int m,
-               const FlatOfflineScheduler& offline,
+               const SchedulingPolicy& policy, PolicyWorkspace& policy_ws,
                const std::vector<StreamDelivery>& reference, std::size_t cut,
                bool through_bytes) {
   OnlineStream original;
   original.open(m, {});
   StreamDelivery out;
   for (std::size_t i = 0; i < cut; ++i) {
-    feed_one(original, tape, i, offline, out);
+    feed_one(original, tape, i, policy, policy_ws, out);
   }
   StreamCheckpoint ckpt;
   original.checkpoint(ckpt);
@@ -142,10 +130,10 @@ void check_cut(const std::vector<StreamArrival>& tape, int m,
   EXPECT_EQ(resumed.batch_jobs_decided(), original.batch_jobs_decided());
   EXPECT_EQ(resumed.watermark(), original.watermark());
   for (std::size_t i = cut; i < tape.size(); ++i) {
-    feed_one(resumed, tape, i, offline, out);
+    feed_one(resumed, tape, i, policy, policy_ws, out);
     expect_delivery_identical(out, reference[i]);
   }
-  resumed.finish(offline, out);
+  resumed.finish(policy, policy_ws, out);
   expect_delivery_identical(out, reference.back());
   // Running totals converge to the uninterrupted run's.
   EXPECT_EQ(resumed.result().cmax, reference.back().cmax);
@@ -158,33 +146,36 @@ void check_cut(const std::vector<StreamArrival>& tape, int m,
 TEST(StreamCheckpoint, MoldableRoundTripAtEveryWatermarkBoundary) {
   const int m = 8;
   const auto tape = make_mix(14, m, /*mixed=*/false, 20040627);
-  const auto offline = flat_offline();
-  const auto reference = run_reference(tape, m, offline);
+  const auto policy_ws = kFlatList.make_workspace();
+  const auto reference = run_reference(tape, m, kFlatList, *policy_ws);
   for (std::size_t cut = 0; cut <= tape.size(); ++cut) {
     SCOPED_TRACE(cut);
-    check_cut(tape, m, offline, reference, cut, /*through_bytes=*/false);
+    check_cut(tape, m, kFlatList, *policy_ws, reference, cut,
+              /*through_bytes=*/false);
   }
 }
 
 TEST(StreamCheckpoint, MixedTapeRoundTripsThroughByteCodec) {
   const int m = 6;
   const auto tape = make_mix(15, m, /*mixed=*/true, 77);
-  const auto offline = flat_offline();
-  const auto reference = run_reference(tape, m, offline);
+  const auto policy_ws = kFlatList.make_workspace();
+  const auto reference = run_reference(tape, m, kFlatList, *policy_ws);
   for (std::size_t cut = 0; cut <= tape.size(); ++cut) {
     SCOPED_TRACE(cut);
-    check_cut(tape, m, offline, reference, cut, /*through_bytes=*/true);
+    check_cut(tape, m, kFlatList, *policy_ws, reference, cut,
+              /*through_bytes=*/true);
   }
 }
 
 TEST(StreamCheckpoint, DemtTapeRoundTrips) {
   const int m = 8;
   const auto tape = make_mix(10, m, /*mixed=*/true, 4242);
-  const auto offline = demt_offline();
-  const auto reference = run_reference(tape, m, offline);
+  const auto policy_ws = kDemt.make_workspace();
+  const auto reference = run_reference(tape, m, kDemt, *policy_ws);
   for (std::size_t cut : {std::size_t{0}, tape.size() / 2, tape.size()}) {
     SCOPED_TRACE(cut);
-    check_cut(tape, m, offline, reference, cut, /*through_bytes=*/true);
+    check_cut(tape, m, kDemt, *policy_ws, reference, cut,
+              /*through_bytes=*/true);
   }
 }
 
@@ -222,9 +213,10 @@ StreamCheckpoint make_rich_checkpoint() {
   const auto tape = make_mix(12, m, /*mixed=*/true, 77);
   OnlineStream stream;
   stream.open(m, {NodeReservation{2, 0.5, 1.5}});
+  const auto policy_ws = kFlatList.make_workspace();
   StreamDelivery out;
   for (std::size_t i = 0; i + 1 < tape.size(); ++i) {
-    feed_one(stream, tape, i, flat_offline(), out);
+    feed_one(stream, tape, i, kFlatList, *policy_ws, out);
   }
   StreamCheckpoint ckpt;
   stream.checkpoint(ckpt);
@@ -323,7 +315,8 @@ TEST(StreamCheckpoint, RestoreValidatesAndCheckpointNeedsOpenSession) {
 TEST(SchedulerEngine, CheckpointRestoreAbandonStreams) {
   const int m = 6;
   const auto tape = make_mix(12, m, /*mixed=*/true, 11);
-  const auto reference = run_reference(tape, m, flat_offline());
+  const auto policy_ws = kFlatList.make_workspace();
+  const auto reference = run_reference(tape, m, kFlatList, *policy_ws);
 
   const FlatListPolicy flat_policy;
   SchedulerEngine engine(EngineOptions{1, false});

@@ -4,7 +4,7 @@
 ///    bit-identical to cache-off across policies {demt, flatlist},
 ///    serve shards {1, 2, 4}, repeated/interleaved shapes, and eviction
 ///    pressure (capacity 1 forces thrash), plus unit tests of the
-///    replay, bypass, CLOCK bound, and stats surfaces.
+///    replay, CLOCK bound, and stats surfaces.
 ///
 ///  - `Canonical`: property tests of canonical_signature — invariant
 ///    under task permutation and duplicate-shape resubmission, distinct
@@ -307,34 +307,6 @@ TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.size, 2u);
-}
-
-TEST(DecisionCache, BypassFlagRunsFreshAndStoresNothing) {
-  const auto instances = make_instances(2, 20, 10, 99);
-  DecisionCache cache(DecisionCacheOptions{16, 2, 32});
-  SchedulerEngine cached(EngineOptions{1, true, &cache});
-  SchedulerEngine plain(EngineOptions{1, true});
-
-  DemtOptions demt;
-  demt.shuffles = 2;
-  const DemtPolicy policy(demt);
-  std::vector<EngineRequest> requests(4);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].instance = &instances[i % 2];
-    requests[i].policy = &policy;
-    requests[i].bypass_cache = true;
-  }
-  std::vector<EngineResult> with_cache, without_cache;
-  cached.schedule_batch(requests, with_cache);
-  plain.schedule_batch(requests, without_cache);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    expect_identical(with_cache[i], without_cache[i]);
-  }
-  const DecisionCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.inserts, 0u);
-  EXPECT_EQ(stats.size, 0u);
 }
 
 TEST(DecisionCache, EvictionPressureCapacityOneStaysBitIdentical) {

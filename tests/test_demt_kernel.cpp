@@ -394,7 +394,10 @@ TEST(DemtKernel, DualTestDifferentialFuzz) {
           (est.estimate * 2.0 - est.lower_bound * 0.5) * s / 7.0;
       const DualTestResult ref = dual_test_reference(instance, lambda);
       expect_identical_dual(dual_test(instance, lambda), ref);
-      expect_identical_dual(dual_test(instance, lambda, tables), ref);
+      DualTestWorkspace fresh_ws;
+      DualTestResult fresh;
+      dual_test_into(instance, lambda, tables, fresh_ws, fresh);
+      expect_identical_dual(fresh, ref);
       expect_identical_dual(dual_test_reference(instance, lambda, tables),
                             ref);
       dual_test_into(instance, lambda, tables, ws, pooled);

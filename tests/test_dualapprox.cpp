@@ -173,7 +173,9 @@ TEST(DualTest, WorkspaceFormBitIdenticalToPlainOverloads) {
     const auto tight = estimate_cmax(instance).estimate;
     for (double factor : {0.4, 0.8, 1.0, 1.3, 2.5}) {
       const double lambda = tight * factor;
-      const auto plain = dual_test(instance, lambda, tables);
+      DualTestWorkspace fresh_ws;
+      DualTestResult plain;
+      dual_test_into(instance, lambda, tables, fresh_ws, plain);
       dual_test_into(instance, lambda, tables, ws, pooled);
       EXPECT_EQ(pooled.feasible, plain.feasible);
       EXPECT_EQ(pooled.total_work, plain.total_work);

@@ -95,18 +95,19 @@ TEST(OnlineFlat, WorkspaceReuseIsStateless) {
   const auto jobs_b = make_stream(WorkloadFamily::Cirne, 9, 8, 0.4, rng);
   OnlineWorkspace ws;
   FlatOnlineResult out;
-  const auto offline = wrap_offline(demt_offline());
+  const DemtPolicy policy;
+  const auto policy_ws = policy.make_workspace();
   // Interleave two different streams through ONE workspace/result pair and
   // check both runs against fresh-state runs.
-  online_batch_schedule_into(8, jobs_a, offline, {}, ws, out);
+  online_batch_schedule_into(8, jobs_a, policy, *policy_ws, {}, ws, out);
   const double cmax_a = out.cmax;
   const double wc_a = out.weighted_completion_sum;
-  online_batch_schedule_into(8, jobs_b, offline, {}, ws, out);
+  online_batch_schedule_into(8, jobs_b, policy, *policy_ws, {}, ws, out);
   const auto fresh_b = online_batch_schedule(8, jobs_b, demt_offline());
   EXPECT_EQ(out.cmax, fresh_b.cmax);
   EXPECT_EQ(out.weighted_completion_sum, fresh_b.weighted_completion_sum);
   EXPECT_EQ(out.num_batches, fresh_b.num_batches);
-  online_batch_schedule_into(8, jobs_a, offline, {}, ws, out);
+  online_batch_schedule_into(8, jobs_a, policy, *policy_ws, {}, ws, out);
   EXPECT_EQ(out.cmax, cmax_a);
   EXPECT_EQ(out.weighted_completion_sum, wc_a);
 }
@@ -117,12 +118,9 @@ TEST(OnlineFlat, FlatListOfflinePluginYieldsFeasibleSchedule) {
   const auto jobs = make_stream(WorkloadFamily::Mixed, 20, m, 1.0, rng);
   OnlineWorkspace ws;
   FlatOnlineResult out;
-  const FlatOfflineScheduler offline = [](const Instance& batch,
-                                          OnlineWorkspace& ows,
-                                          FlatPlacements& placed) {
-    flat_list_schedule(batch, ows.list, placed);
-  };
-  online_batch_schedule_into(m, jobs, offline, {}, ws, out);
+  const FlatListPolicy policy;
+  const auto policy_ws = policy.make_workspace();
+  online_batch_schedule_into(m, jobs, policy, *policy_ws, {}, ws, out);
 
   Instance reference(m);
   ValidationOptions options;

@@ -158,7 +158,9 @@ TEST(AllotmentTables, TableBackedDualTestMatchesScanBased) {
   for (double factor : {0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0}) {
     const double lambda = lb * factor;
     const DualTestResult scan = dual_test(instance, lambda);
-    const DualTestResult table = dual_test(instance, lambda, tables);
+    DualTestWorkspace ws;
+    DualTestResult table;
+    dual_test_into(instance, lambda, tables, ws, table);
     EXPECT_EQ(scan.feasible, table.feasible) << "lambda " << lambda;
     EXPECT_EQ(scan.total_work, table.total_work) << "lambda " << lambda;
     if (scan.feasible) {

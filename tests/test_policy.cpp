@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/lpt_policy.hpp"
@@ -236,6 +238,92 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
   EXPECT_EQ(async.open_streams(), 0u);
 }
 
+/// FlatList with one defect injected into its output, for the output
+/// checks: `Short` drops the last placement, `BadProc` moves the first
+/// task onto processor batch.procs(), one past the batch's machine.
+class MalformedPolicy final : public SchedulingPolicy {
+ public:
+  enum class Defect { Short, BadProc };
+  explicit MalformedPolicy(Defect defect) : defect_(defect) {}
+  [[nodiscard]] const char* name() const noexcept override {
+    return "malformed";
+  }
+  [[nodiscard]] std::unique_ptr<PolicyWorkspace> make_workspace()
+      const override {
+    return flat_.make_workspace();
+  }
+  void schedule_into(const Instance& batch, PolicyWorkspace& ws,
+                     FlatPlacements& out) const override {
+    flat_.schedule_into(batch, ws, out);
+    if (defect_ == Defect::Short) {
+      out.start.pop_back();
+      out.duration.pop_back();
+      out.proc_begin.pop_back();
+      out.proc_count.pop_back();
+    } else {
+      out.proc_ids[static_cast<std::size_t>(out.proc_begin[0])] =
+          batch.procs();
+    }
+  }
+
+ private:
+  FlatListPolicy flat_;
+  Defect defect_;
+};
+
+/// Run `call`, demanding a std::logic_error whose message names the policy.
+template <typename Call>
+void expect_rejected(const Call& call) {
+  try {
+    call();
+    ADD_FAILURE() << "malformed policy output was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A malformed policy output is rejected before anything indexes with it:
+/// by the off-line batch loop, by a stream feed (which then stays
+/// broken), and by the engine's off-line request path.
+void expect_rejected_at_every_entry_point(const MalformedPolicy& policy) {
+  const int m = 8;
+  const auto jobs = make_online_jobs(6, m, 7);
+  const auto instances = make_instances(1, 12, m, 9);
+  const auto policy_ws = policy.make_workspace();
+
+  OnlineWorkspace online_ws;
+  FlatOnlineResult online_out;
+  expect_rejected([&] {
+    online_batch_schedule_into(m, jobs, policy, *policy_ws, {}, online_ws,
+                               online_out);
+  });
+
+  OnlineStream stream;
+  stream.open(m, {});
+  const StreamArrival arrival = moldable_arrival(jobs[0].task, 0.0);
+  StreamDelivery delivery;
+  expect_rejected(
+      [&] { stream.feed(&arrival, 1, 1.0, policy, *policy_ws, delivery); });
+  EXPECT_TRUE(stream.broken());
+
+  SchedulerEngine engine(EngineOptions{1, false});
+  EngineRequest request;
+  request.instance = &instances[0];
+  request.policy = &policy;
+  expect_rejected([&] { (void)engine.schedule_batch({request}); });
+}
+
+TEST(Policy, ShortOutputIsRejectedAtEveryEntryPoint) {
+  expect_rejected_at_every_entry_point(
+      MalformedPolicy(MalformedPolicy::Defect::Short));
+}
+
+TEST(Policy, OutOfRangeProcessorIsRejectedAtEveryEntryPoint) {
+  expect_rejected_at_every_entry_point(
+      MalformedPolicy(MalformedPolicy::Defect::BadProc));
+}
+
 TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {
   const auto instances = make_instances(6, 35, 16, 11);
   const LptRigidPolicy lpt;
@@ -302,36 +390,6 @@ TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {
   engine.close_stream(stream, delivery);
   EXPECT_TRUE(delivery.final_delivery);
   EXPECT_EQ(engine.stats().streams_opened, 1u);
-}
-
-TEST(Policy, StreamPolicyOverloadMatchesPluginForm) {
-  const int m = 6;
-  Rng rng(37);
-  std::vector<StreamArrival> arrivals;
-  double release = 0.0;
-  for (int j = 0; j < 8; ++j) {
-    Instance tmp = generate_instance(WorkloadFamily::WeaklyParallel, 1, m, rng);
-    arrivals.push_back(moldable_arrival(tmp.task(0), release));
-    release += 0.4;
-  }
-  const FlatListPolicy policy;
-  auto policy_ws = policy.make_workspace();
-
-  OnlineStream via_policy;
-  OnlineStream via_plugin;
-  via_policy.open(m, {});
-  via_plugin.open(m, {});
-  const FlatOfflineScheduler plugin = policy_offline(policy, *policy_ws);
-  StreamDelivery da;
-  StreamDelivery db;
-  for (const auto& arrival : arrivals) {
-    via_policy.feed(&arrival, 1, arrival.release, policy, *policy_ws, da);
-    via_plugin.feed(&arrival, 1, arrival.release, plugin, db);
-    expect_identical(da, db);
-  }
-  via_policy.finish(policy, *policy_ws, da);
-  via_plugin.finish(plugin, db);
-  expect_identical(da, db);
 }
 
 TEST(Policy, WorkspacePoolSharesPerClassKeys) {

@@ -36,10 +36,7 @@ std::vector<OnlineJob> make_jobs(WorkloadFamily family, int count, int m,
   return jobs;
 }
 
-FlatOfflineScheduler flat_offline() {
-  return [](const Instance& batch, OnlineWorkspace& ws,
-            FlatPlacements& out) { flat_list_schedule(batch, ws.list, out); };
-}
+const FlatListPolicy kFlatList;
 
 OfflineScheduler object_offline() {
   return [](const Instance& batch) {
@@ -58,7 +55,7 @@ FlatOnlineResult run_stream(const std::vector<OnlineJob>& jobs, int m,
                             std::vector<StreamDelivery>* deliveries = nullptr) {
   OnlineStream stream;
   stream.open(m, reservations);
-  const FlatOfflineScheduler offline = flat_offline();
+  const auto flat_ws = kFlatList.make_workspace();
   std::vector<StreamArrival> arrivals;
   StreamDelivery out;
   const std::size_t chunk = chunk_size == 0 ? jobs.size() : chunk_size;
@@ -70,10 +67,11 @@ FlatOnlineResult run_stream(const std::vector<OnlineJob>& jobs, int m,
     }
     const double watermark =
         end < jobs.size() ? jobs[end].release : jobs.back().release;
-    stream.feed(arrivals.data(), arrivals.size(), watermark, offline, out);
+    stream.feed(arrivals.data(), arrivals.size(), watermark, kFlatList,
+                *flat_ws, out);
     if (deliveries != nullptr) deliveries->push_back(out);
   }
-  stream.finish(offline, out);
+  stream.finish(kFlatList, *flat_ws, out);
   EXPECT_TRUE(out.final_delivery);
   if (deliveries != nullptr) deliveries->push_back(out);
   EXPECT_TRUE(stream.finished());
@@ -178,6 +176,7 @@ TEST(OnlineStream, DeliveriesPartitionTheStreamInOrder) {
 TEST(OnlineStream, DivisibleSingleBatchMatchesOfflineFill) {
   // Everything arrives at t=0: one batch, so the stream's in-batch fill
   // must equal the off-line filler run on the batch schedule.
+  const auto flat_ws = kFlatList.make_workspace();
   Rng rng(21);
   const int m = 8;
   std::vector<OnlineJob> jobs = make_jobs(WorkloadFamily::Mixed, 10, m, 0.0, rng);
@@ -199,9 +198,10 @@ TEST(OnlineStream, DivisibleSingleBatchMatchesOfflineFill) {
     arrivals.push_back(divisible_arrival(job.work, job.weight, 0.0));
   }
   StreamDelivery out;
-  stream.feed(arrivals.data(), arrivals.size(), 0.0, flat_offline(), out);
+  stream.feed(arrivals.data(), arrivals.size(), 0.0, kFlatList, *flat_ws,
+              out);
   StreamDelivery final_out;
-  stream.finish(flat_offline(), final_out);
+  stream.finish(kFlatList, *flat_ws, final_out);
 
   // The batch decides at finish (watermark 0 cannot close it earlier), so
   // chunks land in the final delivery.
@@ -220,6 +220,7 @@ TEST(OnlineStream, DivisibleSingleBatchMatchesOfflineFill) {
 }
 
 TEST(OnlineStream, DivisibleCarryoverDrainsWithoutCollisions) {
+  const auto flat_ws = kFlatList.make_workspace();
   Rng rng(31);
   const int m = 6;
   const auto jobs = make_jobs(WorkloadFamily::Cirne, 8, m, 0.8, rng);
@@ -236,9 +237,9 @@ TEST(OnlineStream, DivisibleCarryoverDrainsWithoutCollisions) {
   std::vector<DivisibleChunk> chunks;
   StreamDelivery out;
   stream.feed(arrivals.data(), arrivals.size(), jobs.back().release,
-              flat_offline(), out);
+              kFlatList, *flat_ws, out);
   chunks.insert(chunks.end(), out.chunks.begin(), out.chunks.end());
-  stream.finish(flat_offline(), out);
+  stream.finish(kFlatList, *flat_ws, out);
   chunks.insert(chunks.end(), out.chunks.begin(), out.chunks.end());
 
   EXPECT_NEAR(stream.divisible_work_pending(), 0.0, 1e-6);
@@ -270,13 +271,14 @@ TEST(OnlineStream, DivisibleCarryoverDrainsWithoutCollisions) {
 }
 
 TEST(OnlineStream, DivisibleOnlyStreamDrainsAtFinish) {
+  const auto flat_ws = kFlatList.make_workspace();
   OnlineStream stream;
   stream.open(4, {});
   const StreamArrival arrival = divisible_arrival(8.0, 1.0, 0.0);
   StreamDelivery out;
-  stream.feed(&arrival, 1, 0.0, flat_offline(), out);
+  stream.feed(&arrival, 1, 0.0, kFlatList, *flat_ws, out);
   EXPECT_TRUE(out.chunks.empty());  // no batch to pour into yet
-  stream.finish(flat_offline(), out);
+  stream.finish(kFlatList, *flat_ws, out);
   EXPECT_TRUE(out.final_delivery);
   ASSERT_EQ(out.divisible_done.size(), 1u);
   // 8 units over 4 free processors from t=0 complete at ~2.
@@ -285,12 +287,13 @@ TEST(OnlineStream, DivisibleOnlyStreamDrainsAtFinish) {
 }
 
 TEST(OnlineStream, RigidArrivalKeepsItsAllotment) {
+  const auto flat_ws = kFlatList.make_workspace();
   OnlineStream stream;
   stream.open(8, {});
   const StreamArrival arrival = rigid_arrival(3, 2.0, 1.0, 0.0);
   StreamDelivery out;
-  stream.feed(&arrival, 1, 0.0, flat_offline(), out);
-  stream.finish(flat_offline(), out);
+  stream.feed(&arrival, 1, 0.0, kFlatList, *flat_ws, out);
+  stream.finish(kFlatList, *flat_ws, out);
   ASSERT_EQ(out.num_jobs(), 1);
   EXPECT_EQ(out.placements.proc_count[0], 3);
   EXPECT_EQ(out.placements.duration[0], 2.0);
@@ -301,43 +304,46 @@ TEST(OnlineStream, FeedValidatesBeforeMutating) {
   const auto jobs = make_jobs(WorkloadFamily::Mixed, 6, 4, 1.0, rng);
   OnlineStream stream;
   stream.open(4, {});
-  const FlatOfflineScheduler offline = flat_offline();
+  const auto flat_ws = kFlatList.make_workspace();
   StreamDelivery out;
   std::vector<StreamArrival> arrivals;
   for (const auto& job : jobs) {
     arrivals.push_back(moldable_arrival(job.task, job.release));
   }
-  stream.feed(arrivals.data(), 3, jobs[3].release, offline, out);
+  stream.feed(arrivals.data(), 3, jobs[3].release, kFlatList, *flat_ws, out);
 
   // Watermark regress.
-  EXPECT_THROW(stream.feed(arrivals.data() + 3, 1, 0.0, offline, out),
-               std::invalid_argument);
+  EXPECT_THROW(
+      stream.feed(arrivals.data() + 3, 1, 0.0, kFlatList, *flat_ws, out),
+      std::invalid_argument);
   // Arrival released before the previous watermark.
   StreamArrival early = arrivals[0];
   EXPECT_THROW(
-      stream.feed(&early, 1, jobs[5].release + 1.0, offline, out),
+      stream.feed(&early, 1, jobs[5].release + 1.0, kFlatList, *flat_ws, out),
       std::invalid_argument);
   // Arrival released after the new watermark.
   StreamArrival late = arrivals[4];
   EXPECT_THROW(
-      stream.feed(&late, 1, arrivals[4].release - 1e-3, offline, out),
+      stream.feed(&late, 1, arrivals[4].release - 1e-3, kFlatList, *flat_ws,
+                  out),
       std::invalid_argument);
   // Out-of-order arrivals inside one feed.
   StreamArrival pair[2] = {arrivals[4], arrivals[3]};
   EXPECT_THROW(
-      stream.feed(pair, 2, jobs.back().release, offline, out),
+      stream.feed(pair, 2, jobs.back().release, kFlatList, *flat_ws, out),
       std::invalid_argument);
   // A job that can never fit the machine.
   StreamArrival wide = rigid_arrival(9, 1.0, 1.0, jobs[4].release);
   EXPECT_THROW(
-      stream.feed(&wide, 1, jobs.back().release, offline, out),
+      stream.feed(&wide, 1, jobs.back().release, kFlatList, *flat_ws, out),
       std::invalid_argument);
   EXPECT_FALSE(stream.broken());
 
   // Every rejection above left the stream usable: finish the run and
   // compare against the reference on the prefix actually fed.
-  stream.feed(arrivals.data() + 3, 3, jobs.back().release, offline, out);
-  stream.finish(offline, out);
+  stream.feed(arrivals.data() + 3, 3, jobs.back().release, kFlatList,
+              *flat_ws, out);
+  stream.finish(kFlatList, *flat_ws, out);
   const std::vector<OnlineJob> fed(jobs.begin(), jobs.end());
   expect_matches_reference(
       stream.result(),
@@ -348,18 +354,19 @@ TEST(OnlineStream, DecideTimeErrorBreaksTheStream) {
   // m=2 with one processor reserved across the whole horizon: a job with
   // min_procs=2 passes feed validation (fits the machine) but cannot fit
   // the reduced batch — the decide throws and poisons the stream.
+  const auto flat_ws = kFlatList.make_workspace();
   OnlineStream stream;
   stream.open(2, {{1, 0.0, 1e6}});
   const StreamArrival arrival = rigid_arrival(2, 1.0, 1.0, 0.0);
   StreamDelivery out;
-  EXPECT_THROW(stream.feed(&arrival, 1, 1.0, flat_offline(), out),
+  EXPECT_THROW(stream.feed(&arrival, 1, 1.0, kFlatList, *flat_ws, out),
                std::invalid_argument);
   EXPECT_TRUE(stream.broken());
   const StreamArrival ok = rigid_arrival(1, 1.0, 1.0, 2.0);
-  EXPECT_THROW(stream.feed(&ok, 1, 3.0, flat_offline(), out),
+  EXPECT_THROW(stream.feed(&ok, 1, 3.0, kFlatList, *flat_ws, out),
                std::logic_error);
   // finish() closes a broken stream quietly with an empty final delivery.
-  stream.finish(flat_offline(), out);
+  stream.finish(kFlatList, *flat_ws, out);
   EXPECT_TRUE(out.final_delivery);
   EXPECT_EQ(out.num_jobs(), 0);
 }
