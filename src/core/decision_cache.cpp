@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
-
-#include "tasks/time_grid.hpp"
+#include <string>
 
 namespace moldsched {
 
@@ -19,37 +20,99 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
   return z ^ (z >> 31);
 }
 
-/// Bucket a positive magnitude onto the geometric grid: sub-step index of
-/// v relative to `anchor` (the instance's t_0), `steps` sub-steps per grid
-/// doubling. floor, not round: a bucket is a half-open interval, so the
-/// "same bucket" property tests can construct mid-bucket values that
-/// tolerate perturbation in either direction.
-std::int64_t quantize(double v, double anchor, int steps) noexcept {
-  return static_cast<std::int64_t>(
-      std::floor(std::log2(v / anchor) * steps));
+void check_quantize_steps(int steps, const char* what) {
+  if (steps < 1 || steps > kMaxQuantizeSteps) {
+    throw std::invalid_argument(std::string(what) +
+                                ": quantize_steps outside [1, " +
+                                std::to_string(kMaxQuantizeSteps) + "]");
+  }
+}
+
+constexpr int kCellBits = 10;  // 1024 cells over the mantissa range [1, 2)
+constexpr int kFractionBits = 52;
+constexpr std::uint64_t kFractionMask = (std::uint64_t{1} << kFractionBits) - 1;
+constexpr std::uint64_t kExponentOfOne = std::uint64_t{1023} << kFractionBits;
+
+std::uint64_t bits_of(double v) noexcept {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+std::int64_t exponent_field(std::uint64_t bits) noexcept {
+  return static_cast<std::int64_t>((bits >> kFractionBits) & 0x7FF);
+}
+
+double double_of(std::uint64_t bits) noexcept {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
 }
 
 }  // namespace
 
+void SignatureScratch::prepare(int steps) {
+  if (steps == steps_) return;
+  steps_ = 0;  // stale until both tables are rebuilt
+  thresholds_.resize(static_cast<std::size_t>(steps) + 1);
+  for (int i = 0; i < steps; ++i) {
+    thresholds_[static_cast<std::size_t>(i)] =
+        std::exp2(static_cast<double>(i) / steps);
+  }
+  // Pinned, so the walk below always stops inside [1, 2).
+  thresholds_[static_cast<std::size_t>(steps)] = 2.0;
+  cells_.resize(std::size_t{1} << kCellBits);
+  int i = 0;
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const double cell_floor =
+        1.0 + static_cast<double>(c) / static_cast<double>(cells_.size());
+    while (thresholds_[static_cast<std::size_t>(i) + 1] <= cell_floor) ++i;
+    cells_[c] = i;
+  }
+  steps_ = steps;
+}
+
+std::int64_t SignatureScratch::quantize(double ratio) const noexcept {
+  std::uint64_t bits = bits_of(ratio);
+  std::int64_t exponent = exponent_field(bits);
+  if (exponent == 0x7FF) return std::numeric_limits<std::int64_t>::max();
+  if (exponent == 0) {
+    if (ratio == 0.0) return std::numeric_limits<std::int64_t>::min();
+    // Subnormal: scaling by 2^64 is exact and makes it normal.
+    bits = bits_of(ratio * 0x1p64);
+    exponent = exponent_field(bits) - 64;
+  }
+  const std::uint64_t fraction = bits & kFractionMask;
+  const double mantissa = double_of(fraction | kExponentOfOne);
+  const auto cell =
+      static_cast<std::size_t>(fraction >> (kFractionBits - kCellBits));
+  auto i = static_cast<std::size_t>(cells_[cell]);
+  while (thresholds_[i + 1] <= mantissa) ++i;
+  return (exponent - 1023) * steps_ + static_cast<std::int64_t>(i);
+}
+
+std::int64_t SignatureScratch::bucket(double ratio, int steps) {
+  check_quantize_steps(steps, "SignatureScratch::bucket");
+  prepare(steps);
+  return quantize(ratio);
+}
+
 InstanceSignature canonical_signature(const Instance& instance,
                                       int quantize_steps,
                                       SignatureScratch& scratch) {
-  if (quantize_steps < 1) {
-    throw std::invalid_argument("canonical_signature: quantize_steps < 1");
-  }
+  check_quantize_steps(quantize_steps, "canonical_signature");
+  scratch.prepare(quantize_steps);
   const int n = instance.num_tasks();
   std::uint64_t h = mix(0x6D6F6C6473636864ULL,  // "moldschd"
                         static_cast<std::uint64_t>(instance.procs()));
   h = mix(h, static_cast<std::uint64_t>(n));
   if (n == 0) return InstanceSignature{h};
 
-  // Anchor on the instance's own t_0 (TimeGrid with cmax_estimate == tmin
-  // puts t_0 at exactly tmin), then mix the anchor's absolute bucket in so
-  // globally rescaled instances do not alias.
-  const TimeGrid grid(instance.tmin(), instance.tmin());
-  const double anchor = grid.t(0);
-  h = mix(h, static_cast<std::uint64_t>(
-                 quantize(anchor, 1.0, quantize_steps)));
+  // Anchor on the instance's own t_0 (a TimeGrid with cmax_estimate ==
+  // tmin puts t_0 at exactly tmin), then mix the anchor's absolute bucket
+  // in so globally rescaled instances do not alias.
+  const double anchor = instance.tmin();
+  h = mix(h, static_cast<std::uint64_t>(scratch.quantize(anchor)));
 
   scratch.task_hashes.clear();
   for (int t = 0; t < n; ++t) {
@@ -58,11 +121,9 @@ InstanceSignature canonical_signature(const Instance& instance,
                            static_cast<std::uint64_t>(task.min_procs()));
     th = mix(th, static_cast<std::uint64_t>(task.max_procs()));
     // Weight is a free scale (no tmin relation): bucket it absolutely.
-    th = mix(th, static_cast<std::uint64_t>(
-                     quantize(task.weight(), 1.0, quantize_steps)));
-    for (int k = 1; k <= task.max_procs(); ++k) {
-      th = mix(th, static_cast<std::uint64_t>(
-                       quantize(task.time(k), anchor, quantize_steps)));
+    th = mix(th, static_cast<std::uint64_t>(scratch.quantize(task.weight())));
+    for (const double v : task.times()) {
+      th = mix(th, static_cast<std::uint64_t>(scratch.quantize(v / anchor)));
     }
     scratch.task_hashes.push_back(th);
   }
@@ -81,9 +142,7 @@ DecisionCache::DecisionCache(DecisionCacheOptions options)
   if (options_.shards < 1) {
     throw std::invalid_argument("DecisionCache: shards < 1");
   }
-  if (options_.quantize_steps < 1) {
-    throw std::invalid_argument("DecisionCache: quantize_steps < 1");
-  }
+  check_quantize_steps(options_.quantize_steps, "DecisionCache");
   const std::size_t shard_count =
       std::min(static_cast<std::size_t>(options_.shards), options_.capacity);
   shards_.reserve(shard_count);

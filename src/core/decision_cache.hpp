@@ -14,7 +14,10 @@
 ///     with every positive magnitude quantized onto the paper's geometric
 ///     grid (`TimeGrid`, anchored at the instance's own t_0 so the
 ///     signature is scale-aware): `quantize_steps` sub-steps per grid
-///     doubling. Per-task hashes are sorted before mixing, so the
+///     doubling, bounded by the thresholds 2^(i/quantize_steps). The
+///     bucket is read from the value's binary exponent plus a threshold
+///     table held in `SignatureScratch`, so the pass makes no
+///     transcendental call. Per-task hashes are sorted before mixing, so the
 ///     signature is invariant under task permutation and under
 ///     resubmission of the same shape, while perturbations beyond one
 ///     quantization sub-step (or any processor-count change) produce a
@@ -79,15 +82,50 @@ struct InstanceSignature {
   }
 };
 
-/// Reusable scratch for canonical_signature (per-task hash buffer); pool
-/// one per strand and the pass is allocation-free once warm.
+/// Largest accepted `quantize_steps`: the quantizer's threshold table
+/// holds steps + 1 doubles, and buckets finer than 2^(1/65536) (a relative
+/// width of 1e-5) distinguish nothing a timing model can.
+inline constexpr int kMaxQuantizeSteps = 1 << 16;
+
+/// Reusable scratch for canonical_signature: the per-task hash buffer and
+/// the quantizer's tables. Pool one per strand and the pass is
+/// allocation-free once warm; the tables are rebuilt only when the step
+/// count changes.
 struct SignatureScratch {
   std::vector<std::uint64_t> task_hashes;
+
+  /// Sub-step bucket of a ratio r > 0 with `steps` sub-steps per doubling,
+  /// computed without a logarithm: for r = 2^e * f with f in [1, 2) it is
+  /// e * steps + i, where i is the largest index with threshold
+  /// 2^(i/steps) <= f (thresholds i = 0..steps, the last pinned at 2.0).
+  /// That is floor(log2(r) * steps) except where rounding at a threshold
+  /// differs. Defined for every non-negative double: subnormal r is
+  /// renormalized exactly, r == 0 (an underflowed ratio) maps to INT64_MIN
+  /// and r == +inf (an overflowed one) to INT64_MAX. Throws
+  /// std::invalid_argument unless 1 <= steps <= kMaxQuantizeSteps.
+  [[nodiscard]] std::int64_t bucket(double ratio, int steps);
+
+ private:
+  friend InstanceSignature canonical_signature(const Instance& instance,
+                                               int quantize_steps,
+                                               SignatureScratch& scratch);
+
+  /// Rebuild the tables for `steps` unless they already match.
+  void prepare(int steps);
+  /// bucket() against prepared tables.
+  [[nodiscard]] std::int64_t quantize(double ratio) const noexcept;
+
+  int steps_ = 0;
+  /// 2^(i/steps) for i = 0..steps, thresholds_[steps] pinned at 2.0.
+  std::vector<double> thresholds_;
+  /// cells_[c]: largest i with thresholds_[i] <= 1 + c/1024, the starting
+  /// point of the walk for a mantissa whose top ten fraction bits are c.
+  std::vector<int> cells_;
 };
 
 /// Compute the canonical signature of `instance` with `quantize_steps`
 /// sub-steps per geometric-grid doubling (see the file comment). Throws
-/// std::invalid_argument when quantize_steps < 1.
+/// std::invalid_argument unless 1 <= quantize_steps <= kMaxQuantizeSteps.
 [[nodiscard]] InstanceSignature canonical_signature(const Instance& instance,
                                                     int quantize_steps,
                                                     SignatureScratch& scratch);
@@ -99,8 +137,9 @@ struct DecisionCacheOptions {
   /// Lock shards (>= 1; clamped to capacity so every shard owns at least
   /// one record). Signature hash picks the shard.
   int shards = 8;
-  /// Sub-steps per grid doubling for canonical_signature. Larger = finer
-  /// buckets (fewer shapes share a signature); exactness is unaffected.
+  /// Sub-steps per grid doubling for canonical_signature, in
+  /// [1, kMaxQuantizeSteps]. Larger = finer buckets (fewer shapes share a
+  /// signature); exactness is unaffected.
   int quantize_steps = 32;
 };
 
@@ -118,7 +157,7 @@ struct DecisionCacheStats {
 class DecisionCache {
  public:
   /// Throws std::invalid_argument on capacity < 1, shards < 1, or
-  /// quantize_steps < 1.
+  /// quantize_steps outside [1, kMaxQuantizeSteps].
   explicit DecisionCache(DecisionCacheOptions options = {});
 
   DecisionCache(const DecisionCache&) = delete;

@@ -354,7 +354,7 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   // 1. Dual-approximation makespan estimate and the geometric grid.
   estimate_cmax_into(instance, options.dual_eps, ws.tables, ws.dual,
                      ws.estimate);
-  const TimeGrid grid(ws.estimate.estimate, instance.tmin());
+  const TimeGrid grid(ws.estimate.estimate, ws.tables.tmin());
 
   out_diag.cmax_estimate = ws.estimate.estimate;
   out_diag.cmax_lower_bound = ws.estimate.lower_bound;

@@ -26,6 +26,23 @@ double combinatorial_lower_bound(const Instance& instance) {
   return lb;
 }
 
+/// combinatorial_lower_bound read off the tables instead of rescanning
+/// every time vector: a row's first time is the task's min_time(), and the
+/// min-work k of its last row gives min_work() as the same k * time(k).
+/// Same doubles, summed in the same task order.
+double combinatorial_lower_bound(const Instance& instance,
+                                 const InstanceAllotments& tables) {
+  double total_min_work = 0.0;
+  double longest = 0.0;
+  for (int t = 0; t < instance.num_tasks(); ++t) {
+    const InstanceAllotments::View row = tables.table(t);
+    const int k = row.min_work_k_at(row.size() - 1);
+    total_min_work += k * instance.task(t).times().data()[k - 1];
+    longest = std::max(longest, row.time_at(0));
+  }
+  return std::max(total_min_work / instance.procs(), longest);
+}
+
 }  // namespace
 
 void estimate_cmax_into(const Instance& instance, double rel_eps,
@@ -47,7 +64,7 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
     return ws.scratch;
   };
 
-  const double lb = combinatorial_lower_bound(instance);
+  const double lb = combinatorial_lower_bound(instance, tables);
   out.lower_bound = lb;
 
   // If the dual test already accepts the combinatorial bound, it is also

@@ -1,6 +1,7 @@
 #include "tasks/allotment_table.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace moldsched {
 
@@ -90,32 +91,64 @@ void InstanceAllotments::build(const Instance& instance) {
 
   for (int t = 0; t < n; ++t) {
     const MoldableTask& task = instance.task(t);
+    // tv[k - 1] is time(k); k >= 1 throughout, so no index goes below 0.
+    const double* tv = task.times().data();
     const int lo = task.min_procs();
+    const int hi = task.max_procs();
     const int base = begin_[static_cast<std::size_t>(t)];
     const int count = begin_[static_cast<std::size_t>(t) + 1] - base;
 
-    // Same sort and prefix scans as AllotmentTable, writing into the shared
-    // pools; order_ is reused scratch.
-    order_.resize(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) order_[static_cast<std::size_t>(i)] = lo + i;
-    std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-      const double ta = task.time(a);
-      const double tb = task.time(b);
-      if (ta != tb) return ta < tb;
-      return a < b;
-    });
+    // One pass for both flags: the comparisons of is_time_monotone(0.0)
+    // and is_work_monotone(0.0) (a zero tolerance adds nothing).
+    bool time_monotone = true;
+    bool work_monotone = true;
+    for (int k = lo + 1; k <= hi; ++k) {
+      if (tv[k - 1] > tv[k - 2]) time_monotone = false;
+      if (k * tv[k - 1] < (k - 1) * tv[k - 2]) work_monotone = false;
+    }
+    monotone_[static_cast<std::size_t>(t)] =
+        (time_monotone && work_monotone) ? 1 : 0;
 
+    // Allotments in (time asc, k asc) order, as AllotmentTable sorts them;
+    // order_ is reused scratch.
+    order_.resize(static_cast<std::size_t>(count));
+    if (time_monotone) {
+      // Times never rise with k, so descending k is already ascending time
+      // and ties form contiguous plateaus: emit each plateau in ascending
+      // k, highest plateau (smallest time) first.
+      int i = 0;
+      for (int k = hi; k >= lo;) {
+        int first = k;
+        while (first > lo && tv[first - 2] == tv[k - 1]) --first;
+        for (int j = first; j <= k; ++j) {
+          order_[static_cast<std::size_t>(i++)] = j;
+        }
+        k = first - 1;
+      }
+    } else {
+      for (int i = 0; i < count; ++i) {
+        order_[static_cast<std::size_t>(i)] = lo + i;
+      }
+      std::sort(order_.begin(), order_.end(), [tv](int a, int b) {
+        const double ta = tv[a - 1];
+        const double tb = tv[b - 1];
+        if (ta != tb) return ta < tb;
+        return a < b;
+      });
+    }
+
+    // Same prefix scans as AllotmentTable, writing into the shared pools.
     double* times = times_.data() + base;
     int* min_k = min_k_.data() + base;
     int* min_work_k = min_work_k_.data() + base;
     int best_k = order_[0];
     int best_work_k = order_[0];
-    double best_work = best_work_k * task.time(best_work_k);
+    double best_work = best_work_k * tv[best_work_k - 1];
     for (int i = 0; i < count; ++i) {
       const int k = order_[static_cast<std::size_t>(i)];
-      times[i] = task.time(k);
+      times[i] = tv[k - 1];
       best_k = std::min(best_k, k);
-      const double w = k * task.time(k);
+      const double w = k * tv[k - 1];
       if (w < best_work || (w == best_work && k < best_work_k)) {
         best_work = w;
         best_work_k = k;
@@ -123,10 +156,16 @@ void InstanceAllotments::build(const Instance& instance) {
       min_k[i] = best_k;
       min_work_k[i] = best_work_k;
     }
-
-    monotone_[static_cast<std::size_t>(t)] =
-        (task.is_time_monotone(0.0) && task.is_work_monotone(0.0)) ? 1 : 0;
   }
+}
+
+double InstanceAllotments::tmin() const noexcept {
+  // Each row's first entry is its task's fastest allowed time.
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < monotone_.size(); ++t) {
+    best = std::min(best, times_[static_cast<std::size_t>(begin_[t])]);
+  }
+  return best;
 }
 
 }  // namespace moldsched

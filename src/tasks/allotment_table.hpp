@@ -4,10 +4,16 @@
 /// questions for varying deadlines — "smallest allowed k with
 /// time(k) <= d" (the canonical allotment) and "work-minimising allowed k
 /// with time(k) <= d" — and the task's answers depend only on its fixed
-/// time vector. Sorting the allotments once by execution time and
+/// time vector. Ordering the allotments once by execution time and
 /// attaching prefix argmins turns both queries into O(log max_procs)
 /// lookups, replacing the O(max_procs) scans that used to run inside every
 /// dual_test call and every batch construction.
+///
+/// InstanceAllotments::build is one O(max_procs) pass per time-monotone
+/// task (every generator family's tasks are): descending k is already
+/// ascending time, so the order is read off the time vector plateau by
+/// plateau. Only a task whose time rises somewhere falls through to a
+/// comparison sort.
 ///
 /// The tables reproduce MoldableTask::canonical_allotment and
 /// ::min_work_allotment bit-for-bit (same comparisons, same tie-breaks), so
@@ -121,6 +127,10 @@ class InstanceAllotments {
   /// free once the buffers have grown to the workload's high-water mark.
   void build(const Instance& instance);
 
+  /// Instance::tmin() of the built instance, read off the rows' first
+  /// entries (same doubles, same min). Requires at least one task.
+  [[nodiscard]] double tmin() const noexcept;
+
   [[nodiscard]] View table(int task) const noexcept {
     const auto t = static_cast<std::size_t>(task);
     const int b = begin_[t];
@@ -137,7 +147,7 @@ class InstanceAllotments {
   std::vector<int> min_k_;         ///< prefix argmin-k per row
   std::vector<int> min_work_k_;    ///< prefix min-work-k per row
   std::vector<std::uint8_t> monotone_;
-  std::vector<int> order_;         ///< build scratch: allotment sort keys
+  std::vector<int> order_;         ///< build scratch: (time, k) order
 };
 
 }  // namespace moldsched

@@ -16,7 +16,8 @@ namespace moldsched {
 
 class TimeGrid {
  public:
-  /// Throws std::invalid_argument unless 0 < tmin and 0 < cmax_estimate.
+  /// Throws std::invalid_argument unless 0 < tmin, 0 < cmax_estimate and
+  /// cmax_estimate / tmin is finite.
   TimeGrid(double cmax_estimate, double tmin);
 
   /// Number of paper batches minus one: batches run j = 0..K (and beyond).

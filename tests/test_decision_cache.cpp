@@ -16,8 +16,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/decision_cache.hpp"
@@ -57,6 +59,13 @@ Instance copy_instance(const Instance& src) {
 }
 
 /// Copy with the tasks appended in `order` (a permutation of 0..n-1).
+/// Step counts the quantizer treats differently: one threshold per
+/// doubling, a few, the default, and more thresholds than table cells.
+const std::vector<int>& quantizer_step_counts() {
+  static const std::vector<int> kSteps{1, 7, 32, 1000};
+  return kSteps;
+}
+
 Instance permuted_instance(const Instance& src, const std::vector<int>& order) {
   Instance out(src.procs());
   for (const int t : order) {
@@ -550,50 +559,58 @@ TEST(Canonical, DuplicateResubmissionInvariant) {
 
 TEST(Canonical, DistinctUnderWorkPerturbationFuzz) {
   // Scaling any one processing time by >= one full grid sub-step must
-  // change the signature (2^(3/32) =~ 6.7% — three sub-steps, so even a
-  // value sitting right at a bucket edge lands in a different bucket).
-  Rng rng(0xFEED);
-  const std::vector<WorkloadFamily> families = {
-      WorkloadFamily::WeaklyParallel, WorkloadFamily::Cirne,
-      WorkloadFamily::HighlyParallel, WorkloadFamily::Mixed};
-  SignatureScratch scratch;
-  for (int i = 0; i < 500; ++i) {
-    const int n = 2 + static_cast<int>(rng.uniform_int(0, 8));
-    const int m = 2 + static_cast<int>(rng.uniform_int(0, 10));
-    const Instance instance = generate_instance(
-        families[static_cast<std::size_t>(i) % families.size()], n, m, rng);
-    const int victim = static_cast<int>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    Instance perturbed(instance.procs());
-    for (int t = 0; t < instance.num_tasks(); ++t) {
-      const MoldableTask& task = instance.task(t);
-      std::vector<double> times = task.times();
-      if (t == victim) {
-        for (double& v : times) v *= std::exp2(3.0 / 32.0);
+  // change the signature (2^(3/steps), 6.7% at 32 — three sub-steps, so
+  // even a value sitting right at a bucket edge lands in a different
+  // bucket). Run for every step count the quantizer treats differently:
+  // one threshold, a few, the default, and more thresholds than cells.
+  for (const int steps : quantizer_step_counts()) {
+    Rng rng(0xFEED);
+    const std::vector<WorkloadFamily> families = {
+        WorkloadFamily::WeaklyParallel, WorkloadFamily::Cirne,
+        WorkloadFamily::HighlyParallel, WorkloadFamily::Mixed};
+    SignatureScratch scratch;
+    for (int i = 0; i < 500; ++i) {
+      const int n = 2 + static_cast<int>(rng.uniform_int(0, 8));
+      const int m = 2 + static_cast<int>(rng.uniform_int(0, 10));
+      const Instance instance = generate_instance(
+          families[static_cast<std::size_t>(i) % families.size()], n, m,
+          rng);
+      const int victim = static_cast<int>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      Instance perturbed(instance.procs());
+      for (int t = 0; t < instance.num_tasks(); ++t) {
+        const MoldableTask& task = instance.task(t);
+        std::vector<double> times = task.times();
+        if (t == victim) {
+          for (double& v : times) v *= std::exp2(3.0 / steps);
+        }
+        perturbed.add_task(
+            MoldableTask(times, task.weight(), task.min_procs()));
       }
-      perturbed.add_task(
-          MoldableTask(times, task.weight(), task.min_procs()));
+      EXPECT_NE(canonical_signature(instance, steps, scratch).hash,
+                canonical_signature(perturbed, steps, scratch).hash)
+          << "steps " << steps << " instance " << i;
     }
-    EXPECT_NE(canonical_signature(instance, 32, scratch).hash,
-              canonical_signature(perturbed, 32, scratch).hash)
-        << "instance " << i;
   }
 }
 
 TEST(Canonical, DistinctUnderWeightPerturbation) {
-  const auto instances = make_instances(100, 8, 8, 777);
-  SignatureScratch scratch;
-  for (const Instance& instance : instances) {
-    Instance perturbed(instance.procs());
-    for (int t = 0; t < instance.num_tasks(); ++t) {
-      const MoldableTask& task = instance.task(t);
-      const double weight =
-          t == 0 ? task.weight() * std::exp2(3.0 / 32.0) : task.weight();
-      perturbed.add_task(
-          MoldableTask(task.times(), weight, task.min_procs()));
+  for (const int steps : quantizer_step_counts()) {
+    const auto instances = make_instances(100, 8, 8, 777);
+    SignatureScratch scratch;
+    for (const Instance& instance : instances) {
+      Instance perturbed(instance.procs());
+      for (int t = 0; t < instance.num_tasks(); ++t) {
+        const MoldableTask& task = instance.task(t);
+        const double weight =
+            t == 0 ? task.weight() * std::exp2(3.0 / steps) : task.weight();
+        perturbed.add_task(
+            MoldableTask(task.times(), weight, task.min_procs()));
+      }
+      EXPECT_NE(canonical_signature(instance, steps, scratch).hash,
+                canonical_signature(perturbed, steps, scratch).hash)
+          << "steps " << steps;
     }
-    EXPECT_NE(canonical_signature(instance, 32, scratch).hash,
-              canonical_signature(perturbed, 32, scratch).hash);
   }
 }
 
@@ -629,29 +646,121 @@ TEST(Canonical, InvariantWithinOneQuantizationSubStep) {
   // sub-step must leave the signature unchanged in both directions. The
   // anchor task (pure tmin) is left untouched so the grid itself cannot
   // move.
-  const int steps = 32;
-  std::vector<std::uint64_t> hashes;
-  for (const double jitter : {1.0, std::exp2(0.2 / steps),
-                              std::exp2(-0.2 / steps)}) {
-    Instance instance(4);
-    // Anchor: tmin task, itself mid-bucket on the absolute grid.
-    const double tmin = std::exp2((10.0 + 0.5) / steps);
-    instance.add_task(MoldableTask({4 * tmin, 2 * tmin, 1.5 * tmin, tmin},
-                                   std::exp2(0.5 / steps), 1));
-    // Every other magnitude mid-bucket relative to tmin, then jittered.
-    for (int b : {3, 7, 19}) {
-      std::vector<double> times;
-      for (int k = 0; k < 4; ++k) {
-        times.push_back(tmin * std::exp2((b + 4 - k + 0.5) / steps) * jitter);
+  for (const int steps : quantizer_step_counts()) {
+    std::vector<std::uint64_t> hashes;
+    for (const double jitter : {1.0, std::exp2(0.2 / steps),
+                                std::exp2(-0.2 / steps)}) {
+      Instance instance(4);
+      // Anchor: tmin task, itself mid-bucket on the absolute grid.
+      const double tmin = std::exp2((10.0 + 0.5) / steps);
+      instance.add_task(MoldableTask({4 * tmin, 2 * tmin, 1.5 * tmin, tmin},
+                                     std::exp2(0.5 / steps), 1));
+      // Every other magnitude mid-bucket relative to tmin, then jittered.
+      for (int b : {3, 7, 19}) {
+        std::vector<double> times;
+        for (int k = 0; k < 4; ++k) {
+          times.push_back(tmin * std::exp2((b + 4 - k + 0.5) / steps) *
+                          jitter);
+        }
+        instance.add_task(MoldableTask(
+            times, std::exp2((b + 0.5) / steps) * jitter, 1));
       }
-      instance.add_task(MoldableTask(
-          times, std::exp2((b + 0.5) / steps) * jitter, 1));
+      SignatureScratch scratch;
+      hashes.push_back(canonical_signature(instance, steps, scratch).hash);
     }
-    SignatureScratch scratch;
-    hashes.push_back(canonical_signature(instance, steps, scratch).hash);
+    EXPECT_EQ(hashes[1], hashes[0]) << "steps " << steps;
+    EXPECT_EQ(hashes[2], hashes[0]) << "steps " << steps;
   }
-  EXPECT_EQ(hashes[1], hashes[0]);
-  EXPECT_EQ(hashes[2], hashes[0]);
+}
+
+TEST(Canonical, MidBucketIndexMatchesFloorLog2) {
+  // At the center of a bucket the log-free quantizer must agree with
+  // floor(log2(r) * steps): over several doublings around 1, and at the
+  // far ends of the exponent range.
+  SignatureScratch scratch;
+  for (const int steps : quantizer_step_counts()) {
+    for (const int e : {-1000, -40, -3, -1, 0, 1, 2, 5, 40, 1000}) {
+      for (int i = 0; i < steps; i += std::max(1, steps / 97)) {
+        const double r = std::exp2(e + (i + 0.5) / steps);
+        const auto expected =
+            static_cast<std::int64_t>(std::floor(std::log2(r) * steps));
+        EXPECT_EQ(expected, static_cast<std::int64_t>(e) * steps + i);
+        EXPECT_EQ(scratch.bucket(r, steps), expected)
+            << "steps " << steps << " r " << r;
+      }
+    }
+    // Powers of two sit exactly on a threshold: the bucket starts there.
+    EXPECT_EQ(scratch.bucket(1.0, steps), 0);
+    EXPECT_EQ(scratch.bucket(2.0, steps), steps);
+    EXPECT_EQ(scratch.bucket(0.25, steps), -2 * steps);
+    // Subnormal ratios are renormalized exactly.
+    EXPECT_EQ(scratch.bucket(0x1p-1070, steps),
+              static_cast<std::int64_t>(-1070) * steps);
+    EXPECT_EQ(scratch.bucket(std::numeric_limits<double>::denorm_min(), steps),
+              static_cast<std::int64_t>(-1074) * steps);
+    // Buckets never decrease with the ratio.
+    double prev = 1.0;
+    for (int j = 1; j <= 4 * steps; ++j) {
+      const double r = prev * std::exp2(0.37 / steps);
+      EXPECT_LE(scratch.bucket(prev, steps), scratch.bucket(r, steps));
+      prev = r;
+    }
+  }
+}
+
+TEST(Canonical, QuantizeStepsOutOfRangeThrows) {
+  SignatureScratch scratch;
+  Instance one(4);
+  one.add_task(MoldableTask({4.0, 2.0, 1.5, 1.0}, 1.0, 1));
+  EXPECT_THROW((void)scratch.bucket(1.0, 0), std::invalid_argument);
+  EXPECT_THROW((void)scratch.bucket(1.0, kMaxQuantizeSteps + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)canonical_signature(one, kMaxQuantizeSteps + 1, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(DecisionCache(DecisionCacheOptions{16, 2,
+                                                  kMaxQuantizeSteps + 1}),
+               std::invalid_argument);
+  // The bound itself is accepted, and a rejected call leaves the scratch
+  // usable.
+  EXPECT_EQ(scratch.bucket(2.0, kMaxQuantizeSteps), kMaxQuantizeSteps);
+  SignatureScratch fresh;
+  EXPECT_EQ(canonical_signature(one, 32, scratch).hash,
+            canonical_signature(one, 32, fresh).hash);
+}
+
+TEST(Canonical, ExtremeTimeRatioIsDefined) {
+  // Ratios to the anchor that overflow to +inf or underflow to 0 (and
+  // subnormal magnitudes) must land in defined buckets: no float-to-int
+  // cast of an infinity, stable across calls, scratch objects and task
+  // order.
+  Instance instance(2);
+  instance.add_task(MoldableTask({1e-300}, 1.0, 1));
+  instance.add_task(MoldableTask({1e300, 1e299}, 1.0, 1));  // ratio = inf
+  instance.add_task(MoldableTask({5e-324, 1e300}, 1e-310, 1));
+  Instance reversed(2);
+  for (int t = instance.num_tasks() - 1; t >= 0; --t) {
+    const MoldableTask& task = instance.task(t);
+    reversed.add_task(MoldableTask(task.times(), task.weight(),
+                                   task.min_procs()));
+  }
+  // min_procs hides a time far below the anchor: ratio underflows to 0.
+  Instance underflow(2);
+  underflow.add_task(MoldableTask({1e-300, 1e300}, 1.0, 2));
+  for (const int steps : quantizer_step_counts()) {
+    SignatureScratch a, b;
+    EXPECT_EQ(canonical_signature(instance, steps, a).hash,
+              canonical_signature(instance, steps, b).hash);
+    EXPECT_EQ(canonical_signature(instance, steps, a).hash,
+              canonical_signature(reversed, steps, b).hash);
+    EXPECT_EQ(canonical_signature(underflow, steps, a).hash,
+              canonical_signature(underflow, steps, b).hash);
+    EXPECT_NE(canonical_signature(instance, steps, a).hash,
+              canonical_signature(underflow, steps, a).hash);
+  }
+  SignatureScratch scratch;
+  EXPECT_EQ(scratch.bucket(std::numeric_limits<double>::infinity(), 32),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(scratch.bucket(0.0, 32), std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Canonical, EmptyAndTrivialInstances) {

@@ -276,23 +276,32 @@ TEST(DemtKernel, KnapsackWorkspaceReuseAcrossShapes) {
 
 // ----------------------------------------------------- SoA allotment rows
 
+/// Every row of `tables` against a fresh scalar AllotmentTable per task,
+/// plus the rows-derived tmin against the instance's own scan.
+void expect_rows_match_scalar(const Instance& instance,
+                              const InstanceAllotments& tables) {
+  ASSERT_EQ(tables.num_tasks(), instance.num_tasks());
+  for (int t = 0; t < instance.num_tasks(); ++t) {
+    const AllotmentTable ref(instance.task(t));
+    const InstanceAllotments::View view = tables.table(t);
+    ASSERT_EQ(view.size(), ref.size()) << "task " << t;
+    EXPECT_EQ(view.strictly_monotone(), ref.strictly_monotone())
+        << "task " << t;
+    for (int i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(view.time_at(i), ref.time_at(i)) << "t=" << t << " i=" << i;
+      EXPECT_EQ(view.min_k_at(i), ref.min_k_at(i)) << "t=" << t << " i=" << i;
+      EXPECT_EQ(view.min_work_k_at(i), ref.min_work_k_at(i))
+          << "t=" << t << " i=" << i;
+    }
+  }
+  EXPECT_EQ(tables.tmin(), instance.tmin());
+}
+
 TEST(DemtKernel, AllotmentViewMatchesScalarTableRows) {
   Rng rng(0xB1);
   for (int m : machine_sizes()) {
     const Instance instance = make_mix_instance(Mix::Moldable, 30, m, rng);
-    const InstanceAllotments tables(instance);
-    ASSERT_EQ(tables.num_tasks(), instance.num_tasks());
-    for (int t = 0; t < instance.num_tasks(); ++t) {
-      const AllotmentTable ref(instance.task(t));
-      const InstanceAllotments::View view = tables.table(t);
-      ASSERT_EQ(view.size(), ref.size()) << "task " << t;
-      EXPECT_EQ(view.strictly_monotone(), ref.strictly_monotone());
-      for (int i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(view.time_at(i), ref.time_at(i)) << "t=" << t << " i=" << i;
-        EXPECT_EQ(view.min_k_at(i), ref.min_k_at(i));
-        EXPECT_EQ(view.min_work_k_at(i), ref.min_work_k_at(i));
-      }
-    }
+    expect_rows_match_scalar(instance, InstanceAllotments(instance));
   }
 }
 
@@ -371,6 +380,104 @@ TEST(DemtKernel, AllotmentBuildReuseBitIdentical) {
       }
     }
   }
+}
+
+/// Hand-built rows for the order fill: equal-time plateaus at the start,
+/// middle and end, a fully flat task, a time-monotone task whose work
+/// dips, non-monotone tasks (sort fall-through), each also with
+/// min_procs > 1.
+Instance plateau_instance() {
+  const std::vector<std::vector<double>> rows = {
+      {5, 5, 5, 3, 2, 1},         // plateau at the start
+      {6, 4, 4, 4, 2, 1},         // plateau in the middle
+      {6, 4, 3, 1, 1, 1},         // plateau at the end
+      {4, 4, 2, 2, 1, 1},         // back-to-back plateaus
+      {2, 2, 2, 2, 2, 2},         // fully flat
+      {10, 4, 3, 1},              // time-monotone, work dips at k = 2, 4
+      {8, 3, 3, 3, 0.5},          // time-monotone, work dips, plateau
+      {5, 3, 4, 2, 2, 6},         // non-monotone with a tie
+      {1, 2, 3, 4, 5, 6},         // time rising throughout
+      {3, 1, 3, 1, 3, 1},         // alternating ties
+  };
+  Instance instance(6);
+  for (const auto& row : rows) {
+    for (int min_procs = 1; min_procs <= static_cast<int>(row.size());
+         ++min_procs) {
+      instance.add_task(MoldableTask(row, 1.0 + min_procs, min_procs));
+    }
+  }
+  return instance;
+}
+
+/// Random rows drawn to hit ties: time-monotone ones repeat the previous
+/// time with probability 0.4, the others draw from four values only.
+Instance tie_heavy_instance(Rng& rng, int n, int m) {
+  Instance instance(m);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> times;
+    const bool monotone = i % 2 == 0;
+    double t = rng.uniform(1.0, 100.0);
+    for (int k = 1; k <= m; ++k) {
+      if (monotone) {
+        if (k > 1 && !rng.bernoulli(0.4)) t *= rng.uniform(0.5, 1.0);
+      } else {
+        t = static_cast<double>(rng.uniform_int(1, 4));
+      }
+      times.push_back(t);
+    }
+    const int min_procs = static_cast<int>(rng.uniform_int(1, m));
+    instance.add_task(MoldableTask(std::move(times), 1.0, min_procs));
+  }
+  return instance;
+}
+
+TEST(DemtKernel, AllotmentOrderFillMatchesScalarTableFuzz) {
+  // The order fill reads time-monotone rows off the time vector and sorts
+  // only the rest; both must reproduce the sort-based AllotmentTable on
+  // every row, and one pooled object must rebuild across all of it.
+  Rng rng(0xB5);
+  std::vector<Instance> instances;
+  for (WorkloadFamily family : all_families()) {
+    for (int m : machine_sizes()) {
+      instances.push_back(generate_instance(family, 20, m, rng));
+    }
+  }
+  for (int mix = 0; mix < 3; ++mix) {
+    for (int m : machine_sizes()) {
+      instances.push_back(
+          make_mix_instance(static_cast<Mix>(mix), 20, m, rng));
+    }
+  }
+  instances.push_back(plateau_instance());
+  for (int m : machine_sizes()) {
+    for (int round = 0; round < 4; ++round) {
+      instances.push_back(tie_heavy_instance(rng, 24, m));
+    }
+  }
+
+  int fall_through = 0;
+  int order_fill_with_ties = 0;
+  InstanceAllotments pooled;
+  for (const Instance& instance : instances) {
+    expect_rows_match_scalar(instance, InstanceAllotments(instance));
+    pooled.build(instance);
+    expect_rows_match_scalar(instance, pooled);
+    for (const MoldableTask& task : instance.tasks()) {
+      if (!task.is_time_monotone(0.0)) {
+        ++fall_through;
+        continue;
+      }
+      for (int k = task.min_procs() + 1; k <= task.max_procs(); ++k) {
+        if (task.time(k) == task.time(k - 1)) {
+          ++order_fill_with_ties;
+          break;
+        }
+      }
+    }
+  }
+  // Both branches and the plateau handling actually ran.
+  EXPECT_GT(fall_through, 50);
+  EXPECT_GT(order_fill_with_ties, 50);
 }
 
 // ------------------------------------------------------- dual-test kernel

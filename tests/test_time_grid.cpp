@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "core/demt.hpp"
 
 namespace moldsched {
 namespace {
@@ -70,6 +73,33 @@ TEST(TimeGrid, Validation) {
   EXPECT_THROW(TimeGrid(-1.0, 1.0), std::invalid_argument);
   TimeGrid grid(4.0, 1.0);
   EXPECT_THROW(grid.t(-1), std::invalid_argument);
+}
+
+TEST(TimeGrid, NonFiniteRatioThrows) {
+  // cmax / tmin overflowing to +inf used to reach a float-to-int cast of
+  // floor(log2(inf)); it is rejected instead.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TimeGrid(1e300, 1e-300), std::invalid_argument);
+  EXPECT_THROW(TimeGrid(std::numeric_limits<double>::max(),
+                        std::numeric_limits<double>::min()),
+               std::invalid_argument);
+  EXPECT_THROW(TimeGrid(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(TimeGrid(inf, inf), std::invalid_argument);
+  // The widest finite ratios stay well formed at both ends.
+  EXPECT_EQ(TimeGrid(1e300, 1e-7).K(),
+            static_cast<int>(std::floor(std::log2(1e307))));
+  const TimeGrid underflow(1e-300, 1e300);  // ratio underflows to 0
+  EXPECT_EQ(underflow.K(), 0);
+  EXPECT_EQ(underflow.t(0), 1e-300);
+}
+
+TEST(TimeGrid, DemtRejectsOverflowingTimeRatio) {
+  // DEMT sizes its batch loop from the grid built on (C*max estimate,
+  // tmin); a ratio past the double range now stops it at the grid.
+  Instance instance(2);
+  instance.add_task(MoldableTask({1e-300}, 1.0, 1));
+  instance.add_task(MoldableTask({1e300, 1e299}, 1.0, 1));
+  EXPECT_THROW((void)demt_schedule(instance), std::invalid_argument);
 }
 
 }  // namespace
