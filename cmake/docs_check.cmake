@@ -185,8 +185,7 @@ if(NOT EXISTS "${benchmarks_md}")
   message(FATAL_ERROR "docs_check: ${benchmarks_md} does not exist")
 endif()
 file(READ "${benchmarks_md}" benchmarks_text)
-foreach(report BENCH_demt.json BENCH_demt_micro.json BENCH_engine.json
-        BENCH_serve.json BENCH_online.json BENCH_trace.json)
+foreach(report BENCH_demt.json BENCH_demt_micro.json BENCH_serve.json)
   string(FIND "${benchmarks_text}" "${report}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         "                  (demt) lane                      [4]\n"
         "  --seed S        RNG seed                         [1]\n"
         "Architecture and contracts: docs/SERVING.md; measured numbers:\n"
-        "bench/serve_throughput (BENCH_serve.json, docs/BENCHMARKS.md).\n");
+        "perfbench/ (the repository benchmark).\n");
     return 0;
   }
   const int num_requests = static_cast<int>(args.get_int("requests", 200));

@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
         "  --workers K    engine strands (0 = all pool) [0]\n"
         "  --algorithm A  demt | flatlist               [demt]\n"
         "  --seed S       RNG seed                      [1]\n"
-        "No JSON output; see bench/engine_throughput for the measured "
-        "BENCH_engine.json report.\n");
+        "No JSON output; perfbench/ measures the serving stack.\n");
     return 0;
   }
   const int ticks = static_cast<int>(args.get_int("ticks", 10));

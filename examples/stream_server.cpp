@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
         "  --moldable     compile trace jobs as moldable Downey tasks\n"
         "Streaming lifecycle and contracts: docs/ONLINE.md; trace\n"
         "format and scaling knobs: docs/TRACES.md; measured numbers:\n"
-        "bench/online_stream (BENCH_online.json, docs/BENCHMARKS.md).\n");
+        "perfbench/ (the repository benchmark).\n");
     return 0;
   }
   const int num_streams = static_cast<int>(args.get_int("streams", 4));

@@ -31,19 +31,18 @@
 ///     CLOCK (second-chance) eviction hand per shard; records are pooled,
 ///     so an eviction recycles the record's buffers in place and a warm
 ///     hit performs **zero heap allocations** (gated by
-///     `serve_throughput --zipf`).
+///     Alloc.CacheHitsServeDemtMetricsOnly in tests/alloc/).
 ///
 /// Bit-identity contract: quantization only *buckets* candidates. A hit
 /// is declared only after an exact, in-order comparison of every task
 /// descriptor (weights, min_procs, full time vectors, by `==`) against
 /// the stored instance, and the replayed placements are the cached run's
 /// doubles copied verbatim — so a cache-on run is bit-identical to a
-/// cache-off run (differential suite in tests/test_decision_cache.cpp;
-/// exit-gated by `serve_throughput --zipf`). A *permuted* resubmission of
-/// a cached shape therefore misses exactly once and coexists as its own
-/// record under the same signature: replaying across a permutation could
-/// legally differ from a fresh run when sort keys tie, and bit-identity
-/// wins over hit rate here.
+/// cache-off run (differential suite in tests/test_decision_cache.cpp).
+/// A *permuted* resubmission of a cached shape therefore misses exactly
+/// once and coexists as its own record under the same signature:
+/// replaying across a permutation could legally differ from a fresh run
+/// when sort keys tie, and bit-identity wins over hit rate here.
 ///
 /// Policies opt in through `SchedulingPolicy::cache_key()`: 0 (the
 /// default) means "never cache me", a nonzero key must change whenever

@@ -27,7 +27,7 @@
 /// allocation in steady state. FlatListPolicy and DemtPolicy requests in
 /// metrics-only mode (`keep_schedules == false`) are fully
 /// allocation-free after warm-up (DEMT reuses a pooled per-strand
-/// DemtWorkspace). bench/engine_throughput.cpp gates both.
+/// DemtWorkspace). tests/alloc/ gates both.
 
 #pragma once
 

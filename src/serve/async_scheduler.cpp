@@ -38,6 +38,9 @@ enum StrandState : int { kIdle = 0, kScheduled, kRunning, kRescheduled };
       .count();
 }
 
+/// Largest option time (ms) whose nanosecond count fits an int64.
+constexpr double kMaxOptionMs = 9.2e12;
+
 AsyncOptions validated(AsyncOptions options) {
   if (options.shards <= 0) {
     throw std::invalid_argument("AsyncScheduler: shards <= 0");
@@ -57,6 +60,17 @@ AsyncOptions validated(AsyncOptions options) {
   if (options.retry.base_backoff_ms < 0.0) {
     throw std::invalid_argument("AsyncScheduler: retry.base_backoff_ms < 0");
   }
+  // Every time is converted with llround(ms * 1e6) to int64 nanoseconds;
+  // NaN would also slip past both the <= 0 and the > 0 branches.
+  const auto check_ms = [](double ms, const char* name) {
+    if (!std::isfinite(ms) || std::fabs(ms) > kMaxOptionMs) {
+      throw std::invalid_argument(std::string("AsyncScheduler: ") + name +
+                                  " is not finite or exceeds 9.2e12 ms");
+    }
+  };
+  check_ms(options.flush_after_ms, "flush_after_ms");
+  check_ms(options.watchdog_ms, "watchdog_ms");
+  check_ms(options.retry.base_backoff_ms, "retry.base_backoff_ms");
   return options;
 }
 

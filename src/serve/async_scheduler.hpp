@@ -28,7 +28,7 @@
 /// Allocation contract: after warm-up, the submit → coalesce → dispatch →
 /// poll/take cycle performs zero heap allocations per request on the
 /// metrics-only FlatList path (slot table, MPMC rings, and strand posting
-/// are all pre-allocated; measured by bench/serve_throughput.cpp).
+/// are all pre-allocated; gated by tests/alloc/).
 ///
 /// Streams (paper §5 job mix served live): open_stream pins a streaming
 /// session to one shard; submit_stream enqueues a feed (arrivals +
@@ -39,7 +39,7 @@
 /// queue as one-shot requests, interleaved fairly in arrival order — so
 /// per-stream delivery is ordered and results are bit-identical to the
 /// off-line simulator on the completed arrival list for any shard count
-/// and flush timing (gated by bench/online_stream.cpp).
+/// and flush timing (gated by tests/test_stream_serve.cpp).
 ///
 /// Fault tolerance (serve/fault.hpp): an optional seeded FaultPlan
 /// injects deterministic faults (engine throws, slow batches, shard
@@ -118,7 +118,8 @@ struct AsyncOptions {
   /// Deadline-triggered flush: no accepted request waits in a coalescing
   /// queue longer than about this long before its shard is dispatched,
   /// even when the batch is not full. <= 0 dispatches on every submit
-  /// (lowest latency, smallest batches).
+  /// (lowest latency, smallest batches). Throws std::invalid_argument when
+  /// not finite or beyond 9.2e12 ms (the int64 nanosecond range).
   double flush_after_ms = 1.0;
   /// Admission bound: maximum requests in flight (accepted but not yet
   /// take()n). Stream feeds and closes occupy the same slot table as
@@ -144,13 +145,14 @@ struct AsyncOptions {
   /// Bounded retry with exponential backoff for faulted one-shot batches.
   /// Default (max_attempts == 1) keeps failures final on first attempt.
   /// Throws std::invalid_argument when max_attempts < 1 or
-  /// base_backoff_ms < 0.
+  /// base_backoff_ms is negative, not finite or beyond 9.2e12 ms.
   RetryPolicy retry;
   /// Liveness watchdog: a shard whose strand has been inside a drain for
   /// longer than about this long without a heartbeat is declared failed —
   /// its queued one-shots fail over to surviving shards and its streams
   /// migrate when the stalled strand resumes. <= 0 disables the watchdog.
-  /// Never fails the last alive shard.
+  /// Never fails the last alive shard. Throws std::invalid_argument when
+  /// not finite or beyond 9.2e12 ms.
   double watchdog_ms = 0.0;
   /// Decision cache for recurring workload shapes
   /// (core/decision_cache.hpp), borrowed for the scheduler's whole life

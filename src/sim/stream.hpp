@@ -29,12 +29,12 @@
 /// batch instance, fill scratch, deliveries — keeps its capacity across
 /// open()/feed()/finish() cycles, so a warm stream session (one no larger
 /// than a previous session on the same pooled object) processes arrivals
-/// without any heap allocation (measured per arrival by
-/// bench/online_stream.cpp). Note the flip side: a session retains O(total
-/// arrivals) state for its whole life — result() is the accumulated run —
-/// so memory for a very long-lived stream grows with it and is reclaimed
-/// (as pooled capacity) only at close; compacting delivered prefixes is a
-/// candidate extension (ROADMAP).
+/// without any heap allocation (gated per arrival by
+/// Alloc.StreamArrivalsFlatList in tests/alloc/). Note the flip side: a
+/// session retains O(total arrivals) state for its whole life — result()
+/// is the accumulated run — so memory for a very long-lived stream grows
+/// with it and is reclaimed (as pooled capacity) only at close;
+/// compacting delivered prefixes is a candidate extension (ROADMAP).
 ///
 /// Error contract: feed() validates the watermark and every arrival
 /// *before* mutating any state — a throwing feed leaves the stream exactly

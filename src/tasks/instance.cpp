@@ -97,6 +97,9 @@ Instance Instance::load(std::istream& in) {
   std::size_t n = 0;
   in >> key >> m;
   if (key != "m") throw std::runtime_error("Instance::load: expected 'm'");
+  if (!in || m < 1) {
+    throw std::runtime_error("Instance::load: m missing or < 1");
+  }
   in >> key >> n;
   if (key != "n") throw std::runtime_error("Instance::load: expected 'n'");
   Instance instance(m);
@@ -107,9 +110,23 @@ Instance Instance::load(std::istream& in) {
     if (key != "task" || !in) {
       throw std::runtime_error("Instance::load: bad task record");
     }
-    std::vector<double> times(static_cast<std::size_t>(max_procs));
-    for (auto& t : times) in >> t;
-    if (!in) throw std::runtime_error("Instance::load: truncated task times");
+    if (max_procs < 1 || max_procs > m) {
+      throw std::runtime_error("Instance::load: max_procs outside [1, m]");
+    }
+    if (min_procs < 1 || min_procs > max_procs) {
+      throw std::runtime_error(
+          "Instance::load: min_procs outside [1, max_procs]");
+    }
+    // Grown per value read, so memory follows the input actually present
+    // rather than a count the record claims.
+    std::vector<double> times;
+    for (int k = 0; k < max_procs; ++k) {
+      double t = 0.0;
+      if (!(in >> t)) {
+        throw std::runtime_error("Instance::load: truncated task times");
+      }
+      times.push_back(t);
+    }
     instance.add_task(MoldableTask(std::move(times), weight, min_procs));
   }
   return instance;

@@ -63,6 +63,8 @@ class Instance {
   [[nodiscard]] bool is_monotone(double tol = 1e-9) const noexcept;
 
   /// Plain-text round-trip serialization (format documented in instance.cpp).
+  /// load throws std::runtime_error on malformed input, including m < 1,
+  /// max_procs outside [1, m] and min_procs outside [1, max_procs].
   void save(std::ostream& out) const;
   [[nodiscard]] static Instance load(std::istream& in);
 

@@ -8,13 +8,12 @@
 /// Allocation contract: `open` sizes every per-lane buffer once from the
 /// tape's job count; `record` then appends within capacity — the replay
 /// loop adds one sample per decided job without any heap allocation
-/// (gated by bench/trace_replay.cpp's allocs/arrival exit check, which
-/// runs with an accumulator active). `report` sorts the pooled buffers in
+/// (gated by the Alloc.TraceArrivalsWithSlo test, which replays with an
+/// accumulator active). `report` sorts the pooled buffers in
 /// place — call it after the replay, not inside it.
 ///
-/// The JSON emitted by slo_report_json is the per-lane block of the
-/// BENCH_trace.json schema (docs/BENCHMARKS.md); percentiles use the
-/// benches' shared convention (percentiles_of).
+/// slo_report_json renders the per-lane report as JSON; percentiles use
+/// the benches' shared convention (percentiles_of).
 
 #pragma once
 
@@ -90,8 +89,8 @@ class SloAccumulator {
   std::int64_t total_ = 0;
 };
 
-/// Render `report.lanes` as the JSON array of the BENCH_trace.json
-/// "slo_lanes" block; every line is prefixed with `indent`.
+/// Render `report.lanes` as a JSON array of per-lane objects; every line
+/// is prefixed with `indent`.
 [[nodiscard]] std::string slo_report_json(const SloReport& report,
                                           const char* indent);
 

@@ -3,8 +3,9 @@
 /// synthetic-log generator, so tests and benches exercise the full
 /// ingest pipeline without ever fetching a real archive log. The bundled
 /// mini-trace under tests/data/ is exactly `synthesize_swf` output (the
-/// round-trip is regression-gated by tests/test_trace.cpp), and
-/// `bench/trace_replay --synth-out` regenerates it.
+/// round-trip is regression-gated by tests/test_trace.cpp): write_swf of
+/// `synthesize_swf` with default options and `Rng(20040627)` regenerates
+/// it.
 ///
 /// write_swf emits doubles with enough digits to round-trip bit-exactly
 /// through parse_swf, so parse(write(trace)) == trace field for field.

@@ -1,13 +1,12 @@
 /// \file alloc_hook.hpp
-/// Shared global operator-new hook for the allocation-counting benches
-/// (micro_components, engine_throughput, serve_throughput): counts every
-/// heap allocation in the process so steady-state allocs-per-call deltas
-/// can be measured, one definition instead of a divergent copy per bench.
-/// Include from exactly one translation unit — the bench's own.
+/// Global operator-new hook for the allocation gates (tests/alloc/):
+/// counts every heap allocation in the process, on every thread, so a
+/// steady-state allocs-per-call delta can be measured. Include from
+/// exactly one translation unit: the definitions below are not inline.
 ///
 /// Compiled out under AddressSanitizer: replacing operator new with a
-/// malloc-based version breaks ASan's alloc/dealloc pairing. Benches must
-/// check kAllocHookEnabled and report "not measured" (-1) when false.
+/// malloc-based version breaks ASan's alloc/dealloc pairing. Tests check
+/// kAllocHookEnabled and skip when it is false.
 
 #pragma once
 
@@ -17,21 +16,21 @@
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
-#define MOLDSCHED_BENCH_ALLOC_HOOK 0
+#define MOLDSCHED_ALLOC_HOOK 0
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define MOLDSCHED_BENCH_ALLOC_HOOK 0
+#define MOLDSCHED_ALLOC_HOOK 0
 #else
-#define MOLDSCHED_BENCH_ALLOC_HOOK 1
+#define MOLDSCHED_ALLOC_HOOK 1
 #endif
 #else
-#define MOLDSCHED_BENCH_ALLOC_HOOK 1
+#define MOLDSCHED_ALLOC_HOOK 1
 #endif
 
 inline std::atomic<std::uint64_t> g_alloc_count{0};
-inline constexpr bool kAllocHookEnabled = MOLDSCHED_BENCH_ALLOC_HOOK != 0;
+inline constexpr bool kAllocHookEnabled = MOLDSCHED_ALLOC_HOOK != 0;
 
-#if MOLDSCHED_BENCH_ALLOC_HOOK
+#if MOLDSCHED_ALLOC_HOOK
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
@@ -69,4 +68,4 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
-#endif  // MOLDSCHED_BENCH_ALLOC_HOOK
+#endif  // MOLDSCHED_ALLOC_HOOK

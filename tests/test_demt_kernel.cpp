@@ -764,6 +764,19 @@ TEST(DemtKernel, FusedMetricsBitIdenticalToSplitScans) {
     EXPECT_EQ(fused.weighted_completion_sum,
               flat.weighted_completion_sum(instance));
   }
+  // The kernel-gate sizes: DEMT schedules of Mixed instances, n = 50 and
+  // 200 on m = 200 (seed 9).
+  for (const int n : {50, 200}) {
+    Rng gate_rng(9);
+    const Instance instance =
+        generate_instance(WorkloadFamily::Mixed, n, 200, gate_rng);
+    flat.assign_from(demt_schedule(instance).schedule);
+    const FlatMetrics fused = flat.metrics(instance);
+    EXPECT_EQ(fused.cmax, flat.cmax()) << "n=" << n;
+    EXPECT_EQ(fused.weighted_completion_sum,
+              flat.weighted_completion_sum(instance))
+        << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/demt.hpp"
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "sched/validator.hpp"
 #include "sim/online.hpp"
 #include "util/rng.hpp"
@@ -42,19 +43,21 @@ void expect_identical(const Schedule& a, const Schedule& b) {
   }
 }
 
-TEST(Engine, DeterministicAcrossWorkerCounts) {
-  const auto instances = make_instances(6, 40, 16, 20040627);
-  DemtOptions demt;
-  demt.shuffles = 8;
-  const DemtPolicy policy(demt);
-
+/// `calls` batch calls per engine: the last must match a fresh
+/// single-strand engine (warm workspaces carry no state).
+void expect_identical_across_workers(const std::vector<Instance>& instances,
+                                     const SchedulingPolicy& policy,
+                                     int calls = 1) {
   SchedulerEngine sequential(EngineOptions{1, true});
   const auto base = sequential.schedule_all(instances, policy);
   ASSERT_EQ(base.size(), instances.size());
 
   for (int workers : {2, 4, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
-    const auto results = engine.schedule_all(instances, policy);
+    std::vector<EngineResult> results;
+    for (int c = 0; c < calls; ++c) {
+      results = engine.schedule_all(instances, policy);
+    }
     ASSERT_EQ(results.size(), base.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].cmax, base[i].cmax) << "workers=" << workers;
@@ -62,6 +65,44 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
                 base[i].weighted_completion_sum)
           << "workers=" << workers;
       expect_identical(results[i].schedule, base[i].schedule);
+    }
+  }
+}
+
+TEST(Engine, DeterministicAcrossWorkerCounts) {
+  DemtOptions demt;
+  demt.shuffles = 8;
+  const DemtPolicy policy(demt);
+  expect_identical_across_workers(make_instances(6, 40, 16, 20040627), policy);
+
+  // The serving-shape gate workload (n=60, m=32), off-line and on-line
+  // requests, served three times per engine (warm-up + 2 rounds): every
+  // worker count reproduces the single-strand results.
+  const gate::EngineWorkload workload =
+      gate::engine_workload(gate::kEngineRequests);
+  expect_identical_across_workers(workload.instances, policy, 3);
+  std::vector<OnlineRequest> online(workload.streams.size());
+  for (std::size_t i = 0; i < online.size(); ++i) {
+    online[i].m = gate::kM;
+    online[i].jobs = &workload.streams[i];
+    online[i].policy = &policy;
+  }
+  SchedulerEngine sequential(EngineOptions{1, true});
+  std::vector<FlatOnlineResult> base;
+  sequential.simulate_batch(online, base);
+  for (int workers : {2, 4, 0}) {
+    SchedulerEngine engine(EngineOptions{workers, true});
+    std::vector<FlatOnlineResult> results;
+    for (int c = 0; c < 3; ++c) engine.simulate_batch(online, results);
+    ASSERT_EQ(results.size(), base.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].cmax, base[i].cmax) << "workers=" << workers;
+      EXPECT_EQ(results[i].weighted_completion_sum,
+                base[i].weighted_completion_sum);
+      EXPECT_EQ(results[i].weighted_flow_sum, base[i].weighted_flow_sum);
+      EXPECT_EQ(results[i].num_batches, base[i].num_batches);
+      EXPECT_EQ(results[i].schedule.start, base[i].schedule.start);
+      EXPECT_EQ(results[i].schedule.duration, base[i].schedule.duration);
     }
   }
 }

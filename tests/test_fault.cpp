@@ -17,6 +17,7 @@
 
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
 #include "serve/fault.hpp"
@@ -502,6 +503,144 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(async.in_flight(), 0u);
   EXPECT_EQ(async.open_streams(), 0u);
+}
+
+/// The chaos run behind the serving layer's loss gate: a seeded
+/// FaultPlan (random throws, stalls and shard deaths plus a scripted
+/// floor of one of each) over two FlatList streams and rounds of one-shot
+/// traffic, with bounded retry and checkpoint migration active. Every
+/// accepted ticket reaches a terminal state and is taken exactly once,
+/// and every stream, migrated or not, replays the off-line simulator
+/// bit-identically. The watchdog stays off: watchdog failover sheds queued
+/// stream feeds by design, which is not the loss-free path pinned here.
+void run_chaos(std::uint64_t seed) {
+  constexpr int kChaosStreams = 2;
+  constexpr std::size_t kChunk = 4;
+  const int m = gate::kM;
+  const int rounds = gate::kServeReps;
+
+  std::vector<std::vector<OnlineJob>> tapes(kChaosStreams);
+  std::vector<OnlineResult> references;
+  Rng stream_rng(seed ^ 0x53545245414DULL);  // "STREAM"
+  for (auto& tape : tapes) {
+    double release = 0.0;
+    for (std::size_t j = 0; j < kChunk * static_cast<std::size_t>(rounds);
+         ++j) {
+      Instance tmp = generate_instance(WorkloadFamily::Mixed, 1, m, stream_rng);
+      tape.push_back(OnlineJob{tmp.task(0), release});
+      release += stream_rng.uniform(0.05, 1.0);
+    }
+    references.push_back(
+        online_batch_schedule_reference(m, tape, object_offline()));
+  }
+  const auto instances = gate::serve_instances();
+  std::vector<EngineRequest> requests(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    requests[i].instance = &instances[i];
+    requests[i].policy = &kFlatList;
+  }
+
+  AsyncOptions options;
+  options.shards = 4;
+  options.max_batch = gate::kServeMaxBatch;
+  options.flush_after_ms = gate::kServeFlushMs;
+  options.queue_capacity = 4096;
+  options.retry = RetryPolicy{4, 0.1};
+  options.faults.seed = seed;
+  options.faults.throw_rate = 0.10;
+  options.faults.stall_rate = 0.03;
+  options.faults.death_rate = 0.02;
+  options.faults.stall_ms = 2.0;
+  options.faults.points.push_back(
+      FaultPoint{FaultKind::EngineThrow, -1, 0, 0.0});
+  options.faults.points.push_back(FaultPoint{FaultKind::SlowBatch, 2, 1, 2.0});
+  options.faults.points.push_back(FaultPoint{FaultKind::ShardDeath, 1, 2, 0.0});
+  AsyncScheduler async(options);
+
+  std::vector<StreamTicket> streams;
+  for (int s = 0; s < kChaosStreams; ++s) {
+    streams.push_back(async.open_stream(StreamConfig{m, nullptr, &kFlatList}));
+    ASSERT_TRUE(streams.back().accepted());
+  }
+  std::vector<std::vector<double>> completions(kChaosStreams);
+  std::vector<int> next_job(kChaosStreams, 0);
+  StreamDelivery delivery;
+  EngineResult result;
+  std::uint64_t lost = 0;
+  std::uint64_t duplicated = 0;
+  for (int r = 0; r < rounds; ++r) {
+    // One waited feed per stream, then a full round of one-shots.
+    for (std::size_t s = 0; s < tapes.size(); ++s) {
+      const auto& jobs = tapes[s];
+      const std::size_t first = static_cast<std::size_t>(r) * kChunk;
+      const std::size_t last = std::min(jobs.size(), first + kChunk);
+      std::vector<StreamArrival> arrivals;
+      for (std::size_t j = first; j < last; ++j) {
+        arrivals.push_back(moldable_arrival(jobs[j].task, jobs[j].release));
+      }
+      const double watermark =
+          last < jobs.size() ? jobs[last].release : jobs.back().release;
+      const Ticket feed = async.submit_stream(streams[s], arrivals.data(),
+                                              arrivals.size(), watermark);
+      if (!feed.accepted() || async.wait(feed) != TicketStatus::Done ||
+          !async.take_stream(feed, delivery)) {
+        ++lost;
+        continue;
+      }
+      EXPECT_EQ(delivery.first_job, next_job[s]) << "stream " << s;
+      next_job[s] += delivery.num_jobs();
+      completions[s].insert(completions[s].end(), delivery.completion.begin(),
+                            delivery.completion.end());
+    }
+    std::vector<Ticket> tickets;
+    for (const auto& request : requests) {
+      const Ticket ticket = async.submit(request);
+      if (ticket.accepted()) tickets.push_back(ticket);
+    }
+    for (const Ticket& ticket : tickets) {
+      const TicketStatus status = async.wait(ticket, 30000.0);
+      // Failed = retry exhausted: terminal and accounted, not lost.
+      if (status != TicketStatus::Done && status != TicketStatus::Failed) {
+        ++lost;
+        continue;
+      }
+      if (!async.take(ticket, result)) ++lost;
+      if (async.take(ticket, result) ||
+          async.poll(ticket) != TicketStatus::Invalid) {
+        ++duplicated;
+      }
+    }
+  }
+  for (std::size_t s = 0; s < tapes.size(); ++s) {
+    const Ticket close = async.close_stream(streams[s]);
+    if (!close.accepted() || async.wait(close) != TicketStatus::Done ||
+        !async.take_stream(close, delivery)) {
+      ++lost;
+      continue;
+    }
+    next_job[s] += delivery.num_jobs();
+    completions[s].insert(completions[s].end(), delivery.completion.begin(),
+                          delivery.completion.end());
+    const OnlineResult& ref = references[s];
+    EXPECT_EQ(next_job[s], static_cast<int>(tapes[s].size())) << s;
+    EXPECT_EQ(completions[s], ref.completion) << s;
+    EXPECT_EQ(delivery.cmax, ref.cmax) << s;
+    EXPECT_EQ(delivery.weighted_completion_sum, ref.weighted_completion_sum)
+        << s;
+  }
+  EXPECT_EQ(lost, 0u);
+  EXPECT_EQ(duplicated, 0u);
+  EXPECT_GE(async.stats().faults_injected, 1u);
+}
+
+TEST(FaultTolerance, ChaosRunLosesNothingAndReplaysStreamsBitIdentically) {
+  // The default seed plus the two seeds the sanitizer and Release chaos
+  // runs used.
+  for (const std::uint64_t seed : {gate::kSeed, std::uint64_t{271828182},
+                                   std::uint64_t{314159265}}) {
+    SCOPED_TRACE(testing::Message() << "chaos seed " << seed);
+    run_chaos(seed);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace moldsched {
 namespace {
@@ -101,6 +102,24 @@ TEST(Instance, LoadRejectsGarbage) {
   EXPECT_THROW(Instance::load(bad), std::runtime_error);
   std::stringstream truncated("moldsched-instance v1\nm 4\nn 1\ntask 1.0 1 2 5.0");
   EXPECT_THROW(Instance::load(truncated), std::runtime_error);
+  // Processor bounds are checked before the times vector is sized: a
+  // negative or huge max_procs must not reach the allocator.
+  for (const char* record :
+       {"task 1 1 -1", "task 1 1 0", "task 1 1 5", "task 1 1 2000000000",
+        "task 1 0 2", "task 1 -3 2", "task 1 3 2"}) {
+    std::stringstream in(std::string("moldsched-instance v1\nm 4\nn 1\n") +
+                         record + " 1.0 1.0");
+    EXPECT_THROW(Instance::load(in), std::runtime_error) << record;
+  }
+  for (const char* header : {"m 0\nn 0\n", "m -3\nn 0\n", "m x\nn 0\n"}) {
+    std::stringstream in(std::string("moldsched-instance v1\n") + header);
+    EXPECT_THROW(Instance::load(in), std::runtime_error) << header;
+  }
+  // A huge machine and a matching task claim, with two times present:
+  // rejected as truncated without sizing a vector from the claim.
+  std::stringstream huge(
+      "moldsched-instance v1\nm 2000000000\nn 1\ntask 1 1 2000000000 1 1");
+  EXPECT_THROW(Instance::load(huge), std::runtime_error);
 }
 
 }  // namespace

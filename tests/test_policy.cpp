@@ -16,6 +16,7 @@
 #include "baselines/lpt_policy.hpp"
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "sched/validator.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/stream.hpp"
@@ -132,6 +133,47 @@ TEST(Policy, ServePolicyPathBitIdenticalForShardCounts) {
         expect_identical(result, reference[i]);
       }
     }
+  }
+
+  // Priority lanes change when a request is served, never its result:
+  // the serving gate workload (24 DEMT requests, n=60, m=32), spread
+  // round-robin over two lanes weighted 3:1.
+  const auto gate_instances = gate::serve_instances();
+  DemtOptions gate_demt;
+  gate_demt.shuffles = gate::kShuffles;
+  const DemtPolicy gate_policy(gate_demt);
+  std::vector<EngineRequest> requests(gate_instances.size());
+  for (std::size_t i = 0; i < gate_instances.size(); ++i) {
+    requests[i].instance = &gate_instances[i];
+    requests[i].policy = &gate_policy;
+  }
+  SchedulerEngine sync(EngineOptions{1, true});
+  std::vector<EngineResult> reference;
+  sync.schedule_batch(requests, reference);
+  const WeightedLanesAdmission lanes(gate::serve_lanes());
+  for (int shards : {1, 2, 4}) {
+    AsyncOptions options;
+    options.shards = shards;
+    options.max_batch = gate::kServeMaxBatch;
+    options.flush_after_ms = gate::kServeFlushMs;
+    options.queue_capacity = 4096;
+    options.keep_schedules = true;
+    options.admission = &lanes;
+    AsyncScheduler async(options);
+    std::vector<Ticket> tickets;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      tickets.push_back(async.submit(requests[i], static_cast<int>(i % 2)));
+      ASSERT_TRUE(tickets.back().accepted());
+    }
+    async.drain();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "lanes, shards=" << shards
+                                      << " request " << i);
+      EngineResult result;
+      ASSERT_TRUE(async.take(tickets[i], result));
+      expect_identical(result, reference[i]);
+    }
+    EXPECT_GT(async.stats().lanes[1].completed, 0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -358,6 +359,27 @@ TEST(AsyncScheduler, RejectsBadOptions) {
                std::invalid_argument);
   EXPECT_THROW(AsyncScheduler(AsyncOptions{1, 16, 1.0, 0, false}),
                std::invalid_argument);
+  // Times must be finite and convertible to int64 nanoseconds: a NaN
+  // flush deadline would never dispatch a partial batch.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 1e13, -1e13}) {
+    AsyncOptions flush;
+    flush.flush_after_ms = bad;
+    EXPECT_THROW(AsyncScheduler{flush}, std::invalid_argument) << bad;
+    AsyncOptions watchdog;
+    watchdog.watchdog_ms = bad;
+    EXPECT_THROW(AsyncScheduler{watchdog}, std::invalid_argument) << bad;
+    AsyncOptions backoff;
+    backoff.retry.base_backoff_ms = bad;
+    EXPECT_THROW(AsyncScheduler{backoff}, std::invalid_argument) << bad;
+  }
+  // Large finite times stay legal.
+  AsyncOptions large;
+  large.flush_after_ms = 1e9;
+  large.watchdog_ms = 1e6;
+  large.retry.base_backoff_ms = 1e6;
+  EXPECT_NO_THROW(AsyncScheduler{large});
 }
 
 TEST(AsyncScheduler, ConcurrentSubmittersSeeConsistentResults) {

@@ -17,6 +17,7 @@
 
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/online.hpp"
@@ -502,6 +503,49 @@ TEST(Speculation, ServeLayerIsBitIdenticalAcrossShardsAndPolicies) {
       EXPECT_GT(on_decided, 0u);
     }
   }
+}
+
+TEST(Speculation, SparseWatermarkServeTapeIsBitIdenticalAndFires) {
+  // The sparse-watermark gate tape (6 feeds x 48 DEMT arrivals, m=32):
+  // each feed's batch only becomes final at the next feed, so with
+  // speculation on every decision is staged first and committed later.
+  const std::vector<gate::SparseFeed> tape = gate::sparse_watermark_tape();
+  DemtOptions demt;
+  demt.shuffles = gate::kShuffles;
+  const DemtPolicy policy(demt);
+  AsyncOptions options;
+  options.max_batch = gate::kServeMaxBatch;
+  options.flush_after_ms = 0.0;
+  options.queue_capacity = 8;
+  options.max_streams = 4;
+  AsyncScheduler async(options);
+  std::vector<StreamDelivery> per_mode[2];
+  for (const bool speculate : {false, true}) {
+    StreamConfig config;
+    config.m = gate::kM;
+    config.policy = &policy;
+    config.speculate = speculate;
+    const StreamTicket stream = async.open_stream(config);
+    ASSERT_TRUE(stream.accepted());
+    StreamDelivery delivery;
+    for (const gate::SparseFeed& feed : tape) {
+      const Ticket ticket = async.submit_stream(
+          stream, feed.arrivals.data(), feed.arrivals.size(), feed.watermark);
+      ASSERT_TRUE(ticket.accepted());
+      ASSERT_EQ(async.wait(ticket), TicketStatus::Done);
+      ASSERT_TRUE(async.take_stream(ticket, delivery));
+      per_mode[speculate ? 1 : 0].push_back(delivery);
+    }
+    const Ticket close = async.close_stream(stream);
+    ASSERT_TRUE(close.accepted());
+    ASSERT_EQ(async.wait(close), TicketStatus::Done);
+    ASSERT_TRUE(async.take_stream(close, delivery));
+    per_mode[speculate ? 1 : 0].push_back(delivery);
+  }
+  expect_identical_deliveries(per_mode[0], per_mode[1]);
+  const AsyncStats stats = async.stats();
+  EXPECT_GT(stats.spec_decided, 0u);
+  EXPECT_GT(stats.spec_committed, 0u);
 }
 
 }  // namespace

@@ -12,8 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/demt.hpp"
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
@@ -215,6 +217,220 @@ TEST(StreamServe, StreamsAndOneShotsInterleaveDeterministically) {
       EXPECT_EQ(result.cmax, oneshot_reference[i].cmax);
       EXPECT_EQ(result.weighted_completion_sum,
                 oneshot_reference[i].weighted_completion_sum);
+    }
+  }
+}
+
+TEST(StreamServe, GateStreamsBothPoliciesMatchReferenceForShardCounts) {
+  // The streaming gate workload: 3 Poisson streams of 16 jobs (m=16) fed
+  // in random 1..5-arrival chunks round-robin, with one-shot traffic
+  // interleaved once the streams flow, under FlatList and DEMT for shards
+  // {1, 2, 4}.
+  const gate::StreamWorkload workload = gate::stream_workload();
+  const int m = gate::kStreamM;
+  DemtOptions demt;
+  demt.shuffles = gate::kStreamShuffles;
+  const DemtPolicy demt_policy(demt);
+  std::vector<EngineRequest> oneshots(workload.oneshots.size());
+  for (std::size_t i = 0; i < oneshots.size(); ++i) {
+    oneshots[i].instance = &workload.oneshots[i];
+    oneshots[i].policy = &kFlatList;
+  }
+  SchedulerEngine sync(EngineOptions{1, false});
+  std::vector<EngineResult> oneshot_reference;
+  sync.schedule_batch(oneshots, oneshot_reference);
+  const std::size_t num_streams = workload.jobs.size();
+
+  for (const bool flat : {true, false}) {
+    const SchedulingPolicy& policy =
+        flat ? static_cast<const SchedulingPolicy&>(kFlatList) : demt_policy;
+    const OfflineScheduler offline =
+        flat ? object_offline()
+             : OfflineScheduler([&](const Instance& batch) {
+                 return demt_schedule(batch, demt).schedule;
+               });
+    std::vector<OnlineResult> references;
+    for (const auto& jobs : workload.jobs) {
+      references.push_back(online_batch_schedule_reference(m, jobs, offline));
+    }
+    for (int shards : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << (flat ? "flatlist" : "demt")
+                                      << " shards=" << shards);
+      AsyncOptions options;
+      options.shards = shards;
+      options.max_batch = gate::kStreamMaxBatch;
+      options.flush_after_ms = gate::kServeFlushMs;
+      options.queue_capacity = 4096;
+      options.max_streams = 8;
+      AsyncScheduler async(options);
+      StreamConfig config;
+      config.m = m;
+      config.policy = &policy;
+      std::vector<StreamTicket> streams;
+      for (std::size_t s = 0; s < num_streams; ++s) {
+        streams.push_back(async.open_stream(config));
+      }
+      Rng chunk_rng(gate::kSeed ^ 0xC0FFEEULL);
+      std::vector<std::size_t> fed(num_streams, 0);
+      std::vector<std::vector<Ticket>> tickets(num_streams);
+      std::vector<Ticket> oneshot_tickets;
+      std::vector<StreamArrival> arrivals;
+      bool feeding = true;
+      while (feeding) {
+        feeding = false;
+        for (std::size_t s = 0; s < num_streams; ++s) {
+          const auto& jobs = workload.jobs[s];
+          std::size_t& done = fed[s];
+          if (done >= jobs.size()) continue;
+          feeding = true;
+          const auto chunk = std::min<std::size_t>(
+              jobs.size() - done,
+              static_cast<std::size_t>(chunk_rng.uniform_int(1, 5)));
+          arrivals.clear();
+          for (std::size_t i = done; i < done + chunk; ++i) {
+            arrivals.push_back(
+                moldable_arrival(jobs[i].task, jobs[i].release));
+          }
+          done += chunk;
+          const double watermark =
+              done < jobs.size() ? jobs[done].release : jobs.back().release;
+          const Ticket ticket = async.submit_stream(
+              streams[s], arrivals.data(), arrivals.size(), watermark);
+          ASSERT_TRUE(ticket.accepted());
+          // Wait before the arrival buffer is reused.
+          (void)async.wait(ticket);
+          tickets[s].push_back(ticket);
+        }
+        if ((!oneshot_tickets.empty() ||
+             fed[0] >= workload.jobs[0].size() / 2) &&
+            oneshot_tickets.size() < oneshots.size()) {
+          oneshot_tickets.push_back(
+              async.submit(oneshots[oneshot_tickets.size()]));
+        }
+      }
+      for (std::size_t s = 0; s < num_streams; ++s) {
+        tickets[s].push_back(async.close_stream(streams[s]));
+      }
+      async.drain();
+      for (std::size_t s = 0; s < num_streams; ++s) {
+        std::vector<StreamDelivery> deliveries;
+        StreamDelivery delivery;
+        for (const Ticket& ticket : tickets[s]) {
+          ASSERT_TRUE(ticket.accepted());
+          ASSERT_EQ(async.poll(ticket), TicketStatus::Done);
+          ASSERT_TRUE(async.take_stream(ticket, delivery));
+          deliveries.push_back(delivery);
+        }
+        gate::expect_replays_reference(deliveries, references[s],
+                                       workload.jobs[s].size());
+      }
+      ASSERT_EQ(oneshot_tickets.size(), oneshots.size());
+      EngineResult result;
+      for (std::size_t i = 0; i < oneshot_tickets.size(); ++i) {
+        ASSERT_TRUE(async.take(oneshot_tickets[i], result));
+        EXPECT_EQ(result.cmax, oneshot_reference[i].cmax);
+        EXPECT_EQ(result.weighted_completion_sum,
+                  oneshot_reference[i].weighted_completion_sum);
+      }
+    }
+  }
+}
+
+TEST(StreamServe, MixedSection5TapesReplayTheBareStreamForShardCounts) {
+  // The §5 mix (70% moldable, 15% rigid, 15% divisible; Poisson gap 0.8)
+  // on three streams, fed in chunks of four, two rounds per shard count:
+  // every feed is admitted and delivers exactly what a bare OnlineStream
+  // fed the same chunks delivers.
+  const int m = gate::kStreamM;
+  const std::size_t chunk = 4;
+  Rng rng(gate::kSeed ^ 0x5EEDULL);
+  std::vector<std::vector<StreamArrival>> tapes(3);
+  for (auto& tape : tapes) {
+    double release = 0.0;
+    for (int i = 0; i < 16; ++i) {
+      const double pick = rng.uniform();
+      if (pick < 0.70) {
+        Instance tmp = generate_instance(WorkloadFamily::Mixed, 1, m, rng);
+        tape.push_back(moldable_arrival(tmp.task(0), release));
+      } else if (pick < 0.85) {
+        tape.push_back(rigid_arrival(
+            static_cast<int>(rng.uniform_int(1, std::max(1, m / 2))),
+            rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0), release));
+      } else {
+        tape.push_back(divisible_arrival(rng.uniform(1.0, 8.0),
+                                         rng.uniform(0.5, 2.0), release));
+      }
+      release += rng.exponential(0.8);
+    }
+  }
+  const auto watermark_after = [](const std::vector<StreamArrival>& tape,
+                                  std::size_t end) {
+    return end < tape.size() ? tape[end].release : tape.back().release;
+  };
+  // Reference deliveries from bare streams, one per tape.
+  const auto ws = kFlatList.make_workspace();
+  std::vector<std::vector<StreamDelivery>> references(tapes.size());
+  for (std::size_t s = 0; s < tapes.size(); ++s) {
+    OnlineStream stream;
+    stream.open(m, {});
+    StreamDelivery delivery;
+    for (std::size_t i = 0; i < tapes[s].size(); i += chunk) {
+      const std::size_t count = std::min(chunk, tapes[s].size() - i);
+      stream.feed(tapes[s].data() + i, count,
+                  watermark_after(tapes[s], i + count), kFlatList, *ws,
+                  delivery);
+      references[s].push_back(delivery);
+    }
+    stream.finish(kFlatList, *ws, delivery);
+    references[s].push_back(delivery);
+  }
+  for (int shards : {1, 2, 4}) {
+    AsyncOptions options;
+    options.shards = shards;
+    options.max_batch = gate::kStreamMaxBatch;
+    options.flush_after_ms = gate::kServeFlushMs;
+    options.queue_capacity = 4096;
+    options.max_streams = 8;
+    AsyncScheduler async(options);
+    StreamConfig config;
+    config.m = m;
+    config.policy = &kFlatList;
+    for (int round = 0; round < gate::kServeReps; ++round) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards << " round "
+                                      << round);
+      std::vector<std::vector<Ticket>> tickets(tapes.size());
+      for (std::size_t s = 0; s < tapes.size(); ++s) {
+        const StreamTicket stream = async.open_stream(config);
+        ASSERT_TRUE(stream.accepted());
+        for (std::size_t i = 0; i < tapes[s].size(); i += chunk) {
+          const std::size_t count = std::min(chunk, tapes[s].size() - i);
+          tickets[s].push_back(async.submit_stream(
+              stream, tapes[s].data() + i, count,
+              watermark_after(tapes[s], i + count)));
+        }
+        tickets[s].push_back(async.close_stream(stream));
+      }
+      async.drain();
+      StreamDelivery delivery;
+      for (std::size_t s = 0; s < tapes.size(); ++s) {
+        ASSERT_EQ(tickets[s].size(), references[s].size());
+        for (std::size_t f = 0; f < tickets[s].size(); ++f) {
+          ASSERT_TRUE(tickets[s][f].accepted()) << "stream " << s;
+          ASSERT_EQ(async.poll(tickets[s][f]), TicketStatus::Done);
+          ASSERT_TRUE(async.take_stream(tickets[s][f], delivery));
+          const StreamDelivery& want = references[s][f];
+          EXPECT_EQ(delivery.first_job, want.first_job);
+          EXPECT_EQ(delivery.placements.start, want.placements.start);
+          EXPECT_EQ(delivery.placements.proc_ids, want.placements.proc_ids);
+          EXPECT_EQ(delivery.completion, want.completion);
+          EXPECT_EQ(delivery.chunks.size(), want.chunks.size());
+          EXPECT_EQ(delivery.divisible_completion,
+                    want.divisible_completion);
+          EXPECT_EQ(delivery.cmax, want.cmax);
+          EXPECT_EQ(delivery.weighted_completion_sum,
+                    want.weighted_completion_sum);
+        }
+      }
     }
   }
 }

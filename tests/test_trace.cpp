@@ -11,12 +11,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "baselines/lpt_policy.hpp"
 #include "core/policy.hpp"
+#include "gate_workloads.hpp"
+#include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
 #include "tasks/time_grid.hpp"
@@ -175,8 +179,8 @@ TEST(Trace, WriterRoundTripIsBitExact) {
 }
 
 TEST(Trace, BundledMiniTraceMatchesTheSynthesizer) {
-  // tests/data/mini_trace.swf is exactly `trace_replay --synth-out` output
-  // (200 jobs, seed 20040627); regenerating it must be a no-op.
+  // tests/data/mini_trace.swf is exactly write_swf of the synthesizer's
+  // default 200-job log (seed 20040627); regenerating it must be a no-op.
   SwfTrace bundled;
   load_swf_file(kMiniTracePath, bundled);
   SynthSwfOptions options;
@@ -480,6 +484,107 @@ TEST(Trace, ChunkedReplayMatchesTheOfflineSimulator) {
     EXPECT_EQ(result.cmax, reference.cmax) << "chunk " << chunk;
     EXPECT_EQ(result.batch_starts, reference.batch_starts)
         << "chunk " << chunk;
+  }
+}
+
+TEST(Trace, MiniTraceReplayEveryPolicyAndPathMatchesTheOfflineSimulator) {
+  // The replay gate: the first 80 jobs of the bundled mini-trace (rigid),
+  // under DEMT, FlatList and LPT, through a bare OnlineStream fed random
+  // 1..8-arrival chunks and through AsyncScheduler sessions fed 8-arrival
+  // chunks for shards {1, 2, 4}.
+  SwfTrace trace;
+  load_swf_file(kMiniTracePath, trace);
+  TapeOptions tape_options;
+  tape_options.max_jobs = gate::kTraceMaxJobs;
+  Tape tape;
+  compile_tape(trace, tape_options, tape);
+  ASSERT_EQ(tape.jobs_kept(), gate::kTraceMaxJobs);
+  std::vector<OnlineJob> jobs;
+  for (const StreamArrival& arrival : tape.arrivals) {
+    jobs.push_back(OnlineJob{arrival.task, arrival.release});
+  }
+  const auto watermark_after = [&](std::size_t end) {
+    return end < tape.arrivals.size() ? tape.arrivals[end].release
+                                      : tape.arrivals.back().release;
+  };
+
+  DemtOptions demt;
+  demt.shuffles = gate::kStreamShuffles;
+  const DemtPolicy demt_policy(demt);
+  const FlatListPolicy flat_policy;
+  const LptRigidPolicy lpt_policy;
+  for (const SchedulingPolicy* policy :
+       {static_cast<const SchedulingPolicy*>(&demt_policy),
+        static_cast<const SchedulingPolicy*>(&flat_policy),
+        static_cast<const SchedulingPolicy*>(&lpt_policy)}) {
+    SCOPED_TRACE(policy->name());
+    const std::shared_ptr<PolicyWorkspace> oracle_ws(policy->make_workspace());
+    const OnlineResult reference = online_batch_schedule_reference(
+        tape.m, jobs, [&](const Instance& batch) {
+          FlatPlacements out;
+          policy->schedule_into(batch, *oracle_ws, out);
+          return out.to_schedule(batch.procs());
+        });
+
+    {
+      SCOPED_TRACE("bare OnlineStream");
+      OnlineStream stream;
+      stream.open(tape.m, {});
+      const auto ws = policy->make_workspace();
+      Rng chunk_rng(gate::kSeed ^ 0xC0FFEEULL);
+      std::vector<StreamDelivery> deliveries;
+      StreamDelivery delivery;
+      for (std::size_t fed = 0; fed < tape.arrivals.size();) {
+        const auto count = std::min<std::size_t>(
+            tape.arrivals.size() - fed,
+            static_cast<std::size_t>(
+                chunk_rng.uniform_int(1, gate::kTraceChunk)));
+        stream.feed(tape.arrivals.data() + fed, count,
+                    watermark_after(fed + count), *policy, *ws, delivery);
+        deliveries.push_back(delivery);
+        fed += count;
+      }
+      stream.finish(*policy, *ws, delivery);
+      deliveries.push_back(delivery);
+      gate::expect_replays_reference(deliveries, reference, jobs.size());
+    }
+
+    for (const int shards : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "async shards=" << shards);
+      AsyncOptions options;
+      options.shards = shards;
+      options.max_batch = gate::kStreamMaxBatch;
+      options.flush_after_ms = 0.5;
+      options.queue_capacity = 4096;
+      options.max_streams = 8;
+      AsyncScheduler async(options);
+      StreamConfig config;
+      config.m = tape.m;
+      config.policy = policy;
+      const StreamTicket stream = async.open_stream(config);
+      ASSERT_TRUE(stream.accepted());
+      std::vector<Ticket> tickets;
+      const auto chunk = static_cast<std::size_t>(gate::kTraceChunk);
+      for (std::size_t i = 0; i < tape.arrivals.size(); i += chunk) {
+        const std::size_t count = std::min(chunk, tape.arrivals.size() - i);
+        tickets.push_back(async.submit_stream(stream, tape.arrivals.data() + i,
+                                              count,
+                                              watermark_after(i + count)));
+        ASSERT_TRUE(tickets.back().accepted());
+        (void)async.wait(tickets.back());
+      }
+      tickets.push_back(async.close_stream(stream));
+      async.drain();
+      std::vector<StreamDelivery> deliveries;
+      StreamDelivery delivery;
+      for (const Ticket& ticket : tickets) {
+        ASSERT_TRUE(ticket.accepted());
+        ASSERT_EQ(async.poll(ticket), TicketStatus::Done);
+        ASSERT_TRUE(async.take_stream(ticket, delivery));
+        deliveries.push_back(delivery);
+      }
+      gate::expect_replays_reference(deliveries, reference, jobs.size());
+    }
   }
 }
 
