@@ -20,6 +20,10 @@ namespace moldsched {
 
 namespace {
 
+/// Root of the shuffle stage's RNG streams: candidate s draws from
+/// Rng(kShuffleSeed).fork(s), so every DEMT call is deterministic.
+constexpr std::uint64_t kShuffleSeed = 0x5EEDF00DULL;
+
 // ---------------------------------------------------------------------
 // Scalar reference pipeline pieces (array-of-structs batches, Schedule
 // placement). These are what the driver ran before the SoA rewrite; they
@@ -62,24 +66,13 @@ Schedule naive_placement(const Instance& instance,
   return schedule;
 }
 
-void apply_local_order(const Instance&, std::vector<BatchItem>& items,
-                       DemtOptions::LocalOrder order) {
-  switch (order) {
-    case DemtOptions::LocalOrder::AsSelected:
-      return;
-    case DemtOptions::LocalOrder::SmithRatio:
-      std::stable_sort(items.begin(), items.end(),
-                       [](const BatchItem& a, const BatchItem& b) {
-                         return a.weight / a.duration > b.weight / b.duration;
-                       });
-      return;
-    case DemtOptions::LocalOrder::LongestFirst:
-      std::stable_sort(items.begin(), items.end(),
-                       [](const BatchItem& a, const BatchItem& b) {
-                         return a.duration > b.duration;
-                       });
-      return;
-  }
+/// Local order of a batch's items for the list pass: Smith's ratio
+/// (weight / duration) decreasing, ties in knapsack output order.
+void apply_local_order(std::vector<BatchItem>& items) {
+  std::stable_sort(items.begin(), items.end(),
+                   [](const BatchItem& a, const BatchItem& b) {
+                     return a.weight / a.duration > b.weight / b.duration;
+                   });
 }
 
 // ---------------------------------------------------------------------
@@ -228,35 +221,21 @@ FlatMetrics evaluate_shuffle_candidate_soa(
                               instance);
 }
 
-/// Stable local ordering of the selected item indices. `order` arrives in
-/// knapsack output order (ascending candidate index); sorting with the
-/// original index as the tie-break reproduces exactly the permutation
-/// std::stable_sort produces on the materialised items — without
-/// stable_sort's temporary merge buffer.
-void apply_local_order_soa(const FlatBatchItems& items, std::vector<int>& order,
-                           DemtOptions::LocalOrder local_order) {
-  switch (local_order) {
-    case DemtOptions::LocalOrder::AsSelected:
-      return;
-    case DemtOptions::LocalOrder::SmithRatio:
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const double ra = items.weight[static_cast<std::size_t>(a)] /
-                          items.duration[static_cast<std::size_t>(a)];
-        const double rb = items.weight[static_cast<std::size_t>(b)] /
-                          items.duration[static_cast<std::size_t>(b)];
-        if (ra != rb) return ra > rb;
-        return a < b;
-      });
-      return;
-    case DemtOptions::LocalOrder::LongestFirst:
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const double da = items.duration[static_cast<std::size_t>(a)];
-        const double db = items.duration[static_cast<std::size_t>(b)];
-        if (da != db) return da > db;
-        return a < b;
-      });
-      return;
-  }
+/// Stable Smith-ratio ordering of the selected item indices. `order`
+/// arrives in knapsack output order (ascending candidate index); sorting
+/// with the original index as the tie-break reproduces exactly the
+/// permutation std::stable_sort produces on the materialised items —
+/// without stable_sort's temporary merge buffer.
+void apply_local_order_soa(const FlatBatchItems& items,
+                           std::vector<int>& order) {
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const double ra = items.weight[static_cast<std::size_t>(a)] /
+                      items.duration[static_cast<std::size_t>(a)];
+    const double rb = items.weight[static_cast<std::size_t>(b)] /
+                      items.duration[static_cast<std::size_t>(b)];
+    if (ra != rb) return ra > rb;
+    return a < b;
+  });
 }
 
 /// Naive placement straight into flat per-task placements: same starts,
@@ -392,7 +371,7 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
     if (ws.chosen.empty()) continue;
 
     ws.order_scratch = ws.chosen;
-    apply_local_order_soa(ws.cand_items, ws.order_scratch, options.local_order);
+    apply_local_order_soa(ws.cand_items, ws.order_scratch);
 
     const int first = ws.flat_soa.size();
     std::fill(remove.begin(), remove.end(), false);
@@ -462,7 +441,7 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   const int shuffles = options.shuffles;
   if (shuffles <= 0) return;
 
-  Rng rng(options.shuffle_seed);
+  Rng rng(kShuffleSeed);
   std::vector<Rng>& candidate_rngs = ws.candidate_rngs;
   candidate_rngs.clear();
   candidate_rngs.reserve(static_cast<std::size_t>(shuffles));
@@ -586,7 +565,7 @@ DemtResult demt_schedule_reference(const Instance& instance,
       }
       batch.items.push_back(std::move(item));
     }
-    apply_local_order(instance, batch.items, options.local_order);
+    apply_local_order(batch.items);
     batches.push_back(std::move(batch));
     std::erase_if(pending,
                   [&](int t) { return remove[static_cast<std::size_t>(t)]; });
@@ -636,7 +615,7 @@ DemtResult demt_schedule_reference(const Instance& instance,
   const int shuffles = options.shuffles;
   if (shuffles <= 0) return DemtResult{std::move(best), diag};
 
-  Rng rng(options.shuffle_seed);
+  Rng rng(kShuffleSeed);
   std::vector<Rng> candidate_rngs;
   candidate_rngs.reserve(static_cast<std::size_t>(shuffles));
   for (int s = 0; s < shuffles; ++s) {

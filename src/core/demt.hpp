@@ -20,7 +20,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "sched/flat_schedule.hpp"
@@ -46,16 +45,11 @@ struct DemtOptions {
   };
   Compaction compaction = Compaction::List;
 
-  /// Local ordering of items inside a batch for the list pass.
-  enum class LocalOrder {
-    AsSelected,   ///< knapsack output order
-    SmithRatio,   ///< weight / duration decreasing
-    LongestFirst, ///< duration decreasing (classic LPT)
-  };
-  LocalOrder local_order = LocalOrder::SmithRatio;
-
   /// Number of randomised batch-content shuffles ("shuffled several
   /// times"); 0 disables the stage. Only meaningful with Compaction::List.
+  /// Candidates draw from RNG streams forked off one fixed seed, so every
+  /// call is deterministic. Items inside a batch are listed by Smith's
+  /// ratio (weight / duration decreasing) before the first list pass.
   int shuffles = 8;
   /// Also permute the batch order itself, not just task order inside each
   /// batch (off by default: batch order is the algorithm's backbone).
@@ -64,7 +58,6 @@ struct DemtOptions {
   /// minsum AND its makespan stays within this factor of the unshuffled
   /// compact schedule's makespan.
   double cmax_budget_factor = 1.0;
-  std::uint64_t shuffle_seed = 0x5EEDF00DULL;
 
   /// Worker threads for the shuffle stage: 1 (default) evaluates candidates
   /// sequentially on the calling thread; 0 uses every worker of the

@@ -127,11 +127,9 @@ std::uint64_t DemtPolicy::cache_key() const noexcept {
   h = mix_key(h, static_cast<std::uint64_t>(options_.merge_small_tasks));
   h = mix_key(h, static_cast<std::uint64_t>(options_.smith_order_stacks));
   h = mix_key(h, static_cast<std::uint64_t>(options_.compaction));
-  h = mix_key(h, static_cast<std::uint64_t>(options_.local_order));
   h = mix_key(h, static_cast<std::uint64_t>(options_.shuffles));
   h = mix_key(h, static_cast<std::uint64_t>(options_.shuffle_batch_order));
   h = mix_key(h, options_.cmax_budget_factor);
-  h = mix_key(h, options_.shuffle_seed);
   // mix_key never returns 0 for this tag chain in practice, but the
   // cache treats 0 as "uncacheable" — keep the contract airtight.
   return h != 0 ? h : 1;

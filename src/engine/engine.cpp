@@ -21,17 +21,17 @@ PolicyWorkspace& EngineWorkspace::policy_workspace(
 namespace {
 
 /// Finish one off-line result from the flat placements staged in `ws`:
-/// metrics are linear scans over the flat arrays, and a Schedule is
-/// materialised into the pooled result object only when asked for.
+/// metrics are linear scans over the flat arrays, and the placements are
+/// copied into the pooled result object only when asked for.
 void finish_offline_result(const Instance& instance, bool keep_schedules,
                            EngineWorkspace& ws, EngineResult& out) {
   out.cmax = ws.flat.cmax();
   out.weighted_completion_sum = ws.flat.weighted_completion_sum(instance);
   out.has_schedule = false;
   if (keep_schedules) {
-    // Refill the result's pooled Schedule in place (processor-vector
-    // capacity survives) instead of building a fresh one per batch.
-    ws.flat.materialize_into(instance.procs(), out.schedule);
+    // Copy-assign keeps the result's buffer capacity: no allocation once
+    // the pooled result has seen a request this large.
+    out.schedule.copy_from(ws.flat);
     out.has_schedule = true;
   }
 }
@@ -80,21 +80,6 @@ void serve_offline(const EngineRequest& request, const EngineOptions& options,
   }
   require_policy(request.policy, "SchedulerEngine: request without policy");
   run_policy_request(*request.policy, *request.instance, options, ws, out);
-}
-
-void serve_online(const OnlineRequest& request, EngineWorkspace& ws,
-                  FlatOnlineResult& out) {
-  if (request.jobs == nullptr) {
-    throw std::invalid_argument("SchedulerEngine: request without jobs");
-  }
-  require_policy(request.policy, "SchedulerEngine: request without policy");
-  static const std::vector<NodeReservation> kNoReservations;
-  online_batch_schedule_into(
-      request.m, *request.jobs, *request.policy,
-      ws.policy_workspace(*request.policy),
-      request.reservations != nullptr ? *request.reservations
-                                      : kNoReservations,
-      ws.online, out);
 }
 
 /// Fold a session's cumulative speculation counters into the engine stats
@@ -153,26 +138,6 @@ void SchedulerEngine::schedule_batch_into(const EngineRequest* requests,
     serve_offline(requests[i], options_, ws, results[i]);
   });
   stats_.requests += count;
-}
-
-std::vector<EngineResult> SchedulerEngine::schedule_all(
-    const std::vector<Instance>& instances, const SchedulingPolicy& policy) {
-  std::vector<EngineRequest> requests(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    requests[i].instance = &instances[i];
-    requests[i].policy = &policy;
-  }
-  return schedule_batch(requests);
-}
-
-void SchedulerEngine::simulate_batch(
-    const std::vector<OnlineRequest>& requests,
-    std::vector<FlatOnlineResult>& results) {
-  results.resize(requests.size());
-  run_indexed(requests.size(), [&](EngineWorkspace& ws, std::size_t i) {
-    serve_online(requests[i], ws, results[i]);
-  });
-  stats_.online_requests += requests.size();
 }
 
 EngineStreamId SchedulerEngine::acquire_stream(const StreamConfig& config,
@@ -290,16 +255,6 @@ void SchedulerEngine::abandon_stream(const EngineStreamId& id) noexcept {
       *workspaces_[0].streams[static_cast<std::size_t>(id.index)];
   if (!state.in_use || state.serial != id.serial) return;
   release_stream(id.index);
-}
-
-bool SchedulerEngine::stream_open(const EngineStreamId& id) const noexcept {
-  if (workspaces_.empty() || id.index < 0 ||
-      static_cast<std::size_t>(id.index) >= workspaces_[0].streams.size()) {
-    return false;
-  }
-  const EngineStreamState& state =
-      *workspaces_[0].streams[static_cast<std::size_t>(id.index)];
-  return state.in_use && state.serial == id.serial;
 }
 
 }  // namespace moldsched

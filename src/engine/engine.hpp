@@ -1,11 +1,12 @@
 /// \file engine.hpp
 /// Multi-instance batch scheduling engine: the server-style entry point of
-/// moldsched. A SchedulerEngine accepts many independent scheduling
-/// requests — off-line instances (the paper's batch of released jobs) or
-/// whole on-line simulations — and runs them concurrently on the
-/// process-wide shared_thread_pool(), one pooled EngineWorkspace per
-/// strand, so a steady request stream stops re-warming buffers on every
-/// request.
+/// moldsched. A SchedulerEngine accepts many independent off-line
+/// scheduling requests (the paper's batch of released jobs) and runs them
+/// concurrently on the process-wide shared_thread_pool(), one pooled
+/// EngineWorkspace per strand, so a steady request stream stops
+/// re-warming buffers on every request. It also hosts pooled streaming
+/// sessions (open_stream/feed_stream/close_stream). A whole on-line
+/// simulation is one call to online_batch_schedule_into (sim/online.hpp).
 ///
 /// The per-request algorithm is a SchedulingPolicy object
 /// (core/policy.hpp): every request and stream config carries a required
@@ -27,7 +28,8 @@
 /// allocation in steady state. FlatListPolicy and DemtPolicy requests in
 /// metrics-only mode (`keep_schedules == false`) are fully
 /// allocation-free after warm-up (DEMT reuses a pooled per-strand
-/// DemtWorkspace). tests/alloc/ gates both.
+/// DemtWorkspace), and so is DEMT with `keep_schedules`: the result's
+/// flat placements are refilled in place. tests/alloc/ gates all three.
 
 #pragma once
 
@@ -41,7 +43,6 @@
 #include "core/policy.hpp"
 #include "sched/flat_schedule.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/schedule.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
@@ -59,25 +60,14 @@ struct EngineRequest {
   const SchedulingPolicy* policy = nullptr;
 };
 
-/// One on-line simulation request: run the batch framework for `*jobs` on
-/// an m-processor machine, with the given policy as the per-batch
-/// off-line scheduler.
-struct OnlineRequest {
-  int m = 1;
-  const std::vector<OnlineJob>* jobs = nullptr;
-  /// Optional node reservations (nullptr = none).
-  const std::vector<NodeReservation>* reservations = nullptr;
-  /// Per-batch off-line policy (borrowed, required).
-  const SchedulingPolicy* policy = nullptr;
-};
-
 struct EngineResult {
   double cmax = 0.0;
   double weighted_completion_sum = 0.0;
-  /// Materialised placements; only valid when `has_schedule` (metrics-only
-  /// mode skips materialisation to keep the hot path allocation-free).
+  /// Placements, one entry per task; only valid when `has_schedule`
+  /// (metrics-only mode skips the copy). Callers that need the object
+  /// form derive it with `schedule.to_schedule(m)`.
   bool has_schedule = false;
-  Schedule schedule{1, 0};
+  FlatPlacements schedule;
   DemtDiagnostics diag;  ///< meaningful for DemtPolicy requests only
 };
 
@@ -86,7 +76,8 @@ struct EngineOptions {
   /// on the calling thread (no pool round-trip), k > 1 = cap at k. Results
   /// are identical for every setting.
   int workers = 0;
-  /// Materialise a Schedule per result. false = metrics-only serving mode.
+  /// Copy the placements into each result. false = metrics-only serving
+  /// mode.
   bool keep_schedules = true;
   /// Decision cache (core/decision_cache.hpp), borrowed for the engine's
   /// whole life; nullptr (default) disables caching entirely — the
@@ -128,7 +119,6 @@ struct EngineStreamId {
 /// Cumulative counters; read through SchedulerEngine::stats().
 struct EngineStats {
   std::uint64_t requests = 0;         ///< off-line requests served
-  std::uint64_t online_requests = 0;  ///< on-line simulations served
   std::uint64_t batches = 0;          ///< batch calls dispatched
   std::uint64_t streams_opened = 0;   ///< streaming sessions opened
   std::uint64_t streams_restored = 0; ///< sessions resumed from a checkpoint
@@ -156,7 +146,7 @@ struct EngineStreamState {
   std::uint64_t spec_seen_rolled_back = 0;
 };
 
-/// Per-strand reusable state: every buffer a request of either kind needs.
+/// Per-strand reusable state: every buffer a request needs.
 /// The engine owns one per strand; two concurrent requests never share
 /// one. Policy scratch is pooled per (strand, SchedulingPolicy::
 /// workspace_key): the first request a strand serves under a given key
@@ -164,7 +154,6 @@ struct EngineStreamState {
 /// keeps the steady-state serving loop allocation-free.
 struct EngineWorkspace {
   FlatPlacements flat;         ///< policy output staging
-  OnlineWorkspace online;      ///< on-line simulator state
   SignatureScratch signature;  ///< decision-cache canonicalization scratch
   /// Pooled per-policy scratch, keyed by workspace_key().
   struct PolicySlot {
@@ -208,16 +197,6 @@ class SchedulerEngine {
   void schedule_batch_into(const EngineRequest* requests, std::size_t count,
                            EngineResult* results);
 
-  /// Convenience: one policy for a whole instance set (borrowed for the
-  /// duration of the call).
-  [[nodiscard]] std::vector<EngineResult> schedule_all(
-      const std::vector<Instance>& instances, const SchedulingPolicy& policy);
-
-  /// Serve every on-line simulation request; results[i] answers
-  /// requests[i]. Reuses the caller's result storage.
-  void simulate_batch(const std::vector<OnlineRequest>& requests,
-                      std::vector<FlatOnlineResult>& results);
-
   /// Open a streaming session (paper §5 job mix as a live request
   /// stream): returns a handle for feed_stream/close_stream. Sessions
   /// live in one pool per engine (inside its first EngineWorkspace) and
@@ -238,9 +217,6 @@ class SchedulerEngine {
   /// final_delivery == true, then the session returns to the pool and the
   /// id becomes invalid (even when the close itself throws).
   void close_stream(const EngineStreamId& id, StreamDelivery& out);
-
-  /// True while `id` names a live (opened, not yet closed) stream.
-  [[nodiscard]] bool stream_open(const EngineStreamId& id) const noexcept;
 
   /// Snapshot an open stream's resumable state into `out`
   /// (sim/checkpoint.hpp); the session stays open and unchanged. Same

@@ -67,16 +67,6 @@ void FlatPlacements::copy_from(const FlatPlacements& other) {
   proc_ids = other.proc_ids;
 }
 
-void FlatPlacements::materialize_into(int m, Schedule& out) const {
-  out.reset(m, size());
-  for (int e = 0; e < size(); ++e) {
-    if (!assigned(e)) continue;
-    const auto idx = static_cast<std::size_t>(e);
-    out.place_sorted(e, start[idx], duration[idx],
-                     proc_ids.data() + proc_begin[idx], proc_count[idx]);
-  }
-}
-
 Schedule FlatPlacements::to_schedule(int m) const {
   Schedule schedule(m, size());
   std::vector<int> procs;

@@ -76,17 +76,12 @@ struct FlatPlacements {
 
   /// Deep-copy `other`, reusing this object's buffer capacity (vector
   /// copy-assign never reallocates when capacity suffices). The winner
-  /// bookkeeping of demt_schedule_into uses this instead of to_schedule.
+  /// bookkeeping of demt_schedule_into and the engine's keep_schedules
+  /// results use this instead of to_schedule.
   void copy_from(const FlatPlacements& other);
 
   /// Materialise into a Schedule on m processors (assigned entries only).
   [[nodiscard]] Schedule to_schedule(int m) const;
-
-  /// to_schedule into a pooled Schedule: `out` is reset to the right
-  /// shape (per-task vector capacity kept) and refilled via place_sorted,
-  /// so a steady keep_schedules serving loop that reuses its result
-  /// objects stops allocating per batch. Same output as to_schedule.
-  void materialize_into(int m, Schedule& out) const;
 };
 
 }  // namespace moldsched

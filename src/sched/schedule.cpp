@@ -15,23 +15,6 @@ Schedule::Schedule(int m, int num_tasks) : m_(m) {
   placed_.resize(static_cast<std::size_t>(num_tasks), false);
 }
 
-void Schedule::reset(int m, int num_tasks) {
-  if (m < 1) throw std::invalid_argument("Schedule: m must be >= 1");
-  if (num_tasks < 0) {
-    throw std::invalid_argument("Schedule: num_tasks must be >= 0");
-  }
-  m_ = m;
-  const auto n = static_cast<std::size_t>(num_tasks);
-  if (placements_.size() > n) placements_.resize(n);
-  for (auto& p : placements_) {
-    p.start = 0.0;
-    p.duration = 0.0;
-    p.procs.clear();  // keeps capacity — the point of pooling
-  }
-  placements_.resize(n);
-  placed_.assign(n, false);
-}
-
 void Schedule::check_task(int task) const {
   if (task < 0 || task >= num_tasks()) {
     throw std::invalid_argument("Schedule: task index out of range");
@@ -63,40 +46,6 @@ void Schedule::place(int task, double start, double duration,
   p.duration = duration;
   p.procs = std::move(sorted);
   placed_[static_cast<std::size_t>(task)] = true;
-}
-
-void Schedule::place_sorted(int task, double start, double duration,
-                            const int* procs, int count) {
-  check_task(task);
-  if (!(start >= 0.0) || !std::isfinite(start)) {
-    throw std::invalid_argument("Schedule::place: bad start time");
-  }
-  if (!(duration > 0.0) || !std::isfinite(duration)) {
-    throw std::invalid_argument("Schedule::place: bad duration");
-  }
-  if (count <= 0 || procs == nullptr) {
-    throw std::invalid_argument("Schedule::place: empty processor set");
-  }
-  if (procs[0] < 0 || procs[count - 1] >= m_) {
-    throw std::invalid_argument("Schedule::place: processor id out of range");
-  }
-  for (int i = 1; i < count; ++i) {
-    if (procs[i] <= procs[i - 1]) {
-      throw std::invalid_argument(
-          "Schedule::place_sorted: processor ids not strictly ascending");
-    }
-  }
-  auto& p = placements_[static_cast<std::size_t>(task)];
-  p.start = start;
-  p.duration = duration;
-  p.procs.assign(procs, procs + count);
-  placed_[static_cast<std::size_t>(task)] = true;
-}
-
-void Schedule::unplace(int task) {
-  check_task(task);
-  placements_[static_cast<std::size_t>(task)] = Placement{};
-  placed_[static_cast<std::size_t>(task)] = false;
 }
 
 bool Schedule::complete() const noexcept {
@@ -133,12 +82,6 @@ double Schedule::weighted_completion_sum(const Instance& instance) const {
   for (int i = 0; i < num_tasks(); ++i) {
     sum += instance.task(i).weight() * completion(i);
   }
-  return sum;
-}
-
-double Schedule::completion_sum() const {
-  double sum = 0.0;
-  for (int i = 0; i < num_tasks(); ++i) sum += completion(i);
   return sum;
 }
 

@@ -31,27 +31,10 @@ class Schedule {
   /// unassigned.
   Schedule(int m, int num_tasks);
 
-  /// Rebuild in place for a new shape: every task unassigned, machine size
-  /// `m` — like constructing Schedule(m, num_tasks), but the per-task
-  /// processor vectors keep their heap capacity, so a pooled result object
-  /// refilled via place_sorted allocates nothing once warm (the engine's
-  /// keep_schedules path relies on this). Throws like the constructor.
-  void reset(int m, int num_tasks);
-
   /// Assign task `task`. Throws std::invalid_argument on malformed
   /// placements (bad task index, empty/duplicate/out-of-range processors,
   /// negative start, non-positive duration).
   void place(int task, double start, double duration, std::vector<int> procs);
-
-  /// place() for a processor range already in strictly ascending order
-  /// (the invariant FlatPlacements maintains): same validation and
-  /// errors, but copies into the task's pooled vector instead of
-  /// sorting a temporary — no allocation once the placement has capacity.
-  void place_sorted(int task, double start, double duration, const int* procs,
-                    int count);
-
-  /// Remove a task's placement (used by local-search compaction).
-  void unplace(int task);
 
   [[nodiscard]] bool assigned(int task) const {
     return placed_.at(static_cast<std::size_t>(task));
@@ -74,9 +57,6 @@ class Schedule {
   /// Weighted sum of completion times with the instance's weights.
   /// Throws std::logic_error when incomplete or size-mismatched.
   [[nodiscard]] double weighted_completion_sum(const Instance& instance) const;
-
-  /// Unweighted sum of completion times.
-  [[nodiscard]] double completion_sum() const;
 
  private:
   void check_task(int task) const;

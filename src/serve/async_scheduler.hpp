@@ -125,8 +125,8 @@ struct AsyncOptions {
   /// take()n). Stream feeds and closes occupy the same slot table as
   /// one-shot requests. Beyond it, submit returns a rejected Ticket.
   int queue_capacity = 1024;
-  /// Materialise a Schedule per result (metrics-only serving when false —
-  /// the allocation-free path).
+  /// Copy the placements into each result (metrics-only serving when
+  /// false — the allocation-free path).
   bool keep_schedules = false;
   /// Maximum concurrently open streams; open_stream returns a rejected
   /// StreamTicket beyond it.

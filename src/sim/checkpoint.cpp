@@ -1,6 +1,5 @@
 #include "sim/checkpoint.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "sim/stream.hpp"
@@ -161,185 +160,6 @@ void OnlineStream::restore(const StreamCheckpoint& ckpt) {
   spec_committed_ = 0;
   spec_rolled_back_ = 0;
   open_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// Byte codec: versioned little-endian image.
-
-namespace {
-
-constexpr std::uint32_t kMagic = 0x4D53434Bu;  // "MSCK"
-constexpr std::uint32_t kVersion = 1;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_f64_vec(std::vector<std::uint8_t>& out,
-                 const std::vector<double>& v) {
-  put_u64(out, v.size());
-  for (double x : v) put_f64(out, x);
-}
-
-/// Bounds-checked little-endian reader over the image.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t off = 0;
-
-  void need(std::size_t k) const {
-    if (off + k > n) {
-      throw std::invalid_argument("StreamCheckpoint: truncated image");
-    }
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    off += 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  /// Element count of the next section; refuses counts the remaining
-  /// bytes cannot hold (a corrupt image must not provoke a huge resize).
-  std::size_t count(std::size_t elem_bytes) {
-    const std::uint64_t c = u64();
-    if (c > (n - off) / elem_bytes) {
-      throw std::invalid_argument("StreamCheckpoint: truncated image");
-    }
-    return static_cast<std::size_t>(c);
-  }
-  void f64_vec(std::vector<double>& out) {
-    const std::size_t c = count(8);
-    out.resize(c);
-    for (std::size_t i = 0; i < c; ++i) out[i] = f64();
-  }
-};
-
-}  // namespace
-
-void encode_checkpoint(const StreamCheckpoint& ckpt,
-                       std::vector<std::uint8_t>& out) {
-  out.clear();
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(ckpt.m));
-  put_f64(out, ckpt.now);
-  put_f64(out, ckpt.watermark);
-  put_u32(out, (ckpt.finished ? 1u : 0u) | (ckpt.broken ? 2u : 0u));
-  put_u64(out, ckpt.reservations.size());
-  for (const auto& r : ckpt.reservations) {
-    put_u32(out, static_cast<std::uint32_t>(r.proc));
-    put_f64(out, r.start);
-    put_f64(out, r.finish);
-  }
-  put_i64(out, ckpt.jobs_decided);
-  put_f64(out, ckpt.cmax);
-  put_f64(out, ckpt.weighted_completion_sum);
-  put_f64(out, ckpt.weighted_flow_sum);
-  put_f64_vec(out, ckpt.batch_starts);
-  put_f64_vec(out, ckpt.job_release);
-  put_f64_vec(out, ckpt.job_weight);
-  put_u64(out, ckpt.job_min_procs.size());
-  for (std::int32_t v : ckpt.job_min_procs) {
-    put_u32(out, static_cast<std::uint32_t>(v));
-  }
-  put_u64(out, ckpt.job_times_begin.size());
-  for (std::int64_t v : ckpt.job_times_begin) put_i64(out, v);
-  put_f64_vec(out, ckpt.job_times);
-  put_f64_vec(out, ckpt.div_remaining);
-  put_f64_vec(out, ckpt.div_weight);
-  put_f64_vec(out, ckpt.div_release);
-  put_f64(out, ckpt.divisible_weighted_completion_sum);
-}
-
-void decode_checkpoint(const std::uint8_t* bytes, std::size_t size,
-                       StreamCheckpoint& ckpt) {
-  ckpt.clear();
-  if (bytes == nullptr && size > 0) {
-    throw std::invalid_argument("StreamCheckpoint: null image");
-  }
-  Reader r{bytes, size};
-  if (r.u32() != kMagic) {
-    throw std::invalid_argument("StreamCheckpoint: bad magic");
-  }
-  if (r.u32() != kVersion) {
-    throw std::invalid_argument("StreamCheckpoint: unsupported version");
-  }
-  ckpt.m = static_cast<int>(r.u32());
-  ckpt.now = r.f64();
-  ckpt.watermark = r.f64();
-  const std::uint32_t flags = r.u32();
-  ckpt.finished = (flags & 1u) != 0;
-  ckpt.broken = (flags & 2u) != 0;
-  const std::size_t num_reservations = r.count(20);
-  ckpt.reservations.resize(num_reservations);
-  for (auto& res : ckpt.reservations) {
-    res.proc = static_cast<int>(r.u32());
-    res.start = r.f64();
-    res.finish = r.f64();
-  }
-  ckpt.jobs_decided = r.i64();
-  ckpt.cmax = r.f64();
-  ckpt.weighted_completion_sum = r.f64();
-  ckpt.weighted_flow_sum = r.f64();
-  r.f64_vec(ckpt.batch_starts);
-  r.f64_vec(ckpt.job_release);
-  r.f64_vec(ckpt.job_weight);
-  const std::size_t num_min_procs = r.count(4);
-  ckpt.job_min_procs.resize(num_min_procs);
-  for (auto& v : ckpt.job_min_procs) v = static_cast<std::int32_t>(r.u32());
-  const std::size_t num_begins = r.count(8);
-  ckpt.job_times_begin.resize(num_begins);
-  for (auto& v : ckpt.job_times_begin) v = r.i64();
-  r.f64_vec(ckpt.job_times);
-  r.f64_vec(ckpt.div_remaining);
-  r.f64_vec(ckpt.div_weight);
-  r.f64_vec(ckpt.div_release);
-  ckpt.divisible_weighted_completion_sum = r.f64();
-  // A valid image is consumed exactly: trailing bytes mean the caller
-  // framed the image wrong (or the image is corrupt) — reject instead of
-  // silently ignoring what might be half of the next record.
-  if (r.off != r.n) {
-    throw std::invalid_argument("StreamCheckpoint: trailing bytes");
-  }
 }
 
 }  // namespace moldsched

@@ -1,8 +1,8 @@
 /// \file checkpoint.hpp
 /// Checkpoint/restore for streaming sessions (sim/stream.hpp) — the state
 /// a live OnlineStream needs to resume **bit-identically** on another
-/// strand, shard, or process: machine clock and watermark, reservations,
-/// the undecided (fed, not yet batch-final) arrivals, the divisible
+/// strand or shard: machine clock and watermark, reservations, the
+/// undecided (fed, not yet batch-final) arrivals, the divisible
 /// residue (remaining work per divisible id, spent entries included so the
 /// id space survives), and the running metric totals of the decided
 /// prefix. Decisions already delivered are *not* carried — their
@@ -10,12 +10,9 @@
 /// checkpoint is O(pending state), not O(stream lifetime).
 ///
 /// The flat SoA layout (parallel primitive vectors, one prefix-offset
-/// array for the task time vectors) makes the snapshot cheap to take,
-/// copy, and serialise. `encode_checkpoint`/`decode_checkpoint` give a
-/// versioned little-endian byte form for crossing a process boundary
-/// (crash recovery, rolling restarts — ROADMAP); in-process failover
-/// (serve/async_scheduler.hpp shard death) hands the struct over
-/// directly.
+/// array for the task time vectors) makes the snapshot cheap to take and
+/// copy. Failover (serve/async_scheduler.hpp shard death) hands the struct
+/// over directly, in process.
 ///
 /// Resume contract: restore() rebuilds a session whose *future* feeds,
 /// finish, and deliveries are bit-identical to the original stream's —
@@ -36,10 +33,9 @@
 namespace moldsched {
 
 /// Flat snapshot of one live OnlineStream. Produced by
-/// OnlineStream::checkpoint, consumed by OnlineStream::restore; byte form
-/// via encode_checkpoint/decode_checkpoint. Buffers keep capacity across
-/// reuse, so a pooled checkpoint object re-snapshots without allocation
-/// once warm.
+/// OnlineStream::checkpoint, consumed by OnlineStream::restore. Buffers
+/// keep capacity across reuse, so a pooled checkpoint object re-snapshots
+/// without allocation once warm.
 struct StreamCheckpoint {
   int m = 1;                ///< machine size
   double now = 0.0;         ///< machine clock (end of last decided batch)
@@ -86,18 +82,5 @@ struct StreamCheckpoint {
   /// Empty all fields back to a fresh-session snapshot; capacity kept.
   void clear();
 };
-
-/// Serialise `ckpt` into a self-describing little-endian byte image
-/// (magic + format version + field payload), appending nothing but the
-/// image to a cleared `out`. The image round-trips bit-exactly through
-/// decode_checkpoint on any platform with IEEE-754 doubles.
-void encode_checkpoint(const StreamCheckpoint& ckpt,
-                       std::vector<std::uint8_t>& out);
-
-/// Parse a byte image produced by encode_checkpoint into `ckpt`
-/// (cleared first). Throws std::invalid_argument on a truncated image,
-/// wrong magic, unsupported version, or inconsistent section sizes.
-void decode_checkpoint(const std::uint8_t* bytes, std::size_t size,
-                       StreamCheckpoint& ckpt);
 
 }  // namespace moldsched

@@ -142,6 +142,10 @@ void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
   double prev = watermark_;
   for (std::size_t i = 0; i < count; ++i) {
     const StreamArrival& a = arrivals[i];
+    // The watermark may be +inf (finish() sets it), a release may not.
+    if (!std::isfinite(a.release)) {
+      throw std::invalid_argument("OnlineStream: release must be finite");
+    }
     if (!(a.release >= prev)) {
       throw std::invalid_argument(
           "OnlineStream: arrivals must be fed in release order at or after "
@@ -153,9 +157,11 @@ void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
     }
     prev = a.release;
     if (a.kind == ArrivalKind::Divisible) {
-      if (!(a.load.work > 0.0) || !(a.load.weight > 0.0)) {
+      if (!(a.load.work > 0.0) || !(a.load.weight > 0.0) ||
+          !std::isfinite(a.load.work) || !std::isfinite(a.load.weight)) {
         throw std::invalid_argument(
-            "OnlineStream: divisible work and weight must be positive");
+            "OnlineStream: divisible work and weight must be positive and "
+            "finite");
       }
     } else {
       if (a.task.max_procs() < 1) {

@@ -127,8 +127,9 @@ class OnlineStream {
   void open(int m, const std::vector<NodeReservation>& reservations);
 
   /// Feed `count` arrivals and advance the watermark. Arrival releases
-  /// must be non-decreasing, >= the previous watermark, and <= the new
-  /// one; the watermark must not move backwards. Every batch decision runs
+  /// must be finite, non-decreasing, >= the previous watermark, and <= the
+  /// new one; the watermark must not move backwards. Divisible work and
+  /// weight must be finite and positive. Every batch decision runs
   /// `policy.schedule_into` inside `policy_ws` (a workspace the policy
   /// made; one per stream strand), allocation-free beyond what the policy
   /// itself allocates. Decisions that became final are written into `out`
@@ -176,14 +177,8 @@ class OnlineStream {
   [[nodiscard]] bool broken() const noexcept { return broken_; }
   [[nodiscard]] int procs() const noexcept { return m_; }
   [[nodiscard]] double watermark() const noexcept { return watermark_; }
-  [[nodiscard]] int batch_jobs_fed() const noexcept {
-    return static_cast<int>(jobs_live_);
-  }
   [[nodiscard]] int batch_jobs_decided() const noexcept {
     return static_cast<int>(next_);
-  }
-  [[nodiscard]] int divisible_jobs_fed() const noexcept {
-    return static_cast<int>(divisible_live_);
   }
   /// Divisible work fed but not yet poured into a hole.
   [[nodiscard]] double divisible_work_pending() const noexcept;

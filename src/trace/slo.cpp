@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/strfmt.hpp"
-
 namespace moldsched {
 
 SloPercentiles percentiles_of(std::vector<double>& samples) {
@@ -85,28 +83,6 @@ void SloAccumulator::report(double target_stretch, SloReport& out) {
   out.attainment = total_ > 0 ? static_cast<double>(attained_total) /
                                     static_cast<double>(total_)
                               : 1.0;
-}
-
-std::string slo_report_json(const SloReport& report, const char* indent) {
-  std::string out;
-  out += indent;
-  out += "[\n";
-  for (std::size_t i = 0; i < report.lanes.size(); ++i) {
-    const SloLaneReport& row = report.lanes[i];
-    out += strfmt(
-        "%s  {\"lane\": %d, \"jobs\": %lld, "
-        "\"latency\": {\"p50\": %.6g, \"p90\": %.6g, \"p99\": %.6g, "
-        "\"max\": %.6g, \"mean\": %.6g}, "
-        "\"stretch\": {\"p50\": %.6g, \"p90\": %.6g, \"p99\": %.6g, "
-        "\"max\": %.6g}, \"attainment\": %.4f}%s\n",
-        indent, row.lane, static_cast<long long>(row.jobs), row.latency.p50,
-        row.latency.p90, row.latency.p99, row.latency.max, row.mean_latency,
-        row.stretch.p50, row.stretch.p90, row.stretch.p99, row.stretch.max,
-        row.attainment, i + 1 < report.lanes.size() ? "," : "");
-  }
-  out += indent;
-  out += "]";
-  return out;
 }
 
 }  // namespace moldsched

@@ -10,16 +10,13 @@
 /// loop adds one sample per decided job without any heap allocation
 /// (gated by the Alloc.TraceArrivalsWithSlo test, which replays with an
 /// accumulator active). `report` sorts the pooled buffers in
-/// place — call it after the replay, not inside it.
-///
-/// slo_report_json renders the per-lane report as JSON; percentiles use
-/// the benches' shared convention (percentiles_of).
+/// place — call it after the replay, not inside it. Percentiles use the
+/// benches' shared convention (percentiles_of).
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace moldsched {
@@ -88,10 +85,5 @@ class SloAccumulator {
   std::vector<std::vector<double>> stretch_;  ///< per lane, parallel
   std::int64_t total_ = 0;
 };
-
-/// Render `report.lanes` as a JSON array of per-lane objects; every line
-/// is prefixed with `indent`.
-[[nodiscard]] std::string slo_report_json(const SloReport& report,
-                                          const char* indent);
 
 }  // namespace moldsched

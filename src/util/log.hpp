@@ -16,9 +16,6 @@ void set_log_level(LogLevel level) noexcept;
 
 void log(LogLevel level, std::string_view message);
 
-inline void log_debug(std::string_view m) { log(LogLevel::Debug, m); }
 inline void log_info(std::string_view m) { log(LogLevel::Info, m); }
-inline void log_warn(std::string_view m) { log(LogLevel::Warn, m); }
-inline void log_error(std::string_view m) { log(LogLevel::Error, m); }
 
 }  // namespace moldsched

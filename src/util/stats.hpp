@@ -52,7 +52,6 @@ class RatioOfSums {
   [[nodiscard]] double min_ratio() const noexcept { return per_run_.min(); }
   [[nodiscard]] double max_ratio() const noexcept { return per_run_.max(); }
   [[nodiscard]] std::size_t count() const noexcept { return per_run_.count(); }
-  [[nodiscard]] const RunningStats& per_run() const noexcept { return per_run_; }
 
   void merge(const RatioOfSums& other) noexcept;
 

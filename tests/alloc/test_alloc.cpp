@@ -27,6 +27,7 @@
 #include "engine/engine.hpp"
 #include "sched/flat_schedule.hpp"
 #include "serve/async_scheduler.hpp"
+#include "sim/online.hpp"
 #include "tasks/allotment_table.hpp"
 #include "trace/slo.hpp"
 #include "trace/swf.hpp"
@@ -97,17 +98,17 @@ TEST(Alloc, OnlineSimDemtOffline) {
   const gate::EngineWorkload workload =
       gate::engine_workload(gate::kEngineAllocRequests);
   const DemtPolicy policy = gate_demt_policy();
-  std::vector<OnlineRequest> requests(workload.streams.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].m = gate::kM;
-    requests[i].jobs = &workload.streams[i];
-    requests[i].policy = &policy;
-  }
-  SchedulerEngine engine(EngineOptions{1, true});
-  std::vector<FlatOnlineResult> results;
-  engine.simulate_batch(requests, results);
-  EXPECT_EQ(allocs_during([&] { engine.simulate_batch(requests, results); }),
-            0u);
+  const auto policy_ws = policy.make_workspace();
+  OnlineWorkspace online_ws;
+  std::vector<FlatOnlineResult> results(workload.streams.size());
+  const auto simulate_all = [&] {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      online_batch_schedule_into(gate::kM, workload.streams[i], policy,
+                                 *policy_ws, {}, online_ws, results[i]);
+    }
+  };
+  simulate_all();  // warm the workspaces
+  EXPECT_EQ(allocs_during(simulate_all), 0u);
 }
 
 // ------------------------------------------------------------- serve paths

@@ -2,7 +2,7 @@
 /// The seeded inputs of the serving and kernel gates, shared by the
 /// identity tests (tests/*.cpp) and the allocation suite (tests/alloc/),
 /// so a gate and its allocation twin always run on the same data, plus
-/// the stream-replay comparator the identity gates share. Sizes,
+/// the exact comparators the identity gates share. Sizes,
 /// seeds and serving options are the `--quick` presets the gates were
 /// calibrated on; docs/BENCHMARKS.md maps every gate to its test.
 
@@ -55,8 +55,9 @@ inline constexpr int kEngineRequests = 8;        ///< worker-count gate
 inline constexpr int kEngineAllocRequests = 48;  ///< allocation gate
 inline constexpr int kOnlineJobs = 24;           ///< jobs per on-line request
 
-/// Off-line requests plus on-line job lists (one per four requests) for
-/// the engine's worker-count and allocation gates.
+/// Off-line requests for the engine's worker-count and allocation gates,
+/// plus on-line job lists (one per four requests) for the on-line
+/// simulator's allocation gate.
 struct EngineWorkload {
   std::vector<Instance> instances;
   std::vector<std::vector<OnlineJob>> streams;
@@ -196,6 +197,18 @@ inline StreamWorkload stream_workload() {
 inline constexpr int kTraceMaxJobs = 80;  ///< mini-trace jobs replayed
 inline constexpr int kTraceChunk = 8;     ///< max arrivals per feed
 inline constexpr int kTraceLanes = 4;     ///< SLO lanes
+
+// -------------------------------------------------------- comparators
+
+/// Two flat placement sets are equal entry by entry, bit for bit.
+inline void expect_identical_placements(const FlatPlacements& a,
+                                        const FlatPlacements& b) {
+  EXPECT_EQ(a.start, b.start);
+  EXPECT_EQ(a.duration, b.duration);
+  EXPECT_EQ(a.proc_begin, b.proc_begin);
+  EXPECT_EQ(a.proc_count, b.proc_count);
+  EXPECT_EQ(a.proc_ids, b.proc_ids);
+}
 
 // -------------------------------------------------------- stream replays
 

@@ -81,31 +81,11 @@ InstanceSignature signature_of(const Instance& instance, int steps = 32) {
   return canonical_signature(instance, steps, scratch);
 }
 
-void expect_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  ASSERT_EQ(a.procs(), b.procs());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
-}
-
 void expect_identical(const EngineResult& a, const EngineResult& b) {
   EXPECT_EQ(a.cmax, b.cmax);
   EXPECT_EQ(a.weighted_completion_sum, b.weighted_completion_sum);
   ASSERT_EQ(a.has_schedule, b.has_schedule);
-  if (a.has_schedule) expect_identical(a.schedule, b.schedule);
-}
-
-void expect_identical_flat(const FlatPlacements& a, const FlatPlacements& b) {
-  EXPECT_EQ(a.start, b.start);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.proc_begin, b.proc_begin);
-  EXPECT_EQ(a.proc_count, b.proc_count);
-  EXPECT_EQ(a.proc_ids, b.proc_ids);
+  if (a.has_schedule) gate::expect_identical_placements(a.schedule, b.schedule);
 }
 
 /// Run `policy` fresh (no cache) on `instance` into `out`.
@@ -152,7 +132,7 @@ TEST(DecisionCache, LookupMissesThenReplaysExactly) {
   stored.num_batches = 7;  // any marker: diag must round-trip verbatim
   cache.insert(sig, policy.cache_key(), instance, fresh, stored);
   ASSERT_TRUE(cache.lookup(sig, policy.cache_key(), instance, replay, diag));
-  expect_identical_flat(replay, fresh);
+  gate::expect_identical_placements(replay, fresh);
   EXPECT_EQ(diag.num_batches, 7);
 
   const DecisionCacheStats stats = cache.stats();
@@ -239,9 +219,9 @@ TEST(DecisionCache, ExactVerificationRejectsBucketMates) {
   EXPECT_FALSE(cache.lookup(sig_b, policy.cache_key(), b, replay, diag));
   cache.insert(sig_b, policy.cache_key(), b, flat_b, diag);
   ASSERT_TRUE(cache.lookup(sig_a, policy.cache_key(), a, replay, diag));
-  expect_identical_flat(replay, flat_a);
+  gate::expect_identical_placements(replay, flat_a);
   ASSERT_TRUE(cache.lookup(sig_b, policy.cache_key(), b, replay, diag));
-  expect_identical_flat(replay, flat_b);
+  gate::expect_identical_placements(replay, flat_b);
 }
 
 TEST(DecisionCache, PermutedResubmissionIsItsOwnRecord) {
@@ -270,10 +250,10 @@ TEST(DecisionCache, PermutedResubmissionIsItsOwnRecord) {
   cache.insert(signature_of(b), policy.cache_key(), b, flat_b, diag);
   ASSERT_TRUE(
       cache.lookup(signature_of(a), policy.cache_key(), a, replay, diag));
-  expect_identical_flat(replay, flat_a);
+  gate::expect_identical_placements(replay, flat_a);
   ASSERT_TRUE(
       cache.lookup(signature_of(b), policy.cache_key(), b, replay, diag));
-  expect_identical_flat(replay, flat_b);
+  gate::expect_identical_placements(replay, flat_b);
   EXPECT_EQ(cache.stats().size, 2u);
 }
 
@@ -372,7 +352,7 @@ TEST(DecisionCache, ClockEvictionBoundsEveryShard) {
     if (cache.lookup(signature_of(instance), policy.cache_key(), instance,
                      replay, diag)) {
       run_fresh(policy, instance, flat);
-      expect_identical_flat(replay, flat);
+      gate::expect_identical_placements(replay, flat);
       ++live;
     }
   }
@@ -421,7 +401,8 @@ TEST(DecisionCache, HitMaterializesValidSchedule) {
   ASSERT_EQ(cache.stats().hits, 1u);
   ASSERT_TRUE(results[1].has_schedule);
   expect_identical(results[0], results[1]);
-  require_valid(results[1].schedule, instances[0]);
+  require_valid(results[1].schedule.to_schedule(instances[0].procs()),
+                instances[0]);
 }
 
 /// Serve-layer differential: cache-on vs cache-off must be bit-identical

@@ -175,20 +175,6 @@ TEST(Demt, HandlesRigidTasksMixedIn) {
   EXPECT_GE(result.schedule.placement(10).nprocs(), 4);
 }
 
-TEST(Demt, LocalOrderVariantsAllValid) {
-  Rng rng(10);
-  const Instance instance =
-      generate_instance(WorkloadFamily::Mixed, 40, 16, rng);
-  for (auto order : {DemtOptions::LocalOrder::AsSelected,
-                     DemtOptions::LocalOrder::SmithRatio,
-                     DemtOptions::LocalOrder::LongestFirst}) {
-    DemtOptions options;
-    options.local_order = order;
-    const auto result = demt_schedule(instance, options);
-    require_valid(result.schedule, instance);
-  }
-}
-
 TEST(Demt, CmaxBudgetFactorAllowsTradeoff) {
   Rng rng(11);
   const Instance instance =

@@ -661,13 +661,6 @@ TEST(DemtKernel, DemtOptionVariantsDifferential) {
   }
   {
     DemtOptions o;
-    o.local_order = DemtOptions::LocalOrder::AsSelected;
-    variants.push_back(o);
-    o.local_order = DemtOptions::LocalOrder::LongestFirst;
-    variants.push_back(o);
-  }
-  {
-    DemtOptions o;
     o.shuffles = 0;
     variants.push_back(o);
     o.shuffles = 5;

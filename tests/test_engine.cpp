@@ -2,7 +2,9 @@
 /// (mirroring test_parallel_determinism for the shuffle engine): the same
 /// request batch must give bit-identical results for 1, 2, 4 and all
 /// workers, match direct demt_schedule calls, and workspace reuse across
-/// batches must never leak state between requests.
+/// batches must never leak state between requests. Results carry flat
+/// placements; the checks derive a Schedule only to compare against
+/// demt_schedule or to run the validator.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,6 @@
 #include "engine/engine.hpp"
 #include "gate_workloads.hpp"
 #include "sched/validator.hpp"
-#include "sim/online.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
 
@@ -32,6 +33,18 @@ std::vector<Instance> make_instances(int count, int n, int m,
   return instances;
 }
 
+/// One request per instance, all under `policy`, served in one batch call.
+std::vector<EngineResult> run_batch(SchedulerEngine& engine,
+                                    const std::vector<Instance>& instances,
+                                    const SchedulingPolicy& policy) {
+  std::vector<EngineRequest> requests(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    requests[i].instance = &instances[i];
+    requests[i].policy = &policy;
+  }
+  return engine.schedule_batch(requests);
+}
+
 void expect_identical(const Schedule& a, const Schedule& b) {
   ASSERT_EQ(a.num_tasks(), b.num_tasks());
   for (int t = 0; t < a.num_tasks(); ++t) {
@@ -49,14 +62,14 @@ void expect_identical_across_workers(const std::vector<Instance>& instances,
                                      const SchedulingPolicy& policy,
                                      int calls = 1) {
   SchedulerEngine sequential(EngineOptions{1, true});
-  const auto base = sequential.schedule_all(instances, policy);
+  const auto base = run_batch(sequential, instances, policy);
   ASSERT_EQ(base.size(), instances.size());
 
   for (int workers : {2, 4, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
     std::vector<EngineResult> results;
     for (int c = 0; c < calls; ++c) {
-      results = engine.schedule_all(instances, policy);
+      results = run_batch(engine, instances, policy);
     }
     ASSERT_EQ(results.size(), base.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -64,7 +77,7 @@ void expect_identical_across_workers(const std::vector<Instance>& instances,
       EXPECT_EQ(results[i].weighted_completion_sum,
                 base[i].weighted_completion_sum)
           << "workers=" << workers;
-      expect_identical(results[i].schedule, base[i].schedule);
+      gate::expect_identical_placements(results[i].schedule, base[i].schedule);
     }
   }
 }
@@ -75,49 +88,27 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
   const DemtPolicy policy(demt);
   expect_identical_across_workers(make_instances(6, 40, 16, 20040627), policy);
 
-  // The serving-shape gate workload (n=60, m=32), off-line and on-line
-  // requests, served three times per engine (warm-up + 2 rounds): every
-  // worker count reproduces the single-strand results.
+  // The serving-shape gate workload (n=60, m=32), served three times per
+  // engine (warm-up + 2 rounds): every worker count reproduces the
+  // single-strand results.
   const gate::EngineWorkload workload =
       gate::engine_workload(gate::kEngineRequests);
   expect_identical_across_workers(workload.instances, policy, 3);
-  std::vector<OnlineRequest> online(workload.streams.size());
-  for (std::size_t i = 0; i < online.size(); ++i) {
-    online[i].m = gate::kM;
-    online[i].jobs = &workload.streams[i];
-    online[i].policy = &policy;
-  }
-  SchedulerEngine sequential(EngineOptions{1, true});
-  std::vector<FlatOnlineResult> base;
-  sequential.simulate_batch(online, base);
-  for (int workers : {2, 4, 0}) {
-    SchedulerEngine engine(EngineOptions{workers, true});
-    std::vector<FlatOnlineResult> results;
-    for (int c = 0; c < 3; ++c) engine.simulate_batch(online, results);
-    ASSERT_EQ(results.size(), base.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].cmax, base[i].cmax) << "workers=" << workers;
-      EXPECT_EQ(results[i].weighted_completion_sum,
-                base[i].weighted_completion_sum);
-      EXPECT_EQ(results[i].weighted_flow_sum, base[i].weighted_flow_sum);
-      EXPECT_EQ(results[i].num_batches, base[i].num_batches);
-      EXPECT_EQ(results[i].schedule.start, base[i].schedule.start);
-      EXPECT_EQ(results[i].schedule.duration, base[i].schedule.duration);
-    }
-  }
 }
 
 TEST(Engine, MatchesDirectDemtCalls) {
   const auto instances = make_instances(4, 30, 12, 42);
   SchedulerEngine engine(EngineOptions{0, true});
-  const auto results = engine.schedule_all(instances, DemtPolicy{});
+  const auto results = run_batch(engine, instances, DemtPolicy{});
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto direct = demt_schedule(instances[i]);
-    expect_identical(results[i].schedule, direct.schedule);
+    const Schedule schedule =
+        results[i].schedule.to_schedule(instances[i].procs());
+    expect_identical(schedule, direct.schedule);
     EXPECT_EQ(results[i].diag.num_batches, direct.diag.num_batches);
     EXPECT_EQ(results[i].diag.shuffle_improvements,
               direct.diag.shuffle_improvements);
-    require_valid(results[i].schedule, instances[i]);
+    require_valid(schedule, instances[i]);
   }
 }
 
@@ -125,15 +116,17 @@ TEST(Engine, FlatListIsFeasibleAndDeterministic) {
   const auto instances = make_instances(5, 50, 16, 7);
   SchedulerEngine engine(EngineOptions{1, true});
   const FlatListPolicy policy;
-  const auto first = engine.schedule_all(instances, policy);
+  const auto first = run_batch(engine, instances, policy);
   SchedulerEngine parallel(EngineOptions{0, true});
-  const auto second = parallel.schedule_all(instances, policy);
+  const auto second = run_batch(parallel, instances, policy);
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    require_valid(first[i].schedule, instances[i]);
-    expect_identical(first[i].schedule, second[i].schedule);
-    EXPECT_EQ(first[i].cmax, first[i].schedule.cmax());
+    const Schedule schedule =
+        first[i].schedule.to_schedule(instances[i].procs());
+    require_valid(schedule, instances[i]);
+    gate::expect_identical_placements(first[i].schedule, second[i].schedule);
+    EXPECT_EQ(first[i].cmax, schedule.cmax());
     EXPECT_EQ(first[i].weighted_completion_sum,
-              first[i].schedule.weighted_completion_sum(instances[i]));
+              schedule.weighted_completion_sum(instances[i]));
   }
 }
 
@@ -145,8 +138,8 @@ TEST(Engine, MetricsOnlyModeMatchesScheduleMode) {
   const FlatListPolicy flat_policy;
   const SchedulingPolicy* policies[] = {&demt_policy, &flat_policy};
   for (const SchedulingPolicy* policy : policies) {
-    const auto full = with_schedules.schedule_all(instances, *policy);
-    const auto lean = metrics_only.schedule_all(instances, *policy);
+    const auto full = run_batch(with_schedules, instances, *policy);
+    const auto lean = run_batch(metrics_only, instances, *policy);
     for (std::size_t i = 0; i < instances.size(); ++i) {
       EXPECT_TRUE(full[i].has_schedule);
       EXPECT_FALSE(lean[i].has_schedule);
@@ -162,59 +155,11 @@ TEST(Engine, WorkspaceReuseAcrossBatchesIsStateless) {
   const auto small = make_instances(4, 10, 8, 13);
   SchedulerEngine engine(EngineOptions{1, true});
   const DemtPolicy policy;
-  const auto base = engine.schedule_all(big, policy);
-  (void)engine.schedule_all(small, policy);  // shrink then regrow
-  const auto again = engine.schedule_all(big, policy);
+  const auto base = run_batch(engine, big, policy);
+  (void)run_batch(engine, small, policy);  // shrink then regrow
+  const auto again = run_batch(engine, big, policy);
   for (std::size_t i = 0; i < big.size(); ++i) {
-    expect_identical(again[i].schedule, base[i].schedule);
-  }
-}
-
-TEST(Engine, OnlineSimulationMatchesDirectPath) {
-  Rng rng(17);
-  const int m = 8;
-  std::vector<std::vector<OnlineJob>> streams(3);
-  for (auto& stream : streams) {
-    double release = 0.0;
-    for (int j = 0; j < 12; ++j) {
-      Instance tmp = generate_instance(WorkloadFamily::Cirne, 1, m, rng);
-      stream.push_back(OnlineJob{tmp.task(0), release});
-      release += rng.uniform(0.0, 1.0);
-    }
-  }
-  const DemtPolicy policy;
-  std::vector<OnlineRequest> requests(streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    requests[i].m = m;
-    requests[i].jobs = &streams[i];
-    requests[i].policy = &policy;
-  }
-
-  SchedulerEngine sequential(EngineOptions{1, true});
-  std::vector<FlatOnlineResult> base;
-  sequential.simulate_batch(requests, base);
-
-  for (int workers : {2, 0}) {
-    SchedulerEngine engine(EngineOptions{workers, true});
-    std::vector<FlatOnlineResult> results;
-    engine.simulate_batch(requests, results);
-    ASSERT_EQ(results.size(), base.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].cmax, base[i].cmax);
-      EXPECT_EQ(results[i].schedule.start, base[i].schedule.start);
-      EXPECT_EQ(results[i].schedule.duration, base[i].schedule.duration);
-    }
-  }
-
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    const auto direct = online_batch_schedule(
-        m, streams[i], [](const Instance& instance) {
-          return demt_schedule(instance).schedule;
-        });
-    EXPECT_EQ(base[i].cmax, direct.cmax);
-    EXPECT_EQ(base[i].weighted_completion_sum,
-              direct.weighted_completion_sum);
-    EXPECT_EQ(base[i].num_batches, direct.num_batches);
+    gate::expect_identical_placements(again[i].schedule, base[i].schedule);
   }
 }
 
@@ -223,8 +168,8 @@ TEST(Engine, StatsCountRequestsAndBatches) {
   SchedulerEngine engine(EngineOptions{1, true});
   const DemtPolicy policy;
   EXPECT_EQ(engine.stats().requests, 0u);
-  (void)engine.schedule_all(instances, policy);
-  (void)engine.schedule_all(instances, policy);
+  (void)run_batch(engine, instances, policy);
+  (void)run_batch(engine, instances, policy);
   EXPECT_EQ(engine.stats().requests, 2 * instances.size());
   EXPECT_EQ(engine.stats().batches, 2u);
   EXPECT_EQ(engine.stats().strands_last_batch, 1);
@@ -238,21 +183,18 @@ TEST(Engine, EmptyBatchIsServedWithoutDispatch) {
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(engine.stats().requests, 0u);
   EXPECT_EQ(engine.stats().batches, 0u);
-  std::vector<OnlineRequest> no_online;
-  std::vector<FlatOnlineResult> online_results;
-  engine.simulate_batch(no_online, online_results);
-  EXPECT_TRUE(online_results.empty());
 }
 
 TEST(Engine, SingleRequestBatchMatchesDirectCall) {
   const auto instances = make_instances(1, 25, 12, 23);
   for (int workers : {1, 0}) {
     SchedulerEngine engine(EngineOptions{workers, true});
-    const auto results = engine.schedule_all(instances, DemtPolicy{});
+    const auto results = run_batch(engine, instances, DemtPolicy{});
     ASSERT_EQ(results.size(), 1u);
     const auto direct = demt_schedule(instances[0]);
     EXPECT_EQ(results[0].cmax, direct.schedule.cmax());
-    expect_identical(results[0].schedule, direct.schedule);
+    expect_identical(results[0].schedule.to_schedule(instances[0].procs()),
+                     direct.schedule);
     EXPECT_EQ(engine.stats().strands_last_batch, 1);  // never > batch size
   }
 }
@@ -283,7 +225,8 @@ TEST(Engine, RawPointerBatchHookMatchesVectorOverload) {
     EXPECT_EQ(actual[i].cmax, expected[i].cmax);
     EXPECT_EQ(actual[i].weighted_completion_sum,
               expected[i].weighted_completion_sum);
-    expect_identical(actual[i].schedule, expected[i].schedule);
+    gate::expect_identical_placements(actual[i].schedule,
+                                      expected[i].schedule);
   }
   EXPECT_EQ(raw_engine.stats().requests, requests.size());
 }
@@ -296,11 +239,6 @@ TEST(Engine, RejectsBadRequests) {
   EXPECT_THROW((void)engine.schedule_batch({no_instance}),
                std::invalid_argument);
   EXPECT_THROW(SchedulerEngine(EngineOptions{-1, true}),
-               std::invalid_argument);
-  std::vector<FlatOnlineResult> results;
-  OnlineRequest no_jobs;
-  no_jobs.policy = &policy;
-  EXPECT_THROW(engine.simulate_batch({no_jobs}, results),
                std::invalid_argument);
 }
 

@@ -19,6 +19,7 @@
 #include "gate_workloads.hpp"
 #include "sched/validator.hpp"
 #include "serve/async_scheduler.hpp"
+#include "sim/online.hpp"
 #include "sim/stream.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
@@ -40,22 +41,13 @@ std::vector<Instance> make_instances(int count, int n, int m,
   return instances;
 }
 
-void expect_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
-}
-
 void expect_identical(const EngineResult& a, const EngineResult& b) {
   EXPECT_EQ(a.cmax, b.cmax);
   EXPECT_EQ(a.weighted_completion_sum, b.weighted_completion_sum);
   ASSERT_EQ(a.has_schedule, b.has_schedule);
-  if (a.has_schedule) expect_identical(a.schedule, b.schedule);
+  if (a.has_schedule) {
+    gate::expect_identical_placements(a.schedule, b.schedule);
+  }
 }
 
 void expect_identical(const StreamDelivery& a, const StreamDelivery& b) {
@@ -237,19 +229,12 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
   // shard sees the request.
   const int m = 8;
   const auto instances = make_instances(1, 12, m, 3);
-  const auto jobs = make_online_jobs(6, m, 5);
   const FlatListPolicy flat_policy;
 
   SchedulerEngine engine(EngineOptions{1, true});
   EngineRequest request;
   request.instance = &instances[0];
   EXPECT_THROW((void)engine.schedule_batch({request}), std::invalid_argument);
-  OnlineRequest online;
-  online.m = m;
-  online.jobs = &jobs;
-  std::vector<FlatOnlineResult> online_results;
-  EXPECT_THROW(engine.simulate_batch({online}, online_results),
-               std::invalid_argument);
 
   StreamConfig config;
   config.m = m;
@@ -263,7 +248,7 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
                std::invalid_argument);
   EXPECT_EQ(engine.stats().streams_opened, 1u);
   EXPECT_EQ(engine.stats().streams_restored, 0u);
-  EXPECT_TRUE(engine.stream_open(live));
+  EXPECT_NO_THROW(engine.checkpoint_stream(live, ckpt));  // still open
 
   AsyncOptions options;
   options.flush_after_ms = 0.0;
@@ -377,28 +362,30 @@ TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {
 
   // Engine batch path.
   SchedulerEngine engine(EngineOptions{1, true});
-  const auto results = engine.schedule_all(instances, lpt);
+  std::vector<EngineRequest> requests(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    requests[i].instance = &instances[i];
+    requests[i].policy = &lpt;
+  }
+  const auto results = engine.schedule_batch(requests);
   ASSERT_EQ(results.size(), instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    require_valid(results[i].schedule, instances[i]);
+    require_valid(results[i].schedule.to_schedule(instances[i].procs()),
+                  instances[i]);
     lpt.schedule_into(instances[i], *workspace, direct);
     EXPECT_EQ(results[i].cmax, direct.cmax());
     EXPECT_EQ(results[i].weighted_completion_sum,
               direct.weighted_completion_sum(instances[i]));
   }
 
-  // Engine online-simulation path.
+  // On-line simulation path.
   const int m = 8;
   const auto jobs = make_online_jobs(10, m, 13);
-  OnlineRequest request;
-  request.m = m;
-  request.jobs = &jobs;
-  request.policy = &lpt;
-  std::vector<FlatOnlineResult> online;
-  engine.simulate_batch({request}, online);
-  ASSERT_EQ(online.size(), 1u);
-  EXPECT_GT(online[0].cmax, 0.0);
-  EXPECT_EQ(online[0].num_batches > 0, true);
+  OnlineWorkspace online_ws;
+  FlatOnlineResult online;
+  online_batch_schedule_into(m, jobs, lpt, *workspace, {}, online_ws, online);
+  EXPECT_GT(online.cmax, 0.0);
+  EXPECT_GT(online.num_batches, 0);
 
   // Serving path, metrics only.
   AsyncOptions options;

@@ -13,6 +13,7 @@
 
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "serve/async_scheduler.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
@@ -32,17 +33,6 @@ std::vector<Instance> make_instances(int count, int n, int m,
         families[static_cast<std::size_t>(i) % families.size()], n, m, rng));
   }
   return instances;
-}
-
-void expect_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
 }
 
 const DemtPolicy kDemt;
@@ -92,7 +82,8 @@ TEST(AsyncScheduler, BitIdenticalToSyncForShardCounts) {
                 reference[i].weighted_completion_sum)
           << "shards=" << shards;
       ASSERT_TRUE(result.has_schedule);
-      expect_identical(result.schedule, reference[i].schedule);
+      gate::expect_identical_placements(result.schedule,
+                                        reference[i].schedule);
     }
     EXPECT_EQ(async.stats().completed, requests.size());
     EXPECT_EQ(async.in_flight(), 0u);

@@ -113,19 +113,10 @@ std::vector<FeedStep> plan_chunks(const Tape& tape, Rng& rng) {
 
 // --------------------------------------------------- exact comparators
 
-void expect_identical_placements(const FlatPlacements& a,
-                                 const FlatPlacements& b) {
-  EXPECT_EQ(a.start, b.start);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.proc_begin, b.proc_begin);
-  EXPECT_EQ(a.proc_count, b.proc_count);
-  EXPECT_EQ(a.proc_ids, b.proc_ids);
-}
-
 void expect_identical_delivery(const StreamDelivery& a,
                                const StreamDelivery& b) {
   EXPECT_EQ(a.first_job, b.first_job);
-  expect_identical_placements(a.placements, b.placements);
+  gate::expect_identical_placements(a.placements, b.placements);
   EXPECT_EQ(a.completion, b.completion);
   EXPECT_EQ(a.batch_starts, b.batch_starts);
   ASSERT_EQ(a.chunks.size(), b.chunks.size());
@@ -157,7 +148,7 @@ void expect_identical_deliveries(const std::vector<StreamDelivery>& a,
 
 void expect_identical_result(const FlatOnlineResult& a,
                              const FlatOnlineResult& b) {
-  expect_identical_placements(a.schedule, b.schedule);
+  gate::expect_identical_placements(a.schedule, b.schedule);
   EXPECT_EQ(a.completion, b.completion);
   EXPECT_EQ(a.flow, b.flow);
   EXPECT_EQ(a.cmax, b.cmax);

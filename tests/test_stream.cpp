@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/policy.hpp"
@@ -337,7 +338,22 @@ TEST(OnlineStream, FeedValidatesBeforeMutating) {
   EXPECT_THROW(
       stream.feed(&wide, 1, jobs.back().release, kFlatList, *flat_ws, out),
       std::invalid_argument);
+  // Non-finite divisible work or weight, and a non-finite release even
+  // under an infinite watermark.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double now = jobs[3].release;
+  for (const StreamArrival& bad :
+       {divisible_arrival(inf, 1.0, now), divisible_arrival(2.0, inf, now),
+        divisible_arrival(inf, 1.0, inf)}) {
+    EXPECT_THROW(stream.feed(&bad, 1, now, kFlatList, *flat_ws, out),
+                 std::invalid_argument);
+  }
+  const StreamArrival never = moldable_arrival(jobs[4].task, inf);
+  EXPECT_THROW(stream.feed(&never, 1, inf, kFlatList, *flat_ws, out),
+               std::invalid_argument);
   EXPECT_FALSE(stream.broken());
+  EXPECT_EQ(stream.watermark(), now);
+  EXPECT_EQ(stream.divisible_work_pending(), 0.0);
 
   // Every rejection above left the stream usable: finish the run and
   // compare against the reference on the prefix actually fed.
@@ -390,7 +406,6 @@ TEST(OnlineStream, EngineStreamLifecycleAndPooling) {
     config.m = m;
     config.policy = &flat_policy;
     const EngineStreamId id = engine.open_stream(config);
-    ASSERT_TRUE(engine.stream_open(id));
     std::vector<double> completions;
     engine.feed_stream(id, arrivals.data(), arrivals.size() / 2,
                        jobs[arrivals.size() / 2].release, out);
@@ -405,7 +420,6 @@ TEST(OnlineStream, EngineStreamLifecycleAndPooling) {
     completions.insert(completions.end(), out.completion.begin(),
                        out.completion.end());
     EXPECT_TRUE(out.final_delivery);
-    EXPECT_FALSE(engine.stream_open(id));
     EXPECT_EQ(completions, reference.completion) << "round " << round;
     // A recycled id must be rejected.
     EXPECT_THROW(engine.feed_stream(id, arrivals.data(), 0,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -541,6 +542,24 @@ TEST(StreamServe, FailedFeedLeavesStreamUsable) {
   StreamDelivery delivery;
   ASSERT_TRUE(async.take_stream(bad, delivery));
   EXPECT_EQ(delivery.num_jobs(), 0);
+
+  // Non-finite divisible work or weight, and a non-finite release under an
+  // infinite watermark: each feed fails the same way.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double now = jobs[3].release;
+  const StreamArrival non_finite[] = {divisible_arrival(inf, 1.0, now),
+                                      divisible_arrival(2.0, inf, now),
+                                      moldable_arrival(jobs[3].task, inf)};
+  const double watermarks[] = {now, now, inf};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const Ticket rejected =
+        async.submit_stream(stream, &non_finite[k], 1, watermarks[k]);
+    ASSERT_TRUE(rejected.accepted());
+    EXPECT_EQ(async.wait(rejected), TicketStatus::Failed) << "case " << k;
+    EXPECT_NE(async.error(rejected).find("finite"), std::string::npos);
+    ASSERT_TRUE(async.take_stream(rejected, delivery));
+    EXPECT_EQ(delivery.num_jobs(), 0);
+  }
 
   const Ticket rest = async.submit_stream(stream, arrivals.data() + 3, 3,
                                           jobs.back().release);

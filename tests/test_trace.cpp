@@ -666,23 +666,5 @@ TEST(Slo, ContractErrors) {
   EXPECT_THROW(accumulator.report(0.0, report), std::invalid_argument);
 }
 
-TEST(Slo, JsonRendersEveryLane) {
-  SloAccumulator accumulator;
-  accumulator.open(3, 2);
-  accumulator.record(0, 0.0, 1.0, 1.0);
-  accumulator.record(2, 0.0, 2.0, 3.0);
-  SloReport report;
-  accumulator.report(5.0, report);
-  const std::string json = slo_report_json(report, "  ");
-  std::size_t rows = 0;
-  for (std::size_t pos = json.find("\"lane\":"); pos != std::string::npos;
-       pos = json.find("\"lane\":", pos + 1)) {
-    ++rows;
-  }
-  EXPECT_EQ(rows, 3u);
-  EXPECT_NE(json.find("\"attainment\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace moldsched
