@@ -19,11 +19,6 @@ TEST(Schedule, PlaceAndQuery) {
   EXPECT_FALSE(schedule.assigned(0));
   EXPECT_FALSE(schedule.complete());
   schedule.place(0, 0.0, 4.0, {0});
-  // An unassigned task has no completion, so the makespan is undefined.
-  EXPECT_TRUE(schedule.assigned(0));
-  EXPECT_FALSE(schedule.assigned(1));
-  EXPECT_THROW((void)schedule.completion(1), std::logic_error);
-  EXPECT_THROW((void)schedule.cmax(), std::logic_error);
   schedule.place(1, 1.0, 3.0, {1, 2});
   EXPECT_TRUE(schedule.complete());
   EXPECT_DOUBLE_EQ(schedule.completion(0), 4.0);
@@ -59,6 +54,16 @@ TEST(Schedule, ReplaceOverwrites) {
   schedule.place(0, 5.0, 2.0, {1});
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 5.0);
   EXPECT_DOUBLE_EQ(schedule.completion(0), 7.0);
+}
+
+// An unassigned task has no completion, so the makespan is undefined.
+TEST(Schedule, UnassignedTaskHasNoCompletion) {
+  Schedule schedule(2, 2);
+  schedule.place(1, 0.0, 1.0, {1});
+  EXPECT_FALSE(schedule.assigned(0));
+  EXPECT_TRUE(schedule.assigned(1));
+  EXPECT_THROW((void)schedule.completion(0), std::logic_error);
+  EXPECT_THROW((void)schedule.cmax(), std::logic_error);
 }
 
 TEST(Schedule, MetricsAgainstInstance) {
