@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     std::vector<ListJob> jobs;
     for (int i = 0; i < n; ++i) {
       jobs.push_back(ListJob{i, static_cast<int>(rng.uniform_int(1, 32)),
-                             rng.uniform(0.5, 10.0), 0.0});
+                             rng.uniform(0.5, 10.0)});
     }
     bench("list_scheduler", n, [&] { (void)list_schedule(m, n, jobs); });
   }

@@ -69,7 +69,7 @@ Schedule sequential_lptf_schedule(const Instance& instance) {
   std::vector<ListJob> jobs;
   jobs.reserve(static_cast<std::size_t>(n));
   for (int task_id : order) {
-    jobs.push_back(ListJob{task_id, 1, instance.task(task_id).time(1), 0.0});
+    jobs.push_back(ListJob{task_id, 1, instance.task(task_id).time(1)});
   }
   return list_schedule(instance.procs(), n, jobs);
 }
@@ -152,7 +152,7 @@ Schedule list_graham_schedule(const Instance& instance, ListOrder order,
   std::vector<ListJob> jobs;
   jobs.reserve(entries.size());
   for (const auto& e : entries) {
-    jobs.push_back(ListJob{e.task, e.alloc, e.duration, 0.0});
+    jobs.push_back(ListJob{e.task, e.alloc, e.duration});
   }
   return list_schedule(instance.procs(), n, jobs);
 }

@@ -28,9 +28,7 @@ void LptRigidPolicy::schedule_into(const Instance& batch, PolicyWorkspace& ws,
               if (a.duration != b.duration) return a.duration > b.duration;
               return a.task < b.task;
             });
-  static const std::vector<BusyInterval> kNoReservations;
-  list_schedule_into(batch.procs(), batch.num_tasks(), kNoReservations, list,
-                     out);
+  list_schedule_into(batch.procs(), batch.num_tasks(), list, out);
 }
 
 const void* LptRigidPolicy::workspace_key() const noexcept {

@@ -100,11 +100,9 @@ void list_pass_flat(const Instance& instance,
   ws.list.jobs.clear();
   for (int idx : order) {
     const auto& item = flat_items[static_cast<std::size_t>(idx)];
-    ws.list.jobs.push_back(ListJob{idx, item.procs, item.duration, 0.0});
+    ws.list.jobs.push_back(ListJob{idx, item.procs, item.duration});
   }
-  static const std::vector<BusyInterval> kNoReservations;
-  list_schedule_into(instance.procs(),
-                     static_cast<int>(flat_items.size()), kNoReservations,
+  list_schedule_into(instance.procs(), static_cast<int>(flat_items.size()),
                      ws.list, ws.items);
 
   ws.tasks.reset(instance.num_tasks());
@@ -138,11 +136,9 @@ void list_pass_flat_soa(const Instance& instance, const FlatBatchItems& items,
   ws.list.jobs.clear();
   for (int idx : order) {
     const auto i = static_cast<std::size_t>(idx);
-    ws.list.jobs.push_back(ListJob{idx, items.procs[i], items.duration[i], 0.0});
+    ws.list.jobs.push_back(ListJob{idx, items.procs[i], items.duration[i]});
   }
-  static const std::vector<BusyInterval> kNoReservations;
-  list_schedule_into(instance.procs(), items.size(), kNoReservations, ws.list,
-                     ws.items);
+  list_schedule_into(instance.procs(), items.size(), ws.list, ws.items);
 
   ws.tasks.reset(instance.num_tasks());
   for (int idx = 0; idx < items.size(); ++idx) {

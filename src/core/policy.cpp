@@ -64,7 +64,7 @@ void fill_min_work_jobs(const Instance& instance, ListPassWorkspace& list) {
   for (int t = 0; t < n; ++t) {
     const MoldableTask& task = instance.task(t);
     const int k = task.min_work_procs();
-    list.jobs.push_back(ListJob{t, k, task.time(k), 0.0});
+    list.jobs.push_back(ListJob{t, k, task.time(k)});
   }
 }
 
@@ -84,9 +84,7 @@ void flat_list_schedule(const Instance& instance, ListPassWorkspace& list,
               if (ra != rb) return ra > rb;
               return a.task < b.task;
             });
-  static const std::vector<BusyInterval> kNoReservations;
-  list_schedule_into(instance.procs(), instance.num_tasks(), kNoReservations,
-                     list, out);
+  list_schedule_into(instance.procs(), instance.num_tasks(), list, out);
 }
 
 namespace {

@@ -144,7 +144,8 @@ void dual_test_vec_impl(const Instance& instance, double lambda,
   const std::size_t row = static_cast<std::size_t>(m) + 1;
   ws.dp.assign(row, 0.0);
   ws.next.resize(row);
-  ws.pick.assign(static_cast<std::size_t>(n) * row, kUnreachable);
+  // Every cell is written by its row's seed sweep below.
+  ws.pick.resize(static_cast<std::size_t>(n) * row);
 
   for (int i = 0; i < n; ++i) {
     const auto begin = static_cast<std::size_t>(ws.opt_begin[i]);

@@ -1,16 +1,17 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace moldsched {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTol = 1e-12;
+constexpr int kStarted = INT_MAX;
 
 struct EventLater {
   bool operator()(const ListPassWorkspace::FinishEvent& a,
@@ -19,157 +20,105 @@ struct EventLater {
   }
 };
 
+/// First list position >= lo whose leaf in the min-tree `tree` (leaves at
+/// [leaves, 2 * leaves)) is <= idle, or -1 when none is.
+int next_fitting(const std::vector<int>& tree, std::size_t leaves,
+                 std::size_t lo, int idle) {
+  if (lo >= leaves) return -1;
+  std::size_t i = lo + leaves;
+  do {
+    while ((i & 1) == 0) i >>= 1;  // widen while i is a left child
+    if (tree[i] <= idle) {
+      while (i < leaves) {
+        i *= 2;
+        if (tree[i] > idle) ++i;
+      }
+      return static_cast<int>(i - leaves);
+    }
+    ++i;
+  } while (!std::has_single_bit(i));  // wrapped past the last position
+  return -1;
+}
+
 }  // namespace
 
-void list_schedule_into(int m, int num_entries,
-                        const std::vector<BusyInterval>& reservations,
-                        ListPassWorkspace& ws, FlatPlacements& out) {
+void list_schedule_into(int m, int num_entries, ListPassWorkspace& ws,
+                        FlatPlacements& out) {
   out.reset(num_entries);
   ws.events.clear();
-  ws.idle.assign(static_cast<std::size_t>(m), 1);
-  ws.done.assign(ws.jobs.size(), 0);
+  const std::size_t n = ws.jobs.size();
+  const std::size_t leaves = std::bit_ceil(n);
+  ws.pending.assign(2 * leaves, kStarted);
+  for (std::size_t j = 0; j < n; ++j) {
+    ws.pending[leaves + j] = ws.jobs[j].nprocs;
+  }
+  for (std::size_t i = leaves - 1; i > 0; --i) {
+    ws.pending[i] = std::min(ws.pending[2 * i], ws.pending[2 * i + 1]);
+  }
+  ws.idle.assign((static_cast<std::size_t>(m) + 63) / 64, ~std::uint64_t{0});
+  if (m % 64 != 0) ws.idle.back() = (std::uint64_t{1} << (m % 64)) - 1;
   int idle_count = m;
-
-  // Reservations, sorted by start and bucketed per processor: chain
-  // same-processor intervals so next_res_start[p] always holds the earliest
-  // pending (not yet begun) reservation on p — the blocked-processor test
-  // in the start loop then costs O(1) per processor instead of a scan over
-  // every pending reservation.
-  ws.reservations.clear();
-  ws.next_res_start.assign(static_cast<std::size_t>(m), kInf);
-  for (const auto& r : reservations) {
-    if (r.proc < 0 || r.proc >= m || !(r.finish > r.start)) {
-      throw std::invalid_argument("list_schedule: bad reservation");
-    }
-    ws.reservations.push_back({r.start, r.finish, r.proc, -1});
-  }
-  if (!ws.reservations.empty()) {
-    std::sort(ws.reservations.begin(), ws.reservations.end(),
-              [](const auto& a, const auto& b) { return a.start < b.start; });
-    ws.res_head.assign(static_cast<std::size_t>(m), -1);
-    for (std::size_t i = ws.reservations.size(); i-- > 0;) {
-      auto& r = ws.reservations[i];
-      const auto p = static_cast<std::size_t>(r.proc);
-      r.next_on_proc = ws.res_head[p];
-      ws.res_head[p] = static_cast<int>(i);
-    }
-    for (int p = 0; p < m; ++p) {
-      const int head = ws.res_head[static_cast<std::size_t>(p)];
-      if (head >= 0) {
-        ws.next_res_start[static_cast<std::size_t>(p)] =
-            ws.reservations[static_cast<std::size_t>(head)].start;
-      }
-    }
-  }
-
-  std::size_t next_res = 0;
-  std::size_t remaining = ws.jobs.size();
+  std::size_t remaining = n;
   double now = 0.0;
 
-  const auto push_event = [&](double time, int entry) {
-    ws.events.push_back({time, entry});
-    std::push_heap(ws.events.begin(), ws.events.end(), EventLater{});
-  };
-
-  const auto activate_reservations = [&](double t) {
-    while (next_res < ws.reservations.size() &&
-           ws.reservations[next_res].start <= t + kTol) {
-      const auto& r = ws.reservations[next_res];
-      const auto p = static_cast<std::size_t>(r.proc);
-      // The processor must be idle when the reservation begins; the caller
-      // (online simulator) aligns reservations with idle periods.
-      if (!ws.idle[p]) {
-        throw std::logic_error(
-            "list_schedule: reservation starts on a busy processor");
-      }
-      ws.idle[p] = 0;
-      --idle_count;
-      push_event(r.finish, -1 - r.proc);
-      ws.next_res_start[p] = r.next_on_proc >= 0
-                                 ? ws.reservations[static_cast<std::size_t>(
-                                                       r.next_on_proc)]
-                                       .start
-                                 : kInf;
-      ++next_res;
-    }
-  };
-
-  activate_reservations(now);
-
-  while (remaining > 0) {
+  for (;;) {
     // Start every pending job that fits, in list order.
-    for (std::size_t j = 0; j < ws.jobs.size() && idle_count > 0; ++j) {
-      if (ws.done[j]) continue;
-      const ListJob& job = ws.jobs[j];
-      if (job.release > now + kTol) continue;
-      if (job.nprocs > idle_count) continue;
-      // Pick the lowest-numbered idle processors that are reservation-free
-      // for [now, now + duration).
-      ws.chosen.clear();
-      const double finish = now + job.duration;
-      for (int p = 0; p < m && static_cast<int>(ws.chosen.size()) < job.nprocs;
-           ++p) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (!ws.idle[pi]) continue;
-        if (ws.next_res_start[pi] < finish - kTol) continue;  // blocked
-        ws.chosen.push_back(p);
-      }
-      if (static_cast<int>(ws.chosen.size()) < job.nprocs) continue;
-      for (int p : ws.chosen) ws.idle[static_cast<std::size_t>(p)] = 0;
-      idle_count -= job.nprocs;
+    for (int j = next_fitting(ws.pending, leaves, 0, idle_count); j >= 0;
+         j = next_fitting(ws.pending, leaves, static_cast<std::size_t>(j) + 1,
+                          idle_count)) {
+      const ListJob& job = ws.jobs[static_cast<std::size_t>(j)];
       const auto e = static_cast<std::size_t>(job.task);
       out.start[e] = now;
       out.duration[e] = job.duration;
       out.proc_begin[e] = static_cast<int>(out.proc_ids.size());
       out.proc_count[e] = job.nprocs;
-      out.proc_ids.insert(out.proc_ids.end(), ws.chosen.begin(),
-                          ws.chosen.end());
-      push_event(finish, job.task);
-      ws.done[j] = 1;
+      // Take the lowest-numbered idle processors, ascending.
+      int need = job.nprocs;
+      for (std::size_t w = 0; need > 0; ++w) {
+        std::uint64_t bits = ws.idle[w];
+        for (; bits != 0 && need > 0; bits &= bits - 1, --need) {
+          out.proc_ids.push_back(static_cast<int>(w * 64) +
+                                 std::countr_zero(bits));
+        }
+        ws.idle[w] = bits;
+      }
+      idle_count -= job.nprocs;
+      ws.events.push_back({now + job.duration, job.task});
+      std::push_heap(ws.events.begin(), ws.events.end(), EventLater{});
+      std::size_t i = leaves + static_cast<std::size_t>(j);
+      ws.pending[i] = kStarted;
+      for (i >>= 1; i > 0; i >>= 1) {
+        const int v = std::min(ws.pending[2 * i], ws.pending[2 * i + 1]);
+        if (v == ws.pending[i]) break;
+        ws.pending[i] = v;
+      }
       --remaining;
     }
-    if (remaining == 0) break;
+    if (remaining == 0) return;
 
-    // Advance time to the next finish event, job release, or reservation
-    // start.
-    double next_time = ws.events.empty() ? kInf : ws.events.front().time;
-    for (std::size_t j = 0; j < ws.jobs.size(); ++j) {
-      if (!ws.done[j] && ws.jobs[j].release > now + kTol) {
-        next_time = std::min(next_time, ws.jobs[j].release);
-      }
-    }
-    if (next_res < ws.reservations.size()) {
-      next_time = std::min(next_time, ws.reservations[next_res].start);
-    }
-    if (!std::isfinite(next_time) || next_time <= now + kTol) {
-      // No event can unblock the remaining jobs: impossible unless a job
-      // needs more processors than will ever be simultaneously free.
+    // Advance to the next finish event and free every processor that
+    // finishes by then (within kTol). With no running job left, the rest
+    // need more processors than the machine has.
+    if (ws.events.empty()) {
       throw std::logic_error("list_schedule: deadlock (jobs cannot fit)");
     }
-    now = next_time;
+    now = ws.events.front().time;
     while (!ws.events.empty() && ws.events.front().time <= now + kTol) {
-      const auto event = ws.events.front();
+      const auto e = static_cast<std::size_t>(ws.events.front().entry);
       std::pop_heap(ws.events.begin(), ws.events.end(), EventLater{});
       ws.events.pop_back();
-      if (event.entry >= 0) {
-        const auto e = static_cast<std::size_t>(event.entry);
-        const auto begin = static_cast<std::size_t>(out.proc_begin[e]);
-        const auto count = static_cast<std::size_t>(out.proc_count[e]);
-        for (std::size_t i = begin; i < begin + count; ++i) {
-          ws.idle[static_cast<std::size_t>(out.proc_ids[i])] = 1;
-        }
-        idle_count += out.proc_count[e];
-      } else {
-        ws.idle[static_cast<std::size_t>(-1 - event.entry)] = 1;
-        ++idle_count;
+      const auto begin = static_cast<std::size_t>(out.proc_begin[e]);
+      const auto count = static_cast<std::size_t>(out.proc_count[e]);
+      for (std::size_t i = begin; i < begin + count; ++i) {
+        const auto p = static_cast<unsigned>(out.proc_ids[i]);
+        ws.idle[p / 64] |= std::uint64_t{1} << (p % 64);
       }
+      idle_count += out.proc_count[e];
     }
-    activate_reservations(now);
   }
 }
 
-Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs,
-                       const ListScheduleOptions& options) {
+Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs) {
   // Validate here so the allocation-free core can trust its inputs; same
   // checks and messages as the Schedule-based implementation had.
   if (m < 1) throw std::invalid_argument("Schedule: m must be >= 1");
@@ -191,14 +140,11 @@ Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs,
     if (!(job.duration > 0.0) || !std::isfinite(job.duration)) {
       throw std::invalid_argument("list_schedule: bad duration");
     }
-    if (job.release < 0.0) {
-      throw std::invalid_argument("list_schedule: negative release");
-    }
   }
   thread_local ListPassWorkspace ws;
   thread_local FlatPlacements flat;
   ws.jobs.assign(jobs.begin(), jobs.end());
-  list_schedule_into(m, num_tasks, options.reservations, ws, flat);
+  list_schedule_into(m, num_tasks, ws, flat);
   return flat.to_schedule(m);
 }
 

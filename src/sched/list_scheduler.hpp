@@ -1,12 +1,18 @@
 /// \file list_scheduler.hpp
 /// Event-driven Graham list scheduling for rigid-allotment jobs (the paper's
 /// reference [11]): whenever processors become idle, the pending list is
-/// scanned in order and every job that fits is started. Used by
+/// scanned in order and every job that fits is started on the
+/// lowest-numbered idle processors. Used by
 ///
-/// * the Sequential and List-Graham baselines,
+/// * the Sequential and List-Graham baselines and the rigid policies,
 /// * DEMT's final compaction pass ("a list algorithm with the batch
-///   ordering"), which re-chooses the processor sets,
-/// * the online batch simulator (jobs carry release dates there).
+///   ordering"), which re-chooses the processor sets.
+///
+/// Every job is available at time 0 and every processor is free of
+/// reservations (the on-line simulator handles node reservations itself).
+/// A pass costs O(n log n + n m / 64): the next fitting job is one descent
+/// of a min-tree over list positions, and processors are taken from an
+/// idle bitset.
 ///
 /// Two entry points share one implementation: the Schedule-returning
 /// `list_schedule` (validates its inputs, allocates the result), and the
@@ -30,20 +36,6 @@ struct ListJob {
   int task = -1;
   int nprocs = 1;
   double duration = 0.0;
-  double release = 0.0;
-};
-
-/// Per-processor busy interval that pre-exists the scheduling pass (node
-/// reservations in the online simulator).
-struct BusyInterval {
-  int proc = 0;
-  double start = 0.0;
-  double finish = 0.0;
-};
-
-struct ListScheduleOptions {
-  /// Busy intervals the scheduler must avoid (default none).
-  std::vector<BusyInterval> reservations;
 };
 
 /// Reusable buffers for repeated list passes. One workspace per thread;
@@ -56,28 +48,16 @@ struct ListPassWorkspace {
   std::vector<ListJob> jobs;
 
   // -- internal scheduler state (sized by list_schedule_into) --
-  /// Min-heap of finish events; entry >= 0 frees a job's processor range,
-  /// entry == -1-p frees reservation-held processor p.
+  /// Min-heap of finish events; `entry` is the finished job's task.
   struct FinishEvent {
     double time = 0.0;
     int entry = 0;
   };
   std::vector<FinishEvent> events;
-  std::vector<std::uint8_t> idle;  ///< per processor
-  std::vector<std::uint8_t> done;  ///< per job
-  std::vector<int> chosen;         ///< processor-picking scratch
-
-  // Reservations, bucketed per processor so the "does a reservation begin
-  // on p before this job would finish?" test is O(1) instead of a scan of
-  // every pending reservation.
-  struct Reservation {
-    double start = 0.0, finish = 0.0;
-    int proc = 0;
-    int next_on_proc = -1;  ///< index of the next reservation on this proc
-  };
-  std::vector<Reservation> reservations;   ///< sorted by start
-  std::vector<double> next_res_start;      ///< per proc; +inf when none
-  std::vector<int> res_head;               ///< per-proc chain head scratch
+  /// Min-tree over list positions: leaf j holds jobs[j].nprocs while the
+  /// job is pending and INT_MAX once it has started.
+  std::vector<int> pending;
+  std::vector<std::uint64_t> idle;  ///< idle-processor bitset
 };
 
 /// Schedule `jobs` on m processors into a Schedule with `num_tasks` slots
@@ -85,17 +65,13 @@ struct ListPassWorkspace {
 /// Throws std::invalid_argument when a job needs more than m processors,
 /// has a non-positive duration, or duplicates a task.
 [[nodiscard]] Schedule list_schedule(int m, int num_tasks,
-                                     const std::vector<ListJob>& jobs,
-                                     const ListScheduleOptions& options = {});
+                                     const std::vector<ListJob>& jobs);
 
 /// Allocation-free core: run the list pass for `ws.jobs` on m processors,
 /// writing each job's placement into `out` at index `job.task` (entries in
 /// [0, num_entries)). Skips input validation — callers own the invariants
 /// (in-range tasks and allotments, positive durations, no duplicates).
-/// `reservations` may be empty; intervals on one processor must not
-/// overlap.
-void list_schedule_into(int m, int num_entries,
-                        const std::vector<BusyInterval>& reservations,
-                        ListPassWorkspace& ws, FlatPlacements& out);
+void list_schedule_into(int m, int num_entries, ListPassWorkspace& ws,
+                        FlatPlacements& out);
 
 }  // namespace moldsched

@@ -20,6 +20,16 @@ TEST(Demt, SingleTask) {
   EXPECT_LE(result.schedule.cmax(), 8.0 + 1e-9);
 }
 
+TEST(Demt, SubToleranceTaskTimesDoNotDeadlock) {
+  // Three tasks shorter than the list pass's 1e-12 event tolerance on one
+  // processor: each finish is still an event the pass must advance to.
+  Instance instance(1);
+  for (int i = 0; i < 3; ++i) instance.add_task(MoldableTask({1e-13}, 1.0));
+  const auto result = demt_schedule(instance);
+  EXPECT_TRUE(result.schedule.complete());
+  require_valid(result.schedule, instance);
+}
+
 TEST(Demt, EmptyInstanceThrows) {
   Instance instance(4);
   EXPECT_THROW(demt_schedule(instance), std::invalid_argument);

@@ -2,15 +2,77 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "sched/validator.hpp"
+#include "util/rng.hpp"
 
 namespace moldsched {
 namespace {
 
+/// Independent oracle for the list pass: the textbook scan. At each event
+/// every pending job is tried in list order on the lowest-numbered idle
+/// processors; time then advances to the earliest running finish, and
+/// every job finishing within 1e-12 of it frees its processors. O(n^2 + n m)
+/// per pass, no heap, no tree, no bitset.
+FlatPlacements naive_list_schedule(int m, int num_entries,
+                                   const std::vector<ListJob>& jobs) {
+  FlatPlacements out;
+  out.reset(num_entries);
+  const std::size_t n = jobs.size();
+  std::vector<bool> idle(static_cast<std::size_t>(m), true);
+  std::vector<bool> started(n, false);
+  std::vector<bool> running(n, false);
+  int idle_count = m;
+  std::size_t remaining = n;
+  double now = 0.0;
+  while (remaining > 0) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (started[j] || jobs[j].nprocs > idle_count) continue;
+      const auto e = static_cast<std::size_t>(jobs[j].task);
+      out.start[e] = now;
+      out.duration[e] = jobs[j].duration;
+      out.proc_begin[e] = static_cast<int>(out.proc_ids.size());
+      out.proc_count[e] = jobs[j].nprocs;
+      int taken = 0;
+      for (int p = 0; p < m && taken < jobs[j].nprocs; ++p) {
+        if (!idle[static_cast<std::size_t>(p)]) continue;
+        idle[static_cast<std::size_t>(p)] = false;
+        out.proc_ids.push_back(p);
+        ++taken;
+      }
+      idle_count -= jobs[j].nprocs;
+      started[j] = running[j] = true;
+      --remaining;
+    }
+    if (remaining == 0) break;
+    double next = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (running[j]) next = std::min(next, out.finish(jobs[j].task));
+    }
+    if (next == std::numeric_limits<double>::infinity()) {
+      throw std::logic_error("naive_list_schedule: jobs cannot fit");
+    }
+    now = next;
+    for (std::size_t j = 0; j < n; ++j) {
+      const int e = jobs[j].task;
+      if (!running[j] || out.finish(e) > now + 1e-12) continue;
+      running[j] = false;
+      const auto begin = static_cast<std::size_t>(out.proc_begin[e]);
+      for (std::size_t i = begin; i < begin + jobs[j].nprocs; ++i) {
+        idle[static_cast<std::size_t>(out.proc_ids[i])] = true;
+      }
+      idle_count += jobs[j].nprocs;
+    }
+  }
+  return out;
+}
+
 TEST(ListScheduler, SingleJob) {
-  const Schedule schedule = list_schedule(4, 1, {{0, 2, 3.0, 0.0}});
+  const Schedule schedule = list_schedule(4, 1, {{0, 2, 3.0}});
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
   EXPECT_EQ(schedule.placement(0).nprocs(), 2);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3.0);
@@ -19,7 +81,7 @@ TEST(ListScheduler, SingleJob) {
 TEST(ListScheduler, PacksGreedilyAtTimeZero) {
   // Three 2-proc jobs on 4 procs: two start immediately, third waits.
   const Schedule schedule = list_schedule(
-      4, 3, {{0, 2, 5.0, 0.0}, {1, 2, 3.0, 0.0}, {2, 2, 4.0, 0.0}});
+      4, 3, {{0, 2, 5.0}, {1, 2, 3.0}, {2, 2, 4.0}});
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
   EXPECT_DOUBLE_EQ(schedule.placement(1).start, 0.0);
   // Job 2 starts when job 1 (the shorter) finishes.
@@ -31,22 +93,15 @@ TEST(ListScheduler, LaterListEntryCanBackfill) {
   // Graham list behaviour: job 1 needs 3 procs (can't fit at t=0 next to
   // job 0 on 4 procs), job 2 needs 1 proc and jumps ahead.
   const Schedule schedule = list_schedule(
-      4, 3, {{0, 2, 4.0, 0.0}, {1, 3, 2.0, 0.0}, {2, 1, 1.0, 0.0}});
+      4, 3, {{0, 2, 4.0}, {1, 3, 2.0}, {2, 1, 1.0}});
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
   EXPECT_DOUBLE_EQ(schedule.placement(2).start, 0.0);  // backfilled
   EXPECT_DOUBLE_EQ(schedule.placement(1).start, 4.0);
 }
 
-TEST(ListScheduler, RespectsReleaseDates) {
-  const Schedule schedule =
-      list_schedule(2, 2, {{0, 1, 2.0, 5.0}, {1, 1, 1.0, 0.0}});
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 5.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 0.0);
-}
-
 TEST(ListScheduler, SequentialWhenMachineIsFull) {
   const Schedule schedule =
-      list_schedule(2, 3, {{0, 2, 1.0, 0.0}, {1, 2, 1.0, 0.0}, {2, 2, 1.0, 0.0}});
+      list_schedule(2, 3, {{0, 2, 1.0}, {1, 2, 1.0}, {2, 2, 1.0}});
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
   EXPECT_DOUBLE_EQ(schedule.placement(1).start, 1.0);
   EXPECT_DOUBLE_EQ(schedule.placement(2).start, 2.0);
@@ -62,7 +117,7 @@ TEST(ListScheduler, ProducesValidSchedules) {
     // Build an instance whose p(k) equals the job duration for every k so
     // the duration check passes regardless of the allotment.
     instance.add_task(MoldableTask(std::move(times), 1.0));
-    jobs.push_back(ListJob{i, procs, duration, 0.0});
+    jobs.push_back(ListJob{i, procs, duration});
   }
   const Schedule schedule = list_schedule(8, 20, jobs);
   ValidationOptions options;
@@ -78,7 +133,7 @@ TEST(ListScheduler, GrahamBoundHolds) {
   double total = 0.0, longest = 0.0;
   for (int i = 0; i < 50; ++i) {
     const double d = 0.5 + (i * 37 % 11);
-    jobs.push_back(ListJob{i, 1, d, 0.0});
+    jobs.push_back(ListJob{i, 1, d});
     total += d;
     longest = std::max(longest, d);
   }
@@ -89,47 +144,19 @@ TEST(ListScheduler, GrahamBoundHolds) {
 }
 
 TEST(ListScheduler, Validation) {
-  EXPECT_THROW(list_schedule(2, 1, {{0, 3, 1.0, 0.0}}), std::invalid_argument);
-  EXPECT_THROW(list_schedule(2, 1, {{0, 0, 1.0, 0.0}}), std::invalid_argument);
-  EXPECT_THROW(list_schedule(2, 1, {{0, 1, 0.0, 0.0}}), std::invalid_argument);
-  EXPECT_THROW(list_schedule(2, 1, {{0, 1, 1.0, -1.0}}), std::invalid_argument);
-  EXPECT_THROW(list_schedule(2, 1, {{2, 1, 1.0, 0.0}}), std::invalid_argument);
-  EXPECT_THROW(list_schedule(2, 2, {{0, 1, 1.0, 0.0}, {0, 1, 1.0, 0.0}}),
+  EXPECT_THROW(list_schedule(2, 1, {{0, 3, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(list_schedule(2, 1, {{0, 0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(list_schedule(2, 1, {{0, 1, 0.0}}), std::invalid_argument);
+  EXPECT_THROW(list_schedule(2, 1, {{2, 1, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(list_schedule(2, 2, {{0, 1, 1.0}, {0, 1, 1.0}}),
                std::invalid_argument);
 }
 
 TEST(ListScheduler, PartialJobListLeavesOthersUnassigned) {
-  const Schedule schedule = list_schedule(2, 5, {{3, 1, 2.0, 0.0}});
+  const Schedule schedule = list_schedule(2, 5, {{3, 1, 2.0}});
   EXPECT_TRUE(schedule.assigned(3));
   EXPECT_FALSE(schedule.assigned(0));
   EXPECT_FALSE(schedule.assigned(4));
-}
-
-TEST(ListScheduler, ReservationBlocksProcessor) {
-  // Processor 0 reserved [0, 10): a 1-proc job must use processor 1.
-  ListScheduleOptions options;
-  options.reservations = {{0, 0.0, 10.0}};
-  const Schedule schedule = list_schedule(2, 1, {{0, 1, 2.0, 0.0}}, options);
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(0).procs[0], 1);
-}
-
-TEST(ListScheduler, ReservationDelaysWideJob) {
-  // Both procs needed but proc 1 reserved [0, 4): job waits until 4.
-  ListScheduleOptions options;
-  options.reservations = {{1, 0.0, 4.0}};
-  const Schedule schedule = list_schedule(2, 1, {{0, 2, 1.0, 0.0}}, options);
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 4.0);
-}
-
-TEST(ListScheduler, UpcomingReservationStopsLongJob) {
-  // Proc 0 reserved [3, 5). A job of length 4 cannot use proc 0 at t=0
-  // (it would collide at t=3) and must take proc 1.
-  ListScheduleOptions options;
-  options.reservations = {{0, 3.0, 5.0}};
-  const Schedule schedule = list_schedule(2, 1, {{0, 1, 4.0, 0.0}}, options);
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(0).procs[0], 1);
 }
 
 // ------------------------------------------------ event-heap edge cases
@@ -140,8 +167,7 @@ TEST(ListScheduler, SimultaneousFinishesDrainAsOneEvent) {
   // sees the whole machine at once and starts at 2, not at some later
   // partially-freed instant.
   const Schedule schedule = list_schedule(
-      4, 5, {{0, 1, 2.0, 0.0}, {1, 1, 2.0, 0.0}, {2, 1, 2.0, 0.0},
-             {3, 1, 2.0, 0.0}, {4, 4, 1.0, 0.0}});
+      4, 5, {{0, 1, 2.0}, {1, 1, 2.0}, {2, 1, 2.0}, {3, 1, 2.0}, {4, 4, 1.0}});
   EXPECT_DOUBLE_EQ(schedule.placement(4).start, 2.0);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3.0);
 }
@@ -149,8 +175,8 @@ TEST(ListScheduler, SimultaneousFinishesDrainAsOneEvent) {
 TEST(ListScheduler, EqualDurationTiesKeepListOrder) {
   // Three identical 2-proc jobs on 2 procs: ties in every heap key. The
   // schedule must follow the priority list deterministically.
-  const Schedule schedule = list_schedule(
-      2, 3, {{2, 2, 1.5, 0.0}, {0, 2, 1.5, 0.0}, {1, 2, 1.5, 0.0}});
+  const Schedule schedule =
+      list_schedule(2, 3, {{2, 2, 1.5}, {0, 2, 1.5}, {1, 2, 1.5}});
   EXPECT_DOUBLE_EQ(schedule.placement(2).start, 0.0);
   EXPECT_DOUBLE_EQ(schedule.placement(0).start, 1.5);
   EXPECT_DOUBLE_EQ(schedule.placement(1).start, 3.0);
@@ -158,57 +184,79 @@ TEST(ListScheduler, EqualDurationTiesKeepListOrder) {
 
 TEST(ListScheduler, SingleProcessorChainsInListOrder) {
   // m=1 degenerates to a sequential chain: starts are exact running sums
-  // (no epsilon drift from the event loop), releases still respected.
-  const Schedule schedule = list_schedule(
-      1, 4, {{0, 1, 1.25, 0.0}, {1, 1, 0.5, 0.0}, {2, 1, 2.0, 0.0},
-             {3, 1, 1.0, 5.0}});
+  // (no epsilon drift from the event loop).
+  const Schedule schedule =
+      list_schedule(1, 3, {{0, 1, 1.25}, {1, 1, 0.5}, {2, 1, 2.0}});
   EXPECT_EQ(schedule.placement(0).start, 0.0);
   EXPECT_EQ(schedule.placement(1).start, 1.25);
   EXPECT_EQ(schedule.placement(2).start, 1.75);
-  EXPECT_EQ(schedule.placement(3).start, 5.0);  // waits for its release
-  EXPECT_DOUBLE_EQ(schedule.cmax(), 6.0);
+  EXPECT_DOUBLE_EQ(schedule.cmax(), 3.75);
 }
 
-TEST(ListScheduler, JobStartsExactlyAtReservationEnd) {
-  // Reservation [0, 4) on the only processor: the freeing event at exactly
-  // t=4 must make the processor usable at 4, not strictly after it.
-  ListScheduleOptions options;
-  options.reservations = {{0, 0.0, 4.0}};
-  const Schedule schedule = list_schedule(1, 1, {{0, 1, 2.0, 0.0}}, options);
-  EXPECT_EQ(schedule.placement(0).start, 4.0);
-}
-
-TEST(ListScheduler, JobFinishingExactlyAtReservationStartFits) {
-  // Proc 0 reserved [3, 5). A job of length 3 at t=0 finishes exactly when
-  // the reservation begins — a half-open boundary, so it may use proc 0.
-  ListScheduleOptions options;
-  options.reservations = {{0, 3.0, 5.0}};
-  const Schedule schedule = list_schedule(1, 1, {{0, 1, 3.0, 0.0}}, options);
+TEST(ListScheduler, SubToleranceDurationsDoNotDeadlock) {
+  // A finish within 1e-12 of the current time is still an event to advance
+  // to, not a sign that the remaining jobs can never fit.
+  const Schedule schedule = list_schedule(1, 2, {{0, 1, 1e-13}, {1, 1, 1.0}});
   EXPECT_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(0).procs[0], 0);
+  EXPECT_EQ(schedule.placement(1).start, 1e-13);
+  EXPECT_TRUE(schedule.complete());
 }
 
-TEST(ListScheduler, ReservationFinishTiedWithJobFinish) {
-  // A job finish and a reservation finish land on the same heap key
-  // (t=2): both frees must drain before the 2-proc job is scanned, so it
-  // starts at exactly 2 on the full machine.
-  ListScheduleOptions options;
-  options.reservations = {{1, 0.0, 2.0}};
-  const Schedule schedule =
-      list_schedule(2, 2, {{0, 1, 2.0, 0.0}, {1, 2, 1.0, 0.0}}, options);
-  EXPECT_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(1).start, 2.0);
-  EXPECT_DOUBLE_EQ(schedule.cmax(), 3.0);
-}
-
-TEST(ListScheduler, BackToBackReservationsOnOneProcessor) {
-  // Two abutting reservations [0,2) and [2,4) on proc 0 of a 1-proc
-  // machine: the per-proc reservation chain must advance across the shared
-  // boundary without opening a zero-width hole at t=2.
-  ListScheduleOptions options;
-  options.reservations = {{0, 0.0, 2.0}, {0, 2.0, 4.0}};
-  const Schedule schedule = list_schedule(1, 1, {{0, 1, 1.0, 0.0}}, options);
-  EXPECT_EQ(schedule.placement(0).start, 4.0);
+TEST(ListScheduler, MatchesNaiveScanFuzz) {
+  // The DEMT reference pipeline runs the same list pass, so only an
+  // independent oracle can check it. Every field must match exactly,
+  // processor order included; one workspace is reused across all cases.
+  Rng rng(1969);
+  ListPassWorkspace ws;
+  FlatPlacements fast;
+  for (const int m : {1, 63, 64, 65, 128, 200, 300}) {
+    for (int rep = 0; rep < 60; ++rep) {
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " rep=" << rep);
+      const int n = rep == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 120));
+      const int num_entries = n + static_cast<int>(rng.uniform_int(0, 3));
+      // Task ids: a shuffled subset of [0, num_entries).
+      std::vector<int> ids(static_cast<std::size_t>(num_entries));
+      std::iota(ids.begin(), ids.end(), 0);
+      for (std::size_t i = ids.size(); i > 1; --i) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(ids[i - 1], ids[k]);
+      }
+      const int procs_mode = rep % 4;
+      const int duration_mode = (rep / 4) % 4;
+      ws.jobs.clear();
+      for (int j = 0; j < n; ++j) {
+        int procs = static_cast<int>(rng.uniform_int(1, m));
+        if (procs_mode == 1) procs = m;
+        if (procs_mode == 2) {
+          procs = static_cast<int>(rng.uniform_int(1, std::min(m, 4)));
+        }
+        if (procs_mode == 3) procs = rng.uniform() < 0.5 ? 1 : m;
+        double duration = rng.uniform(0.1, 10.0);
+        if (duration_mode == 1) duration = 1.0;  // all equal
+        if (duration_mode == 2) {  // tied finish times
+          duration = 0.5 * static_cast<double>(rng.uniform_int(1, 4));
+        }
+        if (duration_mode == 3) {  // ties within the 1e-12 drain tolerance,
+          // and some jobs shorter than it
+          duration = rng.uniform() < 0.1
+                         ? 1e-13
+                         : 1.0 + 1e-13 * static_cast<double>(
+                                             rng.uniform_int(0, 3));
+        }
+        ws.jobs.push_back(
+            ListJob{ids[static_cast<std::size_t>(j)], procs, duration});
+      }
+      const FlatPlacements expected =
+          naive_list_schedule(m, num_entries, ws.jobs);
+      list_schedule_into(m, num_entries, ws, fast);
+      ASSERT_EQ(fast.start, expected.start);
+      ASSERT_EQ(fast.duration, expected.duration);
+      ASSERT_EQ(fast.proc_begin, expected.proc_begin);
+      ASSERT_EQ(fast.proc_count, expected.proc_count);
+      ASSERT_EQ(fast.proc_ids, expected.proc_ids);
+    }
+  }
 }
 
 }  // namespace
