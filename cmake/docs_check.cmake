@@ -19,7 +19,10 @@
 #  4. docs/ARCHITECTURE.md must exist and cover every source layer it
 #     promises (core/, sched/, sim/, engine/, serve/);
 #  5. docs/BENCHMARKS.md must exist and document every BENCH_*.json
-#     report the benches emit.
+#     report the benches emit;
+#  6. no header under src/ may declare a *_reference function or
+#     AllotmentTable: the scalar oracles are test code
+#     (tests/reference/, the moldsched_reference library).
 # Invoke: cmake -DREPO=<repo root> -P cmake/docs_check.cmake
 
 # Extract public symbols (type declarations and free functions at
@@ -107,6 +110,37 @@ if(missing)
 endif()
 message(STATUS "docs_check: all ${total} public headers covered by docs/API.md")
 
+# --- test oracles stay out of the library -------------------------------
+# The scalar *_reference twins and the per-task AllotmentTable are test
+# code, built into moldsched_reference from tests/reference/. A src/
+# header that declares one would ship an oracle inside libmoldsched again.
+# Comments may name them; code may not.
+set(oracle_headers "")
+foreach(header ${headers})
+  file(READ "${REPO}/${header}" content)
+  string(REPLACE ";" "" content "${content}")
+  string(REPLACE "[" "" content "${content}")
+  string(REPLACE "]" "" content "${content}")
+  string(REPLACE "\n" ";" lines "${content}")
+  foreach(line IN LISTS lines)
+    string(REGEX REPLACE "//.*$" "" code "${line}")
+    if(code MATCHES "[A-Za-z0-9_]_reference[ \t]*\\(" OR
+       code MATCHES "(^|[^A-Za-z0-9_])AllotmentTable([^A-Za-z0-9_]|$)")
+      list(APPEND oracle_headers "${header}")
+    endif()
+  endforeach()
+endforeach()
+if(oracle_headers)
+  list(REMOVE_DUPLICATES oracle_headers)
+  list(JOIN oracle_headers "\n  " oracle_pretty)
+  message(FATAL_ERROR
+          "docs_check: these library headers declare a test oracle (a "
+          "*_reference function or AllotmentTable):\n  ${oracle_pretty}\n"
+          "Oracles belong in tests/reference/ (the moldsched_reference "
+          "library), not in src/.")
+endif()
+message(STATUS "docs_check: no src/ header declares a test oracle")
+
 # --- serve layer: docs/SERVING.md must cover every public symbol --------
 set(serving_md "${REPO}/docs/SERVING.md")
 if(NOT EXISTS "${serving_md}")
@@ -126,9 +160,10 @@ set(policy_headers
 check_symbol_coverage("${policy_headers}" "${api_text}" "docs/API.md")
 
 # --- SoA kernel layer: docs/API.md must cover every kernel symbol -------
-# The vectorized kernels, their *_into serving forms and their scalar
-# *_reference twins are the performance contract of the library; the API
-# reference must name each one (see "The SoA kernel layer" section).
+# The vectorized kernels and their allocation-free *_into serving forms
+# are the performance contract of the library; the API reference must
+# name each one (see "The SoA kernel layer" section). Their scalar
+# oracles are test code (rule 6) and stay out of this set.
 set(kernel_headers
     "${REPO}/src/core/demt.hpp"
     "${REPO}/src/core/knapsack.hpp"

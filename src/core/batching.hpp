@@ -2,7 +2,8 @@
 /// Batch construction for the bi-criteria algorithm (§3.2): candidate
 /// filtering, merging of small sequential tasks into single-processor
 /// stacks, and the knapsack selection of the batch content. Factored out of
-/// the driver so each stage is independently testable.
+/// the driver so each stage is independently testable; the array-of-structs
+/// oracle the tests compare against is tests/reference/batching_reference.hpp.
 
 #pragma once
 
@@ -14,18 +15,6 @@
 
 namespace moldsched {
 
-/// One schedulable unit inside a batch: either a single task at a fixed
-/// allotment, or a stack of small sequential tasks sharing one processor,
-/// executed back to back.
-struct BatchItem {
-  std::vector<int> tasks;  ///< task indices; >1 entries = merged stack
-  int procs = 1;           ///< processors consumed by the item
-  double weight = 0.0;     ///< combined weight (knapsack value)
-  double duration = 0.0;   ///< occupied time inside the batch
-
-  [[nodiscard]] bool is_stack() const noexcept { return tasks.size() > 1; }
-};
-
 struct BatchBuildOptions {
   bool merge_small_tasks = true;
   /// Order tasks inside a stack by Smith's rule (weight / time decreasing),
@@ -34,35 +23,14 @@ struct BatchBuildOptions {
   bool smith_order_stacks = true;
 };
 
-/// Build the candidate items of a batch of length `length` from the pending
-/// tasks. A task is a candidate when some allotment finishes within the
-/// batch (the paper's canonical choice: the SMALLEST such allotment). Small
-/// sequential candidates (single-processor time at most length/2) are
-/// stacked first-fit in decreasing weight order when merging is enabled.
-[[nodiscard]] std::vector<BatchItem> build_batch_items(
-    const Instance& instance, const std::vector<int>& pending, double length,
-    const BatchBuildOptions& options = {});
-
-/// Same construction with precomputed allotment tables (the canonical
-/// allotment per candidate becomes an O(log max_procs) lookup). DEMT builds
-/// the tables once per call and reuses them for every batch length.
-[[nodiscard]] std::vector<BatchItem> build_batch_items(
-    const Instance& instance, const std::vector<int>& pending, double length,
-    const BatchBuildOptions& options, const InstanceAllotments& tables);
-
-/// Select the weight-maximising subset of items within the processor
-/// budget; returns indices into `items`. Together with the BatchItem
-/// overloads above this is the scalar reference batch path (it runs the
-/// reference knapsack); the serving path uses the SoA forms below.
-[[nodiscard]] std::vector<int> select_batch(const std::vector<BatchItem>& items,
-                                            int m);
-
-/// Structure-of-arrays batch items: all items' task lists live in one flat
-/// pool (`task_ids` sliced by `task_begin`), and procs/weight/duration are
-/// parallel arrays the knapsack and placement loops sweep directly. clear()
-/// keeps capacity, so a pooled FlatBatchItems makes batch construction
-/// allocation-free once warm. Item order and all values are bit-identical
-/// to the BatchItem vector the reference build produces.
+/// Structure-of-arrays batch items. An item is one schedulable unit inside
+/// a batch: either a single task at a fixed allotment, or a stack of small
+/// sequential tasks sharing one processor, executed back to back. All
+/// items' task lists live in one flat pool (`task_ids` sliced by
+/// `task_begin`), and procs/weight/duration are parallel arrays the
+/// knapsack and placement loops sweep directly. clear() keeps capacity, so
+/// a pooled FlatBatchItems makes batch construction allocation-free once
+/// warm.
 struct FlatBatchItems {
   std::vector<int> task_ids;    ///< concatenated task lists
   std::vector<int> task_begin;  ///< size() + 1 offsets into task_ids
@@ -121,18 +89,23 @@ struct BatchBuildWorkspace {
   std::vector<int> stack_fill;      ///< scatter cursor per stack
 };
 
-/// SoA batch construction: same candidate filter, same decreasing-weight
-/// first-fit stacking, same Smith ordering as the BatchItem reference —
-/// writing straight into pooled flat arrays. Allocation-free once `ws` and
-/// `out` are warm; this is what demt_schedule_into calls per batch length.
+/// Build the candidate items of a batch of length `length` from the pending
+/// tasks, straight into pooled flat arrays. A task is a candidate when some
+/// allotment finishes within the batch (the paper's canonical choice: the
+/// SMALLEST such allotment, an O(log max_procs) lookup in `tables`). Small
+/// sequential candidates (single-processor time at most length/2) are
+/// stacked first-fit in decreasing weight order when merging is enabled;
+/// stacks follow the single-task items. Allocation-free once `ws` and `out`
+/// are warm; this is what demt_schedule_into calls per batch length.
 void build_batch_items_into(const Instance& instance,
                             const std::vector<int>& pending, double length,
                             const BatchBuildOptions& options,
                             const InstanceAllotments& tables,
                             BatchBuildWorkspace& ws, FlatBatchItems& out);
 
-/// Knapsack selection over the flat arrays (vectorized row-sweep DP);
-/// writes indices into `selected`. Allocation-free once warm.
+/// Select the weight-maximising subset of items within the processor
+/// budget `m` (vectorized row-sweep knapsack); writes indices into
+/// `selected`, increasing. Allocation-free once warm.
 void select_batch_into(const FlatBatchItems& items, int m,
                        KnapsackWorkspace& knap, std::vector<int>& selected);
 

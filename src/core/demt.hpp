@@ -16,7 +16,10 @@
 ///     compact schedule under the acceptance rule is kept.
 ///
 /// Every stage is switchable through DemtOptions so the ablation bench can
-/// measure each design choice.
+/// measure each design choice. Each stage has one implementation here, on
+/// structure-of-arrays kernels; the scalar pipeline the differential suite
+/// locks it to is the test-only demt_schedule_reference
+/// (tests/reference/demt_reference.hpp).
 
 #pragma once
 
@@ -122,20 +125,10 @@ class DemtWorkspace {
 /// structure-of-arrays kernels inside `workspace`, and the winning per-task
 /// placements land in `out_placements` (buffers reused). Zero heap
 /// allocation once the workspace is warm; results are bit-identical to
-/// demt_schedule (which wraps this) and to demt_schedule_reference.
+/// demt_schedule, which wraps this.
 void demt_schedule_into(const Instance& instance, const DemtOptions& options,
                         DemtWorkspace& workspace,
                         FlatPlacements& out_placements,
                         DemtDiagnostics& out_diag);
-
-/// The retained scalar pipeline: array-of-structs batch items, scan-based
-/// allotment lookups, the budget-outer dual-test DP, the backward in-place
-/// knapsack and Schedule-based placement/compaction, exactly as the driver
-/// ran before the SoA rewrite. Allocates freely and always evaluates
-/// shuffle candidates sequentially (the replay rule makes worker count
-/// irrelevant to the result). The differential suite (test_demt_kernel)
-/// locks demt_schedule bit-identical to this.
-[[nodiscard]] DemtResult demt_schedule_reference(
-    const Instance& instance, const DemtOptions& options = {});
 
 }  // namespace moldsched

@@ -22,27 +22,6 @@ void validate(const int* costs, const double* weights, int n, int capacity) {
 
 }  // namespace
 
-std::vector<int> max_weight_knapsack(const std::vector<KnapsackItem>& items,
-                                     int capacity) {
-  thread_local KnapsackWorkspace ws;
-  return max_weight_knapsack(items, capacity, ws);
-}
-
-std::vector<int> max_weight_knapsack(const std::vector<KnapsackItem>& items,
-                                     int capacity, KnapsackWorkspace& ws) {
-  const int n = static_cast<int>(items.size());
-  ws.cost_scratch.resize(items.size());
-  ws.weight_scratch.resize(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ws.cost_scratch[i] = items[i].cost;
-    ws.weight_scratch[i] = items[i].weight;
-  }
-  std::vector<int> selected;
-  max_weight_knapsack_into(ws.cost_scratch.data(), ws.weight_scratch.data(), n,
-                           capacity, ws, selected);
-  return selected;
-}
-
 void max_weight_knapsack_into(const int* costs, const double* weights, int n,
                               int capacity, KnapsackWorkspace& ws,
                               std::vector<int>& selected) {
@@ -51,7 +30,7 @@ void max_weight_knapsack_into(const int* costs, const double* weights, int n,
   const auto cap = static_cast<std::size_t>(capacity);
   const std::size_t row = cap + 1;
   // Ping-pong rows: dp is the previous item's row, next the current one.
-  // The backward in-place reference only ever reads previous-row values
+  // The backward in-place loop only ever reads previous-row values
   // (j descends, j - cost < j), so `next[j] = take ? cand : dp[j]` computes
   // the same cell values; the select form keeps the j loop branch free.
   ws.dp.assign(row, 0.0);
@@ -84,52 +63,6 @@ void max_weight_knapsack_into(const int* costs, const double* weights, int n,
     }
   }
   std::reverse(selected.begin(), selected.end());
-}
-
-std::vector<int> max_weight_knapsack_reference(
-    const std::vector<KnapsackItem>& items, int capacity) {
-  if (capacity < 0) {
-    throw std::invalid_argument("max_weight_knapsack: negative capacity");
-  }
-  for (const auto& item : items) {
-    if (item.cost <= 0) {
-      throw std::invalid_argument("max_weight_knapsack: non-positive cost");
-    }
-    if (item.weight < 0.0) {
-      throw std::invalid_argument("max_weight_knapsack: negative weight");
-    }
-  }
-
-  const std::size_t n = items.size();
-  const auto cap = static_cast<std::size_t>(capacity);
-  const std::size_t row = cap + 1;
-  // dp[j] = best weight with budget j after processing a prefix of items;
-  // taken[i * row + j] records the decision for reconstruction.
-  std::vector<double> dp(row, 0.0);
-  std::vector<std::uint8_t> taken(n * row, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto cost = static_cast<std::size_t>(items[i].cost);
-    if (cost > cap) continue;
-    std::uint8_t* taken_row = taken.data() + i * row;
-    for (std::size_t j = cap; j >= cost; --j) {
-      const double candidate = dp[j - cost] + items[i].weight;
-      if (candidate > dp[j]) {
-        dp[j] = candidate;
-        taken_row[j] = 1;
-      }
-    }
-  }
-
-  std::vector<int> selected;
-  std::size_t j = cap;
-  for (std::size_t i = n; i-- > 0;) {
-    if (taken[i * row + j]) {
-      selected.push_back(static_cast<int>(i));
-      j -= static_cast<std::size_t>(items[i].cost);
-    }
-  }
-  std::reverse(selected.begin(), selected.end());
-  return selected;
 }
 
 }  // namespace moldsched

@@ -7,16 +7,14 @@
 ///
 /// in O(m n) time, with solution reconstruction.
 ///
-/// Two implementations:
-///  - max_weight_knapsack_reference: the original backward in-place row
-///    update (branchy, one conditional store per cell). Retained as the
-///    scalar reference the differential suite checks against.
-///  - max_weight_knapsack / max_weight_knapsack_into: ping-pong row sweep.
-///    Each item reads the previous row `dp` and writes `next` with select
-///    operations only (no data-dependent branches inside the j loop), which
-///    is exactly what the backward in-place loop computes — j descends so
-///    dp[j - cost] is always a previous-row value — so the results are
-///    bit-identical while the loop autovectorizes.
+/// max_weight_knapsack_into is a ping-pong row sweep: each item reads the
+/// previous row `dp` and writes `next` with select operations only (no
+/// data-dependent branches inside the j loop), which is exactly what the
+/// textbook backward in-place loop computes — j descends so dp[j - cost] is
+/// always a previous-row value — so the results are bit-identical while the
+/// loop autovectorizes. The backward loop itself lives in the test-only
+/// reference library (tests/reference/knapsack_reference.hpp), which the
+/// differential suite checks this kernel against.
 
 #pragma once
 
@@ -25,51 +23,24 @@
 
 namespace moldsched {
 
-struct KnapsackItem {
-  int cost = 0;        ///< processors consumed (alloc_i)
-  double weight = 0.0; ///< value to maximise (w_i)
-};
-
 /// Reusable DP buffers: the ping-pong value rows and the flat
 /// n x (capacity + 1) decision matrix (replacing the vector-of-vector<bool>
 /// the DP used to allocate per call — one allocation per batch per DEMT
-/// run). cost_scratch/weight_scratch hold the SoA gather for the
-/// KnapsackItem-vector overloads.
+/// run).
 struct KnapsackWorkspace {
   std::vector<double> dp;
   std::vector<double> next;
   std::vector<std::uint8_t> taken;
-  std::vector<int> cost_scratch;
-  std::vector<double> weight_scratch;
 };
-
-/// Returns the indices of the selected items (increasing order). Items
-/// whose cost exceeds the capacity are never selected; zero-cost items are
-/// rejected with std::invalid_argument (the batch selection never produces
-/// them and they would make the greedy stages ill-defined).
-[[nodiscard]] std::vector<int> max_weight_knapsack(
-    const std::vector<KnapsackItem>& items, int capacity);
-
-/// Same DP with caller-owned buffers (no allocation beyond the returned
-/// selection once the workspace is warm). The parameterless overload uses a
-/// thread-local workspace.
-[[nodiscard]] std::vector<int> max_weight_knapsack(
-    const std::vector<KnapsackItem>& items, int capacity,
-    KnapsackWorkspace& ws);
 
 /// Vectorized row-sweep kernel over parallel cost/weight arrays. Writes the
 /// selected indices (increasing order) into `selected`; fully allocation
-/// free once `ws` and `selected` are warm. Validation matches the vector
-/// overloads (throws std::invalid_argument on negative capacity,
-/// non-positive cost, or negative weight).
+/// free once `ws` and `selected` are warm. Items whose cost exceeds the
+/// capacity are never selected. Throws std::invalid_argument on negative
+/// capacity, non-positive cost (the batch selection never produces one and
+/// it would make the greedy stages ill-defined) or negative weight.
 void max_weight_knapsack_into(const int* costs, const double* weights, int n,
                               int capacity, KnapsackWorkspace& ws,
                               std::vector<int>& selected);
-
-/// Original scalar DP (backward in-place row, conditional stores), kept as
-/// the bit-identity reference for the vectorized kernel. Allocates its own
-/// buffers; test/differential use only.
-[[nodiscard]] std::vector<int> max_weight_knapsack_reference(
-    const std::vector<KnapsackItem>& items, int capacity);
 
 }  // namespace moldsched

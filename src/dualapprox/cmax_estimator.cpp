@@ -16,20 +16,12 @@ void validate_search_args(const Instance& instance, double rel_eps) {
   }
 }
 
-double combinatorial_lower_bound(const Instance& instance) {
-  // The machine must absorb the minimal total work, and every task needs at
-  // least its fastest execution time.
-  double lb = instance.total_min_work() / instance.procs();
-  for (const auto& task : instance.tasks()) {
-    lb = std::max(lb, task.min_time());
-  }
-  return lb;
-}
-
-/// combinatorial_lower_bound read off the tables instead of rescanning
-/// every time vector: a row's first time is the task's min_time(), and the
-/// min-work k of its last row gives min_work() as the same k * time(k).
-/// Same doubles, summed in the same task order.
+/// The classic makespan bounds — the machine must absorb the minimal total
+/// work, and every task needs at least its fastest execution time — read
+/// off the tables instead of rescanning every time vector: a row's first
+/// time is the task's min_time(), and the min-work k of its last row gives
+/// min_work() as the same k * time(k). Same doubles, summed in the same
+/// task order as Instance::total_min_work.
 double combinatorial_lower_bound(const Instance& instance,
                                  const InstanceAllotments& tables) {
   double total_min_work = 0.0;
@@ -90,6 +82,9 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
 
   while (hi - lo > rel_eps * hi) {
     const double mid = 0.5 * (lo + hi);
+    // Adjacent doubles (a rel_eps below the spacing of doubles near hi):
+    // mid equals a bound, so neither bound can move again.
+    if (!(lo < mid && mid < hi)) break;
     if (test(mid).feasible) {
       hi = mid;
       std::swap(out.partition, ws.scratch);
@@ -110,53 +105,6 @@ CmaxEstimate estimate_cmax(const Instance& instance, double rel_eps) {
   DualTestWorkspace ws;
   CmaxEstimate out;
   estimate_cmax_into(instance, rel_eps, tables, ws, out);
-  return out;
-}
-
-CmaxEstimate estimate_cmax_reference(const Instance& instance,
-                                     double rel_eps) {
-  validate_search_args(instance, rel_eps);
-
-  CmaxEstimate out;
-  DualTestResult trial;
-  const auto test = [&](double lambda) -> DualTestResult& {
-    ++out.dual_tests;
-    trial = dual_test_reference(instance, lambda);
-    return trial;
-  };
-
-  const double lb = combinatorial_lower_bound(instance);
-  out.lower_bound = lb;
-
-  if (test(lb).feasible) {
-    out.estimate = lb;
-    out.partition = std::move(trial);
-    return out;
-  }
-
-  double lo = lb;
-  double hi = lb * 2.0;
-  while (!test(hi).feasible) {
-    lo = hi;
-    hi *= 2.0;
-    if (hi > lb * 1e9 * 2.0) {
-      throw std::logic_error("estimate_cmax: dual test never accepts");
-    }
-  }
-  out.partition = trial;
-
-  while (hi - lo > rel_eps * hi) {
-    const double mid = 0.5 * (lo + hi);
-    if (test(mid).feasible) {
-      hi = mid;
-      out.partition = trial;
-    } else {
-      lo = mid;
-    }
-  }
-
-  out.estimate = hi;
-  out.lower_bound = std::max(lb, lo);
   return out;
 }
 

@@ -28,8 +28,9 @@ struct CmaxEstimate {
 
 /// Runs the search to relative precision `rel_eps` (the interval
 /// [lower_bound, estimate] shrinks until estimate - lower_bound <=
-/// rel_eps * estimate). Throws std::invalid_argument on an empty instance
-/// or non-positive rel_eps.
+/// rel_eps * estimate, or until no double lies strictly between the two,
+/// whichever comes first). Throws std::invalid_argument on an empty
+/// instance or non-positive rel_eps.
 [[nodiscard]] CmaxEstimate estimate_cmax(const Instance& instance,
                                          double rel_eps = 1e-4);
 
@@ -40,17 +41,10 @@ struct CmaxEstimate {
 /// with ws.scratch). Identical results and search trajectory to the
 /// wrapper above — dual_tests is the regression anchor. Zero heap
 /// allocation once `ws` and `out` are warm — this is what
-/// demt_schedule_into calls per request.
+/// demt_schedule_into calls per request. The differential suite locks the
+/// search to the scalar one in tests/reference/cmax_estimator_reference.hpp.
 void estimate_cmax_into(const Instance& instance, double rel_eps,
                         const InstanceAllotments& tables,
                         DualTestWorkspace& ws, CmaxEstimate& out);
-
-/// Reference search: same trajectory driven entirely by the scalar
-/// dual_test_reference (scan-based lookups, budget-outer DP). The
-/// differential suite asserts estimate/lower_bound/partition/dual_tests all
-/// match the vectorized search bit-for-bit. Allocates freely; test use
-/// only.
-[[nodiscard]] CmaxEstimate estimate_cmax_reference(const Instance& instance,
-                                                   double rel_eps = 1e-4);
 
 }  // namespace moldsched

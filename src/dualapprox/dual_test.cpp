@@ -16,12 +16,10 @@ constexpr std::int16_t kUnreachable = -2;
 /// Build the per-task shelf choices, pooled flat in `ws`: shelf-1 Pareto
 /// options (increasing processor count with strictly decreasing work; for
 /// monotone tasks a singleton found by binary search) and the min-work
-/// lambda/2 allotment. `tables` may be null (scan-based lookups). Returns
-/// false when some task cannot meet lambda at all — an immediate reject.
-/// Shared verbatim by the vectorized and reference DPs: the rewrite only
-/// touched the DP loop order, not the option construction.
+/// lambda/2 allotment. Returns false when some task cannot meet lambda at
+/// all — an immediate reject.
 bool build_shelf_options(const Instance& instance, double lambda,
-                         const InstanceAllotments* tables,
+                         const InstanceAllotments& tables,
                          DualTestWorkspace& ws) {
   const int n = instance.num_tasks();
   ws.opt_procs.clear();
@@ -31,12 +29,13 @@ bool build_shelf_options(const Instance& instance, double lambda,
   ws.shelf2_procs.assign(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     const MoldableTask& task = instance.task(i);
-    if (tables != nullptr && tables->table(i).strictly_monotone()) {
+    const InstanceAllotments::View table = tables.table(i);
+    if (table.strictly_monotone()) {
       // Monotone fast path: time non-increasing means every allotment from
       // the canonical one up meets lambda, and work non-decreasing means
       // none of them beats the canonical work — the Pareto set is a
       // singleton.
-      const int c1 = tables->table(i).canonical(lambda);
+      const int c1 = table.canonical(lambda);
       if (c1 == 0) return false;  // cannot meet lambda: reject
       ws.opt_procs.push_back(c1);
       ws.opt_work.push_back(task.work(c1));
@@ -53,9 +52,7 @@ bool build_shelf_options(const Instance& instance, double lambda,
     }
     ws.opt_begin[static_cast<std::size_t>(i) + 1] =
         static_cast<int>(ws.opt_procs.size());
-    const int g2 = tables != nullptr
-                       ? tables->table(i).min_work(lambda / 2.0)
-                       : task.min_work_allotment(lambda / 2.0);
+    const int g2 = table.min_work(lambda / 2.0);
     if (g2 > 0) {
       ws.shelf2_work[static_cast<std::size_t>(i)] = task.work(g2);
       ws.shelf2_procs[static_cast<std::size_t>(i)] = g2;
@@ -65,8 +62,7 @@ bool build_shelf_options(const Instance& instance, double lambda,
 }
 
 /// Feasibility check + partition reconstruction from the final DP row and
-/// the pick matrix. Identical for both DP variants (they fill the same
-/// cells with the same values).
+/// the pick matrix.
 void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
                     DualTestResult& out) {
   const std::size_t row = static_cast<std::size_t>(m) + 1;
@@ -102,9 +98,10 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
   }
 }
 
-/// Vectorized implementation; `tables` may be null. Runs entirely inside
-/// `ws` — the only allocations are capacity growth on the first call at a
-/// given (n, m) and `out.assignment` growth.
+}  // namespace
+
+/// Runs entirely inside `ws` — the only allocations are capacity growth on
+/// the first call at a given (n, m) and `out.assignment` growth.
 ///
 /// Soundness of the rejection certificate: any schedule of length lambda
 /// induces a partition where "long" tasks (running more than lambda/2) all
@@ -114,19 +111,19 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
 /// partition at all) refutes the guess for ANY task structure, monotone or
 /// not.
 ///
-/// The DP is the reference recurrence with the loops interchanged: instead
-/// of computing each budget cell by scanning its options, each option makes
-/// one contiguous row sweep over budgets [cost..m] with select updates.
-/// Per cell the comparison sequence is unchanged — shelf-2 seed first, then
-/// options in ascending order, each a strict `<` against the running best —
-/// so every cell receives the bit-identical value and pick. Infinities
-/// stay well-behaved: base = +inf gives candidate = +inf, and +inf < best
-/// is false even when best is +inf, matching the reference's explicit
-/// finiteness guards (no NaN can arise; work values are finite and
-/// non-negative).
-void dual_test_vec_impl(const Instance& instance, double lambda,
-                        const InstanceAllotments* tables,
-                        DualTestWorkspace& ws, DualTestResult& out) {
+/// The DP is the budget-outer recurrence with the loops interchanged:
+/// instead of computing each budget cell by scanning its options, each
+/// option makes one contiguous row sweep over budgets [cost..m] with select
+/// updates. Per cell the comparison sequence is unchanged — shelf-2 seed
+/// first, then options in ascending order, each a strict `<` against the
+/// running best — so every cell receives the bit-identical value and pick.
+/// Infinities stay well-behaved: base = +inf gives candidate = +inf, and
+/// +inf < best is false even when best is +inf, matching the budget-outer
+/// form's explicit finiteness guards (no NaN can arise; work values are
+/// finite and non-negative).
+void dual_test_into(const Instance& instance, double lambda,
+                    const InstanceAllotments& tables, DualTestWorkspace& ws,
+                    DualTestResult& out) {
   if (!(lambda > 0.0)) {
     throw std::invalid_argument("dual_test: lambda must be positive");
   }
@@ -163,7 +160,7 @@ void dual_test_vec_impl(const Instance& instance, double lambda,
       pick_row[j] = ok ? kShelf2 : kUnreachable;
     }
     // One row sweep per shelf-1 option, ascending (preserves the
-    // reference's option visit order per cell).
+    // budget-outer form's option visit order per cell).
     for (std::size_t o = begin; o < end; ++o) {
       const auto cost = static_cast<std::size_t>(ws.opt_procs[o]);
       const double w = ws.opt_work[o];
@@ -179,89 +176,6 @@ void dual_test_vec_impl(const Instance& instance, double lambda,
   }
 
   finish_from_dp(lambda, n, m, ws, out);
-}
-
-/// Original scalar DP (budget-outer, option scan with early break and
-/// conditional updates), preserved verbatim as the reference.
-void dual_test_reference_impl(const Instance& instance, double lambda,
-                              const InstanceAllotments* tables,
-                              DualTestWorkspace& ws, DualTestResult& out) {
-  if (!(lambda > 0.0)) {
-    throw std::invalid_argument("dual_test: lambda must be positive");
-  }
-  const int n = instance.num_tasks();
-  const int m = instance.procs();
-  out.feasible = false;
-  out.total_work = 0.0;
-  out.assignment.assign(static_cast<std::size_t>(n), ShelfAssignment{});
-
-  if (!build_shelf_options(instance, lambda, tables, ws)) return;
-
-  const std::size_t row = static_cast<std::size_t>(m) + 1;
-  ws.dp.assign(row, 0.0);
-  ws.next.resize(row);
-  ws.pick.assign(static_cast<std::size_t>(n) * row, kUnreachable);
-
-  for (int i = 0; i < n; ++i) {
-    const auto begin = static_cast<std::size_t>(ws.opt_begin[i]);
-    const auto end = static_cast<std::size_t>(ws.opt_begin[i + 1]);
-    const double shelf2 = ws.shelf2_work[static_cast<std::size_t>(i)];
-    std::int16_t* pick_row = ws.pick.data() + static_cast<std::size_t>(i) * row;
-    for (int j = 0; j <= m; ++j) {
-      double best = kInf;
-      std::int16_t best_pick = kUnreachable;
-      if (ws.dp[static_cast<std::size_t>(j)] < kInf && shelf2 < kInf) {
-        best = ws.dp[static_cast<std::size_t>(j)] + shelf2;
-        best_pick = kShelf2;
-      }
-      for (std::size_t o = begin; o < end; ++o) {
-        const int cost = ws.opt_procs[o];
-        if (cost > j) break;  // options sorted by increasing procs
-        const double base = ws.dp[static_cast<std::size_t>(j - cost)];
-        if (base >= kInf) continue;
-        const double candidate = base + ws.opt_work[o];
-        if (candidate < best) {
-          best = candidate;
-          best_pick = static_cast<std::int16_t>(o - begin);
-        }
-      }
-      ws.next[static_cast<std::size_t>(j)] = best;
-      pick_row[static_cast<std::size_t>(j)] = best_pick;
-    }
-    ws.dp.swap(ws.next);
-  }
-
-  finish_from_dp(lambda, n, m, ws, out);
-}
-
-}  // namespace
-
-DualTestResult dual_test(const Instance& instance, double lambda) {
-  DualTestWorkspace ws;
-  DualTestResult result;
-  dual_test_vec_impl(instance, lambda, nullptr, ws, result);
-  return result;
-}
-
-void dual_test_into(const Instance& instance, double lambda,
-                    const InstanceAllotments& tables, DualTestWorkspace& ws,
-                    DualTestResult& out) {
-  dual_test_vec_impl(instance, lambda, &tables, ws, out);
-}
-
-DualTestResult dual_test_reference(const Instance& instance, double lambda) {
-  DualTestWorkspace ws;
-  DualTestResult result;
-  dual_test_reference_impl(instance, lambda, nullptr, ws, result);
-  return result;
-}
-
-DualTestResult dual_test_reference(const Instance& instance, double lambda,
-                                   const InstanceAllotments& tables) {
-  DualTestWorkspace ws;
-  DualTestResult result;
-  dual_test_reference_impl(instance, lambda, &tables, ws, result);
-  return result;
 }
 
 }  // namespace moldsched

@@ -65,31 +65,17 @@ struct DualTestWorkspace {
   DualTestResult scratch;
 };
 
-/// Run the dual test for guess `lambda` (> 0) in fresh buffers, with
-/// scan-based allotment lookups instead of precomputed tables.
-[[nodiscard]] DualTestResult dual_test(const Instance& instance, double lambda);
-
-/// Allocation-free form: the test runs entirely inside `ws` and writes into
-/// `out` (whose assignment buffer reuses its capacity). The precomputed
-/// allotment `tables` make canonical / min-work lookups cost
-/// O(log max_procs) instead of O(max_procs), and for strictly monotone
-/// tasks the shelf-1 Pareto set collapses to the single canonical
-/// allotment without a scan — results are bit-identical to the
-/// table-free wrapper above. This is what estimate_cmax's bisection calls
-/// per guess, with tables built once for the whole search.
+/// Run the dual test for guess `lambda` (> 0, else std::invalid_argument)
+/// entirely inside `ws`, writing into `out` (whose assignment buffer reuses
+/// its capacity). The precomputed allotment `tables` make canonical /
+/// min-work lookups cost O(log max_procs) instead of O(max_procs), and for
+/// strictly monotone tasks the shelf-1 Pareto set collapses to the single
+/// canonical allotment without a scan. This is what estimate_cmax's
+/// bisection calls per guess, with tables built once for the whole search.
+/// The scan-based scalar DP it is locked to lives in the test-only
+/// reference library (tests/reference/dual_test_reference.hpp).
 void dual_test_into(const Instance& instance, double lambda,
                     const InstanceAllotments& tables, DualTestWorkspace& ws,
                     DualTestResult& out);
-
-/// Original scalar DP (budget-outer loop, per-cell option scan with early
-/// break and conditional updates), retained as the bit-identity reference
-/// for the vectorized row-sweep kernel behind dual_test/dual_test_into.
-/// The table-free overload also uses the original O(max_procs) scan-based
-/// allotment lookups, making it a reference for the SoA tables as well.
-/// Allocates its own buffers; test/differential use only.
-[[nodiscard]] DualTestResult dual_test_reference(const Instance& instance,
-                                                 double lambda);
-[[nodiscard]] DualTestResult dual_test_reference(
-    const Instance& instance, double lambda, const InstanceAllotments& tables);
 
 }  // namespace moldsched

@@ -18,10 +18,11 @@
 ///   Schedule object is allocated per batch decision, which is what the
 ///   engine's server loop and the throughput bench call thousands of times;
 /// * the **object path** (`online_batch_schedule`) keeps the original
-///   Schedule-based API as a thin wrapper over the flat core, and
-///   `online_batch_schedule_reference` keeps the pre-refactor
-///   Schedule-per-batch implementation (modulo the shared reservation
-///   fixpoint-budget fix) as the bit-identical regression oracle.
+///   Schedule-based API as a thin wrapper over the flat core.
+///
+/// The pre-refactor Schedule-per-batch implementation is the bit-identical
+/// regression oracle of both, in the test-only reference library
+/// (tests/reference/online_reference.hpp).
 
 #pragma once
 
@@ -222,10 +223,11 @@ void online_lift_batch(const OnlineJob* jobs, const int* batch_jobs,
 /// Flat core of the batch framework: runs inside `ws`, writes into `out`;
 /// every batch decision runs `policy.schedule_into` inside `policy_ws` (one
 /// workspace per strand, from policy.make_workspace()), adding no per-call
-/// allocation beyond the policy's own. Throws std::invalid_argument on an
-/// empty job list, negative releases, or a job needing more processors
-/// than a batch can ever obtain (m minus permanently reserved), and
-/// std::logic_error on a malformed policy output.
+/// allocation beyond the policy's own. Throws std::invalid_argument on
+/// m < 1, an empty job list, a release that is negative, infinite or NaN, a
+/// malformed reservation, or a job needing more processors than a batch can
+/// ever obtain (m minus permanently reserved), and std::logic_error on a
+/// malformed policy output.
 void online_batch_schedule_into(
     int m, const std::vector<OnlineJob>& jobs, const SchedulingPolicy& policy,
     PolicyWorkspace& policy_ws,
@@ -237,13 +239,6 @@ void online_batch_schedule_into(
 /// form, so results are identical to the flat path's. Throws as
 /// online_batch_schedule_into.
 [[nodiscard]] OnlineResult online_batch_schedule(
-    int m, const std::vector<OnlineJob>& jobs, const OfflineScheduler& offline,
-    const std::vector<NodeReservation>& reservations = {});
-
-/// Pre-refactor object-path implementation (allocates a Schedule per batch
-/// decision), kept as the independent regression oracle for the flat core
-/// (tests assert bit-identical results on every input class).
-[[nodiscard]] OnlineResult online_batch_schedule_reference(
     int m, const std::vector<OnlineJob>& jobs, const OfflineScheduler& offline,
     const std::vector<NodeReservation>& reservations = {});
 

@@ -19,14 +19,13 @@
 /// ::min_work_allotment bit-for-bit (same comparisons, same tie-breaks), so
 /// swapping them in cannot change any schedule.
 ///
-/// Two representations live here:
-///  - AllotmentTable: the original one-vector-per-task form. Kept as the
-///    scalar reference the differential suite (test_demt_kernel) checks the
-///    flat form against; not used on the serving path anymore.
-///  - InstanceAllotments: all tasks' rows packed into contiguous parallel
-///    arrays (structure-of-arrays) with a pooled build() so a warm
-///    DemtWorkspace rebuilds the tables for a new Instance without touching
-///    the allocator. table(t) hands out a lightweight View over the rows.
+/// InstanceAllotments packs all tasks' rows into contiguous parallel arrays
+/// (structure-of-arrays) with a pooled build(), so a warm DemtWorkspace
+/// rebuilds the tables for a new Instance without touching the allocator.
+/// table(t) hands out a lightweight View over the rows. The original
+/// one-vector-per-task form, AllotmentTable, is a test-only oracle
+/// (tests/reference/allotment_table_reference.hpp) the differential suite
+/// checks every row against.
 
 #pragma once
 
@@ -38,50 +37,6 @@
 
 namespace moldsched {
 
-/// Scalar reference form: one task, its own vectors. Construction and both
-/// queries define the semantics the SoA form must reproduce bit-for-bit.
-class AllotmentTable {
- public:
-  AllotmentTable() = default;
-  explicit AllotmentTable(const MoldableTask& task);
-
-  /// Smallest allowed k with time(k) <= deadline, or 0 when none exists.
-  /// Matches MoldableTask::canonical_allotment exactly.
-  [[nodiscard]] int canonical(double deadline) const noexcept;
-
-  /// Work-minimising allowed k with time(k) <= deadline (smallest such k on
-  /// work ties), or 0. Matches MoldableTask::min_work_allotment exactly.
-  [[nodiscard]] int min_work(double deadline) const noexcept;
-
-  /// True when the task is strictly time- and work-monotone (no tolerance):
-  /// time(k) non-increasing and work(k) non-decreasing over the allowed
-  /// range. For such tasks the shelf-1 Pareto set of the dual test
-  /// collapses to the single canonical allotment.
-  [[nodiscard]] bool strictly_monotone() const noexcept { return monotone_; }
-
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(sorted_times_.size());
-  }
-  /// Row access for property tests: the i-th (time asc, k asc) entry.
-  [[nodiscard]] double time_at(int i) const noexcept {
-    return sorted_times_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] int min_k_at(int i) const noexcept {
-    return prefix_min_k_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] int min_work_k_at(int i) const noexcept {
-    return prefix_min_work_k_[static_cast<std::size_t>(i)];
-  }
-
- private:
-  /// Allowed allotments sorted by (time asc, k asc); parallel prefix
-  /// argmins answer both queries after an upper_bound on the time.
-  std::vector<double> sorted_times_;
-  std::vector<int> prefix_min_k_;
-  std::vector<int> prefix_min_work_k_;
-  bool monotone_ = false;
-};
-
 /// All tasks' tables, built once per Instance traversal (one DEMT call, one
 /// dual-approximation search) and shared by every stage. Rows for all tasks
 /// live in four flat parallel arrays indexed through begin_[task]; build()
@@ -89,8 +44,9 @@ class AllotmentTable {
 /// its capacity high-water mark is reached.
 class InstanceAllotments {
  public:
-  /// Non-owning window onto one task's rows. canonical()/min_work() are the
-  /// same upper_bound + prefix-argmin lookups as AllotmentTable.
+  /// Non-owning window onto one task's rows: allowed allotments sorted by
+  /// (time asc, k asc) with parallel prefix argmins, so canonical() and
+  /// min_work() are one upper_bound on the time each.
   class View {
    public:
     View(const double* times, const int* min_k, const int* min_work_k,
@@ -101,11 +57,21 @@ class InstanceAllotments {
           count_(count),
           monotone_(monotone) {}
 
+    /// Smallest allowed k with time(k) <= deadline, or 0 when none exists.
+    /// Matches MoldableTask::canonical_allotment exactly.
     [[nodiscard]] int canonical(double deadline) const noexcept;
+    /// Work-minimising allowed k with time(k) <= deadline (smallest such k
+    /// on work ties), or 0. Matches MoldableTask::min_work_allotment
+    /// exactly.
     [[nodiscard]] int min_work(double deadline) const noexcept;
+    /// True when the task is strictly time- and work-monotone (no
+    /// tolerance): time(k) non-increasing and work(k) non-decreasing over
+    /// the allowed range. For such tasks the shelf-1 Pareto set of the dual
+    /// test collapses to the single canonical allotment.
     [[nodiscard]] bool strictly_monotone() const noexcept { return monotone_; }
 
     [[nodiscard]] int size() const noexcept { return count_; }
+    /// Row access for property tests: the i-th (time asc, k asc) entry.
     [[nodiscard]] double time_at(int i) const noexcept { return times_[i]; }
     [[nodiscard]] int min_k_at(int i) const noexcept { return min_k_[i]; }
     [[nodiscard]] int min_work_k_at(int i) const noexcept {

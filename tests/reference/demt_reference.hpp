@@ -1,0 +1,23 @@
+/// \file demt_reference.hpp
+/// Test-only oracle for the bi-criteria algorithm (core/demt.hpp): the
+/// scalar pipeline the driver ran before the structure-of-arrays rewrite.
+/// It runs the search of estimate_cmax_reference, array-of-structs batch
+/// items with scan-based allotment lookups, the backward in-place knapsack,
+/// and Schedule-based placement with the multipass pull-forward. The
+/// differential suite (test_demt_kernel) locks demt_schedule and
+/// demt_schedule_into bit-identical to it.
+
+#pragma once
+
+#include "core/demt.hpp"
+#include "tasks/instance.hpp"
+
+namespace moldsched {
+
+/// Same contract and options as demt_schedule. Allocates freely and always
+/// evaluates shuffle candidates sequentially (the replay rule makes the
+/// worker count irrelevant to the result), so diag.shuffle_strands is 1.
+[[nodiscard]] DemtResult demt_schedule_reference(
+    const Instance& instance, const DemtOptions& options = {});
+
+}  // namespace moldsched

@@ -1,7 +1,6 @@
-#include "sched/compaction.hpp"
-
 #include <gtest/gtest.h>
 
+#include "reference/compaction_reference.hpp"
 #include "sched/validator.hpp"
 
 namespace moldsched {

@@ -3,10 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "workloads/generators.hpp"
 
 namespace moldsched {
 namespace {
+
+/// The library dual test (dual_test_into) with tables built for the call,
+/// in fresh buffers.
+DualTestResult run_dual_test(const Instance& instance, double lambda) {
+  const InstanceAllotments tables(instance);
+  DualTestWorkspace ws;
+  DualTestResult out;
+  dual_test_into(instance, lambda, tables, ws, out);
+  return out;
+}
 
 Instance ideal_tasks(int n, int m, double seq) {
   Instance instance(m);
@@ -20,21 +32,21 @@ Instance ideal_tasks(int n, int m, double seq) {
 
 TEST(DualTest, AcceptsGenerousGuess) {
   const Instance instance = ideal_tasks(4, 4, 8.0);
-  const auto result = dual_test(instance, 100.0);
+  const auto result = run_dual_test(instance, 100.0);
   EXPECT_TRUE(result.feasible);
 }
 
 TEST(DualTest, RejectsImpossibleGuess) {
   // 4 ideal tasks of work 8 on 4 procs: total work 32, m*lambda = 4*1 = 4.
   const Instance instance = ideal_tasks(4, 4, 8.0);
-  const auto result = dual_test(instance, 1.0);
+  const auto result = run_dual_test(instance, 1.0);
   EXPECT_FALSE(result.feasible);
 }
 
 TEST(DualTest, RejectsWhenATaskCannotMeetLambda) {
   Instance instance(2);
   instance.add_task(MoldableTask({10.0, 9.0}, 1.0));  // min time 9
-  EXPECT_FALSE(dual_test(instance, 5.0).feasible);
+  EXPECT_FALSE(run_dual_test(instance, 5.0).feasible);
 }
 
 TEST(DualTest, MonotoneInLambda) {
@@ -44,7 +56,7 @@ TEST(DualTest, MonotoneInLambda) {
   // Once accepted, every larger lambda must also be accepted.
   bool accepted = false;
   for (double lambda = 0.25; lambda < 600.0; lambda *= 1.4) {
-    const bool now = dual_test(instance, lambda).feasible;
+    const bool now = run_dual_test(instance, lambda).feasible;
     if (accepted) EXPECT_TRUE(now) << "regressed at lambda=" << lambda;
     accepted = accepted || now;
   }
@@ -105,8 +117,8 @@ TEST(DualTest, TotalWorkIsWithinBoundWhenAccepted) {
 
 TEST(DualTest, Validation) {
   const Instance instance = ideal_tasks(1, 2, 1.0);
-  EXPECT_THROW(dual_test(instance, 0.0), std::invalid_argument);
-  EXPECT_THROW(dual_test(instance, -2.0), std::invalid_argument);
+  EXPECT_THROW(run_dual_test(instance, 0.0), std::invalid_argument);
+  EXPECT_THROW(run_dual_test(instance, -2.0), std::invalid_argument);
 }
 
 TEST(CmaxEstimator, IdealTasksTightBound) {
@@ -144,6 +156,24 @@ TEST(CmaxEstimator, SearchPrecision) {
       generate_instance(WorkloadFamily::Mixed, 40, 16, rng);
   const auto tight = estimate_cmax(instance, 1e-6);
   EXPECT_LE(tight.estimate - tight.lower_bound, 2e-6 * tight.estimate);
+}
+
+TEST(CmaxEstimator, SubUlpPrecisionTerminates) {
+  // A rel_eps below the spacing of doubles can never be met: the bisection
+  // must stop once lo and hi are adjacent instead of testing their
+  // midpoint (which equals one of them) forever.
+  Rng rng(12);
+  const Instance instance =
+      generate_instance(WorkloadFamily::Mixed, 30, 16, rng);
+  const CmaxEstimate coarse = estimate_cmax(instance, 2e-16);
+  for (double rel_eps : {1e-16, 1e-17, 1e-300}) {
+    const CmaxEstimate fine = estimate_cmax(instance, rel_eps);
+    EXPECT_EQ(std::nextafter(fine.lower_bound, fine.estimate), fine.estimate)
+        << "rel_eps " << rel_eps;
+    EXPECT_LE(fine.estimate, coarse.estimate) << "rel_eps " << rel_eps;
+    EXPECT_GE(fine.dual_tests, coarse.dual_tests) << "rel_eps " << rel_eps;
+    EXPECT_LT(fine.dual_tests, 200) << "rel_eps " << rel_eps;
+  }
 }
 
 TEST(CmaxEstimator, Validation) {

@@ -18,6 +18,7 @@
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "gate_workloads.hpp"
+#include "reference/online_reference.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
 #include "serve/fault.hpp"

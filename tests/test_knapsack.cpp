@@ -1,9 +1,8 @@
-#include "core/knapsack.hpp"
-
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "reference/knapsack_reference.hpp"
 #include "util/rng.hpp"
 
 namespace moldsched {
@@ -24,12 +23,12 @@ int total_cost(const std::vector<KnapsackItem>& items,
 }
 
 TEST(Knapsack, EmptyItems) {
-  EXPECT_TRUE(max_weight_knapsack({}, 10).empty());
+  EXPECT_TRUE(max_weight_knapsack_kernel({}, 10).empty());
 }
 
 TEST(Knapsack, TakesEverythingWhenItFits) {
   const std::vector<KnapsackItem> items{{2, 1.0}, {3, 2.0}, {4, 3.0}};
-  const auto selected = max_weight_knapsack(items, 9);
+  const auto selected = max_weight_knapsack_kernel(items, 9);
   EXPECT_EQ(selected.size(), 3u);
 }
 
@@ -37,28 +36,32 @@ TEST(Knapsack, ClassicInstance) {
   // Capacity 10; best is items 1+2 (costs 4+6, weights 40+55 = 95) over
   // greedy-by-density choices.
   const std::vector<KnapsackItem> items{{5, 50.0}, {4, 40.0}, {6, 55.0}, {3, 10.0}};
-  const auto selected = max_weight_knapsack(items, 10);
+  const auto selected = max_weight_knapsack_kernel(items, 10);
   EXPECT_NEAR(total_weight(items, selected), 95.0, 1e-12);
   EXPECT_LE(total_cost(items, selected), 10);
 }
 
 TEST(Knapsack, ZeroCapacity) {
   const std::vector<KnapsackItem> items{{1, 5.0}};
-  EXPECT_TRUE(max_weight_knapsack(items, 0).empty());
+  EXPECT_TRUE(max_weight_knapsack_kernel(items, 0).empty());
 }
 
 TEST(Knapsack, OversizedItemIgnored) {
   const std::vector<KnapsackItem> items{{100, 99.0}, {2, 1.0}};
-  const auto selected = max_weight_knapsack(items, 10);
+  const auto selected = max_weight_knapsack_kernel(items, 10);
   ASSERT_EQ(selected.size(), 1u);
   EXPECT_EQ(selected[0], 1);
 }
 
 TEST(Knapsack, Validation) {
-  EXPECT_THROW(max_weight_knapsack({{0, 1.0}}, 5), std::invalid_argument);
-  EXPECT_THROW(max_weight_knapsack({{-1, 1.0}}, 5), std::invalid_argument);
-  EXPECT_THROW(max_weight_knapsack({{1, -1.0}}, 5), std::invalid_argument);
-  EXPECT_THROW(max_weight_knapsack({{1, 1.0}}, -1), std::invalid_argument);
+  EXPECT_THROW(max_weight_knapsack_kernel({{0, 1.0}}, 5),
+               std::invalid_argument);
+  EXPECT_THROW(max_weight_knapsack_kernel({{-1, 1.0}}, 5),
+               std::invalid_argument);
+  EXPECT_THROW(max_weight_knapsack_kernel({{1, -1.0}}, 5),
+               std::invalid_argument);
+  EXPECT_THROW(max_weight_knapsack_kernel({{1, 1.0}}, -1),
+               std::invalid_argument);
 }
 
 TEST(Knapsack, MatchesBruteForceOnRandomInstances) {
@@ -71,7 +74,7 @@ TEST(Knapsack, MatchesBruteForceOnRandomInstances) {
       items.push_back(KnapsackItem{static_cast<int>(rng.uniform_int(1, 8)),
                                    rng.uniform(0.0, 10.0)});
     }
-    const auto selected = max_weight_knapsack(items, capacity);
+    const auto selected = max_weight_knapsack_kernel(items, capacity);
     EXPECT_LE(total_cost(items, selected), capacity);
 
     // Brute force over all subsets.
@@ -99,7 +102,7 @@ TEST(Knapsack, SelectionIndicesAreSortedAndUnique) {
     items.push_back(KnapsackItem{static_cast<int>(rng.uniform_int(1, 5)),
                                  rng.uniform(0.1, 5.0)});
   }
-  const auto selected = max_weight_knapsack(items, 25);
+  const auto selected = max_weight_knapsack_kernel(items, 25);
   for (std::size_t i = 1; i < selected.size(); ++i) {
     EXPECT_LT(selected[i - 1], selected[i]);
   }

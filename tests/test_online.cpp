@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "baselines/baselines.hpp"
 #include "core/demt.hpp"
+#include "reference/online_reference.hpp"
 #include "sched/validator.hpp"
 #include "workloads/generators.hpp"
 
@@ -146,6 +151,31 @@ TEST(Online, Validation) {
   EXPECT_THROW(online_batch_schedule(2, {{ideal(1.0, 2), 0.0}}, demt_offline(),
                                      {{5, 0.0, 1.0}}),
                std::invalid_argument);
+  // Non-finite releases are rejected by the simulator's own input check
+  // (an infinite one would open a batch at t = inf; a NaN one is a sort key
+  // without a strict weak order), on the object path and the reference.
+  for (const double release : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<OnlineJob> jobs;
+    for (int i = 0; i < 6; ++i) {
+      jobs.push_back({ideal(2.0 + i, 4), i == 3 ? release : 0.5 * i});
+    }
+    const auto expect_rejected = [&](const auto& run) {
+      try {
+        (void)run();
+        ADD_FAILURE() << "release " << release << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("online_batch_schedule:", 0),
+                  0u)
+            << e.what();
+      }
+    };
+    expect_rejected(
+        [&] { return online_batch_schedule(4, jobs, demt_offline()); });
+    expect_rejected([&] {
+      return online_batch_schedule_reference(4, jobs, demt_offline());
+    });
+  }
 }
 
 }  // namespace

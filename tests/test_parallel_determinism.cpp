@@ -7,6 +7,7 @@
 
 #include "core/demt.hpp"
 #include "dualapprox/cmax_estimator.hpp"
+#include "reference/dual_test_reference.hpp"
 #include "sched/validator.hpp"
 #include "tasks/allotment_table.hpp"
 #include "util/rng.hpp"
@@ -71,8 +72,9 @@ TEST(ParallelDeterminism, ShuffleBatchOrderModeIsAlsoDeterministic) {
 }
 
 /// Reference bisection: the exact arithmetic of estimate_cmax, but calling
-/// the scan-based dual_test directly. The table-backed search must perform
-/// the same number of dual_test calls with the same accept/reject answers.
+/// the scan-based dual_test_reference directly. The table-backed search
+/// must perform the same number of dual_test calls with the same
+/// accept/reject answers.
 int reference_search_calls(const Instance& instance, double rel_eps,
                            double* out_estimate) {
   int calls = 0;
@@ -81,24 +83,24 @@ int reference_search_calls(const Instance& instance, double rel_eps,
     lb = std::max(lb, task.min_time());
   }
   ++calls;
-  if (dual_test(instance, lb).feasible) {
+  if (dual_test_reference(instance, lb).feasible) {
     *out_estimate = lb;
     return calls;
   }
   double lo = lb;
   double hi = lb * 2.0;
   ++calls;
-  bool hi_ok = dual_test(instance, hi).feasible;
+  bool hi_ok = dual_test_reference(instance, hi).feasible;
   while (!hi_ok) {
     lo = hi;
     hi *= 2.0;
     ++calls;
-    hi_ok = dual_test(instance, hi).feasible;
+    hi_ok = dual_test_reference(instance, hi).feasible;
   }
   while (hi - lo > rel_eps * hi) {
     const double mid = 0.5 * (lo + hi);
     ++calls;
-    if (dual_test(instance, mid).feasible) {
+    if (dual_test_reference(instance, mid).feasible) {
       hi = mid;
     } else {
       lo = mid;
@@ -157,7 +159,7 @@ TEST(AllotmentTables, TableBackedDualTestMatchesScanBased) {
   const double lb = instance.total_min_work() / instance.procs();
   for (double factor : {0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0}) {
     const double lambda = lb * factor;
-    const DualTestResult scan = dual_test(instance, lambda);
+    const DualTestResult scan = dual_test_reference(instance, lambda);
     DualTestWorkspace ws;
     DualTestResult table;
     dual_test_into(instance, lambda, tables, ws, table);

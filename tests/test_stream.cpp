@@ -16,6 +16,7 @@
 
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "reference/online_reference.hpp"
 #include "sim/divisible.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"

@@ -17,6 +17,7 @@
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
 #include "gate_workloads.hpp"
+#include "reference/online_reference.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"

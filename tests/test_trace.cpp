@@ -20,6 +20,7 @@
 #include "baselines/lpt_policy.hpp"
 #include "core/policy.hpp"
 #include "gate_workloads.hpp"
+#include "reference/online_reference.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
