@@ -5,13 +5,11 @@
 /// slowest because of its larger K) is the reproduction target.
 ///
 /// Flags: --sizes, --m, --runs, --seed, --csv as in the figure harnesses,
-/// plus the shuffle-engine knobs: --shuffles N (candidates per call),
-/// --shuffle-workers K (0 = all shared-pool workers, 1 = sequential), and
-/// --json PATH for a machine-readable BENCH_demt.json ("" disables). A
-/// shuffle-heavy speedup check: `fig7_runtime --sizes 200 --m 64
-/// --shuffles 64 --shuffle-workers 0` vs `--shuffle-workers 1` — identical
-/// schedules, parallel wall-clock.
+/// plus --shuffles N (shuffle candidates per call) and --json PATH for a
+/// machine-readable BENCH_demt.json ("" disables). A size, --runs or --m
+/// below 1, or --shuffles below 0, prints the usage and exits 2.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -34,16 +32,15 @@ int main(int argc, char** argv) {
         << "  --runs N             instances per point [10]\n"
         << "  --seed S             base seed [20040627]\n"
         << "  --shuffles N         shuffle candidates per DEMT call [8]\n"
-        << "  --shuffle-workers K  0 = all pool workers, 1 = sequential [1]\n"
         << "  --quick              sizes 25,100,400\n"
         << "  --csv PATH           also write CSV (n, family, mean_s,\n"
         << "                       min_s, max_s)\n"
         << "  --json PATH          JSON report [BENCH_demt.json]; \"\" off\n\n"
-        << "JSON schema: {benchmark, m, runs, shuffles, shuffle_workers,\n"
+        << "JSON schema: {benchmark, m, runs, shuffles,\n"
         << "results: [{n, family, mean_s, min_s, max_s, tasks_per_s,\n"
         << "last_wc, last_cmax}]} -- last_wc/last_cmax record the final\n"
-        << "run's schedule metrics so parallel and sequential runs of the\n"
-        << "bench can be diffed for identical output, not just speed.\n"
+        << "run's schedule metrics so two runs of the bench can be diffed\n"
+        << "for identical output, not just speed.\n"
         << "Full schema reference and recorded baselines for every\n"
         << "BENCH_*.json report: docs/BENCHMARKS.md.\n";
     return 0;
@@ -58,8 +55,14 @@ int main(int argc, char** argv) {
   DemtOptions demt_options;
   demt_options.shuffles =
       static_cast<int>(args.get_int("shuffles", demt_options.shuffles));
-  demt_options.shuffle_workers = static_cast<int>(
-      args.get_int("shuffle-workers", demt_options.shuffle_workers));
+  const bool sizes_ok =
+      std::all_of(sizes.begin(), sizes.end(), [](int n) { return n >= 1; });
+  if (!sizes_ok || runs < 1 || m < 1 || demt_options.shuffles < 0) {
+    std::cerr << "usage: fig7_runtime [--sizes N>=1,...] [--m N>=1] "
+                 "[--runs N>=1] [--shuffles N>=0] [--seed S] [--quick] "
+                 "[--csv PATH] [--json PATH]; --help for details\n";
+    return 2;
+  }
 
   const std::vector<WorkloadFamily> families = {
       WorkloadFamily::WeaklyParallel, WorkloadFamily::Cirne,
@@ -68,9 +71,8 @@ int main(int argc, char** argv) {
   std::cout << "# Figure 7 - execution time of the DEMT scheduling "
                "algorithm (seconds)\n";
   std::cout << strfmt(
-      "# m=%d, %d runs per point (mean [min,max]), %d shuffles, "
-      "shuffle_workers=%d\n\n",
-      m, runs, demt_options.shuffles, demt_options.shuffle_workers);
+      "# m=%d, %d runs per point (mean [min,max]), %d shuffles\n\n", m,
+      runs, demt_options.shuffles);
   std::cout << strfmt("%6s", "n");
   for (auto family : families) {
     std::cout << strfmt("  %-26s", std::string(family_name(family)).c_str());
@@ -97,8 +99,8 @@ int main(int argc, char** argv) {
         WallTimer timer;
         const auto result = demt_schedule(instance, demt_options);
         time_s.add(timer.seconds());
-        // Record schedule quality so parallel/sequential runs of this bench
-        // can be checked for identical output, not just speed.
+        // Record schedule quality so two runs of this bench can be checked
+        // for identical output, not just speed.
         wc = result.schedule.weighted_completion_sum(instance);
         cmax = result.schedule.cmax();
       }
@@ -130,9 +132,8 @@ int main(int argc, char** argv) {
     std::ofstream out(json_path);
     out << strfmt(
         "{\n  \"benchmark\": \"fig7_runtime\",\n  \"m\": %d,\n"
-        "  \"runs\": %d,\n  \"shuffles\": %d,\n  \"shuffle_workers\": %d,\n"
-        "  \"results\": [\n",
-        m, runs, demt_options.shuffles, demt_options.shuffle_workers);
+        "  \"runs\": %d,\n  \"shuffles\": %d,\n  \"results\": [\n",
+        m, runs, demt_options.shuffles);
     for (std::size_t i = 0; i < json_rows.size(); ++i) {
       const auto& r = json_rows[i];
       out << strfmt(

@@ -20,9 +20,9 @@
 #     promises (core/, sched/, sim/, engine/, serve/);
 #  5. docs/BENCHMARKS.md must exist and document every BENCH_*.json
 #     report the benches emit;
-#  6. no header under src/ may declare a *_reference function or
-#     AllotmentTable: the scalar oracles are test code
-#     (tests/reference/, the moldsched_reference library).
+#  6. no header under src/ may declare a *_reference function,
+#     AllotmentTable or canonical_allotment: the scalar oracles are test
+#     code (tests/reference/, the moldsched_reference library).
 # Invoke: cmake -DREPO=<repo root> -P cmake/docs_check.cmake
 
 # Extract public symbols (type declarations and free functions at
@@ -111,10 +111,12 @@ endif()
 message(STATUS "docs_check: all ${total} public headers covered by docs/API.md")
 
 # --- test oracles stay out of the library -------------------------------
-# The scalar *_reference twins and the per-task AllotmentTable are test
-# code, built into moldsched_reference from tests/reference/. A src/
-# header that declares one would ship an oracle inside libmoldsched again.
-# Comments may name them; code may not.
+# The scalar *_reference twins, the per-task AllotmentTable and the
+# canonical-allotment scan (canonical_allotment_reference) are test code,
+# built into moldsched_reference from tests/reference/. A src/ header that
+# declares one — the scan as a canonical_allotment member included — would
+# ship an oracle inside libmoldsched again. Comments may name them; code
+# may not.
 set(oracle_headers "")
 foreach(header ${headers})
   file(READ "${REPO}/${header}" content)
@@ -125,7 +127,8 @@ foreach(header ${headers})
   foreach(line IN LISTS lines)
     string(REGEX REPLACE "//.*$" "" code "${line}")
     if(code MATCHES "[A-Za-z0-9_]_reference[ \t]*\\(" OR
-       code MATCHES "(^|[^A-Za-z0-9_])AllotmentTable([^A-Za-z0-9_]|$)")
+       code MATCHES "(^|[^A-Za-z0-9_])AllotmentTable([^A-Za-z0-9_]|$)" OR
+       code MATCHES "(^|[^A-Za-z0-9_])canonical_allotment[ \t]*\\(")
       list(APPEND oracle_headers "${header}")
     endif()
   endforeach()
@@ -135,7 +138,8 @@ if(oracle_headers)
   list(JOIN oracle_headers "\n  " oracle_pretty)
   message(FATAL_ERROR
           "docs_check: these library headers declare a test oracle (a "
-          "*_reference function or AllotmentTable):\n  ${oracle_pretty}\n"
+          "*_reference function, AllotmentTable or canonical_allotment):\n"
+          "  ${oracle_pretty}\n"
           "Oracles belong in tests/reference/ (the moldsched_reference "
           "library), not in src/.")
 endif()

@@ -80,8 +80,14 @@ Schedule list_graham_schedule(const Instance& instance, ListOrder order,
     throw std::invalid_argument("list_graham_schedule: empty");
   }
   const int n = instance.num_tasks();
-  const CmaxEstimate estimate = estimate_cmax(instance, dual_eps);
+  // The shelf partition at the estimate, the search's last accepted guess.
+  const InstanceAllotments tables(instance);
+  DualTestWorkspace ws;
+  CmaxEstimate estimate;
+  estimate_cmax_into(instance, dual_eps, tables, ws, estimate);
   const double lambda = estimate.estimate;
+  DualTestResult partition;
+  dual_test_into(instance, lambda, tables, ws, partition);
 
   struct Entry {
     int task;
@@ -91,9 +97,8 @@ Schedule list_graham_schedule(const Instance& instance, ListOrder order,
   std::vector<Entry> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const auto& assignment =
-        estimate.partition.assignment[static_cast<std::size_t>(i)];
-    const int alloc = assignment.allotment;
+    const int alloc =
+        partition.assignment[static_cast<std::size_t>(i)].allotment;
     entries.push_back(Entry{i, alloc, instance.task(i).time(alloc)});
   }
 
@@ -115,7 +120,7 @@ Schedule list_graham_schedule(const Instance& instance, ListOrder order,
       // Category first, longest first inside each category.
       auto category = [&](const Entry& e) {
         const auto shelf =
-            estimate.partition.assignment[static_cast<std::size_t>(e.task)].shelf;
+            partition.assignment[static_cast<std::size_t>(e.task)].shelf;
         if (shelf == Shelf::Large) return 0;
         const MoldableTask& task = instance.task(e.task);
         const bool small_seq =

@@ -14,7 +14,6 @@
 #include "tasks/allotment_table.hpp"
 #include "tasks/time_grid.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace moldsched {
 
@@ -183,10 +182,9 @@ struct DemtWorkspace::Impl {
   std::vector<double> cand_wc;
   std::vector<double> cand_cm;
   ShuffleWorkspace main_ws;
-  std::vector<ShuffleWorkspace> strand_ws;
   DualTestWorkspace dual;     ///< bisection DP/pick buffers (allocation-free)
   InstanceAllotments tables;  ///< SoA allotment rows, rebuilt per call
-  CmaxEstimate estimate;      ///< pooled search result (partition reused)
+  CmaxEstimate estimate;      ///< search result: estimate, bound, test count
   BatchBuildWorkspace batch_build;
   KnapsackWorkspace knap;
   FlatBatchItems cand_items;  ///< candidate items of the current batch
@@ -328,10 +326,9 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   // 5. Shuffle optimisation: randomise the order within batches (optionally
   // the batch order too), rerun the list pass, keep improvements within the
   // makespan budget. Candidates are independent: each owns a stream forked
-  // in candidate order from the seed, all of them are evaluated (possibly
-  // concurrently, each strand inside its own reusable workspace), and a
-  // sequential replay of the (minsum, cmax) pairs applies the paper's
-  // acceptance rule — so the result is identical for any worker count.
+  // in candidate order from the seed, all of them are evaluated in the
+  // call's workspace, and a replay of the (minsum, cmax) pairs in candidate
+  // order applies the paper's acceptance rule.
   const int shuffles = options.shuffles;
   if (shuffles <= 0) return;
 
@@ -347,41 +344,12 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   std::vector<double>& cand_cm = ws.cand_cm;
   cand_cm.assign(static_cast<std::size_t>(shuffles), 0.0);
 
-  int max_strands = options.shuffle_workers;
-  if (max_strands <= 0) {
-    max_strands = static_cast<int>(shared_thread_pool().size());
-  }
-  max_strands = std::min(max_strands, shuffles);
-  // Never block on the shared pool from one of its own workers (the
-  // experiment harness runs whole replicates on pool threads).
-  if (ThreadPool::this_thread_is_worker()) max_strands = 1;
-
-  if (max_strands > 1) {
-    ThreadPool& pool = shared_thread_pool();
-    std::vector<ShuffleWorkspace>& workspaces = ws.strand_ws;
-    workspaces.resize(std::min<std::size_t>(
-        pool.size(), static_cast<std::size_t>(max_strands)));
-    pool.parallel_for_slots(
-        0, static_cast<std::size_t>(shuffles),
-        [&](std::size_t slot, std::size_t s) {
-          const FlatMetrics result = evaluate_shuffle_candidate(
-              instance, ws.flat_soa, ws.batch_ranges,
-              options.shuffle_batch_order, candidate_rngs[s],
-              workspaces[slot]);
-          cand_wc[s] = result.weighted_completion_sum;
-          cand_cm[s] = result.cmax;
-        },
-        static_cast<std::size_t>(max_strands));
-    out_diag.shuffle_strands = static_cast<int>(workspaces.size());
-  } else {
-    for (int s = 0; s < shuffles; ++s) {
-      const FlatMetrics result = evaluate_shuffle_candidate(
-          instance, ws.flat_soa, ws.batch_ranges, options.shuffle_batch_order,
-          candidate_rngs[static_cast<std::size_t>(s)], main_ws);
-      cand_wc[static_cast<std::size_t>(s)] = result.weighted_completion_sum;
-      cand_cm[static_cast<std::size_t>(s)] = result.cmax;
-    }
-    out_diag.shuffle_strands = 1;
+  for (int s = 0; s < shuffles; ++s) {
+    const FlatMetrics result = evaluate_shuffle_candidate(
+        instance, ws.flat_soa, ws.batch_ranges, options.shuffle_batch_order,
+        candidate_rngs[static_cast<std::size_t>(s)], main_ws);
+    cand_wc[static_cast<std::size_t>(s)] = result.weighted_completion_sum;
+    cand_cm[static_cast<std::size_t>(s)] = result.cmax;
   }
 
   // Sequential replay of the acceptance rule, in candidate order.

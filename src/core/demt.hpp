@@ -61,17 +61,6 @@ struct DemtOptions {
   /// minsum AND its makespan stays within this factor of the unshuffled
   /// compact schedule's makespan.
   double cmax_budget_factor = 1.0;
-
-  /// Worker threads for the shuffle stage: 1 (default) evaluates candidates
-  /// sequentially on the calling thread; 0 uses every worker of the
-  /// process-wide shared pool; k > 1 caps the shared-pool strands at k.
-  /// The schedule is bit-identical for every setting — candidates draw from
-  /// RNG streams pre-forked in candidate order and are accepted by a
-  /// sequential replay of the results, so parallelism changes only the
-  /// wall-clock. Calls arriving on a pool worker thread (e.g. from the
-  /// experiment harness's parallel replicates) always run sequentially to
-  /// avoid nested-pool deadlock.
-  int shuffle_workers = 1;
 };
 
 struct DemtDiagnostics {
@@ -82,7 +71,6 @@ struct DemtDiagnostics {
   int merged_stacks = 0;         ///< stacks with at least two tasks
   int shuffle_improvements = 0;  ///< accepted shuffle candidates
   int dual_tests = 0;            ///< dual_test calls inside estimate_cmax
-  int shuffle_strands = 1;       ///< concurrent strands the shuffle stage used
 };
 
 struct DemtResult {

@@ -118,8 +118,7 @@ const void* DemtPolicy::workspace_key() const noexcept {
 }
 
 std::uint64_t DemtPolicy::cache_key() const noexcept {
-  // Every schedule-affecting option, by value. shuffle_workers stays out:
-  // the shuffle engine is bit-identical for any worker count.
+  // Every DemtOptions field, by value: each one can change the schedule.
   std::uint64_t h = 0x44454D5450434B59ULL;  // class tag ("DEMTPCKY")
   h = mix_key(h, options_.dual_eps);
   h = mix_key(h, static_cast<std::uint64_t>(options_.merge_small_tasks));

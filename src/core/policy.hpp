@@ -130,9 +130,7 @@ class DemtPolicy final : public SchedulingPolicy {
   void schedule_into(const Instance& batch, PolicyWorkspace& ws,
                      FlatPlacements& out) const override;
   [[nodiscard]] const void* workspace_key() const noexcept override;
-  /// Hash of every DemtOptions field that can change the schedule
-  /// (shuffle_workers is excluded: the shuffle engine is bit-identical
-  /// for every worker count by design).
+  /// Hash of every DemtOptions field (each one can change the schedule).
   [[nodiscard]] std::uint64_t cache_key() const noexcept override;
 
   [[nodiscard]] const DemtOptions& options() const noexcept {

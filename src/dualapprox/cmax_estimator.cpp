@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace moldsched {
 namespace {
@@ -46,14 +45,9 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
   out.lower_bound = 0.0;
   out.dual_tests = 0;
 
-  // Two rotating partition buffers: ws.scratch receives each test,
-  // out.partition keeps the last accepted guess. Swapping (never
-  // reallocating) keeps the whole search allocation-free once both buffers
-  // are warm.
-  const auto test = [&](double lambda) -> DualTestResult& {
+  const auto accepts = [&](double lambda) {
     ++out.dual_tests;
-    dual_test_into(instance, lambda, tables, ws, ws.scratch);
-    return ws.scratch;
+    return dual_test_accepts(instance, lambda, tables, ws);
   };
 
   const double lb = combinatorial_lower_bound(instance, tables);
@@ -61,9 +55,8 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
 
   // If the dual test already accepts the combinatorial bound, it is also
   // the estimate — no schedule can beat it.
-  if (test(lb).feasible) {
+  if (accepts(lb)) {
     out.estimate = lb;
-    std::swap(out.partition, ws.scratch);
     return;
   }
 
@@ -71,23 +64,21 @@ void estimate_cmax_into(const Instance& instance, double rel_eps,
   // always rejected, `hi` always accepted.
   double lo = lb;
   double hi = lb * 2.0;
-  while (!test(hi).feasible) {
+  while (!accepts(hi)) {
     lo = hi;
     hi *= 2.0;
     if (hi > lb * 1e9 * 2.0) {
       throw std::logic_error("estimate_cmax: dual test never accepts");
     }
   }
-  std::swap(out.partition, ws.scratch);
 
   while (hi - lo > rel_eps * hi) {
     const double mid = 0.5 * (lo + hi);
     // Adjacent doubles (a rel_eps below the spacing of doubles near hi):
     // mid equals a bound, so neither bound can move again.
     if (!(lo < mid && mid < hi)) break;
-    if (test(mid).feasible) {
+    if (accepts(mid)) {
       hi = mid;
-      std::swap(out.partition, ws.scratch);
     } else {
       lo = mid;
     }

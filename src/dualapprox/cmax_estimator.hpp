@@ -1,8 +1,10 @@
 /// \file cmax_estimator.hpp
 /// Binary search over the dual test: produces the C*max estimate that
-/// drives the bi-criteria algorithm's batch sizes, the makespan lower bound
-/// used to normalise every Cmax measurement in the experiments, and the
-/// shelf partition/allotments consumed by the List-Graham baselines.
+/// drives the bi-criteria algorithm's batch sizes and the makespan lower
+/// bound used to normalise every Cmax measurement in the experiments. The
+/// search reads only each probe's verdict; a caller that needs the shelf
+/// partition (the List-Graham baselines) runs dual_test_into once at
+/// `estimate`, the last accepted guess, and gets the search's partition.
 
 #pragma once
 
@@ -18,8 +20,6 @@ struct CmaxEstimate {
   /// bounds (total min-work / m, max over tasks of min time) and the
   /// largest refuted guess.
   double lower_bound = 0.0;
-  /// Dual-test partition at `estimate` (shelf + allotment per task).
-  DualTestResult partition;
   /// Number of dual_test invocations the search performed (regression
   /// anchor: the allotment-table precompute must not change the search
   /// trajectory).
@@ -36,11 +36,10 @@ struct CmaxEstimate {
 
 /// The same search with caller-provided allotment tables (built once,
 /// shared with the DEMT batch loop) and a caller-owned dual-test
-/// workspace; the result lands in `out`, whose partition buffer is reused
-/// across calls (it doubles as the accepted-guess rotation buffer together
-/// with ws.scratch). Identical results and search trajectory to the
-/// wrapper above — dual_tests is the regression anchor. Zero heap
-/// allocation once `ws` and `out` are warm — this is what
+/// workspace; the result lands in `out`. Every probe runs
+/// dual_test_accepts inside `ws`, its only buffer. Identical results and
+/// search trajectory to the wrapper above — dual_tests is the regression
+/// anchor. Zero heap allocation once `ws` is warm — this is what
 /// demt_schedule_into calls per request. The differential suite locks the
 /// search to the scalar one in tests/reference/cmax_estimator_reference.hpp.
 void estimate_cmax_into(const Instance& instance, double rel_eps,

@@ -61,6 +61,12 @@ bool build_shelf_options(const Instance& instance, double lambda,
   return true;
 }
 
+/// The last rejection test: the minimised total work must fit in
+/// m * lambda (with a relative slack of 1e-12 for rounding).
+bool within_work_budget(double total_work, int m, double lambda) {
+  return total_work <= static_cast<double>(m) * lambda * (1.0 + 1e-12);
+}
+
 /// Feasibility check + partition reconstruction from the final DP row and
 /// the pick matrix.
 void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
@@ -70,8 +76,7 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
     return;  // even ignoring work, shelf-1 demand cannot fit: reject
   }
   out.total_work = ws.dp[static_cast<std::size_t>(m)];
-  out.feasible =
-      out.total_work <= static_cast<double>(m) * lambda * (1.0 + 1e-12);
+  out.feasible = within_work_budget(out.total_work, m, lambda);
   if (!out.feasible) return;
 
   // Reconstruct the work-minimising partition.
@@ -98,10 +103,10 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
   }
 }
 
-}  // namespace
-
-/// Runs entirely inside `ws` — the only allocations are capacity growth on
-/// the first call at a given (n, m) and `out.assignment` growth.
+/// Shelf options and the DP over the shelf-1 budget, inside `ws`. Returns
+/// false when the guess is rejected before the DP (some task cannot meet
+/// lambda); otherwise ws.dp[m] is the minimised total work, +inf when
+/// shelf-1 demand cannot fit in m processors.
 ///
 /// Soundness of the rejection certificate: any schedule of length lambda
 /// induces a partition where "long" tasks (running more than lambda/2) all
@@ -121,19 +126,14 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
 /// +inf < best is false even when best is +inf, matching the budget-outer
 /// form's explicit finiteness guards (no NaN can arise; work values are
 /// finite and non-negative).
-void dual_test_into(const Instance& instance, double lambda,
-                    const InstanceAllotments& tables, DualTestWorkspace& ws,
-                    DualTestResult& out) {
+bool fill_dp(const Instance& instance, double lambda,
+             const InstanceAllotments& tables, DualTestWorkspace& ws) {
   if (!(lambda > 0.0)) {
     throw std::invalid_argument("dual_test: lambda must be positive");
   }
   const int n = instance.num_tasks();
   const int m = instance.procs();
-  out.feasible = false;
-  out.total_work = 0.0;
-  out.assignment.assign(static_cast<std::size_t>(n), ShelfAssignment{});
-
-  if (!build_shelf_options(instance, lambda, tables, ws)) return;
+  if (!build_shelf_options(instance, lambda, tables, ws)) return false;
 
   // DP over the shelf-1 processor budget: dp[j] = min total work when
   // shelf-1 allotments sum to <= j. Option index per (task, budget) for
@@ -174,8 +174,32 @@ void dual_test_into(const Instance& instance, double lambda,
     }
     ws.dp.swap(ws.next);
   }
+  return true;
+}
 
-  finish_from_dp(lambda, n, m, ws, out);
+}  // namespace
+
+/// Runs entirely inside `ws` — the only allocations are capacity growth on
+/// the first call at a given (n, m) and `out.assignment` growth.
+void dual_test_into(const Instance& instance, double lambda,
+                    const InstanceAllotments& tables, DualTestWorkspace& ws,
+                    DualTestResult& out) {
+  const bool built = fill_dp(instance, lambda, tables, ws);
+  const int n = instance.num_tasks();
+  out.feasible = false;
+  out.total_work = 0.0;
+  out.assignment.assign(static_cast<std::size_t>(n), ShelfAssignment{});
+  if (!built) return;
+  finish_from_dp(lambda, n, instance.procs(), ws, out);
+}
+
+bool dual_test_accepts(const Instance& instance, double lambda,
+                       const InstanceAllotments& tables,
+                       DualTestWorkspace& ws) {
+  if (!fill_dp(instance, lambda, tables, ws)) return false;
+  const int m = instance.procs();
+  const double total_work = ws.dp[static_cast<std::size_t>(m)];
+  return total_work < kInf && within_work_budget(total_work, m, lambda);
 }
 
 }  // namespace moldsched

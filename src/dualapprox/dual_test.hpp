@@ -15,9 +15,10 @@
 ///
 /// Rejection is a certificate (any schedule of length lambda induces a
 /// partition satisfying all three conditions), so the largest rejected
-/// lambda is a valid makespan lower bound. Acceptance feeds the batch sizes
-/// of the bi-criteria algorithm and the allotments of the List-Graham
-/// baselines.
+/// lambda is a valid makespan lower bound. The verdict alone drives the
+/// C*max search (cmax_estimator.hpp) and so the batch sizes of the
+/// bi-criteria algorithm; the partition at the accepted estimate gives the
+/// List-Graham baselines their allotments.
 
 #pragma once
 
@@ -60,9 +61,6 @@ struct DualTestWorkspace {
   std::vector<double> dp;           ///< DP row over the processor budget
   std::vector<double> next;         ///< DP row being built
   std::vector<std::int16_t> pick;   ///< n x (m+1) option picks, row-major
-  /// Trial-partition buffer for estimate_cmax_into's accept/reject
-  /// rotation; carries capacity only, never state, between calls.
-  DualTestResult scratch;
 };
 
 /// Run the dual test for guess `lambda` (> 0, else std::invalid_argument)
@@ -70,12 +68,19 @@ struct DualTestWorkspace {
 /// its capacity). The precomputed allotment `tables` make canonical /
 /// min-work lookups cost O(log max_procs) instead of O(max_procs), and for
 /// strictly monotone tasks the shelf-1 Pareto set collapses to the single
-/// canonical allotment without a scan. This is what estimate_cmax's
-/// bisection calls per guess, with tables built once for the whole search.
-/// The scan-based scalar DP it is locked to lives in the test-only
-/// reference library (tests/reference/dual_test_reference.hpp).
+/// canonical allotment without a scan. The scan-based scalar DP it is
+/// locked to lives in the test-only reference library
+/// (tests/reference/dual_test_reference.hpp).
 void dual_test_into(const Instance& instance, double lambda,
                     const InstanceAllotments& tables, DualTestWorkspace& ws,
                     DualTestResult& out);
+
+/// The verdict of dual_test_into — its `feasible` — from the same shelf
+/// options and DP run inside `ws`, without rebuilding the partition. This
+/// is what estimate_cmax's bisection calls per guess, with tables built
+/// once for the whole search; the workspace is its only buffer.
+[[nodiscard]] bool dual_test_accepts(const Instance& instance, double lambda,
+                                     const InstanceAllotments& tables,
+                                     DualTestWorkspace& ws);
 
 }  // namespace moldsched

@@ -15,9 +15,10 @@
 /// plateau. Only a task whose time rises somewhere falls through to a
 /// comparison sort.
 ///
-/// The tables reproduce MoldableTask::canonical_allotment and
-/// ::min_work_allotment bit-for-bit (same comparisons, same tie-breaks), so
-/// swapping them in cannot change any schedule.
+/// The tables reproduce the ascending-k scans canonical_allotment_reference
+/// (tests/reference/allotment_table_reference.hpp) and
+/// MoldableTask::min_work_allotment bit-for-bit (same comparisons, same
+/// tie-breaks), so swapping them in cannot change any schedule.
 ///
 /// InstanceAllotments packs all tasks' rows into contiguous parallel arrays
 /// (structure-of-arrays) with a pooled build(), so a warm DemtWorkspace
@@ -58,7 +59,7 @@ class InstanceAllotments {
           monotone_(monotone) {}
 
     /// Smallest allowed k with time(k) <= deadline, or 0 when none exists.
-    /// Matches MoldableTask::canonical_allotment exactly.
+    /// Matches the scan canonical_allotment_reference exactly.
     [[nodiscard]] int canonical(double deadline) const noexcept;
     /// Work-minimising allowed k with time(k) <= deadline (smallest such k
     /// on work ties), or 0. Matches MoldableTask::min_work_allotment

@@ -62,13 +62,6 @@ int MoldableTask::min_work_procs() const noexcept {
   return best_k;
 }
 
-int MoldableTask::canonical_allotment(double deadline) const noexcept {
-  for (int k = min_procs_; k <= max_procs(); ++k) {
-    if (times_[static_cast<std::size_t>(k) - 1] <= deadline) return k;
-  }
-  return 0;
-}
-
 int MoldableTask::min_work_allotment(double deadline) const noexcept {
   int best_k = 0;
   double best = std::numeric_limits<double>::infinity();

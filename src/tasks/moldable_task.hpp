@@ -49,13 +49,9 @@ class MoldableTask {
   /// Allotment achieving min_work().
   [[nodiscard]] int min_work_procs() const noexcept;
 
-  /// Canonical allotment: the smallest allowed k with time(k) <= deadline,
-  /// or 0 when no allotment meets the deadline. For monotone tasks this is
-  /// also the work-minimising deadline-feasible allotment.
-  [[nodiscard]] int canonical_allotment(double deadline) const noexcept;
-
   /// Allotment minimising work among allowed k with time(k) <= deadline,
-  /// or 0 when none exists. Equals canonical_allotment for monotone tasks;
+  /// or 0 when none exists. Equals the canonical allotment (the smallest
+  /// such k, InstanceAllotments::View::canonical) for monotone tasks;
   /// differs only on non-monotone inputs, where it is the sound choice for
   /// the lower-bound machinery (the paper's S_{i,j} in §3.3 is exactly
   /// min work subject to the deadline).

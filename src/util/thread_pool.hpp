@@ -96,8 +96,8 @@ class ThreadPool {
 };
 
 /// Process-wide pool (hardware-concurrency workers), created on first use.
-/// Used as the default executor for DEMT's shuffle candidates and for
-/// experiment replicates when the caller does not supply a pool. Never
+/// Runs the engine's batch strands, the serve shards, and experiment
+/// replicates when the caller does not supply a pool. Never
 /// submit to this pool from inside one of its own tasks (the caller would
 /// block a worker while waiting for workers).
 [[nodiscard]] ThreadPool& shared_thread_pool();

@@ -4,6 +4,14 @@
 
 namespace moldsched {
 
+int canonical_allotment_reference(const MoldableTask& task,
+                                  double deadline) noexcept {
+  for (int k = task.min_procs(); k <= task.max_procs(); ++k) {
+    if (task.times()[static_cast<std::size_t>(k) - 1] <= deadline) return k;
+  }
+  return 0;
+}
+
 AllotmentTable::AllotmentTable(const MoldableTask& task) {
   const int lo = task.min_procs();
   const int hi = task.max_procs();

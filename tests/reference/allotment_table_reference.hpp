@@ -1,7 +1,8 @@
 /// \file allotment_table_reference.hpp
-/// Test-only oracle for the allotment tables (tasks/allotment_table.hpp):
-/// the original one-vector-per-task form, built by a comparison sort. The
-/// differential suite checks every InstanceAllotments row against it.
+/// Test-only oracles for the allotment tables (tasks/allotment_table.hpp):
+/// the canonical-allotment scan, and the original one-vector-per-task
+/// form, built by a comparison sort. The differential suite checks every
+/// InstanceAllotments row against them.
 
 #pragma once
 
@@ -11,6 +12,13 @@
 
 namespace moldsched {
 
+/// Canonical allotment by an ascending-k scan: the smallest allowed k with
+/// task.time(k) <= deadline, or 0 when no allotment meets the deadline.
+/// For monotone tasks this is also the work-minimising deadline-feasible
+/// allotment.
+[[nodiscard]] int canonical_allotment_reference(const MoldableTask& task,
+                                                double deadline) noexcept;
+
 /// One task, its own vectors. Construction and both queries define the
 /// semantics the structure-of-arrays form must reproduce bit-for-bit.
 class AllotmentTable {
@@ -19,7 +27,7 @@ class AllotmentTable {
   explicit AllotmentTable(const MoldableTask& task);
 
   /// Smallest allowed k with time(k) <= deadline, or 0 when none exists.
-  /// Matches MoldableTask::canonical_allotment exactly.
+  /// Matches canonical_allotment_reference exactly.
   [[nodiscard]] int canonical(double deadline) const noexcept;
 
   /// Work-minimising allowed k with time(k) <= deadline (smallest such k on

