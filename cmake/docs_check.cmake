@@ -7,9 +7,9 @@
 #     docs/SERVING.md — the serving handbook ships with the code, not
 #     after it;
 #  3. every public symbol of the online/streaming simulator headers
-#     (src/sim/online.hpp, src/sim/stream.hpp, src/sim/divisible.hpp,
-#     src/sim/checkpoint.hpp) must be mentioned in docs/ONLINE.md —
-#     same rule for the streaming handbook;
+#     (src/sim/online.hpp, src/sim/stream.hpp, src/sim/divisible.hpp)
+#     must be mentioned in docs/ONLINE.md — same rule for the streaming
+#     handbook;
 #  3b. every public symbol of the scheduling-policy surface
 #     (src/core/policy.hpp and src/baselines/lpt_policy.hpp) and of the
 #     decision cache (src/core/decision_cache.hpp) must be mentioned in
@@ -21,8 +21,9 @@
 #  5. docs/BENCHMARKS.md must exist and document every BENCH_*.json
 #     report the benches emit;
 #  6. no header under src/ may declare a *_reference function,
-#     AllotmentTable or canonical_allotment: the scalar oracles are test
-#     code (tests/reference/, the moldsched_reference library).
+#     AllotmentTable, canonical_allotment or simulate_execution: the
+#     scalar oracles and the discrete-event replay are test code
+#     (tests/reference/, the moldsched_reference library).
 # Invoke: cmake -DREPO=<repo root> -P cmake/docs_check.cmake
 
 # Extract public symbols (type declarations and free functions at
@@ -111,12 +112,12 @@ endif()
 message(STATUS "docs_check: all ${total} public headers covered by docs/API.md")
 
 # --- test oracles stay out of the library -------------------------------
-# The scalar *_reference twins, the per-task AllotmentTable and the
-# canonical-allotment scan (canonical_allotment_reference) are test code,
-# built into moldsched_reference from tests/reference/. A src/ header that
-# declares one — the scan as a canonical_allotment member included — would
-# ship an oracle inside libmoldsched again. Comments may name them; code
-# may not.
+# The scalar *_reference twins, the per-task AllotmentTable, the
+# canonical-allotment scan (canonical_allotment_reference) and the
+# discrete-event replay (simulate_execution) are test code, built into
+# moldsched_reference from tests/reference/. A src/ header that declares
+# one — the scan as a canonical_allotment member included — would ship an
+# oracle inside libmoldsched again. Comments may name them; code may not.
 set(oracle_headers "")
 foreach(header ${headers})
   file(READ "${REPO}/${header}" content)
@@ -128,7 +129,8 @@ foreach(header ${headers})
     string(REGEX REPLACE "//.*$" "" code "${line}")
     if(code MATCHES "[A-Za-z0-9_]_reference[ \t]*\\(" OR
        code MATCHES "(^|[^A-Za-z0-9_])AllotmentTable([^A-Za-z0-9_]|$)" OR
-       code MATCHES "(^|[^A-Za-z0-9_])canonical_allotment[ \t]*\\(")
+       code MATCHES "(^|[^A-Za-z0-9_])canonical_allotment[ \t]*\\(" OR
+       code MATCHES "(^|[^A-Za-z0-9_])simulate_execution[ \t]*\\(")
       list(APPEND oracle_headers "${header}")
     endif()
   endforeach()
@@ -138,7 +140,8 @@ if(oracle_headers)
   list(JOIN oracle_headers "\n  " oracle_pretty)
   message(FATAL_ERROR
           "docs_check: these library headers declare a test oracle (a "
-          "*_reference function, AllotmentTable or canonical_allotment):\n"
+          "*_reference function, AllotmentTable, canonical_allotment or "
+          "simulate_execution):\n"
           "  ${oracle_pretty}\n"
           "Oracles belong in tests/reference/ (the moldsched_reference "
           "library), not in src/.")
@@ -200,8 +203,7 @@ file(READ "${online_md}" online_text)
 set(online_headers
     "${REPO}/src/sim/online.hpp"
     "${REPO}/src/sim/stream.hpp"
-    "${REPO}/src/sim/divisible.hpp"
-    "${REPO}/src/sim/checkpoint.hpp")
+    "${REPO}/src/sim/divisible.hpp")
 check_symbol_coverage("${online_headers}" "${online_text}" "docs/ONLINE.md")
 
 # --- architecture + benchmark docs --------------------------------------

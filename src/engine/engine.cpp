@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -68,33 +67,15 @@ void run_policy_request(const SchedulingPolicy& policy,
   }
 }
 
-/// Throws std::invalid_argument(message) when `policy` is null.
-void require_policy(const SchedulingPolicy* policy, const char* message) {
-  if (policy == nullptr) throw std::invalid_argument(message);
-}
-
 void serve_offline(const EngineRequest& request, const EngineOptions& options,
                    EngineWorkspace& ws, EngineResult& out) {
   if (request.instance == nullptr) {
     throw std::invalid_argument("SchedulerEngine: request without instance");
   }
-  require_policy(request.policy, "SchedulerEngine: request without policy");
+  if (request.policy == nullptr) {
+    throw std::invalid_argument("SchedulerEngine: request without policy");
+  }
   run_policy_request(*request.policy, *request.instance, options, ws, out);
-}
-
-/// Fold a session's cumulative speculation counters into the engine stats
-/// as deltas since the last harvest (sessions are pooled and their own
-/// counters reset at open/restore, so the engine tracks what it has seen).
-void harvest_speculation(EngineStreamState& state, EngineStats& stats) {
-  const std::uint64_t decided = state.sim.speculated_batches();
-  const std::uint64_t committed = state.sim.committed_speculations();
-  const std::uint64_t rolled_back = state.sim.rolled_back_speculations();
-  stats.spec_decided += decided - state.spec_seen_decided;
-  stats.spec_committed += committed - state.spec_seen_committed;
-  stats.spec_rolled_back += rolled_back - state.spec_seen_rolled_back;
-  state.spec_seen_decided = decided;
-  state.spec_seen_committed = committed;
-  state.spec_seen_rolled_back = rolled_back;
 }
 
 }  // namespace
@@ -138,123 +119,6 @@ void SchedulerEngine::schedule_batch_into(const EngineRequest* requests,
     serve_offline(requests[i], options_, ws, results[i]);
   });
   stats_.requests += count;
-}
-
-EngineStreamId SchedulerEngine::acquire_stream(const StreamConfig& config,
-                                               const StreamCheckpoint* ckpt) {
-  require_policy(config.policy, "SchedulerEngine: stream without policy");
-  if (workspaces_.empty()) workspaces_.resize(1);
-  EngineWorkspace& ws = workspaces_[0];
-  int index = -1;
-  if (!ws.free_streams.empty()) {
-    index = ws.free_streams.back();
-    ws.free_streams.pop_back();
-  } else {
-    index = static_cast<int>(ws.streams.size());
-    ws.streams.push_back(std::make_unique<EngineStreamState>());
-  }
-  EngineStreamState& state = *ws.streams[static_cast<std::size_t>(index)];
-  static const std::vector<NodeReservation> kNoReservations;
-  try {
-    if (ckpt != nullptr) {
-      state.sim.restore(*ckpt);
-    } else {
-      state.sim.open(config.m, config.reservations != nullptr
-                                   ? *config.reservations
-                                   : kNoReservations);
-    }
-  } catch (...) {
-    ws.free_streams.push_back(index);
-    throw;
-  }
-  state.sim.set_speculate(config.speculate);
-  state.policy = config.policy;
-  state.in_use = true;
-  state.spec_seen_decided = 0;
-  state.spec_seen_committed = 0;
-  state.spec_seen_rolled_back = 0;
-  ++state.serial;
-  return EngineStreamId{index, state.serial};
-}
-
-void SchedulerEngine::release_stream(int index) noexcept {
-  EngineWorkspace& ws = workspaces_[0];
-  EngineStreamState& state = *ws.streams[static_cast<std::size_t>(index)];
-  state.in_use = false;
-  state.policy = nullptr;
-  ++state.serial;
-  ws.free_streams.push_back(index);
-}
-
-EngineStreamId SchedulerEngine::open_stream(const StreamConfig& config) {
-  const EngineStreamId id = acquire_stream(config, nullptr);
-  ++stats_.streams_opened;
-  return id;
-}
-
-EngineStreamState& SchedulerEngine::stream_state(const EngineStreamId& id) {
-  if (workspaces_.empty() || id.index < 0 ||
-      static_cast<std::size_t>(id.index) >= workspaces_[0].streams.size()) {
-    throw std::invalid_argument("SchedulerEngine: unknown stream");
-  }
-  EngineStreamState& state = *workspaces_[0].streams[
-      static_cast<std::size_t>(id.index)];
-  if (!state.in_use || state.serial != id.serial) {
-    throw std::invalid_argument("SchedulerEngine: unknown stream");
-  }
-  return state;
-}
-
-void SchedulerEngine::feed_stream(const EngineStreamId& id,
-                                  const StreamArrival* arrivals,
-                                  std::size_t count, double watermark,
-                                  StreamDelivery& out) {
-  EngineStreamState& state = stream_state(id);
-  state.sim.feed(arrivals, count, watermark, *state.policy,
-                 workspaces_[0].policy_workspace(*state.policy), out);
-  harvest_speculation(state, stats_);
-  ++stats_.stream_feeds;
-  stats_.stream_arrivals += count;
-}
-
-void SchedulerEngine::close_stream(const EngineStreamId& id,
-                                   StreamDelivery& out) {
-  EngineStreamState& state = stream_state(id);
-  // The session returns to the pool whatever finish() does: close is
-  // terminal, and a broken stream must not leak its slot.
-  try {
-    state.sim.finish(*state.policy,
-                     workspaces_[0].policy_workspace(*state.policy), out);
-  } catch (...) {
-    harvest_speculation(state, stats_);
-    release_stream(id.index);
-    throw;
-  }
-  harvest_speculation(state, stats_);
-  release_stream(id.index);
-}
-
-void SchedulerEngine::checkpoint_stream(const EngineStreamId& id,
-                                        StreamCheckpoint& out) {
-  stream_state(id).sim.checkpoint(out);
-}
-
-EngineStreamId SchedulerEngine::restore_stream(const StreamConfig& config,
-                                               const StreamCheckpoint& ckpt) {
-  const EngineStreamId id = acquire_stream(config, &ckpt);
-  ++stats_.streams_restored;
-  return id;
-}
-
-void SchedulerEngine::abandon_stream(const EngineStreamId& id) noexcept {
-  if (workspaces_.empty() || id.index < 0 ||
-      static_cast<std::size_t>(id.index) >= workspaces_[0].streams.size()) {
-    return;
-  }
-  EngineStreamState& state =
-      *workspaces_[0].streams[static_cast<std::size_t>(id.index)];
-  if (!state.in_use || state.serial != id.serial) return;
-  release_stream(id.index);
 }
 
 }  // namespace moldsched

@@ -4,12 +4,13 @@
 /// scheduling requests (the paper's batch of released jobs) and runs them
 /// concurrently on the process-wide shared_thread_pool(), one pooled
 /// EngineWorkspace per strand, so a steady request stream stops
-/// re-warming buffers on every request. It also hosts pooled streaming
-/// sessions (open_stream/feed_stream/close_stream). A whole on-line
-/// simulation is one call to online_batch_schedule_into (sim/online.hpp).
+/// re-warming buffers on every request. A whole on-line simulation is one
+/// call to online_batch_schedule_into (sim/online.hpp); live streams are
+/// OnlineStream sessions (sim/stream.hpp), which the serving layer owns
+/// and feeds with this engine's pooled policy workspace.
 ///
 /// The per-request algorithm is a SchedulingPolicy object
-/// (core/policy.hpp): every request and stream config carries a required
+/// (core/policy.hpp): every request carries a required
 /// `const SchedulingPolicy*` (null is rejected with
 /// std::invalid_argument), the engine pools one policy workspace per
 /// (strand, workspace key), and any user-defined policy plugs into every
@@ -19,10 +20,8 @@
 /// worker count. Requests are independent, each runs with per-request
 /// options inside its strand's workspace, and results are written at the
 /// request's index — `schedule_batch` with 1, 2, 4 or all workers returns
-/// bit-identical results (mirrored by tests/test_engine.cpp). DEMT calls
-/// that land on a pool worker evaluate their shuffle candidates
-/// sequentially (nested-pool fallback), which by the shuffle engine's
-/// replay design does not change the schedule either.
+/// bit-identical results (mirrored by tests/test_engine.cpp). Each DEMT
+/// call runs on one thread, so where it lands never changes its schedule.
 ///
 /// Allocation contract: the engine's own dispatch adds no per-request heap
 /// allocation in steady state. FlatListPolicy and DemtPolicy requests in
@@ -43,9 +42,6 @@
 #include "core/policy.hpp"
 #include "sched/flat_schedule.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sim/checkpoint.hpp"
-#include "sim/online.hpp"
-#include "sim/stream.hpp"
 #include "tasks/instance.hpp"
 #include "util/thread_pool.hpp"
 
@@ -91,59 +87,11 @@ struct EngineOptions {
   DecisionCache* cache = nullptr;
 };
 
-/// Configuration of one streaming session (SchedulerEngine::open_stream):
-/// machine size, optional reservations (copied at open), and the per-batch
-/// off-line policy every decision of the stream runs.
-struct StreamConfig {
-  int m = 1;
-  /// Optional node reservations (nullptr = none); copied at open.
-  const std::vector<NodeReservation>* reservations = nullptr;
-  /// Per-batch off-line policy (required), borrowed for the stream's whole
-  /// life (open through close).
-  const SchedulingPolicy* policy = nullptr;
-  /// Decide batches speculatively ahead of the watermark (see
-  /// OnlineStream::set_speculate). Off by default; deliveries are
-  /// bit-identical either way — only EngineStats speculation counters and
-  /// feed latency change.
-  bool speculate = false;
-};
-
-/// Handle to an open engine stream: a dense pool index plus a serial that
-/// invalidates the handle when the pooled session is recycled.
-struct EngineStreamId {
-  int index = -1;
-  std::uint64_t serial = 0;
-  [[nodiscard]] bool valid() const noexcept { return index >= 0; }
-};
-
 /// Cumulative counters; read through SchedulerEngine::stats().
 struct EngineStats {
-  std::uint64_t requests = 0;         ///< off-line requests served
-  std::uint64_t batches = 0;          ///< batch calls dispatched
-  std::uint64_t streams_opened = 0;   ///< streaming sessions opened
-  std::uint64_t streams_restored = 0; ///< sessions resumed from a checkpoint
-  std::uint64_t stream_feeds = 0;     ///< feed_stream calls served
-  std::uint64_t stream_arrivals = 0;  ///< arrivals fed across all streams
-  std::uint64_t spec_decided = 0;     ///< batches decided ahead of watermark
-  std::uint64_t spec_committed = 0;   ///< staged decisions later confirmed
-  std::uint64_t spec_rolled_back = 0; ///< staged decisions invalidated
-  int strands_last_batch = 1;         ///< concurrency of the last call
-};
-
-/// One pooled streaming session: the OnlineStream (which owns its
-/// simulator state and scratch) plus the stream's borrowed per-batch
-/// policy. Sessions live behind unique_ptr so their addresses stay stable
-/// while the pool grows.
-struct EngineStreamState {
-  OnlineStream sim;
-  const SchedulingPolicy* policy = nullptr;  ///< borrowed while open
-  std::uint64_t serial = 0;
-  bool in_use = false;
-  // Speculation counters already folded into EngineStats (the stream's own
-  // counters are cumulative per session; the engine accumulates deltas).
-  std::uint64_t spec_seen_decided = 0;
-  std::uint64_t spec_seen_committed = 0;
-  std::uint64_t spec_seen_rolled_back = 0;
+  std::uint64_t requests = 0;  ///< off-line requests served
+  std::uint64_t batches = 0;   ///< batch calls dispatched
+  int strands_last_batch = 1;  ///< concurrency of the last call
 };
 
 /// Per-strand reusable state: every buffer a request needs.
@@ -164,14 +112,6 @@ struct EngineWorkspace {
   /// Fetch (or lazily create) this strand's workspace for `policy`.
   [[nodiscard]] PolicyWorkspace& policy_workspace(
       const SchedulingPolicy& policy);
-  /// Streaming sessions, pooled: close_stream retires a session into
-  /// `free_streams` with all its capacity, and the next open_stream
-  /// reuses it — a warm open/feed/close cycle allocates nothing. The
-  /// engine keeps one pool, in its first workspace (stream calls follow
-  /// the engine's one-caller-at-a-time contract, so per-strand isolation
-  /// is not needed; the serving layer gives each shard its own engine).
-  std::vector<std::unique_ptr<EngineStreamState>> streams;
-  std::vector<int> free_streams;
 };
 
 class SchedulerEngine {
@@ -197,47 +137,14 @@ class SchedulerEngine {
   void schedule_batch_into(const EngineRequest* requests, std::size_t count,
                            EngineResult* results);
 
-  /// Open a streaming session (paper §5 job mix as a live request
-  /// stream): returns a handle for feed_stream/close_stream. Sessions
-  /// live in one pool per engine (inside its first EngineWorkspace) and
-  /// are pinned to this engine. Stream calls follow the engine's thread
-  /// contract — one caller at a time; the serving layer pins each engine
-  /// (shard) to one strand. Throws std::invalid_argument on a bad config
-  /// (no policy, m < 1, bad reservation).
-  [[nodiscard]] EngineStreamId open_stream(const StreamConfig& config);
-
-  /// Feed `count` arrivals with the new watermark; decisions that became
-  /// final are written into `out` (cleared first, buffers reused). Same
-  /// validation and error contract as OnlineStream::feed, plus
-  /// std::invalid_argument on an unknown/closed stream id.
-  void feed_stream(const EngineStreamId& id, const StreamArrival* arrivals,
-                   std::size_t count, double watermark, StreamDelivery& out);
-
-  /// Close the stream: final decisions + divisible drain delivered with
-  /// final_delivery == true, then the session returns to the pool and the
-  /// id becomes invalid (even when the close itself throws).
-  void close_stream(const EngineStreamId& id, StreamDelivery& out);
-
-  /// Snapshot an open stream's resumable state into `out`
-  /// (sim/checkpoint.hpp); the session stays open and unchanged. Same
-  /// thread contract as feed_stream. Throws std::invalid_argument on an
-  /// unknown/closed id.
-  void checkpoint_stream(const EngineStreamId& id, StreamCheckpoint& out);
-
-  /// Open a session resuming from `ckpt`: machine size and reservations
-  /// come from the checkpoint, the per-batch policy from `config` — the
-  /// same policy the original stream ran, or the resumed decisions will
-  /// differ. Future feeds/close deliver bit-identically to the original
-  /// session's continuation. Throws std::invalid_argument on a missing
-  /// policy or a malformed checkpoint.
-  [[nodiscard]] EngineStreamId restore_stream(const StreamConfig& config,
-                                              const StreamCheckpoint& ckpt);
-
-  /// Release a session without running finish(): no final delivery, the
-  /// id becomes invalid, the pooled state is recycled. The failover path
-  /// after checkpoint_stream — the stream's life continues elsewhere.
-  /// Unknown/closed ids are ignored.
-  void abandon_stream(const EngineStreamId& id) noexcept;
+  /// The first strand's pooled workspace for `policy` — the one
+  /// single-strand batch calls use. A caller that runs a policy outside
+  /// schedule_batch (the serving layer's stream feeds) borrows it under
+  /// the same one-caller-at-a-time contract.
+  [[nodiscard]] PolicyWorkspace& policy_workspace(
+      const SchedulingPolicy& policy) {
+    return workspaces_[0].policy_workspace(policy);
+  }
 
   [[nodiscard]] const EngineOptions& options() const noexcept {
     return options_;
@@ -254,7 +161,6 @@ class SchedulerEngine {
     if (count == 0) return;
     const std::size_t strands = strand_count(count);
     if (workspaces_.size() < strands) workspaces_.resize(strands);
-    if (workspaces_.empty()) workspaces_.resize(1);
     if (strands == 1) {
       for (std::size_t i = 0; i < count; ++i) body(workspaces_[0], i);
     } else {
@@ -269,22 +175,10 @@ class SchedulerEngine {
 
   [[nodiscard]] std::size_t strand_count(std::size_t count) const;
 
-  /// Resolve a stream id to its pooled session; throws
-  /// std::invalid_argument when the id is unknown, closed, or recycled.
-  [[nodiscard]] EngineStreamState& stream_state(const EngineStreamId& id);
-
-  /// Take a pooled session (or grow the pool), initialise its simulator —
-  /// open(m, reservations) when `ckpt` is null, restore(*ckpt) otherwise,
-  /// the slot returning to the pool if that throws — and apply `config`.
-  [[nodiscard]] EngineStreamId acquire_stream(const StreamConfig& config,
-                                              const StreamCheckpoint* ckpt);
-
-  /// Return session `index` to the pool; its ids become invalid.
-  void release_stream(int index) noexcept;
-
   EngineOptions options_;
   EngineStats stats_;
-  std::vector<EngineWorkspace> workspaces_;
+  std::vector<EngineWorkspace> workspaces_ =
+      std::vector<EngineWorkspace>(1);
 };
 
 }  // namespace moldsched

@@ -35,6 +35,8 @@
 
 namespace moldsched {
 
+struct StreamConfig;  // serve/async_scheduler.hpp
+
 /// One priority lane of the admission table.
 struct LaneSpec {
   std::string name = "default";  ///< stable label (stats, benches, logs)

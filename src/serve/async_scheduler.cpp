@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/mpmc_queue.hpp"
@@ -183,12 +184,11 @@ struct AsyncScheduler::Impl {
     std::string error;
   };
 
-  /// One open streaming session. The strand-only fields (engine_stream,
-  /// engine_open) are touched exclusively by the pinned shard's strand;
-  /// `ticket` is the whole cross-thread handshake: 0 = free, the stream's
-  /// ticket id = open, id | kStreamClosing = close in flight. `shard` is
-  /// atomic because a stale reader (ticket already recycled) may race the
-  /// new owner's open_stream write.
+  /// One open streaming session. `ticket` is the whole cross-thread
+  /// handshake: 0 = free, the stream's ticket id = open, id |
+  /// kStreamClosing = close in flight. `shard` is atomic because a stale
+  /// reader (ticket already recycled) may race the new owner's open_stream
+  /// write.
   struct StreamEntry {
     std::atomic<std::uint64_t> ticket{0};
     std::atomic<std::uint32_t> shard{0};
@@ -197,15 +197,12 @@ struct AsyncScheduler::Impl {
     StreamConfig config;
     std::vector<NodeReservation> reservations;  ///< copied at open
     std::uint32_t lane = 0;  ///< every feed/close of the stream rides it
-    EngineStreamId engine_stream{};
-    bool engine_open = false;
-    /// Migration hand-off: a failed shard's strand checkpoints the engine
-    /// session into `checkpoint` and sets `has_checkpoint` before the
-    /// release store that re-pins `shard`; the new shard's strand restores
-    /// lazily on the stream's next feed. Ordinary strand-only fields — the
-    /// re-pin store / routing load (acquire) publishes them.
-    StreamCheckpoint checkpoint;
-    bool has_checkpoint = false;
+    /// The live session: null until the stream's first feed or close, and
+    /// again once the close hands it back to a shard's free list. Only the
+    /// pinned shard's strand touches it; a failed shard's strand re-pins
+    /// the stream with a release store on `shard`, which (with the routing
+    /// load's acquire) publishes the session to the new strand as is.
+    std::unique_ptr<OnlineStream> session;
   };
 
   /// One engine shard: coalescing queue + engine (with its pooled
@@ -260,12 +257,9 @@ struct AsyncScheduler::Impl {
     std::vector<std::uint32_t> batch_slots;
     std::vector<EngineRequest> batch_requests;
     std::vector<EngineResult> batch_results;
-    /// Engine speculation counters already folded into the Impl atomics
-    /// (the engine's stats are cumulative and strand-only; these track the
-    /// harvested prefix). Strand-only.
-    std::uint64_t spec_seen_decided = 0;
-    std::uint64_t spec_seen_committed = 0;
-    std::uint64_t spec_seen_rolled_back = 0;
+    /// Closed sessions kept warm with all their capacity, reused LIFO by
+    /// the next stream this strand opens. Strand-only.
+    std::vector<std::unique_ptr<OnlineStream>> free_sessions;
   };
 
   explicit Impl(const AsyncOptions& validated_options)
@@ -435,7 +429,9 @@ struct AsyncScheduler::Impl {
       std::uint64_t closing = slot.stream_ticket | kStreamClosing;
       if (entry.ticket.compare_exchange_strong(closing, 0,
                                                std::memory_order_acq_rel)) {
-        entry.has_checkpoint = false;
+        // The stream ends here without a finish(): its session dies with
+        // it rather than re-entering any shard's free list.
+        entry.session.reset();
         open_stream_count.fetch_sub(1, std::memory_order_relaxed);
         stat_streams_closed.fetch_add(1, std::memory_order_relaxed);
         while (!free_streams.try_push(slot.stream_index)) {
@@ -505,10 +501,10 @@ struct AsyncScheduler::Impl {
   }
 
   /// Full failover, on the failed shard's own strand (the only owner of
-  /// its engine sessions): checkpoint + re-pin every stream still pinned
-  /// here, then forward `popped` (claimed but unserved) and everything in
-  /// the rings to survivors. Re-entrant — a failed shard's strand stays a
-  /// forwarder for slots routed to it by stale entry.shard reads.
+  /// its streams' sessions): re-pin every stream still pinned here, then
+  /// forward `popped` (claimed but unserved) and everything in the rings
+  /// to survivors. Re-entrant — a failed shard's strand stays a forwarder
+  /// for slots routed to it by stale entry.shard reads.
   void strand_failover(Shard& shard, const std::uint32_t* popped,
                        std::size_t popped_count) {
     for (std::size_t i = 0; i < streams.size(); ++i) {
@@ -517,17 +513,14 @@ struct AsyncScheduler::Impl {
       if (entry.ticket.load(std::memory_order_acquire) == 0) continue;
       Shard* target = pick_alive(shard.index + 1 + i);
       if (target == nullptr || target == &shard) continue;
-      if (entry.engine_open) {
-        shard.engine.checkpoint_stream(entry.engine_stream, entry.checkpoint);
-        shard.engine.abandon_stream(entry.engine_stream);
-        entry.engine_open = false;
-        entry.has_checkpoint = true;
+      if (entry.session != nullptr) {
         stat_streams_migrated.fetch_add(1, std::memory_order_relaxed);
       }
-      // Release store: publishes the checkpoint to whoever routes on the
-      // new pin (submit_stream's acquire load, then the ring push/pop).
+      // Release store: publishes the session to whoever routes on the new
+      // pin (submit_stream's acquire load, then the ring push/pop).
       entry.shard.store(target->index, std::memory_order_release);
     }
+    shard.free_sessions.clear();  // a failed shard never opens one again
     const auto forward = [&](std::uint32_t slot_index) {
       Slot& slot = slots[slot_index];
       if (slot.kind == SlotKind::OneShot) {
@@ -563,8 +556,8 @@ struct AsyncScheduler::Impl {
   }
 
   /// Watchdog-side requeue for a shard whose strand is stuck: reroute the
-  /// queued one-shots now; stream work is failed (its engine session is
-  /// strand-owned, so only the stuck strand can migrate it — that happens
+  /// queued one-shots now; stream work is failed (its session is
+  /// strand-owned, so only the stuck strand can re-pin it — that happens
   /// in strand_failover when it resumes).
   void watchdog_requeue(Shard& shard) {
     std::uint32_t index = 0;
@@ -687,30 +680,40 @@ struct AsyncScheduler::Impl {
         slot.kind == SlotKind::StreamClose
             ? word == (slot.stream_ticket | kStreamClosing)
             : (word & ~kStreamClosing) == slot.stream_ticket;
+    // Speculation counters of the session before the call; the deltas fold
+    // into the serving view whether the call returns or throws.
+    OnlineStream* session = nullptr;
+    std::uint64_t decided = 0;
+    std::uint64_t committed = 0;
+    std::uint64_t rolled_back = 0;
     try {
       if (!owns_entry) {
         throw std::logic_error("AsyncScheduler: stream no longer open");
       }
-      if (!entry.engine_open) {
-        // Lazy open on the strand: the engine session (and its pooled
-        // workspace) belongs to the shard's engine, so no other thread
-        // ever touches it. A migrated stream resumes from its checkpoint
-        // instead — bit-identically to the tape it left behind.
-        if (entry.has_checkpoint) {
-          entry.engine_stream =
-              shard.engine.restore_stream(entry.config, entry.checkpoint);
-          entry.has_checkpoint = false;
+      if (entry.session == nullptr) {
+        // Lazy open on the strand, reusing this shard's most recently
+        // closed session when it has one. A migrated stream arrives with
+        // its session already open.
+        if (shard.free_sessions.empty()) {
+          entry.session = std::make_unique<OnlineStream>();
         } else {
-          entry.engine_stream = shard.engine.open_stream(entry.config);
+          entry.session = std::move(shard.free_sessions.back());
+          shard.free_sessions.pop_back();
         }
-        entry.engine_open = true;
+        entry.session->open(entry.config.m, entry.reservations);
+        entry.session->set_speculate(entry.config.speculate);
       }
+      session = entry.session.get();
+      decided = session->speculated_batches();
+      committed = session->committed_speculations();
+      rolled_back = session->rolled_back_speculations();
+      const SchedulingPolicy& policy = *entry.config.policy;
+      PolicyWorkspace& policy_ws = shard.engine.policy_workspace(policy);
       if (slot.kind == SlotKind::StreamFeed) {
-        shard.engine.feed_stream(entry.engine_stream, slot.arrivals,
-                                 slot.arrival_count, slot.watermark,
-                                 slot.delivery);
+        session->feed(slot.arrivals, slot.arrival_count, slot.watermark,
+                      policy, policy_ws, slot.delivery);
       } else {
-        shard.engine.close_stream(entry.engine_stream, slot.delivery);
+        session->finish(policy, policy_ws, slot.delivery);
       }
       slot.error.clear();
     } catch (const std::exception& e) {
@@ -722,6 +725,16 @@ struct AsyncScheduler::Impl {
       slot.error.assign("AsyncScheduler: unknown stream error");
       slot.delivery.clear();
     }
+    if (session != nullptr) {
+      stat_spec_decided.fetch_add(session->speculated_batches() - decided,
+                                  std::memory_order_relaxed);
+      stat_spec_committed.fetch_add(
+          session->committed_speculations() - committed,
+          std::memory_order_relaxed);
+      stat_spec_rolled_back.fetch_add(
+          session->rolled_back_speculations() - rolled_back,
+          std::memory_order_relaxed);
+    }
     if (failed && owns_entry) {
       // Entry fields are safe to read only while we own the entry.
       slot.error += " (policy: ";
@@ -729,8 +742,11 @@ struct AsyncScheduler::Impl {
       slot.error += ")";
     }
     if (slot.kind == SlotKind::StreamClose && owns_entry) {
-      // Close is terminal whatever happened inside: free the table entry.
-      entry.engine_open = false;
+      // Close is terminal whatever happened inside: the session returns to
+      // this shard's free list and the table entry frees.
+      if (entry.session != nullptr) {
+        shard.free_sessions.push_back(std::move(entry.session));
+      }
       entry.ticket.store(0, std::memory_order_release);
       open_stream_count.fetch_sub(1, std::memory_order_relaxed);
       stat_streams_closed.fetch_add(1, std::memory_order_relaxed);
@@ -738,21 +754,6 @@ struct AsyncScheduler::Impl {
         std::this_thread::yield();  // unreachable; table-bounded
       }
     }
-    // Fold this shard's engine speculation counters into the serving view
-    // (deltas since the last harvest; the engine's stats are strand-only).
-    const EngineStats& engine_stats = shard.engine.stats();
-    stat_spec_decided.fetch_add(
-        engine_stats.spec_decided - shard.spec_seen_decided,
-        std::memory_order_relaxed);
-    stat_spec_committed.fetch_add(
-        engine_stats.spec_committed - shard.spec_seen_committed,
-        std::memory_order_relaxed);
-    stat_spec_rolled_back.fetch_add(
-        engine_stats.spec_rolled_back - shard.spec_seen_rolled_back,
-        std::memory_order_relaxed);
-    shard.spec_seen_decided = engine_stats.spec_decided;
-    shard.spec_seen_committed = engine_stats.spec_committed;
-    shard.spec_seen_rolled_back = engine_stats.spec_rolled_back;
     slot.done_ns = now_ns();
     lane_completed[slot.lane].fetch_add(1, std::memory_order_relaxed);
     slot.status.store(failed ? TicketStatus::Failed : TicketStatus::Done,
@@ -1193,7 +1194,6 @@ StreamTicket AsyncScheduler::open_stream(const StreamConfig& config,
   const std::uint64_t id =
       im.next_ticket.fetch_add(1, std::memory_order_relaxed);
   entry.shard.store(im.route_one_shot(id), std::memory_order_relaxed);
-  entry.has_checkpoint = false;  // recycled entries carry no stale image
   entry.config = config;
   entry.config.reservations = &entry.reservations;
   entry.lane = im.clamp_lane(lane);
@@ -1201,7 +1201,6 @@ StreamTicket AsyncScheduler::open_stream(const StreamConfig& config,
   if (config.reservations != nullptr) {
     entry.reservations = *config.reservations;
   }
-  entry.engine_open = false;
   entry.ticket.store(id, std::memory_order_release);
   im.open_stream_count.fetch_add(1, std::memory_order_relaxed);
   im.stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
@@ -1249,7 +1248,7 @@ Ticket AsyncScheduler::submit_stream(const StreamTicket& stream,
   slot.arrival_count = count;
   slot.watermark = watermark;
   im.stat_stream_feeds.fetch_add(1, std::memory_order_relaxed);
-  // Acquire: a migrated stream's re-pin publishes its checkpoint through
+  // Acquire: a migrated stream's re-pin publishes its session through
   // this load (then the ring push/pop carries it to the new strand).
   return im.commit_slot(
       slot_index,

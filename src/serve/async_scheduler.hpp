@@ -39,16 +39,18 @@
 /// queue as one-shot requests, interleaved fairly in arrival order — so
 /// per-stream delivery is ordered and results are bit-identical to the
 /// off-line simulator on the completed arrival list for any shard count
-/// and flush timing (gated by tests/test_stream_serve.cpp).
+/// and flush timing (gated by tests/test_stream_serve.cpp). The stream
+/// table owns each stream's OnlineStream session; a close returns it to
+/// the executing shard's free list for the next stream to reuse.
 ///
 /// Fault tolerance (serve/fault.hpp): an optional seeded FaultPlan
 /// injects deterministic faults (engine throws, slow batches, shard
 /// death) for reproducible chaos runs; a watchdog declares a shard whose
 /// strand stops heartbeating failed; a failed shard's queued one-shot
 /// work fails over to surviving shards (bounded retry with exponential
-/// backoff under RetryPolicy), and its pinned streams migrate via
-/// StreamCheckpoint and resume bit-identically on a new shard. Callers
-/// can bound their own exposure with wait(ticket, timeout_ms),
+/// backoff under RetryPolicy), and its pinned streams re-pin to a new
+/// shard, taking their live session along, and resume bit-identically.
+/// Callers can bound their own exposure with wait(ticket, timeout_ms),
 /// cancel(ticket), and per-lane queue-age drops (LaneSpec::max_queue_ms).
 /// With no plan, no watchdog, and no retry the scheduler runs the exact
 /// pre-fault hot path — bit-identical, allocation-free.
@@ -73,6 +75,7 @@
 #include "engine/engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/fault.hpp"
+#include "sim/stream.hpp"
 
 namespace moldsched {
 
@@ -196,7 +199,7 @@ struct AsyncStats {
   std::uint64_t retried = 0;           ///< re-queued attempts under RetryPolicy
   std::uint64_t failed_over = 0;       ///< one-shots rerouted off a failed shard
   std::uint64_t shards_failed = 0;     ///< shards declared failed (death/watchdog)
-  std::uint64_t streams_migrated = 0;  ///< streams checkpointed onto a new shard
+  std::uint64_t streams_migrated = 0;  ///< live sessions re-pinned to a new shard
   std::uint64_t faults_injected = 0;   ///< FaultInjector decisions that fired
   std::uint64_t cache_hits = 0;        ///< decision-cache replays (AsyncOptions::cache)
   std::uint64_t cache_misses = 0;      ///< decision-cache lookups that ran fresh
@@ -209,10 +212,24 @@ struct AsyncStats {
   std::vector<LaneStats> lanes;        ///< per-lane rows, in lane order
 };
 
-/// open_stream takes the engine's StreamConfig (engine/engine.hpp)
-/// unchanged: the reservations vector is copied at open, the policy is
-/// borrowed for the stream's whole life. This older name remains an alias
-/// for existing callers.
+/// Configuration of one streaming session (AsyncScheduler::open_stream):
+/// machine size, optional reservations (copied at open), and the per-batch
+/// off-line policy every decision of the stream runs.
+struct StreamConfig {
+  int m = 1;
+  /// Optional node reservations (nullptr = none); copied at open.
+  const std::vector<NodeReservation>* reservations = nullptr;
+  /// Per-batch off-line policy (required), borrowed for the stream's whole
+  /// life (open through close).
+  const SchedulingPolicy* policy = nullptr;
+  /// Decide batches speculatively ahead of the watermark (see
+  /// OnlineStream::set_speculate). Off by default; deliveries are
+  /// bit-identical either way — only the AsyncStats speculation counters
+  /// and feed latency change.
+  bool speculate = false;
+};
+
+/// Older name of StreamConfig, kept as an alias for existing callers.
 using StreamOptions = StreamConfig;
 
 /// Handle to one open stream. Value type, freely copyable; id 0 means

@@ -13,7 +13,8 @@
 /// RetryPolicy), SlowBatch (a strand stalls — the watchdog declares the
 /// shard failed and surviving shards absorb its queue), and ShardDeath
 /// (a shard dies at a batch boundary — its queue fails over and its
-/// pinned streams migrate via StreamCheckpoint, resuming bit-identically).
+/// pinned streams, sessions included, re-pin to a surviving shard and
+/// resume bit-identically).
 ///
 /// RetryPolicy bounds the recovery: a faulted or failed-over one-shot
 /// batch is re-queued up to max_attempts total attempts with exponential

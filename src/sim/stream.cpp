@@ -137,6 +137,9 @@ void OnlineStream::feed(const StreamArrival* arrivals, std::size_t count,
   if (!(watermark >= watermark_)) {
     throw std::invalid_argument("OnlineStream: watermark moved backwards");
   }
+  if (count > 0 && arrivals == nullptr) {
+    throw std::invalid_argument("OnlineStream: null arrivals");
+  }
   // Validate everything before touching any state: a rejected feed must
   // leave the stream exactly as it was.
   double prev = watermark_;

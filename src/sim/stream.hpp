@@ -57,8 +57,6 @@
 
 namespace moldsched {
 
-struct StreamCheckpoint;  // sim/checkpoint.hpp
-
 /// The three job types of the paper's §5 mix.
 enum class ArrivalKind {
   Moldable,   ///< allotment chosen by the per-batch policy
@@ -115,10 +113,10 @@ struct StreamDelivery {
   void clear();
 };
 
-/// One open streaming session. The engine pools OnlineStream objects per
-/// strand (EngineWorkspace) and the serving layer pins each session to a
-/// shard, so feeds of one stream always execute in order on one thread;
-/// the class itself is not thread-safe.
+/// One open streaming session. The serving layer
+/// (serve/async_scheduler.hpp) keeps each open stream's session in its
+/// stream table and runs the stream's feeds in order on the strand of the
+/// shard it is pinned to; the class itself is not thread-safe.
 class OnlineStream {
  public:
   /// Start (or restart) a session on an m-processor machine. Reservations
@@ -134,7 +132,8 @@ class OnlineStream {
   /// made; one per stream strand), allocation-free beyond what the policy
   /// itself allocates. Decisions that became final are written into `out`
   /// (cleared first). Throws std::invalid_argument on a contract violation
-  /// (state untouched) and std::logic_error on a closed/broken stream.
+  /// — null `arrivals` with count > 0 included — (state untouched) and
+  /// std::logic_error on a closed/broken stream.
   void feed(const StreamArrival* arrivals, std::size_t count,
             double watermark, const SchedulingPolicy& policy,
             PolicyWorkspace& policy_ws, StreamDelivery& out);
@@ -151,9 +150,9 @@ class OnlineStream {
   /// confirms no late arrival commits the staged decision (replaying the
   /// settled placements — bit-identical to deciding fresh), while an
   /// arrival that would have joined a staged batch rolls the stage back
-  /// and the batch is re-decided normally. Deliveries, result(), and
-  /// checkpoints carry confirmed state only, so toggling speculation never
-  /// changes any observable output — only when the deciding work happens.
+  /// and the batch is re-decided normally. Deliveries and result() carry
+  /// confirmed state only, so toggling speculation never changes any
+  /// observable output — only when the deciding work happens.
   /// Turning it off rolls back anything currently staged.
   void set_speculate(bool on);
   [[nodiscard]] bool speculate() const noexcept { return speculate_; }
@@ -189,20 +188,6 @@ class OnlineStream {
   [[nodiscard]] const FlatOnlineResult& result() const noexcept {
     return result_;
   }
-
-  /// Snapshot this session's resumable state (clock, watermark,
-  /// reservations, undecided arrivals, divisible residue, running totals)
-  /// into `out` — see sim/checkpoint.hpp. The session itself is
-  /// untouched. Throws std::logic_error on a closed session.
-  void checkpoint(StreamCheckpoint& out) const;
-
-  /// Become the session `ckpt` describes: future feeds, finish, and
-  /// deliveries are bit-identical to the original stream's (its decided
-  /// prefix restores as zeroed result placeholders — already delivered
-  /// elsewhere). Any previous state of this object is abandoned. Throws
-  /// std::invalid_argument on a malformed checkpoint; a throwing restore
-  /// leaves the session closed.
-  void restore(const StreamCheckpoint& ckpt);
 
  private:
   struct PendingDivisible {

@@ -7,13 +7,13 @@
 /// is one job record of up to 18 whitespace-separated numeric fields, with
 /// -1 marking "not available".
 ///
-/// The parser is allocation-conscious and fuzz-hardened like the
-/// checkpoint codec (sim/checkpoint.hpp): it streams over a caller-owned
-/// byte range with std::from_chars (no per-line string or stream is ever
-/// built), all output buffers keep capacity across parses, and any byte
-/// mutation of a valid file either parses or throws std::invalid_argument
-/// with the offending line number — never undefined behaviour (gated by
-/// the per-byte truncation/flip fuzz in tests/test_trace.cpp).
+/// The parser is allocation-conscious and fuzz-hardened: it streams over
+/// a caller-owned byte range with std::from_chars (no per-line string or
+/// stream is ever built), all output buffers keep capacity across parses,
+/// and any byte mutation of a valid file either parses or throws
+/// std::invalid_argument with the offending line number — never undefined
+/// behaviour (gated by the per-byte truncation/flip fuzz in
+/// tests/test_trace.cpp).
 ///
 /// Tolerance contract: comments and blank lines are skipped; a record may
 /// stop early after the first four fields (missing trailing fields default

@@ -1,15 +1,15 @@
 /// \file event_sim.hpp
-/// Discrete-event execution of a schedule on a simulated cluster. The
-/// simulator replays start/finish events in time order, tracking processor
-/// occupancy dynamically — an independent cross-check of the static
-/// validator (the paper's algorithm is deployed on a real cluster; the
-/// simulator stands in for that execution substrate, see DESIGN.md).
+/// Test-only discrete-event execution of a schedule on a simulated
+/// cluster. The simulator replays start/finish events in time order,
+/// tracking processor occupancy dynamically — an independent cross-check
+/// of the static validator (sched/validator.hpp) that the test suites run
+/// on the schedules the library produces; the paper deploys its algorithm
+/// on a real cluster, and this replay stands in for that substrate.
 ///
 /// The core runs on FlatPlacements with a caller-owned SimWorkspace so
-/// repeated simulations (the online simulator, the engine's request loop)
-/// reuse the event heap and occupancy buffers instead of allocating a
-/// priority queue per call. The Schedule-based entry point is a wrapper
-/// that bridges through FlatPlacements::assign_from.
+/// repeated simulations reuse the event heap and occupancy buffers. The
+/// Schedule-based entry point is a wrapper that bridges through
+/// FlatPlacements::assign_from.
 
 #pragma once
 

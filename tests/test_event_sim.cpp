@@ -1,4 +1,4 @@
-#include "sim/event_sim.hpp"
+#include "reference/event_sim.hpp"
 
 #include <gtest/gtest.h>
 

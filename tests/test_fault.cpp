@@ -5,11 +5,13 @@
 /// stalled strand without consuming the ticket, cancel()/max_queue_ms
 /// drop pending one-shots as Cancelled, the watchdog fails a stalled
 /// shard and survivors absorb its queue, and — the acceptance gate —
-/// killing a shard mid-tape migrates its pinned streams via checkpoint
-/// with bit-identical deliveries and no lost tickets.
+/// killing a shard mid-tape re-pins its streams, live sessions and staged
+/// speculation included, with bit-identical deliveries and no lost
+/// tickets.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -506,10 +508,124 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   EXPECT_EQ(async.open_streams(), 0u);
 }
 
+/// Every field of two deliveries, bit for bit.
+void expect_identical_delivery(const StreamDelivery& a,
+                               const StreamDelivery& b) {
+  EXPECT_EQ(a.first_job, b.first_job);
+  gate::expect_identical_placements(a.placements, b.placements);
+  EXPECT_EQ(a.completion, b.completion);
+  EXPECT_EQ(a.batch_starts, b.batch_starts);
+  ASSERT_EQ(a.chunks.size(), b.chunks.size());
+  for (std::size_t c = 0; c < a.chunks.size(); ++c) {
+    EXPECT_EQ(a.chunks[c].job, b.chunks[c].job);
+    EXPECT_EQ(a.chunks[c].proc, b.chunks[c].proc);
+    EXPECT_EQ(a.chunks[c].start, b.chunks[c].start);
+    EXPECT_EQ(a.chunks[c].duration, b.chunks[c].duration);
+  }
+  EXPECT_EQ(a.divisible_done, b.divisible_done);
+  EXPECT_EQ(a.divisible_completion, b.divisible_completion);
+  EXPECT_EQ(a.final_delivery, b.final_delivery);
+  EXPECT_EQ(a.cmax, b.cmax);
+  EXPECT_EQ(a.weighted_completion_sum, b.weighted_completion_sum);
+  EXPECT_EQ(a.weighted_flow_sum, b.weighted_flow_sum);
+  EXPECT_EQ(a.divisible_weighted_completion_sum,
+            b.divisible_weighted_completion_sum);
+  EXPECT_EQ(a.num_batches, b.num_batches);
+}
+
+TEST(FaultTolerance, KillAShardMidTapeMovesSpeculativeSessionsBitIdentically) {
+  // A migrating stream keeps its session, staged speculative decisions
+  // included. Every delivery, before and after the death, must equal the
+  // bare non-speculative OnlineStream's on the same feeds. A second pass
+  // then reopens every stream on the survivors: each draws a session from
+  // a free list, so a session owned twice (or lost with the dead shard's
+  // list) would show up as a diverging delivery.
+  const int m = 8;
+  const int kStreams = 4;
+  const std::size_t kChunk = 3;
+  std::vector<std::vector<StreamArrival>> tapes(kStreams);
+  for (int s = 0; s < kStreams; ++s) {
+    for (const OnlineJob& job :
+         make_jobs(12, m, 300 + static_cast<std::uint64_t>(s))) {
+      tapes[s].push_back(moldable_arrival(job.task, job.release));
+    }
+  }
+  const std::size_t chunks = (tapes[0].size() + kChunk - 1) / kChunk;
+  const auto chunk_end = [&](std::size_t c) {
+    return std::min(tapes[0].size(), (c + 1) * kChunk);
+  };
+  const auto watermark = [&](int s, std::size_t c) {
+    const std::size_t last = chunk_end(c);
+    return last < tapes[s].size() ? tapes[s][last].release
+                                  : tapes[s].back().release;
+  };
+
+  // Reference: one bare session per tape, same chunking, speculation off.
+  const auto policy_ws = kFlatList.make_workspace();
+  std::vector<std::vector<StreamDelivery>> reference(kStreams);
+  for (int s = 0; s < kStreams; ++s) {
+    OnlineStream bare;
+    bare.open(m, {});
+    StreamDelivery out;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      bare.feed(tapes[s].data() + c * kChunk, chunk_end(c) - c * kChunk,
+                watermark(s, c), kFlatList, *policy_ws, out);
+      reference[s].push_back(out);
+    }
+    bare.finish(kFlatList, *policy_ws, out);
+    reference[s].push_back(out);
+  }
+
+  AsyncOptions options;
+  options.shards = 4;
+  options.flush_after_ms = 0.0;
+  // Shard 1 dies at its second non-empty batch: its stream has been fed
+  // once (and may hold staged decisions) when the session moves.
+  options.faults.points.push_back(
+      FaultPoint{FaultKind::ShardDeath, /*shard=*/1, /*batch=*/1, 0.0});
+  AsyncScheduler async(options);
+  StreamConfig config{m, nullptr, &kFlatList};
+  config.speculate = true;
+  StreamDelivery delivery;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(testing::Message() << "pass " << pass);
+    std::vector<StreamTicket> streams;
+    for (int s = 0; s < kStreams; ++s) {
+      streams.push_back(async.open_stream(config));
+      ASSERT_TRUE(streams.back().accepted());
+    }
+    for (std::size_t c = 0; c <= chunks; ++c) {
+      for (int s = 0; s < kStreams; ++s) {
+        const Ticket ticket =
+            c < chunks ? async.submit_stream(streams[s],
+                                             tapes[s].data() + c * kChunk,
+                                             chunk_end(c) - c * kChunk,
+                                             watermark(s, c))
+                       : async.close_stream(streams[s]);
+        ASSERT_TRUE(ticket.accepted());
+        ASSERT_EQ(async.wait(ticket), TicketStatus::Done)
+            << "stream " << s << " feed " << c << ": " << async.error(ticket);
+        ASSERT_TRUE(async.take_stream(ticket, delivery));
+        SCOPED_TRACE(testing::Message() << "stream " << s << " feed " << c);
+        expect_identical_delivery(delivery, reference[s][c]);
+      }
+    }
+  }
+
+  const AsyncStats stats = async.stats();
+  EXPECT_EQ(stats.shards_failed, 1u);
+  EXPECT_EQ(stats.streams_migrated, 1u);
+  EXPECT_GT(stats.spec_decided, 0u);
+  EXPECT_EQ(stats.spec_decided, stats.spec_committed + stats.spec_rolled_back);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(async.open_streams(), 0u);
+  EXPECT_EQ(async.in_flight(), 0u);
+}
+
 /// The chaos run behind the serving layer's loss gate: a seeded
 /// FaultPlan (random throws, stalls and shard deaths plus a scripted
 /// floor of one of each) over two FlatList streams and rounds of one-shot
-/// traffic, with bounded retry and checkpoint migration active. Every
+/// traffic, with bounded retry and stream migration active. Every
 /// accepted ticket reaches a terminal state and is taken exactly once,
 /// and every stream, migrated or not, replays the off-line simulator
 /// bit-identically. The watchdog stays off: watchdog failover sheds queued

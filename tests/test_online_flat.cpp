@@ -9,9 +9,9 @@
 #include "baselines/baselines.hpp"
 #include "core/demt.hpp"
 #include "engine/engine.hpp"
+#include "reference/event_sim.hpp"
 #include "reference/online_reference.hpp"
 #include "sched/validator.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/online.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"

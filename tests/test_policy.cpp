@@ -3,8 +3,8 @@
 /// SchedulingPolicy object for shards {1, 2, 4}, for both built-ins (demt,
 /// flatlist), one-shot and streaming; and every entry point refuses a
 /// missing policy. Plus the extension-point proof: LptRigidPolicy
-/// (baselines/lpt_policy.hpp) rides through engine, simulator, stream,
-/// and serve without any change to those layers.
+/// (baselines/lpt_policy.hpp) rides through engine, simulator and serve,
+/// one-shot and streaming, without any change to those layers.
 
 #include <gtest/gtest.h>
 
@@ -181,21 +181,23 @@ TEST(Policy, ServeStreamPolicyPathBitIdenticalForShardCounts) {
   }
   const FlatListPolicy flat_policy;
 
-  // Reference: the synchronous engine's stream under the same policy.
-  SchedulerEngine engine(EngineOptions{1, true});
-  StreamConfig config;
-  config.m = m;
-  config.policy = &flat_policy;
-  const EngineStreamId reference_id = engine.open_stream(config);
+  // Reference: a bare OnlineStream under the same policy.
+  const auto policy_ws = flat_policy.make_workspace();
+  OnlineStream bare;
+  bare.open(m, {});
   std::vector<StreamDelivery> reference;
   StreamDelivery scratch;
   for (std::size_t j = 0; j < arrivals.size(); ++j) {
-    engine.feed_stream(reference_id, &arrivals[j], 1, arrivals[j].release,
-                       scratch);
+    bare.feed(&arrivals[j], 1, arrivals[j].release, flat_policy, *policy_ws,
+              scratch);
     reference.push_back(scratch);
   }
-  engine.close_stream(reference_id, scratch);
+  bare.finish(flat_policy, *policy_ws, scratch);
   reference.push_back(scratch);
+
+  StreamConfig config;
+  config.m = m;
+  config.policy = &flat_policy;
 
   for (int shards : {1, 2, 4}) {
     AsyncOptions options;
@@ -224,8 +226,8 @@ TEST(Policy, ServeStreamPolicyPathBitIdenticalForShardCounts) {
 
 TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
   // The policy object is the only way to choose the per-batch algorithm:
-  // a null policy is refused with std::invalid_argument at every engine
-  // entry point, and by the serving layer at admission — before any
+  // a null policy is refused with std::invalid_argument by the engine, and
+  // by the serving layer at admission — one-shot or stream — before any
   // shard sees the request.
   const int m = 8;
   const auto instances = make_instances(1, 12, m, 3);
@@ -238,17 +240,6 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
 
   StreamConfig config;
   config.m = m;
-  EXPECT_THROW((void)engine.open_stream(config), std::invalid_argument);
-  config.policy = &flat_policy;
-  const EngineStreamId live = engine.open_stream(config);
-  StreamCheckpoint ckpt;
-  engine.checkpoint_stream(live, ckpt);
-  config.policy = nullptr;
-  EXPECT_THROW((void)engine.restore_stream(config, ckpt),
-               std::invalid_argument);
-  EXPECT_EQ(engine.stats().streams_opened, 1u);
-  EXPECT_EQ(engine.stats().streams_restored, 0u);
-  EXPECT_NO_THROW(engine.checkpoint_stream(live, ckpt));  // still open
 
   AsyncOptions options;
   options.flush_after_ms = 0.0;
@@ -263,6 +254,18 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
   EXPECT_EQ(stats.streams_opened, 0u);
   EXPECT_EQ(async.in_flight(), 0u);
   EXPECT_EQ(async.open_streams(), 0u);
+
+  // A refused open leaves the table untouched: the same config with its
+  // policy opens normally.
+  config.policy = &flat_policy;
+  const StreamTicket stream = async.open_stream(config);
+  ASSERT_TRUE(stream.accepted());
+  EXPECT_EQ(async.open_streams(), 1u);
+  const Ticket close = async.close_stream(stream);
+  EXPECT_EQ(async.wait(close), TicketStatus::Done);
+  StreamDelivery delivery;
+  ASSERT_TRUE(async.take_stream(close, delivery));
+  EXPECT_EQ(async.stats().streams_opened, 1u);
 }
 
 /// FlatList with one defect injected into its output, for the output
@@ -402,23 +405,33 @@ TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {
   lpt.schedule_into(instances[0], *workspace, direct);
   EXPECT_EQ(served.cmax, direct.cmax());
 
-  // Streaming path.
+  // Streaming path, through the same serving layer.
   StreamConfig config;
   config.m = m;
   config.policy = &lpt;
-  const EngineStreamId stream = engine.open_stream(config);
-  StreamDelivery delivery;
+  const StreamTicket stream = async.open_stream(config);
+  ASSERT_TRUE(stream.accepted());
   Rng rng(31);
+  std::vector<StreamArrival> arrivals;
   double release = 0.0;
   for (int j = 0; j < 6; ++j) {
     Instance tmp = generate_instance(WorkloadFamily::Mixed, 1, m, rng);
-    const StreamArrival arrival = moldable_arrival(tmp.task(0), release);
-    engine.feed_stream(stream, &arrival, 1, release, delivery);
+    arrivals.push_back(moldable_arrival(tmp.task(0), release));
     release += 0.5;
   }
-  engine.close_stream(stream, delivery);
+  std::vector<Ticket> tickets;
+  for (const StreamArrival& arrival : arrivals) {
+    tickets.push_back(
+        async.submit_stream(stream, &arrival, 1, arrival.release));
+  }
+  tickets.push_back(async.close_stream(stream));
+  StreamDelivery delivery;
+  for (const Ticket& ticket : tickets) {
+    ASSERT_EQ(async.wait(ticket), TicketStatus::Done) << async.error(ticket);
+    ASSERT_TRUE(async.take_stream(ticket, delivery));
+  }
   EXPECT_TRUE(delivery.final_delivery);
-  EXPECT_EQ(engine.stats().streams_opened, 1u);
+  EXPECT_EQ(async.stats().streams_opened, 1u);
 }
 
 TEST(Policy, WorkspacePoolSharesPerClassKeys) {

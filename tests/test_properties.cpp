@@ -10,8 +10,8 @@
 #include "dualapprox/cmax_estimator.hpp"
 #include "exp/algorithms.hpp"
 #include "lp/minsum_bound.hpp"
+#include "reference/event_sim.hpp"
 #include "sched/validator.hpp"
-#include "sim/event_sim.hpp"
 #include "workloads/generators.hpp"
 
 namespace moldsched {

@@ -4,10 +4,9 @@
 /// across >1000 seeded tapes x random watermark chunkings of the §5
 /// moldable/rigid/divisible mix, including late arrivals landing exactly
 /// on a staged batch's open instant; crafted tapes pin the commit,
-/// rollback, toggle-off and checkpoint/restore paths individually and
-/// assert the speculation counters are not vacuous. The same lock runs
-/// through the engine and the serving layer (StreamConfig::speculate on
-/// both) for shards {1, 2, 4} x both policies.
+/// rollback and toggle-off paths individually and assert the speculation
+/// counters are not vacuous. The same lock runs through the serving layer
+/// (StreamConfig::speculate) for shards {1, 2, 4} x both policies.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +15,8 @@
 #include <vector>
 
 #include "core/policy.hpp"
-#include "engine/engine.hpp"
 #include "gate_workloads.hpp"
 #include "serve/async_scheduler.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
 #include "util/rng.hpp"
@@ -326,51 +323,6 @@ TEST(Speculation, TogglingOffRollsBackStagedRecords) {
   EXPECT_EQ(stream.result().cmax, 1.0);
 }
 
-TEST(Speculation, CheckpointCarriesConfirmedStateOnly) {
-  const Tape tape = make_tape(77);
-  Rng plan_rng(77);
-  const std::vector<FeedStep> plan = plan_chunks(tape, plan_rng);
-  const auto ws = kFlatList.make_workspace();
-
-  // Run the first half speculating, checkpoint mid-stream (staged records
-  // may be live), and resume the second half on a restored session.
-  OnlineStream original;
-  original.open(tape.m, {});
-  original.set_speculate(true);
-  StreamDelivery out;
-  const std::size_t half = plan.size() / 2;
-  for (std::size_t f = 0; f < half; ++f) {
-    original.feed(tape.arrivals.data() + plan[f].begin,
-                  plan[f].end - plan[f].begin, plan[f].watermark, kFlatList,
-                  *ws, out);
-  }
-  StreamCheckpoint ckpt;
-  original.checkpoint(ckpt);
-
-  OnlineStream restored;
-  restored.restore(ckpt);
-  EXPECT_FALSE(restored.speculate());  // restore resets to off
-  restored.set_speculate(true);
-
-  std::vector<StreamDelivery> original_tail;
-  std::vector<StreamDelivery> restored_tail;
-  for (std::size_t f = half; f < plan.size(); ++f) {
-    original.feed(tape.arrivals.data() + plan[f].begin,
-                  plan[f].end - plan[f].begin, plan[f].watermark, kFlatList,
-                  *ws, out);
-    original_tail.push_back(out);
-    restored.feed(tape.arrivals.data() + plan[f].begin,
-                  plan[f].end - plan[f].begin, plan[f].watermark, kFlatList,
-                  *ws, out);
-    restored_tail.push_back(out);
-  }
-  original.finish(kFlatList, *ws, out);
-  original_tail.push_back(out);
-  restored.finish(kFlatList, *ws, out);
-  restored_tail.push_back(out);
-  expect_identical_deliveries(original_tail, restored_tail);
-}
-
 TEST(Speculation, SparseWatermarkChainsMultipleStagedBatches) {
   // Distinct release instants fed together under a held-back watermark:
   // speculation must chain several staged batches (each building on the
@@ -407,10 +359,14 @@ TEST(Speculation, SparseWatermarkChainsMultipleStagedBatches) {
   expect_identical_result(plain.result(), spec.result());
 }
 
-// --------------------------------------------------- engine + serve lock
+// ----------------------------------------------------------- serve lock
 
 TEST(Speculation, EngineStreamSpeculationIsBitIdenticalAndCounted) {
-  SchedulerEngine engine(EngineOptions{1, false});
+  // One shard serves every stream in turn, so sessions are recycled
+  // through its free list between speculating and plain streams.
+  AsyncOptions options;
+  options.flush_after_ms = 0.0;
+  AsyncScheduler async(options);
   for (std::uint64_t seed = 600; seed < 620; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const Tape tape = make_tape(seed);
@@ -423,20 +379,27 @@ TEST(Speculation, EngineStreamSpeculationIsBitIdenticalAndCounted) {
       config.m = tape.m;
       config.policy = &kFlatList;
       config.speculate = speculate;
-      const EngineStreamId id = engine.open_stream(config);
+      const StreamTicket stream = async.open_stream(config);
+      ASSERT_TRUE(stream.accepted());
+      std::vector<Ticket> tickets;
+      for (const FeedStep& step : plan) {
+        tickets.push_back(async.submit_stream(
+            stream, tape.arrivals.data() + step.begin, step.end - step.begin,
+            step.watermark));
+      }
+      tickets.push_back(async.close_stream(stream));
       StreamDelivery out;
       auto& sink = speculate ? on_deliveries : off_deliveries;
-      for (const FeedStep& step : plan) {
-        engine.feed_stream(id, tape.arrivals.data() + step.begin,
-                           step.end - step.begin, step.watermark, out);
+      for (const Ticket& ticket : tickets) {
+        ASSERT_EQ(async.wait(ticket), TicketStatus::Done)
+            << async.error(ticket);
+        ASSERT_TRUE(async.take_stream(ticket, out));
         sink.push_back(out);
       }
-      engine.close_stream(id, out);
-      sink.push_back(out);
     }
     expect_identical_deliveries(off_deliveries, on_deliveries);
   }
-  const EngineStats& stats = engine.stats();
+  const AsyncStats stats = async.stats();
   EXPECT_GT(stats.spec_decided, 0u);
   EXPECT_GT(stats.spec_committed, 0u);
   EXPECT_EQ(stats.spec_decided, stats.spec_committed + stats.spec_rolled_back);

@@ -1,10 +1,10 @@
-/// Contracts of the streaming online core (sim/stream.hpp) and the
-/// engine's stream API: arrivals fed chunk by chunk reproduce the off-line
-/// batch simulator bit for bit (including tied releases and reservations),
-/// deliveries partition the stream in order, the §5 divisible/rigid mix
-/// matches the off-line filler, carryover work drains at finish without
-/// colliding with placed tasks, feeds validate before mutating, and the
-/// engine pools sessions across open/close cycles. Also the flat divisible
+/// Contracts of the streaming online core (sim/stream.hpp): arrivals fed
+/// chunk by chunk reproduce the off-line batch simulator bit for bit
+/// (including tied releases and reservations), deliveries partition the
+/// stream in order, the §5 divisible/rigid mix matches the off-line
+/// filler, carryover work drains at finish without colliding with placed
+/// tasks, feeds validate before mutating, and the serving layer reuses
+/// pooled sessions across open/close cycles. Also the flat divisible
 /// fill's workspace-reuse contract.
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/policy.hpp"
-#include "engine/engine.hpp"
 #include "reference/online_reference.hpp"
+#include "serve/async_scheduler.hpp"
 #include "sim/divisible.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
@@ -352,6 +352,10 @@ TEST(OnlineStream, FeedValidatesBeforeMutating) {
   const StreamArrival never = moldable_arrival(jobs[4].task, inf);
   EXPECT_THROW(stream.feed(&never, 1, inf, kFlatList, *flat_ws, out),
                std::invalid_argument);
+  // Null arrivals with a non-zero count.
+  EXPECT_THROW(stream.feed(nullptr, 2, jobs.back().release, kFlatList,
+                           *flat_ws, out),
+               std::invalid_argument);
   EXPECT_FALSE(stream.broken());
   EXPECT_EQ(stream.watermark(), now);
   EXPECT_EQ(stream.divisible_work_pending(), 0.0);
@@ -389,6 +393,9 @@ TEST(OnlineStream, DecideTimeErrorBreaksTheStream) {
 }
 
 TEST(OnlineStream, EngineStreamLifecycleAndPooling) {
+  // Three open/feed/feed/close rounds on one shard: every round after the
+  // first reuses the session the previous close returned to the shard's
+  // free list, and each replays the reference from a clean state.
   Rng rng(77);
   const int m = 8;
   const auto jobs = make_jobs(WorkloadFamily::Cirne, 12, m, 1.0, rng);
@@ -400,36 +407,41 @@ TEST(OnlineStream, EngineStreamLifecycleAndPooling) {
   }
 
   const FlatListPolicy flat_policy;
-  SchedulerEngine engine(EngineOptions{1, false});
+  AsyncOptions options;
+  options.flush_after_ms = 0.0;
+  AsyncScheduler async(options);
   StreamDelivery out;
+  const std::size_t half = arrivals.size() / 2;
   for (int round = 0; round < 3; ++round) {
     StreamConfig config;
     config.m = m;
     config.policy = &flat_policy;
-    const EngineStreamId id = engine.open_stream(config);
+    const StreamTicket stream = async.open_stream(config);
+    ASSERT_TRUE(stream.accepted());
+    const Ticket tickets[] = {
+        async.submit_stream(stream, arrivals.data(), half, jobs[half].release),
+        async.submit_stream(stream, arrivals.data() + half,
+                            arrivals.size() - half, jobs.back().release),
+        async.close_stream(stream)};
     std::vector<double> completions;
-    engine.feed_stream(id, arrivals.data(), arrivals.size() / 2,
-                       jobs[arrivals.size() / 2].release, out);
-    completions.insert(completions.end(), out.completion.begin(),
-                       out.completion.end());
-    engine.feed_stream(id, arrivals.data() + arrivals.size() / 2,
-                       arrivals.size() - arrivals.size() / 2,
-                       jobs.back().release, out);
-    completions.insert(completions.end(), out.completion.begin(),
-                       out.completion.end());
-    engine.close_stream(id, out);
-    completions.insert(completions.end(), out.completion.begin(),
-                       out.completion.end());
+    for (const Ticket& ticket : tickets) {
+      ASSERT_EQ(async.wait(ticket), TicketStatus::Done) << async.error(ticket);
+      ASSERT_TRUE(async.take_stream(ticket, out));
+      completions.insert(completions.end(), out.completion.begin(),
+                         out.completion.end());
+    }
     EXPECT_TRUE(out.final_delivery);
     EXPECT_EQ(completions, reference.completion) << "round " << round;
-    // A recycled id must be rejected.
-    EXPECT_THROW(engine.feed_stream(id, arrivals.data(), 0,
-                                    jobs.back().release, out),
-                 std::invalid_argument);
+    // A closed stream's ticket must be rejected.
+    EXPECT_FALSE(
+        async.submit_stream(stream, arrivals.data(), 0, jobs.back().release)
+            .accepted());
   }
-  EXPECT_EQ(engine.stats().streams_opened, 3u);
-  EXPECT_EQ(engine.stats().stream_feeds, 6u);
-  EXPECT_EQ(engine.stats().stream_arrivals, 3 * jobs.size());
+  const AsyncStats stats = async.stats();
+  EXPECT_EQ(stats.streams_opened, 3u);
+  EXPECT_EQ(stats.streams_closed, 3u);
+  EXPECT_EQ(stats.stream_feeds, 6u);
+  EXPECT_EQ(async.open_streams(), 0u);
 }
 
 TEST(DivisibleFlat, WorkspaceReuseMatchesFreshRuns) {
