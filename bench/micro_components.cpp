@@ -19,6 +19,7 @@
 #include "core/demt.hpp"
 #include "core/knapsack.hpp"
 #include "dualapprox/cmax_estimator.hpp"
+#include "reference/cmax_estimator_reference.hpp"
 #include "reference/knapsack_reference.hpp"
 #include "sched/flat_schedule.hpp"
 #include "sched/list_scheduler.hpp"
@@ -102,10 +103,10 @@ int main(int argc, char** argv) {
         << "pipeline (knapsack, generators, dual-approx search, list\n"
         << "scheduler, batch build, full DEMT).\n"
         << "Exit gates (non-zero exit on failure): at the largest size the\n"
-        << "vectorized knapsack row sweep / fused metric scan must stay\n"
-        << "within 1.5x of their scalar references (margin absorbs machine\n"
-        << "noise; the point is catching a kernel regressing to much\n"
-        << "slower).\n\n"
+        << "vectorized knapsack row sweep / C*max search / fused metric\n"
+        << "scan must stay within 1.5x of their scalar references (margin\n"
+        << "absorbs machine noise; the point is catching a kernel\n"
+        << "regressing to much slower).\n\n"
         << "  --sizes a,b,c   task counts [25,100,400]\n"
         << "  --m N           processors [200]\n"
         << "  --quick         sizes 50,200\n"
@@ -161,10 +162,27 @@ int main(int argc, char** argv) {
           [&] { (void)generate_instance(WorkloadFamily::Cirne, n, m, rng); });
   }
 
+  // The C*max search two ways: the scalar oracle (fresh buffers, the
+  // scan-based dual test) and the per-request form DEMT calls, on tables
+  // built once and a warm workspace. Gated like the knapsack: the search
+  // at the largest size within 1.5x of the reference.
+  double search_ref_s = 0.0;
+  double search_s = 0.0;
   for (int n : sizes) {
     const Instance instance = make_instance(n, m, WorkloadFamily::Mixed, 3);
-    bench("dual_approx_search", n, [&] { (void)estimate_cmax(instance); });
+    bench("estimate_cmax_reference", n,
+          [&] { (void)estimate_cmax_reference(instance); });
+    search_ref_s = g_results.back().per_call_s;
+    const InstanceAllotments tables(instance);
+    DualTestWorkspace ws;
+    CmaxEstimate estimate;
+    bench("dual_approx_search", n, [&] {
+      estimate_cmax_into(instance, 1e-4, tables, ws, estimate);
+    });
+    search_s = g_results.back().per_call_s;
   }
+  const bool search_time_ok =
+      search_s <= search_ref_s * 1.5 || search_ref_s == 0.0;
 
   for (int n : sizes) {
     Rng rng(4);
@@ -241,6 +259,12 @@ int main(int argc, char** argv) {
     std::cerr << strfmt("ERROR: knapsack row sweep slower than 1.5x the "
                         "scalar reference (%.3f us vs %.3f us per call)\n",
                         knap_sweep_s * 1e6, knap_ref_s * 1e6);
+    ok = false;
+  }
+  if (!search_time_ok) {
+    std::cerr << strfmt("ERROR: C*max search slower than 1.5x the scalar "
+                        "reference (%.3f us vs %.3f us per call)\n",
+                        search_s * 1e6, search_ref_s * 1e6);
     ok = false;
   }
   if (!metrics_time_ok) {

@@ -2,7 +2,9 @@
 /// Binary search over the dual test: produces the C*max estimate that
 /// drives the bi-criteria algorithm's batch sizes and the makespan lower
 /// bound used to normalise every Cmax measurement in the experiments. The
-/// search reads only each probe's verdict; a caller that needs the shelf
+/// search reads only each probe's verdict from dual_test_accepts, which
+/// settles most guesses with O(n) cheapest-choice screens and runs the DP
+/// without its pick matrix on the rest. A caller that needs the shelf
 /// partition (the List-Graham baselines) runs dual_test_into once at
 /// `estimate`, the last accepted guess, and gets the search's partition.
 
@@ -37,10 +39,10 @@ struct CmaxEstimate {
 /// The same search with caller-provided allotment tables (built once,
 /// shared with the DEMT batch loop) and a caller-owned dual-test
 /// workspace; the result lands in `out`. Every probe runs
-/// dual_test_accepts inside `ws`, its only buffer. Identical results and
-/// search trajectory to the wrapper above — dual_tests is the regression
-/// anchor. Zero heap allocation once `ws` is warm — this is what
-/// demt_schedule_into calls per request. The differential suite locks the
+/// dual_test_accepts inside `ws`, its only buffer (the search never sizes
+/// `ws.pick`). Identical results and search trajectory to the wrapper
+/// above — dual_tests is the regression anchor. Zero heap allocation once
+/// `ws` is warm — this is what demt_schedule_into calls per request. The differential suite locks the
 /// search to the scalar one in tests/reference/cmax_estimator_reference.hpp.
 void estimate_cmax_into(const Instance& instance, double rel_eps,
                         const InstanceAllotments& tables,

@@ -17,10 +17,14 @@ constexpr std::int16_t kUnreachable = -2;
 /// options (increasing processor count with strictly decreasing work; for
 /// monotone tasks a singleton found by binary search) and the min-work
 /// lambda/2 allotment. Returns false when some task cannot meet lambda at
-/// all — an immediate reject.
+/// all — an immediate reject. Throws std::invalid_argument unless
+/// lambda > 0.
 bool build_shelf_options(const Instance& instance, double lambda,
                          const InstanceAllotments& tables,
                          DualTestWorkspace& ws) {
+  if (!(lambda > 0.0)) {
+    throw std::invalid_argument("dual_test: lambda must be positive");
+  }
   const int n = instance.num_tasks();
   ws.opt_procs.clear();
   ws.opt_work.clear();
@@ -103,10 +107,12 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
   }
 }
 
-/// Shelf options and the DP over the shelf-1 budget, inside `ws`. Returns
-/// false when the guess is rejected before the DP (some task cannot meet
-/// lambda); otherwise ws.dp[m] is the minimised total work, +inf when
-/// shelf-1 demand cannot fit in m processors.
+/// The DP over the shelf-1 budget from the shelf options already in `ws`:
+/// afterwards ws.dp[m] is the minimised total work, +inf when shelf-1
+/// demand cannot fit in m processors. With `kRecordPicks` it also fills
+/// the n x (m+1) pick matrix that finish_from_dp reconstructs from; the
+/// verdict-only caller leaves `ws.pick` untouched. The dp values are the
+/// same either way.
 ///
 /// Soundness of the rejection certificate: any schedule of length lambda
 /// induces a partition where "long" tasks (running more than lambda/2) all
@@ -125,24 +131,19 @@ void finish_from_dp(double lambda, int n, int m, DualTestWorkspace& ws,
 /// Infinities stay well-behaved: base = +inf gives candidate = +inf, and
 /// +inf < best is false even when best is +inf, matching the budget-outer
 /// form's explicit finiteness guards (no NaN can arise; work values are
-/// finite and non-negative).
-bool fill_dp(const Instance& instance, double lambda,
-             const InstanceAllotments& tables, DualTestWorkspace& ws) {
-  if (!(lambda > 0.0)) {
-    throw std::invalid_argument("dual_test: lambda must be positive");
-  }
-  const int n = instance.num_tasks();
-  const int m = instance.procs();
-  if (!build_shelf_options(instance, lambda, tables, ws)) return false;
-
+/// non-negative).
+template <bool kRecordPicks>
+void fill_dp(int n, int m, DualTestWorkspace& ws) {
   // DP over the shelf-1 processor budget: dp[j] = min total work when
   // shelf-1 allotments sum to <= j. Option index per (task, budget) for
   // reconstruction; kShelf2 means the task stayed in shelf 2.
   const std::size_t row = static_cast<std::size_t>(m) + 1;
   ws.dp.assign(row, 0.0);
   ws.next.resize(row);
-  // Every cell is written by its row's seed sweep below.
-  ws.pick.resize(static_cast<std::size_t>(n) * row);
+  if constexpr (kRecordPicks) {
+    // Every cell is written by its row's seed sweep below.
+    ws.pick.resize(static_cast<std::size_t>(n) * row);
+  }
 
   for (int i = 0; i < n; ++i) {
     const auto begin = static_cast<std::size_t>(ws.opt_begin[i]);
@@ -150,14 +151,16 @@ bool fill_dp(const Instance& instance, double lambda,
     const double shelf2 = ws.shelf2_work[static_cast<std::size_t>(i)];
     const double* dp = ws.dp.data();
     double* next = ws.next.data();
-    std::int16_t* pick_row =
-        ws.pick.data() + static_cast<std::size_t>(i) * row;
+    std::int16_t* pick_row = nullptr;
+    if constexpr (kRecordPicks) {
+      pick_row = ws.pick.data() + static_cast<std::size_t>(i) * row;
+    }
     // Seed row: the shelf-2 branch for every budget.
     for (std::size_t j = 0; j < row; ++j) {
       const double cand = dp[j] + shelf2;
       const bool ok = cand < kInf;
       next[j] = ok ? cand : kInf;
-      pick_row[j] = ok ? kShelf2 : kUnreachable;
+      if constexpr (kRecordPicks) pick_row[j] = ok ? kShelf2 : kUnreachable;
     }
     // One row sweep per shelf-1 option, ascending (preserves the
     // budget-outer form's option visit order per cell).
@@ -169,12 +172,42 @@ bool fill_dp(const Instance& instance, double lambda,
         const double cand = dp[j - cost] + w;
         const bool better = cand < next[j];
         next[j] = better ? cand : next[j];
-        pick_row[j] = better ? id : pick_row[j];
+        if constexpr (kRecordPicks) pick_row[j] = better ? id : pick_row[j];
       }
     }
     ws.dp.swap(ws.next);
   }
-  return true;
+}
+
+/// Verdict of the cheapest-choice screens: decided without the DP, or not.
+enum class Screen { Reject, Accept, NeedDp };
+
+/// Exact O(n) screens over the shelf options in `ws`. S sums, in task
+/// order from 0.0, each task's cheapest choice: shelf 2, or the last
+/// (cheapest) entry of its Pareto list, shelf 2 on a tie since it costs no
+/// processors. Every DP candidate for task i adds a value >= its cheapest
+/// choice to a prefix cell >= S's prefix, and IEEE addition is monotone in
+/// each operand, so S <= dp[m] bit for bit: S failing the budget rejects.
+/// If the cheapest choices' shelf-1 processors also fit in m, that path is
+/// a DP candidate at every prefix, so dp[m] == S exactly: accept.
+Screen screen_cheapest_choices(int n, int m, double lambda,
+                               const DualTestWorkspace& ws) {
+  double sum = 0.0;
+  std::int64_t procs = 0;
+  for (int i = 0; i < n; ++i) {
+    const double shelf2 = ws.shelf2_work[static_cast<std::size_t>(i)];
+    const auto last = static_cast<std::size_t>(ws.opt_begin[i + 1]) - 1;
+    if (ws.opt_work[last] < shelf2) {
+      sum += ws.opt_work[last];
+      procs += ws.opt_procs[last];
+    } else {
+      sum += shelf2;
+    }
+  }
+  if (!(sum < kInf) || !within_work_budget(sum, m, lambda)) {
+    return Screen::Reject;
+  }
+  return procs <= m ? Screen::Accept : Screen::NeedDp;
 }
 
 }  // namespace
@@ -184,20 +217,28 @@ bool fill_dp(const Instance& instance, double lambda,
 void dual_test_into(const Instance& instance, double lambda,
                     const InstanceAllotments& tables, DualTestWorkspace& ws,
                     DualTestResult& out) {
-  const bool built = fill_dp(instance, lambda, tables, ws);
+  const bool built = build_shelf_options(instance, lambda, tables, ws);
   const int n = instance.num_tasks();
   out.feasible = false;
   out.total_work = 0.0;
   out.assignment.assign(static_cast<std::size_t>(n), ShelfAssignment{});
   if (!built) return;
+  fill_dp<true>(n, instance.procs(), ws);
   finish_from_dp(lambda, n, instance.procs(), ws, out);
 }
 
 bool dual_test_accepts(const Instance& instance, double lambda,
                        const InstanceAllotments& tables,
                        DualTestWorkspace& ws) {
-  if (!fill_dp(instance, lambda, tables, ws)) return false;
+  if (!build_shelf_options(instance, lambda, tables, ws)) return false;
+  const int n = instance.num_tasks();
   const int m = instance.procs();
+  switch (screen_cheapest_choices(n, m, lambda, ws)) {
+    case Screen::Reject: return false;
+    case Screen::Accept: return true;
+    case Screen::NeedDp: break;
+  }
+  fill_dp<false>(n, m, ws);
   const double total_work = ws.dp[static_cast<std::size_t>(m)];
   return total_work < kInf && within_work_budget(total_work, m, lambda);
 }

@@ -44,12 +44,14 @@ struct DualTestResult {
   std::vector<ShelfAssignment> assignment;
 };
 
-/// Reusable buffers for repeated dual_test calls: the DP rows, the flat
-/// (task x budget) pick matrix, and the per-task shelf choice pools all
-/// keep their capacity across calls, so the bisection in estimate_cmax —
-/// which runs dozens of tests per schedule — performs no heap allocation
-/// after its first test at a given problem size. Reuse never changes
-/// results: the workspace carries capacity, not state, between calls.
+/// Reusable buffers for repeated dual tests: the per-task shelf choice
+/// pools, the DP rows, and the flat (task x budget) pick matrix all keep
+/// their capacity across calls, so the bisection in estimate_cmax — which
+/// runs dozens of tests per schedule — performs no heap allocation after
+/// its first test at a given problem size. Only dual_test_into reads or
+/// sizes the pick matrix; dual_test_accepts never touches it. Reuse never
+/// changes results: the workspace carries capacity, not state, between
+/// calls.
 struct DualTestWorkspace {
   /// Shelf-1 Pareto options pooled across tasks: task i's options are
   /// opt_procs/opt_work[opt_begin[i] .. opt_begin[i+1]).
@@ -60,7 +62,8 @@ struct DualTestWorkspace {
   std::vector<int> shelf2_procs;    ///< per task
   std::vector<double> dp;           ///< DP row over the processor budget
   std::vector<double> next;         ///< DP row being built
-  std::vector<std::int16_t> pick;   ///< n x (m+1) option picks, row-major
+  /// n x (m+1) option picks, row-major; dual_test_into only.
+  std::vector<std::int16_t> pick;
 };
 
 /// Run the dual test for guess `lambda` (> 0, else std::invalid_argument)
@@ -76,9 +79,14 @@ void dual_test_into(const Instance& instance, double lambda,
                     DualTestResult& out);
 
 /// The verdict of dual_test_into — its `feasible` — from the same shelf
-/// options and DP run inside `ws`, without rebuilding the partition. This
-/// is what estimate_cmax's bisection calls per guess, with tables built
-/// once for the whole search; the workspace is its only buffer.
+/// options inside `ws`, without the partition. After the options are
+/// built, two exact O(n) screens over each task's cheapest choice decide
+/// most guesses: their in-order work sum S is a bit-exact lower bound on
+/// the DP's minimised work (reject when it is infinite or over budget),
+/// and equals it when the cheapest choices' shelf-1 processors fit in m
+/// (accept). The guesses left run the same DP without recording picks.
+/// This is what estimate_cmax's bisection calls per guess, with tables
+/// built once for the whole search; the workspace is its only buffer.
 [[nodiscard]] bool dual_test_accepts(const Instance& instance, double lambda,
                                      const InstanceAllotments& tables,
                                      DualTestWorkspace& ws);

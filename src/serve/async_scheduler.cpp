@@ -260,6 +260,13 @@ struct AsyncScheduler::Impl {
     /// Closed sessions kept warm with all their capacity, reused LIFO by
     /// the next stream this strand opens. Strand-only.
     std::vector<std::unique_ptr<OnlineStream>> free_sessions;
+    /// Stream closes the watchdog failed while the entry was pinned here,
+    /// as (entry index, stream ticket id): the entries stay marked closing
+    /// until this strand's strand_failover frees them. The mutex also
+    /// covers strand_failover's re-pins, so the watchdog reads a
+    /// consistent pin. Cold path.
+    std::mutex orphan_mutex;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> orphaned_closes;
   };
 
   explicit Impl(const AsyncOptions& validated_options)
@@ -418,26 +425,33 @@ struct AsyncScheduler::Impl {
     }
   }
 
+  /// Free the table entry of a close that failed on a dead shard, if the
+  /// close still owns it. Strand-only (the watchdog thread must never
+  /// touch entries — they belong to strands).
+  void release_failed_close(std::uint32_t stream_index,
+                            std::uint64_t stream_ticket) {
+    StreamEntry& entry = streams[stream_index];
+    std::uint64_t closing = stream_ticket | kStreamClosing;
+    if (entry.ticket.compare_exchange_strong(closing, 0,
+                                             std::memory_order_acq_rel)) {
+      // The stream ends here without a finish(): its session dies with it
+      // rather than re-entering any shard's free list.
+      entry.session.reset();
+      open_stream_count.fetch_sub(1, std::memory_order_relaxed);
+      stat_streams_closed.fetch_add(1, std::memory_order_relaxed);
+      while (!free_streams.try_push(stream_index)) {
+        std::this_thread::yield();
+      }
+    }
+  }
+
   /// Complete a stream feed/close that cannot reach a live pinned shard.
   /// `release_entry` only from the failed shard's own strand: a close that
-  /// still owns its entry then frees the table slot (the watchdog thread
-  /// must never touch entries — they belong to strands).
+  /// still owns its entry then frees the table slot.
   void fail_stream_slot(std::uint32_t slot_index, bool release_entry) {
     Slot& slot = slots[slot_index];
     if (release_entry && slot.kind == SlotKind::StreamClose) {
-      StreamEntry& entry = streams[slot.stream_index];
-      std::uint64_t closing = slot.stream_ticket | kStreamClosing;
-      if (entry.ticket.compare_exchange_strong(closing, 0,
-                                               std::memory_order_acq_rel)) {
-        // The stream ends here without a finish(): its session dies with
-        // it rather than re-entering any shard's free list.
-        entry.session.reset();
-        open_stream_count.fetch_sub(1, std::memory_order_relaxed);
-        stat_streams_closed.fetch_add(1, std::memory_order_relaxed);
-        while (!free_streams.try_push(slot.stream_index)) {
-          std::this_thread::yield();
-        }
-      }
+      release_failed_close(slot.stream_index, slot.stream_ticket);
     }
     slot.delivery.clear();
     slot.error.assign("AsyncScheduler: stream request lost with failed shard");
@@ -507,6 +521,15 @@ struct AsyncScheduler::Impl {
   /// for slots routed to it by stale entry.shard reads.
   void strand_failover(Shard& shard, const std::uint32_t* popped,
                        std::size_t popped_count) {
+    std::unique_lock orphan_lock(shard.orphan_mutex);
+    // Closes the watchdog failed while their entries were pinned here:
+    // free the entries first (so they are not re-pinned below) and drop
+    // the drain hold each one carries.
+    for (const auto& [stream_index, stream_ticket] : shard.orphaned_closes) {
+      release_failed_close(stream_index, stream_ticket);
+      publish_done(0, 0, 1);
+    }
+    shard.orphaned_closes.clear();
     for (std::size_t i = 0; i < streams.size(); ++i) {
       StreamEntry& entry = streams[i];
       if (entry.shard.load(std::memory_order_relaxed) != shard.index) continue;
@@ -520,6 +543,7 @@ struct AsyncScheduler::Impl {
       // pin (submit_stream's acquire load, then the ring push/pop).
       entry.shard.store(target->index, std::memory_order_release);
     }
+    orphan_lock.unlock();
     shard.free_sessions.clear();  // a failed shard never opens one again
     const auto forward = [&](std::uint32_t slot_index) {
       Slot& slot = slots[slot_index];
@@ -556,26 +580,60 @@ struct AsyncScheduler::Impl {
   }
 
   /// Watchdog-side requeue for a shard whose strand is stuck: reroute the
-  /// queued one-shots now; stream work is failed (its session is
-  /// strand-owned, so only the stuck strand can re-pin it — that happens
-  /// in strand_failover when it resumes).
+  /// queued one-shots now; stream work goes to watchdog_stream_slot.
   void watchdog_requeue(Shard& shard) {
     std::uint32_t index = 0;
     for (auto& ring : shard.pending) {
       while (ring->try_pop(index)) {
         shard.pending_count.fetch_sub(1, std::memory_order_relaxed);
-        Slot& slot = slots[index];
-        if (slot.kind == SlotKind::OneShot) {
-          Shard* target = pick_alive(
-              failover_rr.fetch_add(1, std::memory_order_relaxed));
-          if (target == nullptr) target = &shard;  // unreachable
-          push_to_shard(index, *target);
-          activate(*target);
-          stat_failed_over.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          fail_stream_slot(index, /*release_entry=*/false);
+        if (slots[index].kind != SlotKind::OneShot) {
+          watchdog_stream_slot(index);
+          continue;
         }
+        Shard* target = pick_alive(
+            failover_rr.fetch_add(1, std::memory_order_relaxed));
+        if (target == nullptr) target = &shard;  // unreachable
+        push_to_shard(index, *target);
+        activate(*target);
+        stat_failed_over.fetch_add(1, std::memory_order_relaxed);
       }
+    }
+  }
+
+  /// Watchdog side of a stream slot popped from a failed shard's ring. The
+  /// session belongs to the strand of the shard the entry is pinned to: an
+  /// alive pin gets the slot forwarded, as strand_failover does. A failed
+  /// pin's strand may be stuck, and only it can re-pin the stream (in
+  /// strand_failover, when it resumes), so the slot fails now. A failed
+  /// close still owns its entry, which only that strand may free: it is
+  /// handed to the pinned shard with a drain() hold, and the shard is
+  /// activated so strand_failover runs even if its strand went idle.
+  void watchdog_stream_slot(std::uint32_t slot_index) {
+    const Slot& slot = slots[slot_index];
+    const StreamEntry& entry = streams[slot.stream_index];
+    // Read before the failure publishes: the slot may recycle after that.
+    const bool close = slot.kind == SlotKind::StreamClose;
+    for (;;) {
+      Shard& owner = *shards[entry.shard.load(std::memory_order_acquire)];
+      if (!owner.failed.load(std::memory_order_acquire)) {
+        push_to_shard(slot_index, owner);
+        activate(owner);
+        return;
+      }
+      if (close) {
+        const std::lock_guard lock(owner.orphan_mutex);
+        if (entry.shard.load(std::memory_order_acquire) != owner.index) {
+          continue;  // re-pinned meanwhile: follow the new pin
+        }
+        // The hold goes up before the failure publishes: drain() must
+        // never see zero between the two.
+        live_count.fetch_add(1, std::memory_order_relaxed);
+        owner.orphaned_closes.emplace_back(slot.stream_index,
+                                           slot.stream_ticket);
+      }
+      fail_stream_slot(slot_index, /*release_entry=*/false);
+      if (close) activate(owner);
+      return;
     }
   }
 
@@ -1006,7 +1064,9 @@ struct AsyncScheduler::Impl {
 
   std::atomic<std::uint64_t> next_ticket;  // seeded per scheduler, see ctor
   std::atomic<std::int64_t> in_use_count{0};  ///< accepted, not yet taken
-  std::atomic<std::int64_t> live_count{0};    ///< accepted, not yet terminal
+  /// Accepted, not yet terminal, plus one drain hold per watchdog-failed
+  /// close whose entry a strand has yet to free.
+  std::atomic<std::int64_t> live_count{0};
   std::atomic<bool> stopping{false};
 
   std::atomic<std::uint64_t> stat_submitted{0};

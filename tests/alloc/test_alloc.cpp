@@ -379,23 +379,37 @@ TEST(Alloc, DualTestSteadyState) {
     const InstanceAllotments tables(instance);
     DualTestWorkspace ws;
     DualTestResult scratch;
-    // One search sizes the workspace; then dual_test_into probes the
-    // search's typical guess range directly.
+    // One search sizes the workspace. Its probes are verdict-only: they
+    // never size the pick matrix, which only dual_test_into fills.
     CmaxEstimate sized;
     estimate_cmax_into(instance, 1e-4, tables, ws, sized);
+    EXPECT_EQ(ws.pick.capacity(), 0u) << "n=" << n;
     dual_test_into(instance, sized.estimate, tables, ws, scratch);
+    // Then both entry points probe the search's typical guess range
+    // directly.
     constexpr int kProbes = 64;
+    const auto guess = [&](int i) {
+      return sized.lower_bound +
+             (sized.estimate * 2.0 - sized.lower_bound) * (i + 1) / kProbes;
+    };
     EXPECT_EQ(allocs_during([&] {
                 for (int i = 0; i < kProbes; ++i) {
-                  const double lambda =
-                      sized.lower_bound +
-                      (sized.estimate * 2.0 - sized.lower_bound) * (i + 1) /
-                          kProbes;
-                  dual_test_into(instance, lambda, tables, ws, scratch);
+                  dual_test_into(instance, guess(i), tables, ws, scratch);
                 }
               }),
               0u)
         << "n=" << n;
+    int accepted = 0;
+    EXPECT_EQ(allocs_during([&] {
+                for (int i = 0; i < kProbes; ++i) {
+                  accepted += dual_test_accepts(instance, guess(i), tables, ws)
+                                  ? 1
+                                  : 0;
+                }
+              }),
+              0u)
+        << "n=" << n;
+    EXPECT_GT(accepted, 0) << "n=" << n;
   }
 }
 

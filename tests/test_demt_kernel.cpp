@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/demt.hpp"
@@ -550,6 +551,144 @@ TEST(DemtKernel, DualTestMonotoneFastPathSurvives) {
       EXPECT_EQ(ws.opt_begin[i + 1] - ws.opt_begin[i], 1) << "task " << i;
     }
   }
+}
+
+/// How dual_test_accepts settled a probe, read back from the shelf options
+/// it left in the workspace: before the options were complete (some task
+/// cannot meet lambda), by one of the two cheapest-choice screens, or by
+/// the DP.
+enum class ProbePath { OptionsReject, ScreenReject, ScreenAccept, Dp };
+
+ProbePath classify_probe(const Instance& instance, double lambda,
+                         const DualTestWorkspace& ws) {
+  const auto n = static_cast<std::size_t>(instance.num_tasks());
+  // A complete build writes opt_begin[n] = the option count (>= n > 0);
+  // a build that stops at some task leaves it at 0.
+  if (ws.opt_begin.size() != n + 1 || ws.opt_begin[n] == 0) {
+    return ProbePath::OptionsReject;
+  }
+  double sum = 0.0;
+  long long procs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto last = static_cast<std::size_t>(ws.opt_begin[i + 1]) - 1;
+    if (ws.opt_work[last] < ws.shelf2_work[i]) {
+      sum += ws.opt_work[last];
+      procs += ws.opt_procs[last];
+    } else {
+      sum += ws.shelf2_work[i];
+    }
+  }
+  const int m = instance.procs();
+  if (!(sum < std::numeric_limits<double>::infinity()) ||
+      !(sum <= static_cast<double>(m) * lambda * (1.0 + 1e-12))) {
+    return ProbePath::ScreenReject;
+  }
+  return procs <= m ? ProbePath::ScreenAccept : ProbePath::Dp;
+}
+
+/// Rigid tasks (a single allotment, so shelf 2 ties shelf 1 whenever both
+/// fit) and perfect-speedup tasks over power-of-two times (every allotment
+/// has the same work, exactly).
+Instance shelf_tie_instance(Rng& rng, int n, int m) {
+  Instance instance(m);
+  for (int i = 0; i < n; ++i) {
+    if (i % 2 == 0) {
+      instance.add_task(make_rigid(rng, m));
+      continue;
+    }
+    const double work =
+        std::ldexp(1.0, static_cast<int>(rng.uniform_int(0, 6)));
+    std::vector<double> times;
+    for (int k = 1; k <= m; ++k) times.push_back(work / k);
+    instance.add_task(MoldableTask(std::move(times), 1.0));
+  }
+  return instance;
+}
+
+/// Huge finite times: one dominant task with time 1e308 / sqrt(k), whose
+/// work k * time(k) overflows to +inf from k = 4 on, so near the lower
+/// bound only allotments of infinite work meet lambda; the others are
+/// moldable-mix tasks scaled by 1e306.
+Instance overflow_instance(Rng& rng, int n, int m) {
+  Instance instance(m);
+  std::vector<double> dominant;
+  for (int k = 1; k <= m; ++k) {
+    dominant.push_back(1e308 / std::sqrt(static_cast<double>(k)));
+  }
+  instance.add_task(MoldableTask(std::move(dominant), 1.0));
+  for (int i = 1; i < n; ++i) {
+    const MoldableTask base = make_moldable(rng, m);
+    std::vector<double> times;
+    for (int k = 1; k <= m; ++k) times.push_back(base.time(k) * 1e306);
+    instance.add_task(MoldableTask(std::move(times), 1.0));
+  }
+  return instance;
+}
+
+TEST(DemtKernel, DualTestAcceptsMatchesReference) {
+  // The verdict-only path — screens, then the pick-free DP — must return
+  // exactly the reference's `feasible` at the search's own bounds, one
+  // double either side of them, and across the guess range; each of its
+  // three outcomes must actually occur.
+  Rng rng(0xC7);
+  std::vector<Instance> instances;
+  for (int trial = 0; trial < 48; ++trial) {
+    const int m = machine_sizes()[trial % machine_sizes().size()];
+    instances.push_back(make_mix_instance(static_cast<Mix>(trial % 3),
+                                          4 + trial % 18, m, rng));
+  }
+  for (int m : machine_sizes()) {
+    for (int round = 0; round < 3; ++round) {
+      instances.push_back(shelf_tie_instance(rng, 6 + 4 * round, m));
+      instances.push_back(overflow_instance(rng, 3 + round, m));
+    }
+  }
+  instances.push_back(plateau_instance());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  int overflowed = 0;
+  int ties = 0;
+  int counts[4] = {0, 0, 0, 0};
+  DualTestWorkspace ws;
+  for (const Instance& instance : instances) {
+    const InstanceAllotments tables(instance);
+    const CmaxEstimate est = estimate_cmax(instance);
+    std::vector<double> guesses;
+    for (const double anchor : {est.lower_bound, est.estimate}) {
+      guesses.push_back(std::nextafter(anchor, 0.0));
+      guesses.push_back(anchor);
+      guesses.push_back(std::nextafter(anchor, inf));
+    }
+    for (int s = 0; s < 8; ++s) {
+      guesses.push_back(est.lower_bound * 0.5 +
+                        (est.estimate * 2.0 - est.lower_bound * 0.5) * s /
+                            7.0);
+    }
+    for (const double lambda : guesses) {
+      if (!(lambda > 0.0)) continue;
+      const bool accepted = dual_test_accepts(instance, lambda, tables, ws);
+      EXPECT_EQ(accepted, dual_test_reference(instance, lambda).feasible)
+          << "lambda " << lambda << " m " << instance.procs();
+      const ProbePath path = classify_probe(instance, lambda, ws);
+      ++counts[static_cast<int>(path)];
+      if (path == ProbePath::ScreenReject) EXPECT_FALSE(accepted);
+      if (path == ProbePath::ScreenAccept) EXPECT_TRUE(accepted);
+      if (path == ProbePath::OptionsReject) continue;
+      for (std::size_t o = 0; o < ws.opt_work.size(); ++o) {
+        overflowed += ws.opt_work[o] == inf ? 1 : 0;
+      }
+      for (int i = 0; i < instance.num_tasks(); ++i) {
+        const auto last = static_cast<std::size_t>(ws.opt_begin[i + 1]) - 1;
+        ties += ws.opt_work[last] == ws.shelf2_work[i] ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(counts[static_cast<int>(ProbePath::ScreenReject)], 50);
+  EXPECT_GE(counts[static_cast<int>(ProbePath::ScreenAccept)], 50);
+  EXPECT_GE(counts[static_cast<int>(ProbePath::Dp)], 50);
+  // The edge inputs reached the screens.
+  EXPECT_GT(overflowed, 0);
+  EXPECT_GT(ties, 0);
 }
 
 TEST(DemtKernel, DualTestCallCountRegression) {

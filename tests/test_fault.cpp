@@ -381,6 +381,60 @@ TEST(FaultTolerance, WatchdogFailsStalledShardAndSurvivorsAbsorbQueue) {
   EXPECT_EQ(async.in_flight(), 0u);
 }
 
+TEST(FaultTolerance, WatchdogFailedCloseReleasesTheStreamEntry) {
+  // The stream's shard stalls 300ms inside the batch that holds its feed;
+  // the close queued behind it is failed by the 20ms watchdog. The close
+  // still owns the stream's table entry, so the stalled strand must free
+  // it when it resumes: afterwards nothing is open, the close counts, and
+  // the single table entry takes a new stream.
+  const int m = 8;
+  AsyncOptions options;
+  options.shards = 2;
+  options.max_batch = 1;  // the stalled batch holds the feed alone
+  options.max_streams = 1;
+  options.flush_after_ms = 0.0;
+  options.watchdog_ms = 20.0;
+  options.faults.points.push_back(
+      FaultPoint{FaultKind::SlowBatch, /*shard=*/-1, /*batch=*/0,
+                 /*stall_ms=*/300.0});
+  AsyncScheduler async(options);
+
+  const std::vector<OnlineJob> jobs = make_jobs(3, m, 21);
+  std::vector<StreamArrival> arrivals;
+  for (const OnlineJob& job : jobs) {
+    arrivals.push_back(moldable_arrival(job.task, job.release));
+  }
+  const StreamTicket stream =
+      async.open_stream(StreamConfig{m, nullptr, &kFlatList});
+  ASSERT_TRUE(stream.accepted());
+  const Ticket feed = async.submit_stream(stream, arrivals.data(),
+                                          arrivals.size(), 1e9);
+  ASSERT_TRUE(feed.accepted());
+  const Ticket close = async.close_stream(stream);
+  ASSERT_TRUE(close.accepted());
+  EXPECT_EQ(async.wait(close), TicketStatus::Failed);
+  EXPECT_EQ(async.wait(feed), TicketStatus::Done) << async.error(feed);
+  async.drain();
+
+  AsyncStats stats = async.stats();
+  EXPECT_EQ(stats.shards_failed, 1u);
+  EXPECT_EQ(stats.streams_closed, 1u);
+  EXPECT_EQ(async.open_streams(), 0u);
+  EXPECT_FALSE(async.close_stream(stream).accepted());
+
+  const StreamTicket reopened =
+      async.open_stream(StreamConfig{m, nullptr, &kFlatList});
+  ASSERT_TRUE(reopened.accepted());
+  const Ticket final_close = async.close_stream(reopened);
+  ASSERT_TRUE(final_close.accepted());
+  EXPECT_EQ(async.wait(final_close), TicketStatus::Done)
+      << async.error(final_close);
+  async.drain();
+  stats = async.stats();
+  EXPECT_EQ(stats.streams_closed, 2u);
+  EXPECT_EQ(async.open_streams(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance gate: kill a shard mid-tape.
 
