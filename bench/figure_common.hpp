@@ -47,8 +47,8 @@ inline int run_figure_main(int argc, char** argv, FigureConfig config) {
         << "cmax_lb_mean. This\n"
         << "harness emits no JSON; the JSON-emitting benches are\n"
         << "fig7_runtime (BENCH_demt.json), micro_components\n"
-        << "(BENCH_demt_micro.json) and engine_throughput\n"
-        << "(BENCH_engine.json) -- see their --help for schemas.\n";
+        << "(BENCH_demt_micro.json) and serve_throughput\n"
+        << "(BENCH_serve.json) -- see their --help for schemas.\n";
     return 0;
   }
   if (args.has("verbose")) set_log_level(LogLevel::Info);

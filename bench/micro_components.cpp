@@ -218,9 +218,7 @@ int main(int argc, char** argv) {
   double metrics_split_s = 0.0;
   for (int n : sizes) {
     const Instance instance = make_instance(n, m, WorkloadFamily::Mixed, 9);
-    const DemtResult placed = demt_schedule(instance);
-    FlatPlacements flat;
-    flat.assign_from(placed.schedule);
+    const FlatPlacements flat = demt_schedule(instance).schedule;
     // Both sides store into a volatile sink so neither scan is dead code.
     volatile double sink = 0.0;
     bench("metrics_fused_scan", n, [&] {

@@ -23,7 +23,11 @@
 #  6. no header under src/ may declare a *_reference function,
 #     AllotmentTable, canonical_allotment or simulate_execution: the
 #     scalar oracles and the discrete-event replay are test code
-#     (tests/reference/, the moldsched_reference library).
+#     (tests/reference/, the moldsched_reference library). Nor may one
+#     declare the object schedule form the Schedule-based oracles keep
+#     private (class Schedule, struct Placement, the to_schedule /
+#     assign_from converters, OfflineScheduler, OnlineResult):
+#     FlatPlacements is the library's one schedule type.
 # Invoke: cmake -DREPO=<repo root> -P cmake/docs_check.cmake
 
 # Extract public symbols (type declarations and free functions at
@@ -113,8 +117,10 @@ message(STATUS "docs_check: all ${total} public headers covered by docs/API.md")
 
 # --- test oracles stay out of the library -------------------------------
 # The scalar *_reference twins, the per-task AllotmentTable, the
-# canonical-allotment scan (canonical_allotment_reference) and the
-# discrete-event replay (simulate_execution) are test code, built into
+# canonical-allotment scan (canonical_allotment_reference), the
+# discrete-event replay (simulate_execution) and the object schedule form
+# (Schedule, Placement, their converters, the on-line oracle's
+# OfflineScheduler and OnlineResult) are test code, built into
 # moldsched_reference from tests/reference/. A src/ header that declares
 # one — the scan as a canonical_allotment member included — would ship an
 # oracle inside libmoldsched again. Comments may name them; code may not.
@@ -130,7 +136,11 @@ foreach(header ${headers})
     if(code MATCHES "[A-Za-z0-9_]_reference[ \t]*\\(" OR
        code MATCHES "(^|[^A-Za-z0-9_])AllotmentTable([^A-Za-z0-9_]|$)" OR
        code MATCHES "(^|[^A-Za-z0-9_])canonical_allotment[ \t]*\\(" OR
-       code MATCHES "(^|[^A-Za-z0-9_])simulate_execution[ \t]*\\(")
+       code MATCHES "(^|[^A-Za-z0-9_])simulate_execution[ \t]*\\(" OR
+       code MATCHES "(^|[^A-Za-z0-9_])class[ \t]+Schedule([^A-Za-z0-9_]|$)" OR
+       code MATCHES "(^|[^A-Za-z0-9_])struct[ \t]+Placement([^A-Za-z0-9_]|$)" OR
+       code MATCHES "(^|[^A-Za-z0-9_])(to_schedule|assign_from)[ \t]*\\(" OR
+       code MATCHES "(^|[^A-Za-z0-9_])(OfflineScheduler|OnlineResult)([^A-Za-z0-9_]|$)")
       list(APPEND oracle_headers "${header}")
     endif()
   endforeach()
@@ -140,8 +150,10 @@ if(oracle_headers)
   list(JOIN oracle_headers "\n  " oracle_pretty)
   message(FATAL_ERROR
           "docs_check: these library headers declare a test oracle (a "
-          "*_reference function, AllotmentTable, canonical_allotment or "
-          "simulate_execution):\n"
+          "*_reference function, AllotmentTable, canonical_allotment, "
+          "simulate_execution, or the object schedule form: Schedule, "
+          "Placement, to_schedule, assign_from, OfflineScheduler, "
+          "OnlineResult):\n"
           "  ${oracle_pretty}\n"
           "Oracles belong in tests/reference/ (the moldsched_reference "
           "library), not in src/.")

@@ -2,16 +2,17 @@
 /// On-line batch scheduling on a simulated cluster front-end (paper §2.2
 /// and §5): jobs arrive over time through the submission queue, the
 /// scheduler batches them with DEMT, and part of the machine is reserved
-/// for a maintenance window. Compares DEMT batches against Gang batches on
-/// the same arrival trace.
+/// for a maintenance window. Compares DEMT batches against the two rigid
+/// list policies (FlatList: Smith order; LPT: longest first) on the same
+/// arrival trace; any SchedulingPolicy plugs in the same way.
 ///
 ///   ./online_cluster [--jobs 40] [--m 32] [--rate 0.8] [--seed 1]
 
 #include <cmath>
 #include <cstdio>
 
-#include "baselines/baselines.hpp"
-#include "core/demt.hpp"
+#include "baselines/lpt_policy.hpp"
+#include "core/policy.hpp"
 #include "sim/online.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -41,7 +42,16 @@ int main(int argc, char** argv) {
     reservations.push_back(NodeReservation{p, 10.0, 25.0});
   }
 
-  auto report = [&](const char* name, const OnlineResult& result) {
+  std::printf("online cluster: %d jobs, m=%d, arrival rate %.2f, "
+              "%d nodes reserved during [10, 25)\n\n",
+              num_jobs, m, rate, m / 4);
+
+  auto run = [&](const char* name, const SchedulingPolicy& policy) {
+    const auto policy_ws = policy.make_workspace();
+    OnlineWorkspace ws;
+    FlatOnlineResult result;
+    online_batch_schedule_into(m, jobs, policy, *policy_ws, reservations, ws,
+                               result);
     RunningStats flow;
     for (double f : result.flow) flow.add(f);
     std::printf("%-12s batches=%3d cmax=%8.2f  mean flow=%7.2f  "
@@ -49,30 +59,9 @@ int main(int argc, char** argv) {
                 name, result.num_batches, result.cmax, flow.mean(), flow.max(),
                 result.weighted_completion_sum);
   };
-
-  std::printf("online cluster: %d jobs, m=%d, arrival rate %.2f, "
-              "%d nodes reserved during [10, 25)\n\n",
-              num_jobs, m, rate, m / 4);
-
-  const auto demt = online_batch_schedule(
-      m, jobs,
-      [](const Instance& instance) { return demt_schedule(instance).schedule; },
-      reservations);
-  report("DEMT", demt);
-
-  const auto gang = online_batch_schedule(
-      m, jobs,
-      [](const Instance& instance) { return gang_schedule(instance); },
-      reservations);
-  report("Gang", gang);
-
-  const auto saf = online_batch_schedule(
-      m, jobs,
-      [](const Instance& instance) {
-        return list_graham_schedule(instance, ListOrder::SmallestAreaFirst);
-      },
-      reservations);
-  report("SAF", saf);
+  run("DEMT", DemtPolicy());
+  run("FlatList", FlatListPolicy());
+  run("LPT", LptRigidPolicy());
 
   std::printf("\nreading: batching with DEMT keeps mean flow competitive "
               "while the reservation window shrinks the machine.\n");

@@ -60,6 +60,6 @@ int main() {
                   minsum_bound_result.bound,
               minsum_bound_result.bound);
 
-  std::printf("\n%s", render_gantt(result.schedule).c_str());
+  std::printf("\n%s", render_gantt(result.schedule, instance.procs()).c_str());
   return 0;
 }

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   const std::string algo_name = args.get_string("algo", "DEMT");
   const auto algorithms = algorithms_by_name({algo_name});
-  const Schedule schedule = algorithms.front().run(instance);
+  const FlatPlacements schedule = algorithms.front().run(instance);
   require_valid(schedule, instance);
 
   const auto cmax_bound = estimate_cmax(instance);
@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
             << schedule.weighted_completion_sum(instance) /
                    minsum_bound_result.bound
             << ")\n";
-  if (args.has("gantt")) std::cout << "\n" << render_gantt(schedule);
+  if (args.has("gantt")) {
+    std::cout << "\n" << render_gantt(schedule, instance.procs());
+  }
   return 0;
 }

@@ -10,7 +10,7 @@
 
 namespace moldsched {
 
-Schedule gang_schedule(const Instance& instance) {
+FlatPlacements gang_schedule(const Instance& instance) {
   if (instance.empty()) throw std::invalid_argument("gang_schedule: empty");
   const int n = instance.num_tasks();
   const int m = instance.procs();
@@ -34,20 +34,25 @@ Schedule gang_schedule(const Instance& instance) {
     return a < b;
   });
 
-  Schedule schedule(m, n);
+  // Every task takes processors 0..k-1: one shared range of the id pool.
+  FlatPlacements schedule;
+  schedule.reset(n);
+  schedule.proc_ids.resize(static_cast<std::size_t>(m));
+  std::iota(schedule.proc_ids.begin(), schedule.proc_ids.end(), 0);
   double now = 0.0;
   for (int task_id : order) {
+    const auto e = static_cast<std::size_t>(task_id);
     const int k = gang_procs(task_id);
-    std::vector<int> procs(static_cast<std::size_t>(k));
-    std::iota(procs.begin(), procs.end(), 0);
     const double d = instance.task(task_id).time(k);
-    schedule.place(task_id, now, d, std::move(procs));
+    schedule.start[e] = now;
+    schedule.duration[e] = d;
+    schedule.proc_count[e] = k;
     now += d;
   }
   return schedule;
 }
 
-Schedule sequential_lptf_schedule(const Instance& instance) {
+FlatPlacements sequential_lptf_schedule(const Instance& instance) {
   if (instance.empty()) {
     throw std::invalid_argument("sequential_lptf_schedule: empty");
   }
@@ -74,8 +79,8 @@ Schedule sequential_lptf_schedule(const Instance& instance) {
   return list_schedule(instance.procs(), n, jobs);
 }
 
-Schedule list_graham_schedule(const Instance& instance, ListOrder order,
-                              double dual_eps) {
+FlatPlacements list_graham_schedule(const Instance& instance,
+                                    ListOrder order, double dual_eps) {
   if (instance.empty()) {
     throw std::invalid_argument("list_graham_schedule: empty");
   }

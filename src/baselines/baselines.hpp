@@ -16,23 +16,23 @@
 
 #pragma once
 
-#include "sched/schedule.hpp"
+#include "sched/flat_schedule.hpp"
 #include "tasks/instance.hpp"
 
 namespace moldsched {
 
 /// Gang scheduling. Throws on an empty instance.
-[[nodiscard]] Schedule gang_schedule(const Instance& instance);
+[[nodiscard]] FlatPlacements gang_schedule(const Instance& instance);
 
 /// Sequential LPTF list scheduling.
-[[nodiscard]] Schedule sequential_lptf_schedule(const Instance& instance);
+[[nodiscard]] FlatPlacements sequential_lptf_schedule(const Instance& instance);
 
 enum class ListOrder { ShelfOrder, WeightedLptf, SmallestAreaFirst };
 
 /// List-Graham with dual-approximation allotments in the given order.
 /// `dual_eps` is the makespan search precision.
-[[nodiscard]] Schedule list_graham_schedule(const Instance& instance,
-                                            ListOrder order,
-                                            double dual_eps = 1e-4);
+[[nodiscard]] FlatPlacements list_graham_schedule(const Instance& instance,
+                                                  ListOrder order,
+                                                  double dual_eps = 1e-4);
 
 }  // namespace moldsched

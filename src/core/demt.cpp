@@ -202,10 +202,10 @@ DemtWorkspace& DemtWorkspace::operator=(DemtWorkspace&&) noexcept = default;
 
 DemtResult demt_schedule(const Instance& instance, const DemtOptions& options) {
   DemtWorkspace workspace;
-  FlatPlacements flat;
-  DemtDiagnostics diag;
-  demt_schedule_into(instance, options, workspace, flat, diag);
-  return DemtResult{flat.to_schedule(instance.procs()), diag};
+  DemtResult result;
+  demt_schedule_into(instance, options, workspace, result.schedule,
+                     result.diag);
+  return result;
 }
 
 void demt_schedule_into(const Instance& instance, const DemtOptions& options,

@@ -17,16 +17,16 @@
 ///
 /// Every stage is switchable through DemtOptions so the ablation bench can
 /// measure each design choice. Each stage has one implementation here, on
-/// structure-of-arrays kernels; the scalar pipeline the differential suite
-/// locks it to is the test-only demt_schedule_reference
-/// (tests/reference/demt_reference.hpp).
+/// structure-of-arrays kernels, and both entry points emit FlatPlacements,
+/// the library's one schedule type. The scalar, Schedule-based pipeline
+/// the differential suite locks it to is the test-only
+/// demt_schedule_reference (tests/reference/demt_reference.hpp).
 
 #pragma once
 
 #include <memory>
 
 #include "sched/flat_schedule.hpp"
-#include "sched/schedule.hpp"
 #include "tasks/instance.hpp"
 
 namespace moldsched {
@@ -74,7 +74,8 @@ struct DemtDiagnostics {
 };
 
 struct DemtResult {
-  Schedule schedule;
+  /// One entry per task; a merged stack's tasks share one processor range.
+  FlatPlacements schedule;
   DemtDiagnostics diag;
 };
 
@@ -102,8 +103,9 @@ class DemtWorkspace {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Schedule the instance. Throws std::invalid_argument on an empty
-/// instance. The returned schedule is always complete and feasible.
+/// Schedule the instance with a fresh workspace (demt_schedule_into into
+/// the result). Throws std::invalid_argument on an empty instance. The
+/// returned schedule is always complete and feasible.
 [[nodiscard]] DemtResult demt_schedule(const Instance& instance,
                                        const DemtOptions& options = {});
 
@@ -112,8 +114,7 @@ class DemtWorkspace {
 /// placement, compaction and the shuffle stage — runs on the
 /// structure-of-arrays kernels inside `workspace`, and the winning per-task
 /// placements land in `out_placements` (buffers reused). Zero heap
-/// allocation once the workspace is warm; results are bit-identical to
-/// demt_schedule, which wraps this.
+/// allocation once the workspace is warm; demt_schedule wraps this.
 void demt_schedule_into(const Instance& instance, const DemtOptions& options,
                         DemtWorkspace& workspace,
                         FlatPlacements& out_placements,

@@ -106,9 +106,9 @@ std::unique_ptr<PolicyWorkspace> DemtPolicy::make_workspace() const {
 void DemtPolicy::schedule_into(const Instance& batch, PolicyWorkspace& ws,
                                FlatPlacements& out) const {
   auto& demt_ws = static_cast<DemtPolicyWorkspace&>(ws);
-  // Flat end to end: the driver writes the winning per-task placements
-  // straight into the engine's pooled FlatPlacements — no intermediate
-  // Schedule, no per-request allocation once the workspace is warm.
+  // The driver writes the winning per-task placements straight into the
+  // caller's pooled FlatPlacements: no per-request allocation once the
+  // workspace is warm.
   demt_schedule_into(batch, options_, demt_ws.demt, out, ws.last_diag);
 }
 

@@ -60,8 +60,8 @@ struct EngineResult {
   double cmax = 0.0;
   double weighted_completion_sum = 0.0;
   /// Placements, one entry per task; only valid when `has_schedule`
-  /// (metrics-only mode skips the copy). Callers that need the object
-  /// form derive it with `schedule.to_schedule(m)`.
+  /// (metrics-only mode skips the copy). validate_schedule and
+  /// render_gantt read it as is.
   bool has_schedule = false;
   FlatPlacements schedule;
   DemtDiagnostics diag;  ///< meaningful for DemtPolicy requests only

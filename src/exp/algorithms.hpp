@@ -10,12 +10,11 @@
 #include <vector>
 
 #include "core/demt.hpp"
-#include "sched/schedule.hpp"
 #include "tasks/instance.hpp"
 
 namespace moldsched {
 
-using SchedulerFn = std::function<Schedule(const Instance&)>;
+using SchedulerFn = std::function<FlatPlacements(const Instance&)>;
 
 struct AlgorithmSpec {
   std::string name;

@@ -45,7 +45,7 @@ RunOutcome execute_run(const PointConfig& config,
   outcome.runtime_s.reserve(algorithms.size());
   for (const auto& algorithm : algorithms) {
     WallTimer timer;
-    const Schedule schedule = algorithm.run(instance);
+    const FlatPlacements schedule = algorithm.run(instance);
     outcome.runtime_s.push_back(timer.seconds());
     if (config.validate) require_valid(schedule, instance);
     outcome.cmax.push_back(schedule.cmax());

@@ -1,19 +1,19 @@
 /// \file flat_schedule.hpp
-/// Flat, cache-friendly placement storage for the scheduler hot path.
-/// A Schedule keeps one heap-allocated processor vector per task, which is
-/// what a candidate-evaluation loop must never do: evaluating a shuffle
-/// candidate only needs starts, durations and weights, and the processor
-/// sets can live in one shared pool. FlatPlacements is that view — plain
-/// parallel arrays plus a processor-id pool into which entries point, so
-/// repeated passes reuse the same capacity and the metrics (`cmax`,
-/// `weighted_completion_sum`) are branch-light linear scans with no copies.
-/// Only the winning candidate is converted into a real Schedule.
+/// The library's schedule type: a non-preemptive schedule of moldable
+/// tasks on m identical processors, one entry per task (start time,
+/// duration, processor set). Every algorithm, the on-line simulator, the
+/// engine and the streams write it, and the validator, the gantt renderer
+/// and the metrics read it as emitted. It is plain parallel arrays plus
+/// one processor-id pool into which entries point, so repeated passes
+/// (DEMT's shuffle candidates, the list pass) reuse the same capacity and
+/// the metrics (`cmax`, `weighted_completion_sum`) are branch-light linear
+/// scans with no copies. The arrays carry no invariants of their own:
+/// validate_schedule (sched/validator.hpp) checks a schedule from outside.
 
 #pragma once
 
 #include <vector>
 
-#include "sched/schedule.hpp"
 #include "tasks/instance.hpp"
 
 namespace moldsched {
@@ -38,13 +38,6 @@ struct FlatPlacements {
 
   /// Clear to `num_entries` unassigned entries; keeps buffer capacity.
   void reset(int num_entries);
-
-  /// Copy a Schedule into the flat form, reusing buffer capacity (the
-  /// bridge the on-line simulator's object path uses to run
-  /// Schedule-based plug-ins on the flat path). Unassigned tasks stay unassigned entries;
-  /// every double is copied verbatim, so metrics computed on the flat copy
-  /// are bit-identical to the Schedule's own.
-  void assign_from(const Schedule& schedule);
 
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(start.size());
@@ -77,11 +70,8 @@ struct FlatPlacements {
   /// Deep-copy `other`, reusing this object's buffer capacity (vector
   /// copy-assign never reallocates when capacity suffices). The winner
   /// bookkeeping of demt_schedule_into and the engine's keep_schedules
-  /// results use this instead of to_schedule.
+  /// results use this.
   void copy_from(const FlatPlacements& other);
-
-  /// Materialise into a Schedule on m processors (assigned entries only).
-  [[nodiscard]] Schedule to_schedule(int m) const;
 };
 
 }  // namespace moldsched

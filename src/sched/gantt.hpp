@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "sched/schedule.hpp"
+#include "sched/flat_schedule.hpp"
 
 namespace moldsched {
 
@@ -16,9 +16,10 @@ struct GanttOptions {
   int max_procs = 32;   ///< refuse to render wider clusters (returns summary)
 };
 
-/// Render the schedule; task i is drawn with the character for digit
-/// i % 36 (0-9a-z), '.' marks idle time.
-[[nodiscard]] std::string render_gantt(const Schedule& schedule,
+/// Render the schedule on m processors; task i is drawn with the
+/// character for digit i % 36 (0-9a-z), '.' marks idle time. The schedule
+/// must be well formed (validate_schedule accepts its shape and ids).
+[[nodiscard]] std::string render_gantt(const FlatPlacements& schedule, int m,
                                        const GanttOptions& options = {});
 
 }  // namespace moldsched

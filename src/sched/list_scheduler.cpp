@@ -118,12 +118,12 @@ void list_schedule_into(int m, int num_entries, ListPassWorkspace& ws,
   }
 }
 
-Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs) {
-  // Validate here so the allocation-free core can trust its inputs; same
-  // checks and messages as the Schedule-based implementation had.
-  if (m < 1) throw std::invalid_argument("Schedule: m must be >= 1");
+FlatPlacements list_schedule(int m, int num_tasks,
+                             const std::vector<ListJob>& jobs) {
+  // Validate here so the allocation-free core can trust its inputs.
+  if (m < 1) throw std::invalid_argument("list_schedule: m must be >= 1");
   if (num_tasks < 0) {
-    throw std::invalid_argument("Schedule: num_tasks must be >= 0");
+    throw std::invalid_argument("list_schedule: num_tasks must be >= 0");
   }
   std::vector<bool> seen(static_cast<std::size_t>(num_tasks), false);
   for (const auto& job : jobs) {
@@ -141,11 +141,11 @@ Schedule list_schedule(int m, int num_tasks, const std::vector<ListJob>& jobs) {
       throw std::invalid_argument("list_schedule: bad duration");
     }
   }
-  thread_local ListPassWorkspace ws;
-  thread_local FlatPlacements flat;
-  ws.jobs.assign(jobs.begin(), jobs.end());
-  list_schedule_into(m, num_tasks, ws, flat);
-  return flat.to_schedule(m);
+  ListPassWorkspace ws;
+  ws.jobs = jobs;
+  FlatPlacements out;
+  list_schedule_into(m, num_tasks, ws, out);
+  return out;
 }
 
 }  // namespace moldsched

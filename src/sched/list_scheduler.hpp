@@ -14,11 +14,12 @@
 /// of a min-tree over list positions, and processors are taken from an
 /// idle bitset.
 ///
-/// Two entry points share one implementation: the Schedule-returning
-/// `list_schedule` (validates its inputs, allocates the result), and the
-/// allocation-free `list_schedule_into`, which runs entirely inside a
-/// caller-owned ListPassWorkspace and writes flat placements — the form
-/// DEMT's shuffle loop calls thousands of times per instance.
+/// Two entry points share one implementation: `list_schedule` (validates
+/// its inputs, allocates the result), and the allocation-free
+/// `list_schedule_into`, which runs entirely inside a caller-owned
+/// ListPassWorkspace — the form DEMT's shuffle loop calls thousands of
+/// times per instance. Both write flat placements whose processor ids
+/// ascend within each entry.
 
 #pragma once
 
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "sched/flat_schedule.hpp"
-#include "sched/schedule.hpp"
 
 namespace moldsched {
 
@@ -60,12 +60,12 @@ struct ListPassWorkspace {
   std::vector<std::uint64_t> idle;  ///< idle-processor bitset
 };
 
-/// Schedule `jobs` on m processors into a Schedule with `num_tasks` slots
-/// (jobs may cover only a subset of tasks; the rest stay unassigned).
-/// Throws std::invalid_argument when a job needs more than m processors,
-/// has a non-positive duration, or duplicates a task.
-[[nodiscard]] Schedule list_schedule(int m, int num_tasks,
-                                     const std::vector<ListJob>& jobs);
+/// Schedule `jobs` on m processors into `num_tasks` entries (jobs may
+/// cover only a subset of tasks; the rest stay unassigned). Throws
+/// std::invalid_argument when m < 1, num_tasks < 0, or a job needs more
+/// than m processors, has a non-positive duration, or duplicates a task.
+[[nodiscard]] FlatPlacements list_schedule(int m, int num_tasks,
+                                           const std::vector<ListJob>& jobs);
 
 /// Allocation-free core: run the list pass for `ws.jobs` on m processors,
 /// writing each job's placement into `out` at index `job.task` (entries in

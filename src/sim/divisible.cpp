@@ -26,8 +26,8 @@ void idle_intervals_into(const FlatPlacements& placements, int m,
           placements.proc_ids[p], start, finish});
     }
   }
-  // (proc, start, finish) lexicographic == the object path's per-processor
-  // (start, finish) sorts, so the two cores stay bit-identical.
+  // (proc, start, finish) lexicographic: each processor's busy stretches
+  // in start order.
   std::sort(ws.busy.begin(), ws.busy.end(),
             [](const DivisibleFillWorkspace::Busy& a,
                const DivisibleFillWorkspace::Busy& b) {
@@ -158,8 +158,9 @@ void fill_idle_with_divisible_into(const FlatPlacements& placements, int m,
 }
 
 DivisibleFillResult fill_idle_with_divisible(
-    const Schedule& schedule, const std::vector<DivisibleJob>& jobs,
-    double horizon) {
+    const FlatPlacements& schedule, int m,
+    const std::vector<DivisibleJob>& jobs, double horizon) {
+  if (m < 1) throw std::invalid_argument("fill_idle_with_divisible: m < 1");
   if (horizon < 0.0) {
     throw std::invalid_argument("fill_idle_with_divisible: negative horizon");
   }
@@ -176,10 +177,8 @@ DivisibleFillResult fill_idle_with_divisible(
 
   DivisibleFillWorkspace ws;
   DivisibleFillResult result;
-  FlatPlacements flat;
-  flat.assign_from(schedule);
-  fill_idle_with_divisible_into(flat, schedule.procs(), jobs.data(),
-                                jobs.size(), horizon, ws, result);
+  fill_idle_with_divisible_into(schedule, m, jobs.data(), jobs.size(),
+                                horizon, ws, result);
   return result;
 }
 

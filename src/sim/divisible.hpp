@@ -9,12 +9,12 @@
 /// Smith order (weight / work decreasing), which minimises the weighted
 /// completion sum among sequential-greedy fills.
 ///
-/// Two entry points share one core, mirroring the online simulator:
-/// the Schedule-based `fill_idle_with_divisible` (validates, allocates)
-/// wraps the flat `fill_idle_with_divisible_into`, which runs entirely
-/// inside a caller-owned DivisibleFillWorkspace on a FlatPlacements view —
-/// the form the streaming §5 job-mix path (sim/stream.hpp) calls once per
-/// batch decision, allocation-free after warm-up.
+/// Two entry points share one core: `fill_idle_with_divisible` (validates,
+/// allocates) wraps `fill_idle_with_divisible_into`, which runs entirely
+/// inside a caller-owned DivisibleFillWorkspace — the form the streaming
+/// §5 job-mix path (sim/stream.hpp) calls once per batch decision,
+/// allocation-free after warm-up. Both read the schedule as FlatPlacements
+/// on m processors.
 
 #pragma once
 
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "sched/flat_schedule.hpp"
-#include "sched/schedule.hpp"
 
 namespace moldsched {
 
@@ -79,20 +78,20 @@ struct DivisibleFillWorkspace {
   std::vector<std::size_t> order;  ///< jobs in Smith order
 };
 
-/// Fill the idle holes of `schedule` (must be complete on its own tasks)
+/// Fill the idle holes of `schedule` (on m processors, well formed)
 /// with the divisible jobs, never pushing past `horizon`. Holes are the
-/// complement of the schedule's busy intervals on each of its processors,
-/// clipped to [0, horizon). Throws std::invalid_argument on a negative
-/// horizon, non-positive work, or non-positive weight.
+/// complement of the busy intervals of the assigned entries on each of
+/// the m processors, clipped to [0, horizon). Throws
+/// std::invalid_argument on m < 1, a negative horizon, non-positive work,
+/// or non-positive weight.
 [[nodiscard]] DivisibleFillResult fill_idle_with_divisible(
-    const Schedule& schedule, const std::vector<DivisibleJob>& jobs,
-    double horizon);
+    const FlatPlacements& schedule, int m,
+    const std::vector<DivisibleJob>& jobs, double horizon);
 
-/// Flat core with identical results: holes are the complement of the busy
-/// intervals of `placements` (assigned entries only) on each of the `m`
-/// processors, clipped to [0, horizon). Runs inside `ws` and re-fills
-/// `out` (buffers keep capacity). Skips input validation — callers own
-/// the invariants (non-negative horizon, positive work and weight).
+/// Allocation-free core with identical results: runs inside `ws` and
+/// re-fills `out` (buffers keep capacity). Skips input validation —
+/// callers own the invariants (m >= 1, non-negative horizon, positive
+/// work and weight).
 void fill_idle_with_divisible_into(const FlatPlacements& placements, int m,
                                    const DivisibleJob* jobs,
                                    std::size_t count, double horizon,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -48,29 +47,6 @@ void rebuild_batch_instance(const OnlineJob* jobs,
     batch_instance.add_task_truncated(task, avail);
   }
 }
-
-/// The object path's plug-in as a policy: the Schedule `offline` returns
-/// is copied verbatim into the flat form, so the flat core's results are
-/// bit-identical to the object path's. Needs no scratch of its own.
-class OfflineSchedulerPolicy final : public SchedulingPolicy {
- public:
-  explicit OfflineSchedulerPolicy(const OfflineScheduler& offline)
-      : offline_(offline) {}
-  [[nodiscard]] const char* name() const noexcept override {
-    return "offline scheduler";
-  }
-  [[nodiscard]] std::unique_ptr<PolicyWorkspace> make_workspace()
-      const override {
-    return std::make_unique<PolicyWorkspace>();
-  }
-  void schedule_into(const Instance& batch, PolicyWorkspace& /*ws*/,
-                     FlatPlacements& out) const override {
-    out.assign_from(offline_(batch));
-  }
-
- private:
-  const OfflineScheduler& offline_;
-};
 
 }  // namespace
 
@@ -200,27 +176,6 @@ void online_batch_schedule_into(
     online_decide_batch(m, jobs.data(), reservations, policy, policy_ws, ws,
                         now, out);
   }
-}
-
-OnlineResult online_batch_schedule(
-    int m, const std::vector<OnlineJob>& jobs, const OfflineScheduler& offline,
-    const std::vector<NodeReservation>& reservations) {
-  const OfflineSchedulerPolicy policy(offline);
-  const auto policy_ws = policy.make_workspace();
-  OnlineWorkspace ws;
-  FlatOnlineResult flat;
-  online_batch_schedule_into(m, jobs, policy, *policy_ws, reservations, ws,
-                             flat);
-  OnlineResult result(m, static_cast<int>(jobs.size()));
-  result.schedule = flat.schedule.to_schedule(m);
-  result.completion = std::move(flat.completion);
-  result.flow = std::move(flat.flow);
-  result.cmax = flat.cmax;
-  result.weighted_completion_sum = flat.weighted_completion_sum;
-  result.weighted_flow_sum = flat.weighted_flow_sum;
-  result.num_batches = flat.num_batches;
-  result.batch_starts = std::move(flat.batch_starts);
-  return result;
 }
 
 }  // namespace moldsched

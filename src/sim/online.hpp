@@ -2,7 +2,8 @@
 /// On-line scheduling by batches (§2.2 and the framework of Shmoys, Wein &
 /// Williamson, the paper's reference [21]): jobs arrive over time; whenever
 /// the machine goes idle, every job released so far is scheduled as one
-/// off-line batch with a pluggable off-line algorithm. If the off-line
+/// off-line batch with a pluggable off-line algorithm (a SchedulingPolicy,
+/// core/policy.hpp). If the off-line
 /// algorithm is rho-competitive for Cmax, the batched on-line schedule is
 /// 2*rho-competitive.
 ///
@@ -11,24 +12,19 @@
 /// starting at time s avoids every processor whose reservation window
 /// intersects the batch's execution interval (computed to a fixpoint).
 ///
-/// Two paths share one core:
-///
-/// * the **flat path** (`online_batch_schedule_into`) runs entirely inside
-///   a caller-owned OnlineWorkspace and writes a FlatOnlineResult — no
-///   Schedule object is allocated per batch decision, which is what the
-///   engine's server loop and the throughput bench call thousands of times;
-/// * the **object path** (`online_batch_schedule`) keeps the original
-///   Schedule-based API as a thin wrapper over the flat core.
-///
-/// The pre-refactor Schedule-per-batch implementation is the bit-identical
-/// regression oracle of both, in the test-only reference library
-/// (tests/reference/online_reference.hpp).
+/// `online_batch_schedule_into` runs the framework entirely inside a
+/// caller-owned OnlineWorkspace and writes a FlatOnlineResult — no
+/// per-batch allocation beyond the policy's own, which is what the engine's
+/// server loop and the streams call thousands of times. Its batch
+/// decision (`online_decide_batch`) is shared with the streaming core
+/// (sim/stream.hpp). The pre-refactor Schedule-per-batch implementation is
+/// the bit-identical regression oracle of both, in the test-only reference
+/// library (tests/reference/online_reference.hpp).
 
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -36,7 +32,6 @@
 
 #include "core/policy.hpp"
 #include "sched/flat_schedule.hpp"
-#include "sched/schedule.hpp"
 #include "tasks/instance.hpp"
 #include "tasks/moldable_task.hpp"
 
@@ -53,9 +48,6 @@ struct NodeReservation {
   double start = 0.0;
   double finish = 0.0;
 };
-
-/// Off-line scheduler plug-in: full instance in, complete schedule out.
-using OfflineScheduler = std::function<Schedule(const Instance&)>;
 
 /// Release-time comparison slack: jobs released within this of the batch
 /// open instant join the batch. Shared by the off-line loop and the
@@ -80,7 +72,8 @@ struct OnlineWorkspace {
   Instance batch_instance{1};
 };
 
-/// Flat-path result; buffers keep capacity across runs when reused.
+/// Result of the batch framework; buffers keep capacity across runs when
+/// reused.
 struct FlatOnlineResult {
   FlatPlacements schedule;          ///< global placements, indexed like jobs
   std::vector<double> completion;   ///< per job
@@ -93,20 +86,6 @@ struct FlatOnlineResult {
 
   /// Clear to `num_jobs` unassigned jobs and zeroed metrics.
   void reset(int num_jobs);
-};
-
-struct OnlineResult {
-  /// Global-time placements, indexed like `jobs`.
-  Schedule schedule;
-  std::vector<double> completion;   ///< per job
-  std::vector<double> flow;         ///< completion - release
-  double cmax = 0.0;
-  double weighted_completion_sum = 0.0;
-  double weighted_flow_sum = 0.0;
-  int num_batches = 0;
-  std::vector<double> batch_starts;
-
-  explicit OnlineResult(int m, int n) : schedule(m, n) {}
 };
 
 /// Mark every processor whose reservation intersects [start, finish) in a
@@ -233,13 +212,5 @@ void online_batch_schedule_into(
     PolicyWorkspace& policy_ws,
     const std::vector<NodeReservation>& reservations, OnlineWorkspace& ws,
     FlatOnlineResult& out);
-
-/// Run the batch framework (object path): the Schedule-returning `offline`
-/// runs inside the flat core, its Schedule copied verbatim into the flat
-/// form, so results are identical to the flat path's. Throws as
-/// online_batch_schedule_into.
-[[nodiscard]] OnlineResult online_batch_schedule(
-    int m, const std::vector<OnlineJob>& jobs, const OfflineScheduler& offline,
-    const std::vector<NodeReservation>& reservations = {});
 
 }  // namespace moldsched

@@ -94,7 +94,7 @@ Instance Instance::load(std::istream& in) {
   }
   std::string key;
   int m = 0;
-  std::size_t n = 0;
+  long long n = -1;
   in >> key >> m;
   if (key != "m") throw std::runtime_error("Instance::load: expected 'm'");
   if (!in || m < 1) {
@@ -102,8 +102,11 @@ Instance Instance::load(std::istream& in) {
   }
   in >> key >> n;
   if (key != "n") throw std::runtime_error("Instance::load: expected 'n'");
+  if (!in || n < 0) {
+    throw std::runtime_error("Instance::load: n missing or < 0");
+  }
   Instance instance(m);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (long long i = 0; i < n; ++i) {
     double weight = 0.0;
     int min_procs = 0, max_procs = 0;
     in >> key >> weight >> min_procs >> max_procs;

@@ -360,8 +360,7 @@ TEST(Alloc, FusedMetricScan) {
   SKIP_WITHOUT_HOOK();
   for (const int n : kKernelSizes) {
     const Instance instance = kernel_instance(n, WorkloadFamily::Mixed, 9);
-    FlatPlacements flat;
-    flat.assign_from(demt_schedule(instance).schedule);
+    const FlatPlacements flat = demt_schedule(instance).schedule;
     FlatMetrics fused;
     fused = flat.metrics(instance);
     EXPECT_EQ(allocs_during([&] {

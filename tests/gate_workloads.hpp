@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -210,14 +211,70 @@ inline void expect_identical_placements(const FlatPlacements& a,
   EXPECT_EQ(a.proc_ids, b.proc_ids);
 }
 
+/// Place entry `e` at [start, start + duration) on `procs`, appended to
+/// the id pool as a range of its own (the builder of hand-made cases).
+inline void place(FlatPlacements& flat, int e, double start, double duration,
+                  std::initializer_list<int> procs) {
+  const auto i = static_cast<std::size_t>(e);
+  flat.start[i] = start;
+  flat.duration[i] = duration;
+  flat.proc_begin[i] = static_cast<int>(flat.proc_ids.size());
+  flat.proc_count[i] = static_cast<int>(procs.size());
+  flat.proc_ids.insert(flat.proc_ids.end(), procs);
+}
+
+/// The processor ids of entry `e`, in order.
+inline std::vector<int> entry_procs(const FlatPlacements& flat, int e) {
+  const auto i = static_cast<std::size_t>(e);
+  const auto begin = flat.proc_ids.begin() + flat.proc_begin[i];
+  return std::vector<int>(begin, begin + flat.proc_count[i]);
+}
+
+/// Two schedules place every task alike, bit for bit: the same assigned
+/// flag, start, duration and processor ids in order. Unlike
+/// expect_identical_placements it ignores where the id ranges sit in the
+/// pool, so a schedule whose merged stacks share one range equals its
+/// one-range-per-task copy.
+inline void expect_same_entries(const FlatPlacements& a,
+                                const FlatPlacements& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (int e = 0; e < a.size(); ++e) {
+    const auto i = static_cast<std::size_t>(e);
+    ASSERT_EQ(a.assigned(e), b.assigned(e)) << "task " << e;
+    if (!a.assigned(e)) continue;
+    EXPECT_EQ(a.start[i], b.start[i]) << "task " << e;
+    EXPECT_EQ(a.duration[i], b.duration[i]) << "task " << e;
+    EXPECT_EQ(entry_procs(a, e), entry_procs(b, e)) << "task " << e;
+  }
+}
+
+// ------------------------------------------------------------ runners
+
+/// The batch framework on `policy` with fresh workspaces: the one-call
+/// form of online_batch_schedule_into.
+inline FlatOnlineResult run_online(
+    int m, const std::vector<OnlineJob>& jobs, const SchedulingPolicy& policy,
+    const std::vector<NodeReservation>& reservations = {}) {
+  const auto policy_ws = policy.make_workspace();
+  OnlineWorkspace ws;
+  FlatOnlineResult out;
+  online_batch_schedule_into(m, jobs, policy, *policy_ws, reservations, ws,
+                             out);
+  return out;
+}
+
 // -------------------------------------------------------- stream replays
 
 /// Every placement, completion, batch boundary and metric of a stream
 /// reassembled from its deliveries (in order, the last one final) equals
-/// the off-line reference on its `num_jobs` jobs.
-inline void expect_replays_reference(
-    const std::vector<StreamDelivery>& deliveries,
-    const OnlineResult& reference, std::size_t num_jobs) {
+/// the off-line reference on its `num_jobs` jobs. `OnlineResult` is the
+/// oracle's result type (tests/reference/online_reference.hpp), a template
+/// parameter so the allocation suite, which links no oracle, can share
+/// this header.
+template <typename OnlineResult>
+void expect_replays_reference(const std::vector<StreamDelivery>& deliveries,
+                              const OnlineResult& reference,
+                              std::size_t num_jobs) {
   std::size_t job = 0;
   std::vector<double> batch_starts;
   for (const StreamDelivery& delivery : deliveries) {
@@ -225,12 +282,10 @@ inline void expect_replays_reference(
     for (int e = 0; e < delivery.num_jobs(); ++e, ++job) {
       const auto entry = static_cast<std::size_t>(e);
       const FlatPlacements& got = delivery.placements;
-      const Placement& p = reference.schedule.placement(static_cast<int>(job));
+      const auto& p = reference.schedule.placement(static_cast<int>(job));
       EXPECT_EQ(got.start[entry], p.start) << "job " << job;
       EXPECT_EQ(got.duration[entry], p.duration);
-      const auto begin = got.proc_ids.begin() + got.proc_begin[entry];
-      EXPECT_EQ(std::vector<int>(begin, begin + got.proc_count[entry]), p.procs)
-          << "job " << job;
+      EXPECT_EQ(entry_procs(got, e), p.procs) << "job " << job;
       EXPECT_EQ(delivery.completion[entry], reference.completion[job]);
     }
     batch_starts.insert(batch_starts.end(), delivery.batch_starts.begin(),

@@ -7,7 +7,7 @@
 
 #pragma once
 
-#include "sched/schedule.hpp"
+#include "reference/schedule.hpp"
 
 namespace moldsched {
 

@@ -214,11 +214,11 @@ DemtResult demt_schedule_reference(const Instance& instance,
   // 4. Compaction on the Schedule representation (multipass pull-forward).
   Schedule best = naive_placement(instance, batches, grid);
   if (options.compaction == DemtOptions::Compaction::None) {
-    return DemtResult{std::move(best), diag};
+    return DemtResult{to_flat(best), diag};
   }
   pull_forward(best);
   if (options.compaction == DemtOptions::Compaction::PullForward) {
-    return DemtResult{std::move(best), diag};
+    return DemtResult{to_flat(best), diag};
   }
 
   std::vector<BatchItem> flat_items;
@@ -243,7 +243,7 @@ DemtResult demt_schedule_reference(const Instance& instance,
     const double wc = main_ws.tasks.weighted_completion_sum(instance);
     const double cm = main_ws.tasks.cmax();
     if (wc < best_wc || cm < base_cmax) {
-      best = main_ws.tasks.to_schedule(instance.procs());
+      best = to_schedule(main_ws.tasks, instance.procs());
       best_wc = wc;
       base_cmax = cm;
     }
@@ -252,7 +252,7 @@ DemtResult demt_schedule_reference(const Instance& instance,
   // 5. Shuffles: every candidate from its forked stream, then the
   // acceptance rule replayed in candidate order.
   const int shuffles = options.shuffles;
-  if (shuffles <= 0) return DemtResult{std::move(best), diag};
+  if (shuffles <= 0) return DemtResult{to_flat(best), diag};
 
   Rng rng(kShuffleSeed);
   std::vector<Rng> candidate_rngs;
@@ -285,10 +285,10 @@ DemtResult demt_schedule_reference(const Instance& instance,
     (void)evaluate_shuffle_candidate(
         instance, flat_items, batch_ranges, options.shuffle_batch_order,
         candidate_rngs[static_cast<std::size_t>(winner)], main_ws);
-    best = main_ws.tasks.to_schedule(instance.procs());
+    best = to_schedule(main_ws.tasks, instance.procs());
   }
 
-  return DemtResult{std::move(best), diag};
+  return DemtResult{to_flat(best), diag};
 }
 
 }  // namespace moldsched

@@ -3,7 +3,8 @@
 /// scalar pipeline the driver ran before the structure-of-arrays rewrite.
 /// It runs the search of estimate_cmax_reference, array-of-structs batch
 /// items with scan-based allotment lookups, the backward in-place knapsack,
-/// and Schedule-based placement with the multipass pull-forward. The
+/// and Schedule-based placement with the multipass pull-forward, converted
+/// to flat placements (one range per task) only at the end. The
 /// differential suite (test_demt_kernel) locks demt_schedule and
 /// demt_schedule_into bit-identical to it.
 

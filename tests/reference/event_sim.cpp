@@ -137,19 +137,4 @@ SimResult simulate_execution(const FlatPlacements& flat,
   return out;
 }
 
-SimResult simulate_execution(const Schedule& schedule,
-                             const Instance& instance) {
-  SimResult result;
-  if (schedule.num_tasks() != instance.num_tasks() ||
-      schedule.procs() != instance.procs()) {
-    result.ok = false;
-    result.errors.emplace_back("schedule/instance shape mismatch");
-    return result;
-  }
-  SimWorkspace ws;
-  ws.bridge.assign_from(schedule);
-  simulate_execution(ws.bridge, instance, ws, result);
-  return result;
-}
-
 }  // namespace moldsched

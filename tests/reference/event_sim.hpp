@@ -6,10 +6,9 @@
 /// on the schedules the library produces; the paper deploys its algorithm
 /// on a real cluster, and this replay stands in for that substrate.
 ///
-/// The core runs on FlatPlacements with a caller-owned SimWorkspace so
-/// repeated simulations reuse the event heap and occupancy buffers. The
-/// Schedule-based entry point is a wrapper that bridges through
-/// FlatPlacements::assign_from.
+/// It runs on FlatPlacements, the form every path emits, with a
+/// caller-owned SimWorkspace so repeated simulations reuse the event heap
+/// and occupancy buffers.
 
 #pragma once
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "sched/flat_schedule.hpp"
-#include "sched/schedule.hpp"
 #include "tasks/instance.hpp"
 
 namespace moldsched {
@@ -36,8 +34,8 @@ struct SimResult {
   std::int64_t events = 0;
 };
 
-/// Reusable buffers for repeated simulations: the event heap, the
-/// per-processor occupancy array, and a flat bridge for Schedule inputs.
+/// Reusable buffers for repeated simulations: the event heap and the
+/// per-processor occupancy array.
 /// One workspace per thread; every buffer is cleared (capacity kept) at the
 /// start of a run, so steady-state simulation performs no heap allocation.
 struct SimWorkspace {
@@ -48,23 +46,18 @@ struct SimWorkspace {
   };
   std::vector<Event> heap;
   std::vector<int> owner;   ///< per processor: running task or -1
-  FlatPlacements bridge;    ///< scratch for the Schedule-based wrapper
 };
 
-/// Execute `schedule` against `instance`. Reports conflicts (double-booked
-/// processors), duration mismatches, and unassigned tasks as errors rather
-/// than throwing, so tests can assert on specifics.
-[[nodiscard]] SimResult simulate_execution(const Schedule& schedule,
-                                           const Instance& instance);
-
-/// Allocation-free core: execute flat placements (entries indexed like the
-/// instance's tasks; duration <= 0 = unassigned) against `instance`,
-/// reusing `ws` and writing into `out` (cleared first, capacity kept).
-/// Processor ids outside [0, instance.procs()) are reported as errors.
+/// Execute flat placements (entries indexed like the instance's tasks;
+/// duration <= 0 = unassigned) against `instance`, reusing `ws` and
+/// writing into `out` (cleared first, capacity kept). Reports conflicts
+/// (double-booked processors), duration mismatches, unassigned tasks and
+/// processor ids outside [0, instance.procs()) as errors rather than
+/// throwing, so tests can assert on specifics.
 void simulate_execution(const FlatPlacements& flat, const Instance& instance,
                         SimWorkspace& ws, SimResult& out);
 
-/// Convenience flat overload allocating its own workspace and result.
+/// Convenience overload allocating its own workspace and result.
 [[nodiscard]] SimResult simulate_execution(const FlatPlacements& flat,
                                            const Instance& instance);
 

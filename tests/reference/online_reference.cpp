@@ -134,7 +134,7 @@ OnlineResult online_batch_schedule_reference(
       // Build the batch instance on the reduced machine.
       const Instance batch_instance =
           build_batch_instance(jobs, batch_jobs, avail);
-      batch_schedule = offline(batch_instance);
+      batch_schedule = to_schedule(offline(batch_instance), avail);
       const double horizon = now + batch_schedule.cmax();
       auto new_blocked = blocked_procs(m, reservations, now, horizon);
       if (new_blocked == blocked) {  // fixpoint: no new conflicts

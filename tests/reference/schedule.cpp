@@ -1,4 +1,4 @@
-#include "sched/schedule.hpp"
+#include "reference/schedule.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -83,6 +83,35 @@ double Schedule::weighted_completion_sum(const Instance& instance) const {
     sum += instance.task(i).weight() * completion(i);
   }
   return sum;
+}
+
+Schedule to_schedule(const FlatPlacements& flat, int m) {
+  Schedule schedule(m, flat.size());
+  std::vector<int> procs;
+  for (int e = 0; e < flat.size(); ++e) {
+    if (!flat.assigned(e)) continue;
+    const auto entry = static_cast<std::size_t>(e);
+    const auto begin = flat.proc_ids.begin() + flat.proc_begin[entry];
+    procs.assign(begin, begin + flat.proc_count[entry]);
+    schedule.place(e, flat.start[entry], flat.duration[entry], procs);
+  }
+  return schedule;
+}
+
+FlatPlacements to_flat(const Schedule& schedule) {
+  FlatPlacements flat;
+  flat.reset(schedule.num_tasks());
+  for (int t = 0; t < schedule.num_tasks(); ++t) {
+    if (!schedule.assigned(t)) continue;
+    const Placement& p = schedule.placement(t);
+    const auto e = static_cast<std::size_t>(t);
+    flat.start[e] = p.start;
+    flat.duration[e] = p.duration;
+    flat.proc_begin[e] = static_cast<int>(flat.proc_ids.size());
+    flat.proc_count[e] = p.nprocs();
+    flat.proc_ids.insert(flat.proc_ids.end(), p.procs.begin(), p.procs.end());
+  }
+  return flat;
 }
 
 }  // namespace moldsched

@@ -1,13 +1,17 @@
 /// \file schedule.hpp
-/// Non-preemptive schedule of moldable tasks on m identical processors:
-/// one placement per task (start time, duration, explicit processor set).
-/// This is the common output type of every algorithm in moldsched and the
-/// input to the validator, the metrics, and the event simulator.
+/// Test-only object form of a schedule: one placement per task (start
+/// time, duration, its own processor vector), checked as it is placed.
+/// The library's one schedule type is FlatPlacements
+/// (sched/flat_schedule.hpp); this form survives as the private
+/// representation of the Schedule-based oracles (demt_schedule_reference,
+/// the multipass pull_forward, online_batch_schedule_reference), and the
+/// two converters at the end bridge it to the flat form.
 
 #pragma once
 
 #include <vector>
 
+#include "sched/flat_schedule.hpp"
 #include "tasks/instance.hpp"
 
 namespace moldsched {
@@ -65,5 +69,14 @@ class Schedule {
   std::vector<Placement> placements_;
   std::vector<bool> placed_;
 };
+
+/// Materialise flat placements into a Schedule on m processors (assigned
+/// entries only). Throws like Schedule::place on a malformed entry.
+[[nodiscard]] Schedule to_schedule(const FlatPlacements& flat, int m);
+
+/// Copy a Schedule into the flat form: unassigned tasks stay unassigned
+/// entries, and every double is copied verbatim, so metrics computed on
+/// the copy are bit-identical to the Schedule's own.
+[[nodiscard]] FlatPlacements to_flat(const Schedule& schedule);
 
 }  // namespace moldsched

@@ -21,10 +21,10 @@ Instance ideal_tasks(int n, int m, double seq, double weight = 1.0) {
 
 TEST(Gang, UsesAllProcessorsSequentially) {
   const Instance instance = ideal_tasks(3, 4, 8.0);
-  const Schedule schedule = gang_schedule(instance);
+  const FlatPlacements schedule = gang_schedule(instance);
   require_valid(schedule, instance);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(schedule.placement(i).nprocs(), 4);
+    EXPECT_EQ(schedule.proc_count[i], 4);
   }
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3 * 2.0);
 }
@@ -33,24 +33,24 @@ TEST(Gang, OrdersBySmithRatioOnFullMachine) {
   Instance instance(2);
   instance.add_task(MoldableTask({4.0, 2.0}, 1.0));  // ratio 0.5
   instance.add_task(MoldableTask({4.0, 2.0}, 8.0));  // ratio 4.0 -> first
-  const Schedule schedule = gang_schedule(instance);
-  EXPECT_LT(schedule.placement(1).start, schedule.placement(0).start);
+  const FlatPlacements schedule = gang_schedule(instance);
+  EXPECT_LT(schedule.start[1], schedule.start[0]);
 }
 
 TEST(Gang, OptimalForIdealTasksMinsum) {
   // For perfectly parallel equal tasks, gang in any order is minsum-optimal;
   // check the value: tasks of p(m) = 2 => completions 2, 4, 6.
   const Instance instance = ideal_tasks(3, 4, 8.0);
-  const Schedule schedule = gang_schedule(instance);
+  const FlatPlacements schedule = gang_schedule(instance);
   EXPECT_DOUBLE_EQ(schedule.weighted_completion_sum(instance), 12.0);
 }
 
 TEST(Sequential, OneProcessorEach) {
   const Instance instance = ideal_tasks(6, 3, 3.0);
-  const Schedule schedule = sequential_lptf_schedule(instance);
+  const FlatPlacements schedule = sequential_lptf_schedule(instance);
   require_valid(schedule, instance);
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(schedule.placement(i).nprocs(), 1);
+    EXPECT_EQ(schedule.proc_count[i], 1);
   }
   // 6 unit-seq tasks of length 3 on 3 procs: two rounds -> cmax 6.
   EXPECT_DOUBLE_EQ(schedule.cmax(), 6.0);
@@ -67,11 +67,11 @@ TEST(Sequential, LptfOrdering) {
   instance.add_task(MoldableTask({1.0}, 1.0));
   instance.add_task(MoldableTask({5.0}, 1.0));
   instance.add_task(MoldableTask({3.0}, 1.0));
-  const Schedule schedule = sequential_lptf_schedule(instance);
+  const FlatPlacements schedule = sequential_lptf_schedule(instance);
   // Longest first on a single machine: 5, 3, 1.
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(2).start, 5.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 8.0);
+  EXPECT_DOUBLE_EQ(schedule.start[1], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[2], 5.0);
+  EXPECT_DOUBLE_EQ(schedule.start[0], 8.0);
 }
 
 class ListGrahamOrders : public ::testing::TestWithParam<ListOrder> {};
@@ -93,7 +93,7 @@ TEST_P(ListGrahamOrders, ValidOnAllFamilies) {
   Rng rng(31);
   for (auto family : all_families()) {
     const Instance instance = generate_instance(family, 30, 16, rng);
-    const Schedule schedule = list_graham_schedule(instance, GetParam());
+    const FlatPlacements schedule = list_graham_schedule(instance, GetParam());
     require_valid(schedule, instance);
   }
 }
@@ -104,7 +104,7 @@ TEST_P(ListGrahamOrders, CmaxNearTheDualBoundOnParallelWork) {
   Rng rng(32);
   const Instance instance =
       generate_instance(WorkloadFamily::HighlyParallel, 60, 16, rng);
-  const Schedule schedule = list_graham_schedule(instance, GetParam());
+  const FlatPlacements schedule = list_graham_schedule(instance, GetParam());
   const auto estimate = estimate_cmax(instance);
   EXPECT_LE(schedule.cmax(), 2.5 * estimate.lower_bound);
 }
@@ -114,9 +114,9 @@ TEST(ListGraham, SafPrefersSmallAreasEarly) {
   // Big area task and small area task, same weight.
   instance.add_task(MoldableTask({20.0, 11.0, 8.0, 6.0}, 1.0));
   instance.add_task(MoldableTask({1.0, 0.9, 0.8, 0.8}, 1.0));
-  const Schedule schedule =
+  const FlatPlacements schedule =
       list_graham_schedule(instance, ListOrder::SmallestAreaFirst);
-  EXPECT_LE(schedule.placement(1).start, schedule.placement(0).start);
+  EXPECT_LE(schedule.start[1], schedule.start[0]);
 }
 
 TEST(ListGraham, WeightedLptfPutsLongPerWeightTasksFirst) {
@@ -125,10 +125,10 @@ TEST(ListGraham, WeightedLptfPutsLongPerWeightTasksFirst) {
   Instance instance(1);
   instance.add_task(MoldableTask({6.0}, 1.0));
   instance.add_task(MoldableTask({6.0}, 9.0));
-  const Schedule schedule =
+  const FlatPlacements schedule =
       list_graham_schedule(instance, ListOrder::WeightedLptf);
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 6.0);
+  EXPECT_DOUBLE_EQ(schedule.start[0], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[1], 6.0);
 }
 
 TEST(Baselines, EmptyInstanceThrows) {

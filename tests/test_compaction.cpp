@@ -65,7 +65,7 @@ TEST(PullForward, PreservesFeasibility) {
   pull_forward(schedule);
   ValidationOptions options;
   options.check_durations = false;
-  const auto report = validate_schedule(schedule, instance, options);
+  const auto report = validate_schedule(to_flat(schedule), instance, options);
   EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors[0]);
   // 4 tasks per processor pair, 2.0 each: everything fits within 8.
   EXPECT_LE(schedule.cmax(), 8.0 + 1e-9);

@@ -397,8 +397,7 @@ TEST(DecisionCache, HitMaterializesValidSchedule) {
   ASSERT_EQ(cache.stats().hits, 1u);
   ASSERT_TRUE(results[1].has_schedule);
   expect_identical(results[0], results[1]);
-  require_valid(results[1].schedule.to_schedule(instances[0].procs()),
-                instances[0]);
+  require_valid(results[1].schedule, instances[0]);
 }
 
 /// Serve-layer differential: cache-on vs cache-off must be bit-identical

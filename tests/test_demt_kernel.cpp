@@ -24,11 +24,13 @@
 #include "core/policy.hpp"
 #include "dualapprox/cmax_estimator.hpp"
 #include "dualapprox/dual_test.hpp"
+#include "gate_workloads.hpp"
 #include "reference/allotment_table_reference.hpp"
 #include "reference/cmax_estimator_reference.hpp"
 #include "reference/demt_reference.hpp"
 #include "reference/dual_test_reference.hpp"
 #include "reference/knapsack_reference.hpp"
+#include "reference/schedule.hpp"
 #include "sched/flat_schedule.hpp"
 #include "sched/validator.hpp"
 #include "tasks/allotment_table.hpp"
@@ -105,20 +107,6 @@ const std::vector<int>& machine_sizes() {
 
 // ------------------------------------------------------ exact comparators
 
-void expect_identical_schedules(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  ASSERT_EQ(a.procs(), b.procs());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    ASSERT_EQ(a.assigned(t), b.assigned(t)) << "task " << t;
-    if (!a.assigned(t)) continue;
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
-}
-
 /// Every DemtDiagnostics field.
 void expect_identical_diag(const DemtDiagnostics& a,
                            const DemtDiagnostics& b) {
@@ -157,7 +145,7 @@ void expect_demt_matches_reference(const Instance& instance,
   const DemtResult vec = demt_schedule(instance, options);
   const DemtResult ref = demt_schedule_reference(instance, options);
   require_valid(vec.schedule, instance);
-  expect_identical_schedules(vec.schedule, ref.schedule);
+  gate::expect_same_entries(vec.schedule, ref.schedule);
   expect_identical_diag(vec.diag, ref.diag);
 }
 
@@ -896,7 +884,7 @@ TEST(DemtKernel, DemtIntoMatchesWrapperOnWarmWorkspace) {
         static_cast<Mix>(trial % 3), 5 + trial, m, rng);
     demt_schedule_into(instance, DemtOptions{}, ws, out, diag);
     const DemtResult ref = demt_schedule_reference(instance);
-    expect_identical_schedules(out.to_schedule(m), ref.schedule);
+    gate::expect_same_entries(out, ref.schedule);
     expect_identical_diag(diag, ref.diag);
     const FlatMetrics metrics = out.metrics(instance);
     EXPECT_EQ(metrics.cmax, ref.schedule.cmax());
@@ -909,8 +897,8 @@ TEST(DemtKernel, DemtIntoMatchesWrapperOnWarmWorkspace) {
 
 TEST(DemtKernel, FlatListPolicyDeterministicAndValid) {
   // The second serving policy over the same fuzz axes: a warm workspace
-  // must reproduce a cold run exactly, and the flat output must convert
-  // to a valid schedule whose metrics match the fused scan.
+  // must reproduce a cold run exactly, and the output must be valid with
+  // the fused scan's metrics equal to the object form's.
   Rng rng(0xE1);
   ListPassWorkspace warm;
   FlatPlacements warm_out;
@@ -925,8 +913,8 @@ TEST(DemtKernel, FlatListPolicyDeterministicAndValid) {
     ASSERT_EQ(warm_out.size(), cold_out.size());
     EXPECT_EQ(warm_out.start, cold_out.start);
     EXPECT_EQ(warm_out.duration, cold_out.duration);
-    const Schedule schedule = warm_out.to_schedule(m);
-    require_valid(schedule, instance);
+    require_valid(warm_out, instance);
+    const Schedule schedule = to_schedule(warm_out, m);
     const FlatMetrics metrics = warm_out.metrics(instance);
     EXPECT_EQ(metrics.cmax, schedule.cmax());
     EXPECT_EQ(metrics.weighted_completion_sum,
@@ -947,7 +935,7 @@ TEST(DemtKernel, FusedMetricsBitIdenticalToSplitScans) {
     if (trial % 2 == 0) {
       flat_list_schedule(instance, list, flat);
     } else {
-      flat.assign_from(demt_schedule(instance).schedule);
+      flat = demt_schedule(instance).schedule;
     }
     const FlatMetrics fused = flat.metrics(instance);
     EXPECT_EQ(fused.cmax, flat.cmax());
@@ -960,7 +948,7 @@ TEST(DemtKernel, FusedMetricsBitIdenticalToSplitScans) {
     Rng gate_rng(9);
     const Instance instance =
         generate_instance(WorkloadFamily::Mixed, n, 200, gate_rng);
-    flat.assign_from(demt_schedule(instance).schedule);
+    flat = demt_schedule(instance).schedule;
     const FlatMetrics fused = flat.metrics(instance);
     EXPECT_EQ(fused.cmax, flat.cmax()) << "n=" << n;
     EXPECT_EQ(fused.weighted_completion_sum,

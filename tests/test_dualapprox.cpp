@@ -181,9 +181,9 @@ TEST(CmaxEstimator, SubUlpPrecisionTerminates) {
 
 TEST(CmaxEstimator, Validation) {
   Instance empty(4);
-  EXPECT_THROW(estimate_cmax(empty), std::invalid_argument);
+  EXPECT_THROW((void)estimate_cmax(empty), std::invalid_argument);
   const Instance instance = ideal_tasks(1, 2, 1.0);
-  EXPECT_THROW(estimate_cmax(instance, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)estimate_cmax(instance, 0.0), std::invalid_argument);
 }
 
 TEST(CmaxEstimator, RigidTasksSupported) {

@@ -23,7 +23,7 @@ TEST(EdgeCases, SingleProcessorCluster) {
   instance.add_task(MoldableTask({2.0}, 1.0));
 
   for (const auto& algorithm : standard_algorithms()) {
-    const Schedule schedule = algorithm.run(instance);
+    const FlatPlacements schedule = algorithm.run(instance);
     require_valid(schedule, instance);
     // One processor: makespan is exactly the total work.
     EXPECT_NEAR(schedule.cmax(), 6.0, 1e-9) << algorithm.name;
@@ -44,10 +44,10 @@ TEST(EdgeCases, TasksNarrowerThanTheMachine) {
   instance.add_task(MoldableTask({9.0, 5.0, 3.5, 3.0}, 1.5));  // width 4
 
   for (const auto& algorithm : standard_algorithms()) {
-    const Schedule schedule = algorithm.run(instance);
+    const FlatPlacements schedule = algorithm.run(instance);
     require_valid(schedule, instance);
     for (int i = 0; i < instance.num_tasks(); ++i) {
-      EXPECT_LE(schedule.placement(i).nprocs(),
+      EXPECT_LE(schedule.proc_count[i],
                 instance.task(i).max_procs())
           << algorithm.name;
     }
@@ -67,7 +67,7 @@ TEST(EdgeCases, ExtremeWeightSpread) {
   require_valid(result.schedule, instance);
   // The one massive-weight task dominates the criterion; DEMT must finish
   // it early (before the vast majority of the horizon).
-  EXPECT_LE(result.schedule.completion(0), 0.8 * result.schedule.cmax());
+  EXPECT_LE(result.schedule.finish(0), 0.8 * result.schedule.cmax());
 }
 
 TEST(EdgeCases, ManyIdenticalTasks) {
@@ -77,7 +77,7 @@ TEST(EdgeCases, ManyIdenticalTasks) {
                                    1.0));
   }
   for (const auto& algorithm : standard_algorithms()) {
-    const Schedule schedule = algorithm.run(instance);
+    const FlatPlacements schedule = algorithm.run(instance);
     require_valid(schedule, instance);
   }
 }
@@ -117,16 +117,16 @@ TEST(EdgeCases, AllTasksRigid) {
                                  3.0, /*min_procs=*/2));
   const auto result = demt_schedule(instance);
   require_valid(result.schedule, instance);
-  EXPECT_EQ(result.schedule.placement(0).nprocs(), 8);
-  EXPECT_GE(result.schedule.placement(1).nprocs(), 4);
+  EXPECT_EQ(result.schedule.proc_count[0], 8);
+  EXPECT_GE(result.schedule.proc_count[1], 4);
 }
 
 TEST(EdgeCases, GangHandlesNarrowTasks) {
   Instance instance(16);
   instance.add_task(MoldableTask({8.0, 5.0}, 1.0));  // only 2 procs wide
-  const Schedule schedule = gang_schedule(instance);
+  const FlatPlacements schedule = gang_schedule(instance);
   require_valid(schedule, instance);
-  EXPECT_EQ(schedule.placement(0).nprocs(), 2);
+  EXPECT_EQ(schedule.proc_count[0], 2);
 }
 
 TEST(EdgeCases, LowerBoundsOnConstantTimeTasks) {

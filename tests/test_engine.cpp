@@ -3,15 +3,16 @@
 /// request batch must give bit-identical results for 1, 2, 4 and all
 /// workers, match direct demt_schedule calls, and workspace reuse across
 /// batches must never leak state between requests. Results carry flat
-/// placements; the checks derive a Schedule only to compare against
-/// demt_schedule or to run the validator.
+/// placements, which the checks compare and validate as emitted.
 
 #include <gtest/gtest.h>
 
 #include "core/demt.hpp"
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
+#include "baselines/lpt_policy.hpp"
 #include "gate_workloads.hpp"
+#include "reference/event_sim.hpp"
 #include "sched/validator.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
@@ -43,17 +44,6 @@ std::vector<EngineResult> run_batch(SchedulerEngine& engine,
     requests[i].policy = &policy;
   }
   return engine.schedule_batch(requests);
-}
-
-void expect_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
 }
 
 /// `calls` batch calls per engine: the last must match a fresh
@@ -102,9 +92,8 @@ TEST(Engine, MatchesDirectDemtCalls) {
   const auto results = run_batch(engine, instances, DemtPolicy{});
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto direct = demt_schedule(instances[i]);
-    const Schedule schedule =
-        results[i].schedule.to_schedule(instances[i].procs());
-    expect_identical(schedule, direct.schedule);
+    const FlatPlacements& schedule = results[i].schedule;
+    gate::expect_identical_placements(schedule, direct.schedule);
     EXPECT_EQ(results[i].diag.num_batches, direct.diag.num_batches);
     EXPECT_EQ(results[i].diag.shuffle_improvements,
               direct.diag.shuffle_improvements);
@@ -120,13 +109,11 @@ TEST(Engine, FlatListIsFeasibleAndDeterministic) {
   SchedulerEngine parallel(EngineOptions{0, true});
   const auto second = run_batch(parallel, instances, policy);
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Schedule schedule =
-        first[i].schedule.to_schedule(instances[i].procs());
-    require_valid(schedule, instances[i]);
+    require_valid(first[i].schedule, instances[i]);
     gate::expect_identical_placements(first[i].schedule, second[i].schedule);
-    EXPECT_EQ(first[i].cmax, schedule.cmax());
+    EXPECT_EQ(first[i].cmax, first[i].schedule.cmax());
     EXPECT_EQ(first[i].weighted_completion_sum,
-              schedule.weighted_completion_sum(instances[i]));
+              first[i].schedule.weighted_completion_sum(instances[i]));
   }
 }
 
@@ -193,8 +180,7 @@ TEST(Engine, SingleRequestBatchMatchesDirectCall) {
     ASSERT_EQ(results.size(), 1u);
     const auto direct = demt_schedule(instances[0]);
     EXPECT_EQ(results[0].cmax, direct.schedule.cmax());
-    expect_identical(results[0].schedule.to_schedule(instances[0].procs()),
-                     direct.schedule);
+    gate::expect_identical_placements(results[0].schedule, direct.schedule);
     EXPECT_EQ(engine.stats().strands_last_batch, 1);  // never > batch size
   }
 }
@@ -240,6 +226,60 @@ TEST(Engine, RejectsBadRequests) {
                std::invalid_argument);
   EXPECT_THROW(SchedulerEngine(EngineOptions{-1, true}),
                std::invalid_argument);
+}
+
+TEST(Engine, EveryKeptScheduleIsValidAndReplays) {
+  // Every schedule the engine emits, checked as emitted: the validator and
+  // the event simulator on each EngineResult of one mixed batch (three
+  // policies x four families x m in {1, 4, 64, 257}), with the decision
+  // cache off and on. With the cache on, the batch runs twice so the
+  // second pass is served from replayed decisions.
+  const DemtPolicy demt;
+  const FlatListPolicy flat_list;
+  const LptRigidPolicy lpt;
+  const SchedulingPolicy* policies[] = {&demt, &flat_list, &lpt};
+  std::vector<Instance> instances;
+  Rng rng(20040627);
+  for (const int m : {1, 4, 64, 257}) {
+    for (const WorkloadFamily family : all_families()) {
+      instances.push_back(generate_instance(family, 14, m, rng));
+    }
+  }
+  std::vector<EngineRequest> requests;
+  for (const SchedulingPolicy* policy : policies) {
+    for (const Instance& instance : instances) {
+      requests.push_back(EngineRequest{&instance, policy});
+    }
+  }
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cache on" : "cache off");
+    DecisionCache cache;
+    EngineOptions options;
+    options.keep_schedules = true;
+    options.cache = cached ? &cache : nullptr;
+    SchedulerEngine engine(options);
+    for (int pass = 0; pass < (cached ? 2 : 1); ++pass) {
+      const auto results = engine.schedule_batch(requests);
+      ASSERT_EQ(results.size(), requests.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        const Instance& instance = *requests[i].instance;
+        SCOPED_TRACE(::testing::Message()
+                     << requests[i].policy->name() << " m=" << instance.procs()
+                     << " request " << i << " pass " << pass);
+        const EngineResult& result = results[i];
+        ASSERT_TRUE(result.has_schedule);
+        const auto report = validate_schedule(result.schedule, instance);
+        EXPECT_TRUE(report.ok) << report.errors.front();
+        const SimResult sim = simulate_execution(result.schedule, instance);
+        EXPECT_TRUE(sim.ok) << sim.errors.front();
+        EXPECT_EQ(sim.cmax, result.cmax);
+        EXPECT_NEAR(sim.weighted_completion_sum,
+                    result.weighted_completion_sum,
+                    1e-9 * result.weighted_completion_sum);
+      }
+    }
+    if (cached) EXPECT_GT(cache.stats().hits, 0u);
+  }
 }
 
 }  // namespace

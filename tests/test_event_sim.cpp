@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/demt.hpp"
+#include "reference/schedule.hpp"
 #include "workloads/generators.hpp"
 
 namespace moldsched {
@@ -20,7 +21,7 @@ TEST(EventSim, ReplaysFeasibleSchedule) {
   Schedule schedule(4, 2);
   schedule.place(0, 0.0, 2.5, {0, 1});
   schedule.place(1, 2.5, 3.0, {0});
-  const auto sim = simulate_execution(schedule, instance);
+  const auto sim = simulate_execution(to_flat(schedule), instance);
   EXPECT_TRUE(sim.ok) << (sim.errors.empty() ? "" : sim.errors[0]);
   EXPECT_DOUBLE_EQ(sim.completion[0], 2.5);
   EXPECT_DOUBLE_EQ(sim.completion[1], 5.5);
@@ -47,7 +48,7 @@ TEST(EventSim, DetectsDoubleBooking) {
   // the conflict: proc 1 double-booked during [1.0, 2.5).
   schedule.place(0, 0.0, 2.5, {0, 1});
   schedule.place(1, 1.0, 1.5, {1, 2});
-  const auto sim = simulate_execution(schedule, instance);
+  const auto sim = simulate_execution(to_flat(schedule), instance);
   EXPECT_FALSE(sim.ok);
   ASSERT_FALSE(sim.errors.empty());
   EXPECT_NE(sim.errors[0].find("still running"), std::string::npos);
@@ -58,7 +59,7 @@ TEST(EventSim, DetectsDurationMismatch) {
   Schedule schedule(4, 2);
   schedule.place(0, 0.0, 9.9, {0, 1});  // p(2) is 2.5
   schedule.place(1, 0.0, 1.0, {2, 3, 0});  // also wrong procs count time
-  const auto sim = simulate_execution(schedule, instance);
+  const auto sim = simulate_execution(to_flat(schedule), instance);
   EXPECT_FALSE(sim.ok);
 }
 
@@ -66,7 +67,7 @@ TEST(EventSim, DetectsMissingTask) {
   const Instance instance = small_instance();
   Schedule schedule(4, 2);
   schedule.place(0, 0.0, 2.5, {0, 1});
-  const auto sim = simulate_execution(schedule, instance);
+  const auto sim = simulate_execution(to_flat(schedule), instance);
   EXPECT_FALSE(sim.ok);
   EXPECT_NE(sim.errors[0].find("never starts"), std::string::npos);
 }
@@ -76,7 +77,7 @@ TEST(EventSim, BackToBackTasksShareProcessorCleanly) {
   Schedule schedule(4, 2);
   schedule.place(0, 0.0, 4.0, {0});
   schedule.place(1, 4.0, 3.0, {0});  // same processor, abutting
-  const auto sim = simulate_execution(schedule, instance);
+  const auto sim = simulate_execution(to_flat(schedule), instance);
   EXPECT_TRUE(sim.ok) << (sim.errors.empty() ? "" : sim.errors[0]);
 }
 
@@ -85,16 +86,20 @@ TEST(EventSim, UtilisationComputed) {
   Schedule schedule(4, 2);
   schedule.place(0, 0.0, 2.5, {0, 1});
   schedule.place(1, 0.0, 1.5, {2, 3});
-  const auto sim = simulate_execution(schedule, instance);
+  const auto sim = simulate_execution(to_flat(schedule), instance);
   // Busy area = 2*2.5 + 2*1.5 = 8 over 4 procs * cmax 2.5 = 10.
   EXPECT_NEAR(sim.utilisation, 0.8, 1e-12);
 }
 
 TEST(EventSim, ShapeMismatchReported) {
+  // Three entries for the instance's two tasks.
   const Instance instance = small_instance();
-  Schedule schedule(3, 2);
+  FlatPlacements schedule;
+  schedule.reset(3);
   const auto sim = simulate_execution(schedule, instance);
   EXPECT_FALSE(sim.ok);
+  ASSERT_FALSE(sim.errors.empty());
+  EXPECT_NE(sim.errors[0].find("shape mismatch"), std::string::npos);
 }
 
 }  // namespace

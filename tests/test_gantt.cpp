@@ -2,19 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include "gate_workloads.hpp"
+
 namespace moldsched {
 namespace {
 
 TEST(Gantt, EmptySchedule) {
-  Schedule schedule(2, 0);
-  EXPECT_EQ(render_gantt(schedule), "(empty schedule)\n");
+  const int m = 2;
+  FlatPlacements schedule;
+  schedule.reset(0);
+  EXPECT_EQ(render_gantt(schedule, m), "(empty schedule)\n");
 }
 
 TEST(Gantt, RendersOneRowPerProcessor) {
-  Schedule schedule(3, 2);
-  schedule.place(0, 0.0, 2.0, {0, 1});
-  schedule.place(1, 2.0, 2.0, {2});
-  const std::string out = render_gantt(schedule);
+  const int m = 3;
+  FlatPlacements schedule;
+  schedule.reset(2);
+  gate::place(schedule, 0, 0.0, 2.0, {0, 1});
+  gate::place(schedule, 1, 2.0, 2.0, {2});
+  const std::string out = render_gantt(schedule, m);
   // Header + 3 processor rows.
   int rows = 0;
   for (char c : out) {
@@ -26,10 +32,12 @@ TEST(Gantt, RendersOneRowPerProcessor) {
 }
 
 TEST(Gantt, TaskCharactersAppearOnTheirProcessors) {
-  Schedule schedule(2, 2);
-  schedule.place(0, 0.0, 1.0, {0});
-  schedule.place(1, 0.0, 1.0, {1});
-  const std::string out = render_gantt(schedule);
+  const int m = 2;
+  FlatPlacements schedule;
+  schedule.reset(2);
+  gate::place(schedule, 0, 0.0, 1.0, {0});
+  gate::place(schedule, 1, 0.0, 1.0, {1});
+  const std::string out = render_gantt(schedule, m);
   const auto p0 = out.find("p00 |");
   const auto p1 = out.find("p01 |");
   ASSERT_NE(p0, std::string::npos);
@@ -39,18 +47,22 @@ TEST(Gantt, TaskCharactersAppearOnTheirProcessors) {
 }
 
 TEST(Gantt, WideClustersAreSummarised) {
-  Schedule schedule(100, 1);
-  schedule.place(0, 0.0, 1.0, {0});
-  const std::string out = render_gantt(schedule);
+  const int m = 100;
+  FlatPlacements schedule;
+  schedule.reset(1);
+  gate::place(schedule, 0, 0.0, 1.0, {0});
+  const std::string out = render_gantt(schedule, m);
   EXPECT_NE(out.find("gantt omitted"), std::string::npos);
 }
 
 TEST(Gantt, IdleTimeIsDotted) {
-  Schedule schedule(1, 1);
-  schedule.place(0, 9.0, 1.0, {0});  // long leading idle period
+  const int m = 1;
+  FlatPlacements schedule;
+  schedule.reset(1);
+  gate::place(schedule, 0, 9.0, 1.0, {0});  // long leading idle period
   GanttOptions options;
   options.width = 10;
-  const std::string out = render_gantt(schedule, options);
+  const std::string out = render_gantt(schedule, m, options);
   EXPECT_NE(out.find('.'), std::string::npos);
 }
 

@@ -52,7 +52,7 @@ TEST(Instance, Tmin) {
 
 TEST(Instance, TminThrowsOnEmpty) {
   Instance instance(4);
-  EXPECT_THROW(instance.tmin(), std::logic_error);
+  EXPECT_THROW((void)instance.tmin(), std::logic_error);
 }
 
 TEST(Instance, TotalMinWork) {
@@ -111,7 +111,8 @@ TEST(Instance, LoadRejectsGarbage) {
                          record + " 1.0 1.0");
     EXPECT_THROW(Instance::load(in), std::runtime_error) << record;
   }
-  for (const char* header : {"m 0\nn 0\n", "m -3\nn 0\n", "m x\nn 0\n"}) {
+  for (const char* header : {"m 0\nn 0\n", "m -3\nn 0\n", "m x\nn 0\n",
+                             "m 4\nn x\n", "m 4\nn -1\n"}) {
     std::stringstream in(std::string("moldsched-instance v1\n") + header);
     EXPECT_THROW(Instance::load(in), std::runtime_error) << header;
   }

@@ -72,39 +72,39 @@ FlatPlacements naive_list_schedule(int m, int num_entries,
 }
 
 TEST(ListScheduler, SingleJob) {
-  const Schedule schedule = list_schedule(4, 1, {{0, 2, 3.0}});
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(0).nprocs(), 2);
+  const FlatPlacements schedule = list_schedule(4, 1, {{0, 2, 3.0}});
+  EXPECT_DOUBLE_EQ(schedule.start[0], 0.0);
+  EXPECT_EQ(schedule.proc_count[0], 2);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3.0);
 }
 
 TEST(ListScheduler, PacksGreedilyAtTimeZero) {
   // Three 2-proc jobs on 4 procs: two start immediately, third waits.
-  const Schedule schedule = list_schedule(
+  const FlatPlacements schedule = list_schedule(
       4, 3, {{0, 2, 5.0}, {1, 2, 3.0}, {2, 2, 4.0}});
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[0], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[1], 0.0);
   // Job 2 starts when job 1 (the shorter) finishes.
-  EXPECT_DOUBLE_EQ(schedule.placement(2).start, 3.0);
+  EXPECT_DOUBLE_EQ(schedule.start[2], 3.0);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 7.0);
 }
 
 TEST(ListScheduler, LaterListEntryCanBackfill) {
   // Graham list behaviour: job 1 needs 3 procs (can't fit at t=0 next to
   // job 0 on 4 procs), job 2 needs 1 proc and jumps ahead.
-  const Schedule schedule = list_schedule(
+  const FlatPlacements schedule = list_schedule(
       4, 3, {{0, 2, 4.0}, {1, 3, 2.0}, {2, 1, 1.0}});
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(2).start, 0.0);  // backfilled
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 4.0);
+  EXPECT_DOUBLE_EQ(schedule.start[0], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[2], 0.0);  // backfilled
+  EXPECT_DOUBLE_EQ(schedule.start[1], 4.0);
 }
 
 TEST(ListScheduler, SequentialWhenMachineIsFull) {
-  const Schedule schedule =
+  const FlatPlacements schedule =
       list_schedule(2, 3, {{0, 2, 1.0}, {1, 2, 1.0}, {2, 2, 1.0}});
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 1.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(2).start, 2.0);
+  EXPECT_DOUBLE_EQ(schedule.start[0], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[1], 1.0);
+  EXPECT_DOUBLE_EQ(schedule.start[2], 2.0);
 }
 
 TEST(ListScheduler, ProducesValidSchedules) {
@@ -119,7 +119,7 @@ TEST(ListScheduler, ProducesValidSchedules) {
     instance.add_task(MoldableTask(std::move(times), 1.0));
     jobs.push_back(ListJob{i, procs, duration});
   }
-  const Schedule schedule = list_schedule(8, 20, jobs);
+  const FlatPlacements schedule = list_schedule(8, 20, jobs);
   ValidationOptions options;
   options.check_durations = false;
   const auto report = validate_schedule(schedule, instance, options);
@@ -138,7 +138,7 @@ TEST(ListScheduler, GrahamBoundHolds) {
     longest = std::max(longest, d);
   }
   const int m = 7;
-  const Schedule schedule = list_schedule(m, 50, jobs);
+  const FlatPlacements schedule = list_schedule(m, 50, jobs);
   const double lb = std::max(longest, total / m);
   EXPECT_LE(schedule.cmax(), (2.0 - 1.0 / m) * lb + 1e-9);
 }
@@ -153,7 +153,7 @@ TEST(ListScheduler, Validation) {
 }
 
 TEST(ListScheduler, PartialJobListLeavesOthersUnassigned) {
-  const Schedule schedule = list_schedule(2, 5, {{3, 1, 2.0}});
+  const FlatPlacements schedule = list_schedule(2, 5, {{3, 1, 2.0}});
   EXPECT_TRUE(schedule.assigned(3));
   EXPECT_FALSE(schedule.assigned(0));
   EXPECT_FALSE(schedule.assigned(4));
@@ -166,40 +166,42 @@ TEST(ListScheduler, SimultaneousFinishesDrainAsOneEvent) {
   // heap must pop every tied finish before rescanning, so the 4-proc job
   // sees the whole machine at once and starts at 2, not at some later
   // partially-freed instant.
-  const Schedule schedule = list_schedule(
+  const FlatPlacements schedule = list_schedule(
       4, 5, {{0, 1, 2.0}, {1, 1, 2.0}, {2, 1, 2.0}, {3, 1, 2.0}, {4, 4, 1.0}});
-  EXPECT_DOUBLE_EQ(schedule.placement(4).start, 2.0);
+  EXPECT_DOUBLE_EQ(schedule.start[4], 2.0);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3.0);
 }
 
 TEST(ListScheduler, EqualDurationTiesKeepListOrder) {
   // Three identical 2-proc jobs on 2 procs: ties in every heap key. The
   // schedule must follow the priority list deterministically.
-  const Schedule schedule =
+  const FlatPlacements schedule =
       list_schedule(2, 3, {{2, 2, 1.5}, {0, 2, 1.5}, {1, 2, 1.5}});
-  EXPECT_DOUBLE_EQ(schedule.placement(2).start, 0.0);
-  EXPECT_DOUBLE_EQ(schedule.placement(0).start, 1.5);
-  EXPECT_DOUBLE_EQ(schedule.placement(1).start, 3.0);
+  EXPECT_DOUBLE_EQ(schedule.start[2], 0.0);
+  EXPECT_DOUBLE_EQ(schedule.start[0], 1.5);
+  EXPECT_DOUBLE_EQ(schedule.start[1], 3.0);
 }
 
 TEST(ListScheduler, SingleProcessorChainsInListOrder) {
   // m=1 degenerates to a sequential chain: starts are exact running sums
   // (no epsilon drift from the event loop).
-  const Schedule schedule =
+  const FlatPlacements schedule =
       list_schedule(1, 3, {{0, 1, 1.25}, {1, 1, 0.5}, {2, 1, 2.0}});
-  EXPECT_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(1).start, 1.25);
-  EXPECT_EQ(schedule.placement(2).start, 1.75);
+  EXPECT_EQ(schedule.start[0], 0.0);
+  EXPECT_EQ(schedule.start[1], 1.25);
+  EXPECT_EQ(schedule.start[2], 1.75);
   EXPECT_DOUBLE_EQ(schedule.cmax(), 3.75);
 }
 
 TEST(ListScheduler, SubToleranceDurationsDoNotDeadlock) {
   // A finish within 1e-12 of the current time is still an event to advance
   // to, not a sign that the remaining jobs can never fit.
-  const Schedule schedule = list_schedule(1, 2, {{0, 1, 1e-13}, {1, 1, 1.0}});
-  EXPECT_EQ(schedule.placement(0).start, 0.0);
-  EXPECT_EQ(schedule.placement(1).start, 1e-13);
-  EXPECT_TRUE(schedule.complete());
+  const FlatPlacements schedule =
+      list_schedule(1, 2, {{0, 1, 1e-13}, {1, 1, 1.0}});
+  EXPECT_EQ(schedule.start[0], 0.0);
+  EXPECT_EQ(schedule.start[1], 1e-13);
+  EXPECT_TRUE(schedule.assigned(0));
+  EXPECT_TRUE(schedule.assigned(1));
 }
 
 TEST(ListScheduler, MatchesNaiveScanFuzz) {

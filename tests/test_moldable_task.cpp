@@ -32,8 +32,8 @@ TEST(MoldableTask, BasicAccessors) {
 
 TEST(MoldableTask, TimeOutOfRangeThrows) {
   MoldableTask task({4.0, 3.0}, 1.0);
-  EXPECT_THROW(task.time(0), std::out_of_range);
-  EXPECT_THROW(task.time(3), std::out_of_range);
+  EXPECT_THROW((void)task.time(0), std::out_of_range);
+  EXPECT_THROW((void)task.time(3), std::out_of_range);
 }
 
 TEST(MoldableTask, ConstructorValidation) {

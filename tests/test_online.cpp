@@ -6,14 +6,17 @@
 #include <stdexcept>
 #include <string>
 
-#include "baselines/baselines.hpp"
+#include "baselines/lpt_policy.hpp"
 #include "core/demt.hpp"
+#include "gate_workloads.hpp"
 #include "reference/online_reference.hpp"
 #include "sched/validator.hpp"
 #include "workloads/generators.hpp"
 
 namespace moldsched {
 namespace {
+
+const DemtPolicy kDemt;
 
 OfflineScheduler demt_offline() {
   return [](const Instance& instance) {
@@ -30,7 +33,7 @@ MoldableTask ideal(double seq, int m, double w = 1.0) {
 TEST(Online, AllReleasedAtZeroIsOneBatch) {
   std::vector<OnlineJob> jobs;
   for (int i = 0; i < 5; ++i) jobs.push_back({ideal(4.0, 4), 0.0});
-  const auto result = online_batch_schedule(4, jobs, demt_offline());
+  const auto result = gate::run_online(4, jobs, kDemt);
   EXPECT_EQ(result.num_batches, 1);
   EXPECT_GT(result.cmax, 0.0);
 }
@@ -39,19 +42,18 @@ TEST(Online, LateArrivalOpensSecondBatch) {
   std::vector<OnlineJob> jobs;
   jobs.push_back({ideal(8.0, 4), 0.0});
   jobs.push_back({ideal(8.0, 4), 0.1});  // arrives while batch 1 runs
-  const auto result = online_batch_schedule(4, jobs, demt_offline());
+  const auto result = gate::run_online(4, jobs, kDemt);
   EXPECT_EQ(result.num_batches, 2);
   // Job 1 cannot start before batch 0 completes.
-  EXPECT_GE(result.schedule.placement(1).start,
-            result.schedule.placement(0).finish() - 1e-9);
+  EXPECT_GE(result.schedule.start[1], result.schedule.finish(0) - 1e-9);
 }
 
 TEST(Online, RespectsReleaseDates) {
   std::vector<OnlineJob> jobs;
   jobs.push_back({ideal(2.0, 4), 0.0});
   jobs.push_back({ideal(2.0, 4), 100.0});
-  const auto result = online_batch_schedule(4, jobs, demt_offline());
-  EXPECT_GE(result.schedule.placement(1).start, 100.0 - 1e-9);
+  const auto result = gate::run_online(4, jobs, kDemt);
+  EXPECT_GE(result.schedule.start[1], 100.0 - 1e-9);
   EXPECT_DOUBLE_EQ(result.flow[1], result.completion[1] - 100.0);
 }
 
@@ -68,7 +70,7 @@ TEST(Online, ScheduleIsGloballyFeasible) {
     releases.push_back(release);
     release += rng.uniform(0.0, 2.0);
   }
-  const auto result = online_batch_schedule(8, jobs, demt_offline());
+  const auto result = gate::run_online(8, jobs, kDemt);
   ValidationOptions options;
   options.releases = releases;
   const auto report = validate_schedule(result.schedule, reference, options);
@@ -82,7 +84,7 @@ TEST(Online, BatchStartsAreMonotone) {
     Instance tmp = generate_instance(WorkloadFamily::HighlyParallel, 1, 4, rng);
     jobs.push_back({tmp.task(0), static_cast<double>(i)});
   }
-  const auto result = online_batch_schedule(4, jobs, demt_offline());
+  const auto result = gate::run_online(4, jobs, kDemt);
   for (std::size_t b = 1; b < result.batch_starts.size(); ++b) {
     EXPECT_GT(result.batch_starts[b], result.batch_starts[b - 1]);
   }
@@ -91,8 +93,7 @@ TEST(Online, BatchStartsAreMonotone) {
 TEST(Online, WorksWithBaselineSchedulers) {
   std::vector<OnlineJob> jobs;
   for (int i = 0; i < 6; ++i) jobs.push_back({ideal(3.0, 4), 0.5 * i});
-  const auto result = online_batch_schedule(
-      4, jobs, [](const Instance& instance) { return gang_schedule(instance); });
+  const auto result = gate::run_online(4, jobs, LptRigidPolicy());
   EXPECT_GE(result.num_batches, 1);
   EXPECT_GT(result.weighted_flow_sum, 0.0);
 }
@@ -103,9 +104,8 @@ TEST(Online, ReservationShrinksTheMachine) {
   std::vector<OnlineJob> jobs;
   jobs.push_back({ideal(6.0, 4), 0.0});
   std::vector<NodeReservation> reservations = {{3, 0.0, 1e9}};
-  const auto result =
-      online_batch_schedule(4, jobs, demt_offline(), reservations);
-  for (int proc : result.schedule.placement(0).procs) {
+  const auto result = gate::run_online(4, jobs, kDemt, reservations);
+  for (int proc : gate::entry_procs(result.schedule, 0)) {
     EXPECT_NE(proc, 3);
   }
 }
@@ -114,9 +114,8 @@ TEST(Online, ReservationDelaysWhenMachineFullyBlocked) {
   std::vector<OnlineJob> jobs;
   jobs.push_back({ideal(2.0, 2), 0.0});
   std::vector<NodeReservation> reservations = {{0, 0.0, 5.0}, {1, 0.0, 5.0}};
-  const auto result =
-      online_batch_schedule(2, jobs, demt_offline(), reservations);
-  EXPECT_GE(result.schedule.placement(0).start, 5.0 - 1e-9);
+  const auto result = gate::run_online(2, jobs, kDemt, reservations);
+  EXPECT_GE(result.schedule.start[0], 5.0 - 1e-9);
 }
 
 TEST(Online, TwoRhoCompetitiveShape) {
@@ -133,7 +132,7 @@ TEST(Online, TwoRhoCompetitiveShape) {
     clairvoyant.add_task(tmp.task(0));
     release += rng.uniform(0.0, 0.5);
   }
-  const auto online = online_batch_schedule(8, jobs, demt_offline());
+  const auto online = gate::run_online(8, jobs, kDemt);
   const auto offline = demt_schedule(clairvoyant);
   // Off-line ignores releases, so add the last release to its horizon.
   const double reference = offline.schedule.cmax() + release;
@@ -141,19 +140,19 @@ TEST(Online, TwoRhoCompetitiveShape) {
 }
 
 TEST(Online, Validation) {
-  EXPECT_THROW(online_batch_schedule(0, {{ideal(1.0, 1), 0.0}}, demt_offline()),
+  EXPECT_THROW(gate::run_online(0, {{ideal(1.0, 1), 0.0}}, kDemt),
                std::invalid_argument);
-  EXPECT_THROW(online_batch_schedule(2, {}, demt_offline()),
+  EXPECT_THROW(gate::run_online(2, {}, kDemt),
                std::invalid_argument);
   EXPECT_THROW(
-      online_batch_schedule(2, {{ideal(1.0, 2), -1.0}}, demt_offline()),
+      gate::run_online(2, {{ideal(1.0, 2), -1.0}}, kDemt),
       std::invalid_argument);
-  EXPECT_THROW(online_batch_schedule(2, {{ideal(1.0, 2), 0.0}}, demt_offline(),
+  EXPECT_THROW(gate::run_online(2, {{ideal(1.0, 2), 0.0}}, kDemt,
                                      {{5, 0.0, 1.0}}),
                std::invalid_argument);
   // Non-finite releases are rejected by the simulator's own input check
   // (an infinite one would open a batch at t = inf; a NaN one is a sort key
-  // without a strict weak order), on the object path and the reference.
+  // without a strict weak order), on the flat core and the reference.
   for (const double release : {std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::quiet_NaN()}) {
     std::vector<OnlineJob> jobs;
@@ -171,7 +170,7 @@ TEST(Online, Validation) {
       }
     };
     expect_rejected(
-        [&] { return online_batch_schedule(4, jobs, demt_offline()); });
+        [&] { return gate::run_online(4, jobs, kDemt); });
     expect_rejected([&] {
       return online_batch_schedule_reference(4, jobs, demt_offline());
     });

@@ -1,14 +1,16 @@
-/// The flat on-line path's regression contract: the workspace-based core
-/// must reproduce the pre-refactor object path bit-for-bit — every
-/// placement, every metric, every batch boundary — on generated workloads,
-/// with and without reservations, for every off-line plug-in. Also covers
-/// the flat event-simulator core against the Schedule-based wrapper.
+/// The on-line batch framework's regression contract: the workspace-based
+/// core must reproduce the pre-refactor Schedule-per-batch oracle
+/// bit-for-bit — every placement, every metric, every batch boundary — on
+/// generated workloads, with and without reservations, for DEMT and a
+/// baseline policy. Also covers the event simulator's workspace reuse and
+/// its reading of shared processor ranges.
 
 #include <gtest/gtest.h>
 
-#include "baselines/baselines.hpp"
+#include "baselines/lpt_policy.hpp"
 #include "core/demt.hpp"
 #include "engine/engine.hpp"
+#include "gate_workloads.hpp"
 #include "reference/event_sim.hpp"
 #include "reference/online_reference.hpp"
 #include "sched/validator.hpp"
@@ -19,9 +21,15 @@
 namespace moldsched {
 namespace {
 
-OfflineScheduler demt_offline() {
-  return [](const Instance& instance) {
-    return demt_schedule(instance).schedule;
+const DemtPolicy kDemt;
+
+/// `policy` as the oracle's off-line plug-in (a fresh workspace per call).
+OfflineScheduler offline_of(const SchedulingPolicy& policy) {
+  return [&policy](const Instance& instance) {
+    const auto ws = policy.make_workspace();
+    FlatPlacements out;
+    policy.schedule_into(instance, *ws, out);
+    return out;
   };
 }
 
@@ -37,15 +45,17 @@ std::vector<OnlineJob> make_stream(WorkloadFamily family, int count, int m,
   return jobs;
 }
 
-void expect_bit_identical(const OnlineResult& flat,
+void expect_bit_identical(const FlatOnlineResult& flat,
                           const OnlineResult& reference) {
-  ASSERT_EQ(flat.schedule.num_tasks(), reference.schedule.num_tasks());
-  for (int t = 0; t < flat.schedule.num_tasks(); ++t) {
-    const Placement& pf = flat.schedule.placement(t);
+  ASSERT_EQ(flat.schedule.size(), reference.schedule.num_tasks());
+  for (int t = 0; t < flat.schedule.size(); ++t) {
     const Placement& pr = reference.schedule.placement(t);
-    EXPECT_EQ(pf.start, pr.start) << "job " << t;
-    EXPECT_EQ(pf.duration, pr.duration) << "job " << t;
-    EXPECT_EQ(pf.procs, pr.procs) << "job " << t;
+    EXPECT_EQ(flat.schedule.start[static_cast<std::size_t>(t)], pr.start)
+        << "job " << t;
+    EXPECT_EQ(flat.schedule.duration[static_cast<std::size_t>(t)],
+              pr.duration)
+        << "job " << t;
+    EXPECT_EQ(gate::entry_procs(flat.schedule, t), pr.procs) << "job " << t;
   }
   EXPECT_EQ(flat.completion, reference.completion);
   EXPECT_EQ(flat.flow, reference.flow);
@@ -61,9 +71,9 @@ TEST(OnlineFlat, MatchesReferenceOnGeneratedWorkloads) {
   for (auto family : {WorkloadFamily::Cirne, WorkloadFamily::Mixed,
                       WorkloadFamily::HighlyParallel}) {
     const auto jobs = make_stream(family, 18, 8, 1.5, rng);
-    const auto flat = online_batch_schedule(8, jobs, demt_offline());
+    const auto flat = gate::run_online(8, jobs, kDemt);
     const auto reference =
-        online_batch_schedule_reference(8, jobs, demt_offline());
+        online_batch_schedule_reference(8, jobs, offline_of(kDemt));
     expect_bit_identical(flat, reference);
   }
 }
@@ -74,20 +84,19 @@ TEST(OnlineFlat, MatchesReferenceWithReservations) {
   const std::vector<NodeReservation> reservations = {
       {0, 2.0, 6.0}, {1, 2.0, 6.0}, {7, 0.0, 3.0}};
   const auto flat =
-      online_batch_schedule(8, jobs, demt_offline(), reservations);
+      gate::run_online(8, jobs, kDemt, reservations);
   const auto reference =
-      online_batch_schedule_reference(8, jobs, demt_offline(), reservations);
+      online_batch_schedule_reference(8, jobs, offline_of(kDemt), reservations);
   expect_bit_identical(flat, reference);
 }
 
 TEST(OnlineFlat, MatchesReferenceWithBaselineScheduler) {
   Rng rng(7);
   const auto jobs = make_stream(WorkloadFamily::WeaklyParallel, 12, 6, 0.8, rng);
-  const OfflineScheduler gang = [](const Instance& instance) {
-    return gang_schedule(instance);
-  };
-  expect_bit_identical(online_batch_schedule(6, jobs, gang),
-                       online_batch_schedule_reference(6, jobs, gang));
+  const LptRigidPolicy lpt;
+  expect_bit_identical(
+      gate::run_online(6, jobs, lpt),
+      online_batch_schedule_reference(6, jobs, offline_of(lpt)));
 }
 
 TEST(OnlineFlat, WorkspaceReuseIsStateless) {
@@ -104,7 +113,7 @@ TEST(OnlineFlat, WorkspaceReuseIsStateless) {
   const double cmax_a = out.cmax;
   const double wc_a = out.weighted_completion_sum;
   online_batch_schedule_into(8, jobs_b, policy, *policy_ws, {}, ws, out);
-  const auto fresh_b = online_batch_schedule(8, jobs_b, demt_offline());
+  const auto fresh_b = gate::run_online(8, jobs_b, kDemt);
   EXPECT_EQ(out.cmax, fresh_b.cmax);
   EXPECT_EQ(out.weighted_completion_sum, fresh_b.weighted_completion_sum);
   EXPECT_EQ(out.num_batches, fresh_b.num_batches);
@@ -130,7 +139,7 @@ TEST(OnlineFlat, FlatListOfflinePluginYieldsFeasibleSchedule) {
     options.releases.push_back(job.release);
   }
   const auto report =
-      validate_schedule(out.schedule.to_schedule(m), reference, options);
+      validate_schedule(out.schedule, reference, options);
   EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors[0]);
   EXPECT_GT(out.num_batches, 0);
 }
@@ -146,46 +155,46 @@ TEST(OnlineFlat, FixpointBudgetSurvivesTimeJumpThenReblock) {
   const std::vector<NodeReservation> reservations = {{0, 0.0, 10.0},
                                                      {0, 9.0, 20.0}};
   const auto flat =
-      online_batch_schedule(1, jobs, demt_offline(), reservations);
-  EXPECT_GE(flat.schedule.placement(0).start, 20.0 - 1e-9);
+      gate::run_online(1, jobs, kDemt, reservations);
+  EXPECT_GE(flat.schedule.start[0], 20.0 - 1e-9);
   const auto reference =
-      online_batch_schedule_reference(1, jobs, demt_offline(), reservations);
+      online_batch_schedule_reference(1, jobs, offline_of(kDemt), reservations);
   expect_bit_identical(flat, reference);
 }
 
 TEST(OnlineFlat, ThrowsLikeTheReference) {
   const MoldableTask task({1.0}, 1.0);
   EXPECT_THROW(
-      online_batch_schedule(2, {}, demt_offline()), std::invalid_argument);
-  EXPECT_THROW(online_batch_schedule(2, {{task, -1.0}}, demt_offline()),
+      gate::run_online(2, {}, kDemt), std::invalid_argument);
+  EXPECT_THROW(gate::run_online(2, {{task, -1.0}}, kDemt),
                std::invalid_argument);
-  EXPECT_THROW(online_batch_schedule(2, {{task, 0.0}}, demt_offline(),
+  EXPECT_THROW(gate::run_online(2, {{task, 0.0}}, kDemt,
                                      {{5, 0.0, 1.0}}),
                std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- event sim
 
-TEST(EventSimFlat, FlatCoreMatchesScheduleWrapper) {
+TEST(EventSimFlat, SharedStackRangesMatchOneRangePerTask) {
+  // DEMT's merged stacks share one processor range; the same schedule
+  // with one range per task must simulate identically.
   Rng rng(64);
   for (auto family : {WorkloadFamily::Mixed, WorkloadFamily::Cirne}) {
     const Instance instance = generate_instance(family, 40, 12, rng);
     const auto result = demt_schedule(instance);
-    const SimResult via_schedule =
-        simulate_execution(result.schedule, instance);
+    const SimResult shared = simulate_execution(result.schedule, instance);
+    const SimResult per_task = simulate_execution(
+        to_flat(to_schedule(result.schedule, instance.procs())), instance);
 
-    FlatPlacements flat;
-    flat.assign_from(result.schedule);
-    const SimResult via_flat = simulate_execution(flat, instance);
-
-    EXPECT_EQ(via_flat.ok, via_schedule.ok);
-    EXPECT_EQ(via_flat.completion, via_schedule.completion);
-    EXPECT_EQ(via_flat.cmax, via_schedule.cmax);
-    EXPECT_EQ(via_flat.weighted_completion_sum,
-              via_schedule.weighted_completion_sum);
-    EXPECT_EQ(via_flat.busy_area, via_schedule.busy_area);
-    EXPECT_EQ(via_flat.utilisation, via_schedule.utilisation);
-    EXPECT_EQ(via_flat.events, via_schedule.events);
+    EXPECT_TRUE(shared.ok);
+    EXPECT_EQ(shared.ok, per_task.ok);
+    EXPECT_EQ(shared.completion, per_task.completion);
+    EXPECT_EQ(shared.cmax, per_task.cmax);
+    EXPECT_EQ(shared.weighted_completion_sum,
+              per_task.weighted_completion_sum);
+    EXPECT_EQ(shared.busy_area, per_task.busy_area);
+    EXPECT_EQ(shared.utilisation, per_task.utilisation);
+    EXPECT_EQ(shared.events, per_task.events);
   }
 }
 
@@ -197,8 +206,7 @@ TEST(EventSimFlat, WorkspaceReuseAcrossRuns) {
     const Instance instance =
         generate_instance(WorkloadFamily::HighlyParallel, 20, 8, rng);
     const auto result = demt_schedule(instance);
-    ws.bridge.assign_from(result.schedule);
-    simulate_execution(ws.bridge, instance, ws, out);
+    simulate_execution(result.schedule, instance, ws, out);
     EXPECT_TRUE(out.ok);
     EXPECT_EQ(out.cmax, result.schedule.cmax());
   }

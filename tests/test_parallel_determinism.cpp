@@ -7,6 +7,7 @@
 
 #include "core/demt.hpp"
 #include "dualapprox/cmax_estimator.hpp"
+#include "gate_workloads.hpp"
 #include "reference/allotment_table_reference.hpp"
 #include "reference/dual_test_reference.hpp"
 #include "sched/validator.hpp"
@@ -16,17 +17,6 @@
 
 namespace moldsched {
 namespace {
-
-void expect_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    const Placement& pa = a.placement(t);
-    const Placement& pb = b.placement(t);
-    EXPECT_EQ(pa.start, pb.start) << "task " << t;
-    EXPECT_EQ(pa.duration, pb.duration) << "task " << t;
-    EXPECT_EQ(pa.procs, pb.procs) << "task " << t;
-  }
-}
 
 TEST(ParallelDeterminism, ShuffleBatchOrderModeIsAlsoDeterministic) {
   // Shuffled batch order under a loose makespan budget: a workspace warmed
@@ -48,7 +38,7 @@ TEST(ParallelDeterminism, ShuffleBatchOrderModeIsAlsoDeterministic) {
   DemtDiagnostics diag;
   demt_schedule_into(warmup, options, ws, out, diag);
   demt_schedule_into(instance, options, ws, out, diag);
-  expect_identical(out.to_schedule(instance.procs()), base.schedule);
+  gate::expect_identical_placements(out, base.schedule);
   EXPECT_EQ(diag.shuffle_improvements, base.diag.shuffle_improvements);
 }
 

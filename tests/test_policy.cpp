@@ -373,8 +373,7 @@ TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {
   const auto results = engine.schedule_batch(requests);
   ASSERT_EQ(results.size(), instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    require_valid(results[i].schedule.to_schedule(instances[i].procs()),
-                  instances[i]);
+    require_valid(results[i].schedule, instances[i]);
     lpt.schedule_into(instances[i], *workspace, direct);
     EXPECT_EQ(results[i].cmax, direct.cmax());
     EXPECT_EQ(results[i].weighted_completion_sum,

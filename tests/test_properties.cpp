@@ -45,7 +45,7 @@ TEST_P(AllAlgorithmsSweep, SchedulesAreFeasibleAndDominateBounds) {
   ASSERT_GT(minsum_lb.bound, 0.0);
 
   for (const auto& algorithm : standard_algorithms()) {
-    const Schedule schedule = algorithm.run(instance);
+    const FlatPlacements schedule = algorithm.run(instance);
     // Static feasibility.
     const auto report = validate_schedule(schedule, instance);
     ASSERT_TRUE(report.ok) << algorithm.name << ": " << report.errors[0];

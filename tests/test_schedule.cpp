@@ -1,4 +1,4 @@
-#include "sched/schedule.hpp"
+#include "reference/schedule.hpp"
 
 #include <gtest/gtest.h>
 
@@ -80,12 +80,29 @@ TEST(Schedule, WeightedSumRejectsSizeMismatch) {
   const Instance instance = two_task_instance();
   Schedule schedule(3, 1);
   schedule.place(0, 0.0, 4.0, {0});
-  EXPECT_THROW(schedule.weighted_completion_sum(instance), std::logic_error);
+  EXPECT_THROW((void)schedule.weighted_completion_sum(instance),
+               std::logic_error);
 }
 
 TEST(Schedule, ConstructorValidation) {
   EXPECT_THROW(Schedule(0, 1), std::invalid_argument);
   EXPECT_THROW(Schedule(1, -1), std::invalid_argument);
+}
+
+TEST(Schedule, ConvertersRoundTrip) {
+  Schedule schedule(4, 3);
+  schedule.place(0, 0.0, 2.0, {2, 3});
+  schedule.place(2, 2.0, 1.5, {0});
+  const FlatPlacements flat = to_flat(schedule);
+  ASSERT_EQ(flat.size(), 3);
+  EXPECT_FALSE(flat.assigned(1));
+  EXPECT_EQ(flat.proc_ids, (std::vector<int>{2, 3, 0}));
+  EXPECT_EQ(flat.cmax(), 3.5);
+  const Schedule back = to_schedule(flat, 4);
+  EXPECT_FALSE(back.assigned(1));
+  EXPECT_EQ(back.placement(0).procs, schedule.placement(0).procs);
+  EXPECT_EQ(back.placement(2).start, 2.0);
+  EXPECT_THROW((void)to_schedule(flat, 2), std::invalid_argument);  // id 3
 }
 
 TEST(Schedule, EmptyScheduleCmax) {

@@ -5,8 +5,10 @@
 
 #include "baselines/baselines.hpp"
 #include "core/demt.hpp"
+#include "gate_workloads.hpp"
 #include "lp/minsum_bound.hpp"
 #include "lp/simplex.hpp"
+#include "sched/validator.hpp"
 #include "sim/online.hpp"
 #include "workloads/generators.hpp"
 
@@ -93,16 +95,14 @@ TEST(SolverRobustness, OnlineMetricSumsAreConsistent) {
     jobs.push_back({tmp.task(0), release});
     release += rng.uniform(0.0, 1.5);
   }
-  const auto result = online_batch_schedule(
-      8, jobs,
-      [](const Instance& instance) { return demt_schedule(instance).schedule; });
+  const auto result = gate::run_online(8, jobs, DemtPolicy());
   double wc = 0.0, wf = 0.0, cmax = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     wc += jobs[j].task.weight() * result.completion[j];
     wf += jobs[j].task.weight() * result.flow[j];
     cmax = std::max(cmax, result.completion[j]);
     EXPECT_NEAR(result.completion[j],
-                result.schedule.placement(static_cast<int>(j)).finish(), 1e-9);
+                result.schedule.finish(static_cast<int>(j)), 1e-9);
     EXPECT_GE(result.flow[j], 0.0);
   }
   EXPECT_NEAR(result.weighted_completion_sum, wc, 1e-6);
@@ -115,9 +115,9 @@ TEST(SolverRobustness, ListGrahamCustomEps) {
   const Instance instance =
       generate_instance(WorkloadFamily::HighlyParallel, 20, 8, rng);
   // A very coarse dual search still yields a valid schedule.
-  const Schedule schedule =
+  const FlatPlacements schedule =
       list_graham_schedule(instance, ListOrder::ShelfOrder, /*dual_eps=*/0.5);
-  EXPECT_TRUE(schedule.complete());
+  require_valid(schedule, instance);
 }
 
 TEST(SolverRobustness, LpBoundScalesLinearlyWithMachineSize) {

@@ -119,8 +119,8 @@ TEST(Downey, SpeedupNeverExceedsAllotmentOrA) {
 }
 
 TEST(Downey, Validation) {
-  EXPECT_THROW(downey_speedup(1.0, 0.5, 0.5), std::invalid_argument);
-  EXPECT_THROW(downey_speedup(1.0, 2.0, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)downey_speedup(1.0, 0.5, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)downey_speedup(1.0, 2.0, -0.1), std::invalid_argument);
 }
 
 TEST(DowneyTimes, ConvertsSpeedupToTimes) {

@@ -115,9 +115,9 @@ TEST(Quantile, Interpolates) {
 }
 
 TEST(Quantile, Validation) {
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile({1.0}, -0.1), std::invalid_argument);
-  EXPECT_THROW(quantile({1.0}, 1.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({1.0}, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile({1.0}, 1.1), std::invalid_argument);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/policy.hpp"
+#include "gate_workloads.hpp"
 #include "reference/online_reference.hpp"
 #include "serve/async_scheduler.hpp"
 #include "sim/divisible.hpp"
@@ -45,7 +46,7 @@ OfflineScheduler object_offline() {
     ListPassWorkspace list;
     FlatPlacements out;
     flat_list_schedule(batch, list, out);
-    return out.to_schedule(batch.procs());
+    return out;
   };
 }
 
@@ -185,10 +186,9 @@ TEST(OnlineStream, DivisibleSingleBatchMatchesOfflineFill) {
   for (auto& job : jobs) job.release = 0.0;
   const std::vector<DivisibleJob> filler = {{4.0, 2.0}, {2.5, 1.0}, {6.0, 0.5}};
 
-  const auto offline_result =
-      online_batch_schedule(m, jobs, object_offline());
+  const auto offline_result = gate::run_online(m, jobs, kFlatList);
   const auto offline_fill = fill_idle_with_divisible(
-      offline_result.schedule, filler, offline_result.cmax);
+      offline_result.schedule, m, filler, offline_result.cmax);
 
   OnlineStream stream;
   stream.open(m, {});
@@ -458,11 +458,9 @@ TEST(DivisibleFlat, WorkspaceReuseMatchesFreshRuns) {
                                   rng.uniform(0.5, 2.0)});
     }
     const double horizon = demt.schedule.cmax() * 1.2;
-    const auto fresh =
-        fill_idle_with_divisible(demt.schedule, jobs, horizon);
-    FlatPlacements flat;
-    flat.assign_from(demt.schedule);
-    fill_idle_with_divisible_into(flat, instance.procs(), jobs.data(),
+    const auto fresh = fill_idle_with_divisible(
+        demt.schedule, instance.procs(), jobs, horizon);
+    fill_idle_with_divisible_into(demt.schedule, instance.procs(), jobs.data(),
                                   jobs.size(), horizon, ws, pooled);
     ASSERT_EQ(pooled.chunks.size(), fresh.chunks.size());
     for (std::size_t c = 0; c < fresh.chunks.size(); ++c) {

@@ -46,7 +46,7 @@ OfflineScheduler object_offline() {
     ListPassWorkspace list;
     FlatPlacements out;
     flat_list_schedule(batch, list, out);
-    return out.to_schedule(batch.procs());
+    return out;
   };
 }
 

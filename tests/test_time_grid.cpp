@@ -72,7 +72,7 @@ TEST(TimeGrid, Validation) {
   EXPECT_THROW(TimeGrid(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(TimeGrid(-1.0, 1.0), std::invalid_argument);
   TimeGrid grid(4.0, 1.0);
-  EXPECT_THROW(grid.t(-1), std::invalid_argument);
+  EXPECT_THROW((void)grid.t(-1), std::invalid_argument);
 }
 
 TEST(TimeGrid, NonFiniteRatioThrows) {

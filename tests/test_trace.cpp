@@ -453,7 +453,7 @@ TEST(Trace, ChunkedReplayMatchesTheOfflineSimulator) {
         ListPassWorkspace list;
         FlatPlacements out;
         flat_list_schedule(batch, list, out);
-        return out.to_schedule(batch.procs());
+        return out;
       });
 
   const FlatListPolicy policy;
@@ -524,7 +524,7 @@ TEST(Trace, MiniTraceReplayEveryPolicyAndPathMatchesTheOfflineSimulator) {
         tape.m, jobs, [&](const Instance& batch) {
           FlatPlacements out;
           policy->schedule_into(batch, *oracle_ws, out);
-          return out.to_schedule(batch.procs());
+          return out;
         });
 
     {

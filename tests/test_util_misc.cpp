@@ -98,7 +98,7 @@ TEST(Timer, MeasuresElapsedTime) {
   WallTimer timer;
   // Busy-wait a tiny amount.
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.seconds(), 0.0);
   timer.reset();
   EXPECT_LT(timer.seconds(), 1.0);
