@@ -6,7 +6,7 @@
 /// tickets and retires results as they finish — including explicit
 /// Rejected handling when the arrival rate overruns the admission bound.
 ///
-/// The server runs two priority lanes (serve/admission.hpp): an
+/// The server runs two priority lanes (AsyncOptions::lanes): an
 /// "interactive" lane (weight 3) serving the cheap FlatListPolicy and a
 /// "batch" lane (weight 1, its own small in-flight bound) serving the full
 /// DemtPolicy — the weighted-fair pop keeps interactive latency low while
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/policy.hpp"
-#include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
   batch.name = "batch";
   batch.weight = 1;
   batch.queue_capacity = 8;
-  const WeightedLanesAdmission admission({interactive, batch});
   constexpr int kInteractiveLane = 0;
   constexpr int kBatchLane = 1;
 
@@ -83,7 +81,7 @@ int main(int argc, char** argv) {
   options.flush_after_ms = args.get_double("flush-ms", 0.5);
   options.queue_capacity = static_cast<int>(args.get_int("capacity", 32));
   options.keep_schedules = false;  // metrics-only serving
-  options.admission = &admission;
+  options.lanes = {interactive, batch};
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   const std::vector<WorkloadFamily> families = {

@@ -19,6 +19,11 @@ void SchedulingPolicy::check_output(const Instance& batch,
   const auto fail = [&](const char* what) {
     throw std::logic_error(std::string("policy '") + name() + "' " + what);
   };
+  const std::size_t size = out.start.size();
+  if (out.duration.size() != size || out.proc_begin.size() != size ||
+      out.proc_count.size() != size) {
+    fail("returned placement arrays of unequal lengths");
+  }
   if (out.size() != batch.num_tasks()) {
     fail("returned a placement count other than the batch's task count");
   }

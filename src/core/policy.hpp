@@ -92,9 +92,10 @@ class SchedulingPolicy {
                              FlatPlacements& out) const = 0;
 
   /// Reject a malformed schedule_into output before a caller indexes with
-  /// it: throws std::logic_error naming this policy unless `out` has one
-  /// assigned entry per task of `batch`, every processor range lies inside
-  /// the id pool, and every id lies in [0, batch.procs()). The on-line
+  /// it: throws std::logic_error naming this policy unless `out`'s arrays
+  /// have equal lengths, it has one assigned entry per task of `batch`,
+  /// every processor range lies inside the id pool, and every id lies in
+  /// [0, batch.procs()). The on-line
   /// simulator and the engine run it after every fresh call.
   void check_output(const Instance& batch, const FlatPlacements& out) const;
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/online.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/thread_pool.hpp"
 
@@ -72,11 +73,17 @@ AsyncOptions validated(AsyncOptions options) {
   check_ms(options.flush_after_ms, "flush_after_ms");
   check_ms(options.watchdog_ms, "watchdog_ms");
   check_ms(options.retry.base_backoff_ms, "retry.base_backoff_ms");
+  if (options.lanes.empty()) options.lanes.emplace_back();  // one FIFO lane
+  for (const auto& lane : options.lanes) {
+    if (lane.weight < 1) {
+      throw std::invalid_argument("AsyncScheduler: lane weight < 1");
+    }
+  }
   return options;
 }
 
-/// Admission-time checks of a one-shot request (before any classifier or
-/// shard sees it); throws std::invalid_argument.
+/// Admission-time checks of a one-shot request (before any shard sees
+/// it); throws std::invalid_argument.
 void validate_request(const EngineRequest& request) {
   if (request.instance == nullptr) {
     throw std::invalid_argument("AsyncScheduler: request without instance");
@@ -96,28 +103,9 @@ void validate_stream_config(const StreamConfig& config) {
     throw std::invalid_argument("AsyncScheduler: stream m < 1");
   }
   if (config.reservations != nullptr) {
-    for (const auto& r : *config.reservations) {
-      if (r.proc < 0 || r.proc >= config.m || !(r.finish > r.start)) {
-        throw std::invalid_argument("AsyncScheduler: bad stream reservation");
-      }
-    }
+    validate_reservations(config.m, *config.reservations,
+                          "AsyncScheduler: bad stream reservation");
   }
-}
-
-/// Copy (and validate) the admission policy's lane table; no policy means
-/// FifoAdmission — one unbounded FIFO lane, the pre-policy behaviour.
-std::vector<LaneSpec> validated_lanes(const AdmissionPolicy* admission) {
-  std::vector<LaneSpec> lanes =
-      admission != nullptr ? admission->lanes() : FifoAdmission{}.lanes();
-  if (lanes.empty()) {
-    throw std::invalid_argument("AsyncScheduler: admission policy has no lanes");
-  }
-  for (const auto& lane : lanes) {
-    if (lane.weight < 1) {
-      throw std::invalid_argument("AsyncScheduler: lane weight < 1");
-    }
-  }
-  return lanes;
 }
 
 /// What a slot carries: a one-shot engine request, one stream feed, or a
@@ -209,14 +197,14 @@ struct AsyncScheduler::Impl {
   /// per-strand workspaces) + reusable batch-assembly buffers. The shard
   /// itself is the PostedTask so dispatching it allocates nothing.
   struct Shard : ThreadPool::PostedTask {
-    Shard(Impl& owner, const AsyncOptions& options, std::size_t num_lanes)
+    Shard(Impl& owner, const AsyncOptions& options)
         : impl(&owner),
           engine(EngineOptions{1, options.keep_schedules, options.cache}) {
       // One pre-allocated ring per admission lane: FIFO within a lane,
       // weighted-fair pop across lanes. Each ring can hold every slot
       // (admission bounds the total), so a push can only fail transiently.
-      pending.reserve(num_lanes);
-      for (std::size_t l = 0; l < num_lanes; ++l) {
+      pending.reserve(options.lanes.size());
+      for (std::size_t l = 0; l < options.lanes.size(); ++l) {
         pending.push_back(std::make_unique<MpmcQueue<std::uint32_t>>(
             static_cast<std::size_t>(options.queue_capacity)));
       }
@@ -250,9 +238,6 @@ struct AsyncScheduler::Impl {
     /// Liveness signal for the watchdog, refreshed by the strand between
     /// batches; stalls show as a stale value while strand_state is running.
     std::atomic<std::int64_t> heartbeat_ns{0};
-    /// Non-empty drain iterations served — the fault oracle's batch index.
-    /// Strand-only.
-    std::uint64_t batch_counter = 0;
     SchedulerEngine engine;
     std::vector<std::uint32_t> batch_slots;
     std::vector<EngineRequest> batch_requests;
@@ -271,8 +256,6 @@ struct AsyncScheduler::Impl {
 
   explicit Impl(const AsyncOptions& validated_options)
       : options(validated_options),
-        lanes(validated_lanes(options.admission)),
-        injector(options.faults),  // validates the plan (throws)
         slots(static_cast<std::size_t>(options.queue_capacity)),
         free_slots(static_cast<std::size_t>(options.queue_capacity)),
         streams(static_cast<std::size_t>(options.max_streams)),
@@ -280,22 +263,19 @@ struct AsyncScheduler::Impl {
     // Weighted-fair pop quotas: per round-robin round, lane l pops up to
     // floor(max_batch * w_l / W) slots (at least 1 so a starving weight
     // cannot round to zero service).
+    const std::size_t num_lanes = options.lanes.size();
     int total_weight = 0;
-    for (const auto& lane : lanes) total_weight += lane.weight;
-    lane_quota.resize(lanes.size());
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
+    for (const auto& lane : options.lanes) total_weight += lane.weight;
+    lane_quota.resize(num_lanes);
+    for (std::size_t l = 0; l < num_lanes; ++l) {
       lane_quota[l] = std::max(
-          1, options.max_batch * lanes[l].weight / total_weight);
+          1, options.max_batch * options.lanes[l].weight / total_weight);
     }
-    lane_in_flight =
-        std::make_unique<std::atomic<std::int64_t>[]>(lanes.size());
-    lane_submitted =
-        std::make_unique<std::atomic<std::uint64_t>[]>(lanes.size());
-    lane_rejected =
-        std::make_unique<std::atomic<std::uint64_t>[]>(lanes.size());
-    lane_completed =
-        std::make_unique<std::atomic<std::uint64_t>[]>(lanes.size());
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
+    lane_in_flight = std::make_unique<std::atomic<std::int64_t>[]>(num_lanes);
+    lane_submitted = std::make_unique<std::atomic<std::uint64_t>[]>(num_lanes);
+    lane_rejected = std::make_unique<std::atomic<std::uint64_t>[]>(num_lanes);
+    lane_completed = std::make_unique<std::atomic<std::uint64_t>[]>(num_lanes);
+    for (std::size_t l = 0; l < num_lanes; ++l) {
       lane_in_flight[l].store(0, std::memory_order_relaxed);
       lane_submitted[l].store(0, std::memory_order_relaxed);
       lane_rejected[l].store(0, std::memory_order_relaxed);
@@ -318,7 +298,7 @@ struct AsyncScheduler::Impl {
     }
     shards.reserve(static_cast<std::size_t>(options.shards));
     for (int s = 0; s < options.shards; ++s) {
-      shards.push_back(std::make_unique<Shard>(*this, options, lanes.size()));
+      shards.push_back(std::make_unique<Shard>(*this, options));
       shards.back()->index = static_cast<std::uint32_t>(s);
     }
     // Retried slots park here between attempts; pre-sized so even the
@@ -516,11 +496,10 @@ struct AsyncScheduler::Impl {
 
   /// Full failover, on the failed shard's own strand (the only owner of
   /// its streams' sessions): re-pin every stream still pinned here, then
-  /// forward `popped` (claimed but unserved) and everything in the rings
-  /// to survivors. Re-entrant — a failed shard's strand stays a forwarder
-  /// for slots routed to it by stale entry.shard reads.
-  void strand_failover(Shard& shard, const std::uint32_t* popped,
-                       std::size_t popped_count) {
+  /// forward everything in the rings to survivors. Re-entrant — a failed
+  /// shard's strand stays a forwarder for slots routed to it by stale
+  /// entry.shard reads.
+  void strand_failover(Shard& shard) {
     std::unique_lock orphan_lock(shard.orphan_mutex);
     // Closes the watchdog failed while their entries were pinned here:
     // free the entries first (so they are not re-pinned below) and drop
@@ -568,7 +547,6 @@ struct AsyncScheduler::Impl {
         fail_stream_slot(slot_index, /*release_entry=*/true);
       }
     };
-    for (std::size_t i = 0; i < popped_count; ++i) forward(popped[i]);
     std::uint32_t index = 0;
     for (auto& ring : shard.pending) {
       while (ring->try_pop(index)) {
@@ -638,11 +616,10 @@ struct AsyncScheduler::Impl {
   }
 
   /// Serve batch_slots[first, last) — all OneShot — as one engine batch.
-  /// `inject_throw` fails the whole segment as if the engine threw (the
-  /// FaultKind::EngineThrow path). Failed slots with retry budget left go
-  /// back to Pending through the retry queue instead of finalising.
+  /// Failed slots with retry budget left go back to Pending through the
+  /// retry queue instead of finalising.
   void run_one_shot_segment(Shard& shard, std::size_t first,
-                            std::size_t last, bool inject_throw) {
+                            std::size_t last) {
     const std::size_t count = last - first;
     if (shard.batch_requests.size() < count) {
       shard.batch_requests.resize(count);
@@ -654,27 +631,19 @@ struct AsyncScheduler::Impl {
       slot.status.store(TicketStatus::Running, std::memory_order_relaxed);
     }
     bool failed = false;
-    if (inject_throw) {
+    try {
+      shard.engine.schedule_batch_into(shard.batch_requests.data(), count,
+                                       shard.batch_results.data());
+    } catch (const std::exception& e) {
+      failed = true;
+      for (std::size_t i = 0; i < count; ++i) {
+        slots[shard.batch_slots[first + i]].error.assign(e.what());
+      }
+    } catch (...) {
       failed = true;
       for (std::size_t i = 0; i < count; ++i) {
         slots[shard.batch_slots[first + i]].error.assign(
-            "AsyncScheduler: injected fault: engine throw");
-      }
-    } else {
-      try {
-        shard.engine.schedule_batch_into(shard.batch_requests.data(), count,
-                                         shard.batch_results.data());
-      } catch (const std::exception& e) {
-        failed = true;
-        for (std::size_t i = 0; i < count; ++i) {
-          slots[shard.batch_slots[first + i]].error.assign(e.what());
-        }
-      } catch (...) {
-        failed = true;
-        for (std::size_t i = 0; i < count; ++i) {
-          slots[shard.batch_slots[first + i]].error.assign(
-              "AsyncScheduler: unknown engine error");
-        }
+            "AsyncScheduler: unknown engine error");
       }
     }
     const std::int64_t done = now_ns();
@@ -830,7 +799,7 @@ struct AsyncScheduler::Impl {
     if (shard.failed.load(std::memory_order_acquire)) {
       // A failed shard serves nothing: its strand forwards whatever is
       // (or later lands) in its rings to the survivors.
-      strand_failover(shard, nullptr, 0);
+      strand_failover(shard);
       return;
     }
     for (;;) {
@@ -868,26 +837,6 @@ struct AsyncScheduler::Impl {
         shard.first_pending_ns.store(0, std::memory_order_relaxed);
         return;
       }
-      // Fault decision for this non-empty iteration (one hash when chaos
-      // is on; the branch is dead when it is off).
-      FaultDecision fault{};
-      if (injector.enabled()) {
-        fault = injector.decide(static_cast<int>(shard.index),
-                                shard.batch_counter++);
-        if (fault.kind != FaultKind::None) {
-          stat_faults_injected.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (fault.kind == FaultKind::ShardDeath) {
-          if (try_declare_failed(shard)) {
-            // Die at the batch boundary: nothing popped here was served,
-            // so failover forwards it all — no request is lost.
-            strand_failover(shard, shard.batch_slots.data(),
-                            shard.batch_slots.size());
-            return;
-          }
-          fault = {};  // the last alive shard never dies
-        }
-      }
       // Cancellation and lane-deadline filter: popped one-shots flagged by
       // cancel() or older than their lane's max_queue_ms complete as
       // Cancelled here, at the single point where ring membership ends.
@@ -899,7 +848,7 @@ struct AsyncScheduler::Impl {
         const std::uint32_t slot_index = shard.batch_slots[i];
         Slot& slot = slots[slot_index];
         if (slot.kind == SlotKind::OneShot) {
-          const double max_q = lanes[slot.lane].max_queue_ms;
+          const double max_q = options.lanes[slot.lane].max_queue_ms;
           const bool drop_deadline =
               max_q > 0.0 &&
               static_cast<double>(filter_now - slot.submit_ns) > max_q * 1e6;
@@ -916,11 +865,6 @@ struct AsyncScheduler::Impl {
       }
       shard.batch_slots.resize(kept);
       if (cancelled > 0) publish_done(0, 0, cancelled);
-      if (fault.kind == FaultKind::SlowBatch && fault.stall_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(fault.stall_ms));
-      }
-      bool pending_throw = fault.kind == FaultKind::EngineThrow;
       const std::size_t count = shard.batch_slots.size();
       std::size_t i = 0;
       while (i < count) {
@@ -931,8 +875,7 @@ struct AsyncScheduler::Impl {
                  slots[shard.batch_slots[j]].kind == SlotKind::OneShot) {
             ++j;
           }
-          run_one_shot_segment(shard, i, j, pending_throw);
-          pending_throw = false;  // one segment absorbs the injected throw
+          run_one_shot_segment(shard, i, j);
           i = j;
         } else {
           run_stream_slot(shard, shard.batch_slots[i]);
@@ -942,7 +885,7 @@ struct AsyncScheduler::Impl {
       if (shard.failed.load(std::memory_order_acquire)) {
         // The watchdog declared us failed mid-batch (the batch itself
         // completed normally): migrate streams and forward the rest.
-        strand_failover(shard, nullptr, 0);
+        strand_failover(shard);
         return;
       }
     }
@@ -995,9 +938,9 @@ struct AsyncScheduler::Impl {
       if (watchdog_ns > 0) {
         for (auto& shard : shards) {
           if (shard->failed.load(std::memory_order_acquire)) {
-            // Already failed (death or an earlier tick): keep its rings
-            // empty while its strand is stuck — late-routed work must not
-            // wait for the stall to end.
+            // Failed on an earlier tick: keep its rings empty while its
+            // strand is stuck — late-routed work must not wait for the
+            // stall to end.
             if (shard->pending_count.load(std::memory_order_relaxed) > 0) {
               watchdog_requeue(*shard);
             }
@@ -1017,11 +960,11 @@ struct AsyncScheduler::Impl {
     }
   }
 
-  /// Clamp a caller- or classifier-chosen lane into the lane table.
+  /// Clamp a caller-chosen lane into the lane table.
   [[nodiscard]] std::uint32_t clamp_lane(int lane) const noexcept {
     if (lane < 0) return 0;
-    if (static_cast<std::size_t>(lane) >= lanes.size()) {
-      return static_cast<std::uint32_t>(lanes.size() - 1);
+    if (static_cast<std::size_t>(lane) >= options.lanes.size()) {
+      return static_cast<std::uint32_t>(options.lanes.size() - 1);
     }
     return static_cast<std::uint32_t>(lane);
   }
@@ -1031,7 +974,7 @@ struct AsyncScheduler::Impl {
   /// by take()/take_stream() (or immediately by the caller when a later
   /// admission step fails).
   [[nodiscard]] bool try_enter_lane(std::uint32_t lane) noexcept {
-    const int cap = lanes[lane].queue_capacity;
+    const int cap = options.lanes[lane].queue_capacity;
     const std::int64_t in_lane =
         lane_in_flight[lane].fetch_add(1, std::memory_order_relaxed) + 1;
     if (cap > 0 && in_lane > cap) {
@@ -1039,6 +982,31 @@ struct AsyncScheduler::Impl {
       return false;
     }
     return true;
+  }
+
+  /// The slot `ticket` names while the ticket still owns it; null for a
+  /// rejected ticket, one from another scheduler, or a taken one whose
+  /// slot has moved on.
+  [[nodiscard]] Slot* live_slot(const Ticket& ticket) noexcept {
+    if (!ticket.accepted() || ticket.slot >= slots.size()) return nullptr;
+    Slot& slot = slots[ticket.slot];
+    if (slot.ticket.load(std::memory_order_acquire) != ticket.id) {
+      return nullptr;
+    }
+    return &slot;
+  }
+
+  /// The take() tail: invalidate the slot's ticket, release its global and
+  /// lane in-flight tokens, and return it to admission.
+  void release_slot(std::uint32_t slot_index) noexcept {
+    Slot& slot = slots[slot_index];
+    slot.ticket.store(0, std::memory_order_relaxed);
+    slot.status.store(TicketStatus::Invalid, std::memory_order_release);
+    in_use_count.fetch_sub(1, std::memory_order_relaxed);
+    lane_in_flight[slot.lane].fetch_sub(1, std::memory_order_relaxed);
+    while (!free_slots.try_push(slot_index)) {
+      std::this_thread::yield();  // unreachable; table-bounded
+    }
   }
 
   /// Count one rejection against `lane` and hand back the tagged refusal.
@@ -1049,8 +1017,6 @@ struct AsyncScheduler::Impl {
   }
 
   AsyncOptions options;
-  std::vector<LaneSpec> lanes;  ///< copied from the admission policy
-  FaultInjector injector;       ///< deterministic chaos oracle (may be off)
   std::vector<int> lane_quota;  ///< weighted-fair pop quota per RR round
   std::unique_ptr<std::atomic<std::int64_t>[]> lane_in_flight;
   std::unique_ptr<std::atomic<std::uint64_t>[]> lane_submitted;
@@ -1089,7 +1055,6 @@ struct AsyncScheduler::Impl {
   std::atomic<std::uint64_t> stat_failed_over{0};
   std::atomic<std::uint64_t> stat_shards_failed{0};
   std::atomic<std::uint64_t> stat_streams_migrated{0};
-  std::atomic<std::uint64_t> stat_faults_injected{0};
   std::atomic<std::uint64_t> stat_spec_decided{0};
   std::atomic<std::uint64_t> stat_spec_committed{0};
   std::atomic<std::uint64_t> stat_spec_rolled_back{0};
@@ -1190,14 +1155,6 @@ AsyncScheduler::~AsyncScheduler() {
   }
 }
 
-Ticket AsyncScheduler::submit(const EngineRequest& request) {
-  const Impl& im = *impl_;
-  validate_request(request);
-  return submit(request, im.options.admission != nullptr
-                             ? im.options.admission->classify(request)
-                             : 0);
-}
-
 Ticket AsyncScheduler::submit(const EngineRequest& request, int lane) {
   Impl& im = *impl_;
   validate_request(request);
@@ -1221,20 +1178,11 @@ Ticket AsyncScheduler::submit(const EngineRequest& request, int lane) {
 }
 
 int AsyncScheduler::num_lanes() const noexcept {
-  return static_cast<int>(impl_->lanes.size());
+  return static_cast<int>(impl_->options.lanes.size());
 }
 
 const LaneSpec& AsyncScheduler::lane_spec(int lane) const {
-  return impl_->lanes.at(static_cast<std::size_t>(lane));
-}
-
-StreamTicket AsyncScheduler::open_stream(const StreamConfig& config) {
-  const Impl& im = *impl_;
-  validate_stream_config(config);
-  return open_stream(config,
-                     im.options.admission != nullptr
-                         ? im.options.admission->classify_stream(config)
-                         : 0);
+  return impl_->options.lanes.at(static_cast<std::size_t>(lane));
 }
 
 StreamTicket AsyncScheduler::open_stream(const StreamConfig& config,
@@ -1359,14 +1307,9 @@ Ticket AsyncScheduler::close_stream(const StreamTicket& stream) {
 
 TicketStatus AsyncScheduler::poll(const Ticket& ticket) const noexcept {
   if (!ticket.accepted()) return TicketStatus::Rejected;
-  if (ticket.slot >= impl_->slots.size()) {
-    return TicketStatus::Invalid;  // ticket from another scheduler
-  }
-  const Impl::Slot& slot = impl_->slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) {
-    return TicketStatus::Invalid;
-  }
-  return slot.status.load(std::memory_order_acquire);
+  const Impl::Slot* slot = impl_->live_slot(ticket);
+  return slot != nullptr ? slot->status.load(std::memory_order_acquire)
+                         : TicketStatus::Invalid;
 }
 
 TicketStatus AsyncScheduler::wait(const Ticket& ticket) {
@@ -1430,70 +1373,52 @@ TicketStatus AsyncScheduler::wait(const Ticket& ticket, double timeout_ms) {
 
 bool AsyncScheduler::cancel(const Ticket& ticket) {
   Impl& im = *impl_;
-  if (!ticket.accepted() || ticket.slot >= im.slots.size()) return false;
-  Impl::Slot& slot = im.slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) return false;
-  if (slot.kind != SlotKind::OneShot) return false;  // streams: tape safety
-  if (is_terminal(slot.status.load(std::memory_order_acquire))) return false;
+  Impl::Slot* slot = im.live_slot(ticket);
+  if (slot == nullptr) return false;
+  if (slot->kind != SlotKind::OneShot) return false;  // streams: tape safety
+  if (is_terminal(slot->status.load(std::memory_order_acquire))) return false;
   // Id-keyed request: a stale store onto a recycled slot can never match
   // the new owner's ticket, so this is race-free without a status CAS.
-  slot.cancel_ticket.store(ticket.id, std::memory_order_relaxed);
+  slot->cancel_ticket.store(ticket.id, std::memory_order_relaxed);
   // Poke the shard so the drop happens promptly, not at the next flush.
-  const std::uint32_t shard = slot.shard.load(std::memory_order_relaxed);
+  const std::uint32_t shard = slot->shard.load(std::memory_order_relaxed);
   im.activate(*im.shards[shard]);
-  return slot.ticket.load(std::memory_order_acquire) == ticket.id;
+  return slot->ticket.load(std::memory_order_acquire) == ticket.id;
 }
 
 std::uint32_t AsyncScheduler::attempts(const Ticket& ticket) const noexcept {
-  const Impl& im = *impl_;
-  if (!ticket.accepted() || ticket.slot >= im.slots.size()) return 0;
-  const Impl::Slot& slot = im.slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) return 0;
-  return slot.attempts.load(std::memory_order_relaxed);
+  const Impl::Slot* slot = impl_->live_slot(ticket);
+  return slot != nullptr ? slot->attempts.load(std::memory_order_relaxed) : 0;
 }
 
 bool AsyncScheduler::take(const Ticket& ticket, EngineResult& out) {
   Impl& im = *impl_;
-  if (!ticket.accepted() || ticket.slot >= im.slots.size()) return false;
-  Impl::Slot& slot = im.slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) return false;
-  if (slot.kind != SlotKind::OneShot) return false;  // take_stream instead
-  const TicketStatus status = slot.status.load(std::memory_order_acquire);
+  Impl::Slot* slot = im.live_slot(ticket);
+  if (slot == nullptr) return false;
+  if (slot->kind != SlotKind::OneShot) return false;  // take_stream instead
+  const TicketStatus status = slot->status.load(std::memory_order_acquire);
   if (status != TicketStatus::Done && status != TicketStatus::Failed &&
       status != TicketStatus::Cancelled) {
     return false;
   }
-  out = std::move(slot.result);
-  slot.ticket.store(0, std::memory_order_relaxed);
-  slot.status.store(TicketStatus::Invalid, std::memory_order_release);
-  im.in_use_count.fetch_sub(1, std::memory_order_relaxed);
-  im.lane_in_flight[slot.lane].fetch_sub(1, std::memory_order_relaxed);
-  while (!im.free_slots.try_push(ticket.slot)) {
-    std::this_thread::yield();  // unreachable; see submit()
-  }
+  out = std::move(slot->result);
+  im.release_slot(ticket.slot);
   return true;
 }
 
 bool AsyncScheduler::take_stream(const Ticket& ticket, StreamDelivery& out) {
   Impl& im = *impl_;
-  if (!ticket.accepted() || ticket.slot >= im.slots.size()) return false;
-  Impl::Slot& slot = im.slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) return false;
-  if (slot.kind == SlotKind::OneShot) return false;  // take() instead
-  const TicketStatus status = slot.status.load(std::memory_order_acquire);
+  Impl::Slot* slot = im.live_slot(ticket);
+  if (slot == nullptr) return false;
+  if (slot->kind == SlotKind::OneShot) return false;  // take() instead
+  const TicketStatus status = slot->status.load(std::memory_order_acquire);
   if (status != TicketStatus::Done && status != TicketStatus::Failed) {
     return false;
   }
   // Swap, not move: the caller's buffers park in the slot, so a recycled
   // StreamDelivery keeps the take loop allocation-free.
-  std::swap(out, slot.delivery);
-  slot.ticket.store(0, std::memory_order_relaxed);
-  slot.status.store(TicketStatus::Invalid, std::memory_order_release);
-  im.in_use_count.fetch_sub(1, std::memory_order_relaxed);
-  im.lane_in_flight[slot.lane].fetch_sub(1, std::memory_order_relaxed);
-  while (!im.free_slots.try_push(ticket.slot)) {
-    std::this_thread::yield();  // unreachable; see submit()
-  }
+  std::swap(out, slot->delivery);
+  im.release_slot(ticket.slot);
   return true;
 }
 
@@ -1504,27 +1429,24 @@ std::size_t AsyncScheduler::open_streams() const noexcept {
 }
 
 std::string AsyncScheduler::error(const Ticket& ticket) const {
-  const Impl& im = *impl_;
-  if (!ticket.accepted() || ticket.slot >= im.slots.size()) return {};
-  const Impl::Slot& slot = im.slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) return {};
-  const TicketStatus status = slot.status.load(std::memory_order_acquire);
+  const Impl::Slot* slot = impl_->live_slot(ticket);
+  if (slot == nullptr) return {};
+  const TicketStatus status = slot->status.load(std::memory_order_acquire);
   if (status != TicketStatus::Failed && status != TicketStatus::Cancelled) {
     return {};
   }
-  return slot.error;
+  return slot->error;
 }
 
 double AsyncScheduler::latency_seconds(const Ticket& ticket) const noexcept {
-  if (!ticket.accepted() || ticket.slot >= impl_->slots.size()) return 0.0;
-  const Impl::Slot& slot = impl_->slots[ticket.slot];
-  if (slot.ticket.load(std::memory_order_acquire) != ticket.id) return 0.0;
-  const TicketStatus status = slot.status.load(std::memory_order_acquire);
+  const Impl::Slot* slot = impl_->live_slot(ticket);
+  if (slot == nullptr) return 0.0;
+  const TicketStatus status = slot->status.load(std::memory_order_acquire);
   if (status != TicketStatus::Done && status != TicketStatus::Failed &&
       status != TicketStatus::Cancelled) {
     return 0.0;
   }
-  return static_cast<double>(slot.done_ns - slot.submit_ns) * 1e-9;
+  return static_cast<double>(slot->done_ns - slot->submit_ns) * 1e-9;
 }
 
 void AsyncScheduler::flush() {
@@ -1585,8 +1507,6 @@ AsyncStats AsyncScheduler::stats() const {
   stats.shards_failed = im.stat_shards_failed.load(std::memory_order_relaxed);
   stats.streams_migrated =
       im.stat_streams_migrated.load(std::memory_order_relaxed);
-  stats.faults_injected =
-      im.stat_faults_injected.load(std::memory_order_relaxed);
   stats.spec_decided = im.stat_spec_decided.load(std::memory_order_relaxed);
   stats.spec_committed =
       im.stat_spec_committed.load(std::memory_order_relaxed);
@@ -1600,10 +1520,10 @@ AsyncStats AsyncScheduler::stats() const {
     stats.cache_misses = cache.misses;
     stats.cache_evictions = cache.evictions;
   }
-  stats.lanes.resize(im.lanes.size());
-  for (std::size_t l = 0; l < im.lanes.size(); ++l) {
+  stats.lanes.resize(im.options.lanes.size());
+  for (std::size_t l = 0; l < im.options.lanes.size(); ++l) {
     LaneStats& lane = stats.lanes[l];
-    lane.name = im.lanes[l].name;
+    lane.name = im.options.lanes[l].name;
     lane.submitted = im.lane_submitted[l].load(std::memory_order_relaxed);
     lane.rejected = im.lane_rejected[l].load(std::memory_order_relaxed);
     lane.completed = im.lane_completed[l].load(std::memory_order_relaxed);

@@ -11,12 +11,11 @@
 /// `queue_capacity` request slots. When every slot is in flight
 /// (submitted but not yet take()n), submit refuses the request with a
 /// rejected Ticket (`poll` == TicketStatus::Rejected) instead of growing
-/// a queue without bound. Admission is pluggable (serve/admission.hpp):
-/// an AdmissionPolicy defines priority lanes — per-lane weight and
-/// optional per-lane in-flight bound, weighted-fair pop across lanes on
-/// each shard, FIFO within a lane — and classifies submissions that name
-/// no explicit lane. Without a policy the scheduler runs FifoAdmission
-/// (one lane), which is exactly the pre-policy behaviour.
+/// a queue without bound. AsyncOptions::lanes subdivides admission into
+/// priority lanes (LaneSpec: per-lane weight and optional per-lane
+/// in-flight bound): each shard pops weighted-fair across lanes, FIFO
+/// within a lane, and the caller names a request's lane at submit. No
+/// lanes means one unbounded FIFO lane.
 ///
 /// Determinism contract: a request's result is a pure function of the
 /// EngineRequest — the engine's per-request determinism (pre-forked
@@ -43,17 +42,15 @@
 /// table owns each stream's OnlineStream session; a close returns it to
 /// the executing shard's free list for the next stream to reuse.
 ///
-/// Fault tolerance (serve/fault.hpp): an optional seeded FaultPlan
-/// injects deterministic faults (engine throws, slow batches, shard
-/// death) for reproducible chaos runs; a watchdog declares a shard whose
-/// strand stops heartbeating failed; a failed shard's queued one-shot
-/// work fails over to surviving shards (bounded retry with exponential
-/// backoff under RetryPolicy), and its pinned streams re-pin to a new
-/// shard, taking their live session along, and resume bit-identically.
-/// Callers can bound their own exposure with wait(ticket, timeout_ms),
-/// cancel(ticket), and per-lane queue-age drops (LaneSpec::max_queue_ms).
-/// With no plan, no watchdog, and no retry the scheduler runs the exact
-/// pre-fault hot path — bit-identical, allocation-free.
+/// Fault tolerance: a batch whose policy throws fails, and is retried
+/// with exponential backoff under RetryPolicy; a watchdog declares a
+/// shard whose strand stops heartbeating failed; a failed shard's queued
+/// one-shot work fails over to surviving shards, and its pinned streams
+/// re-pin to a new shard, taking their live session along, and resume
+/// bit-identically. Callers can bound their own exposure with
+/// wait(ticket, timeout_ms), cancel(ticket), and per-lane queue-age drops
+/// (LaneSpec::max_queue_ms). With no watchdog and no retry the scheduler
+/// runs the plain hot path — bit-identical, allocation-free.
 ///
 /// Threading: submit/poll/wait/take/flush are safe from any number of
 /// threads. Each Ticket has one consumer: two threads must not wait on,
@@ -71,10 +68,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "engine/engine.hpp"
-#include "serve/admission.hpp"
-#include "serve/fault.hpp"
 #include "sim/stream.hpp"
 
 namespace moldsched {
@@ -100,13 +96,42 @@ enum class TicketStatus {
 
 /// Handle to one submitted request. Value type, freely copyable; id 0
 /// means the request was rejected at admission. `lane` tags the admission
-/// lane the request was classified into (set on rejected tickets too, so
+/// lane the request was submitted into (set on rejected tickets too, so
 /// a caller can attribute the refusal).
 struct Ticket {
   std::uint64_t id = 0;    ///< unique per accepted request; 0 = rejected
   std::uint32_t slot = 0;  ///< slot index inside the scheduler's table
   std::uint32_t lane = 0;  ///< admission lane the request rides
   [[nodiscard]] bool accepted() const noexcept { return id != 0; }
+};
+
+/// One priority lane of the admission table (AsyncOptions::lanes).
+struct LaneSpec {
+  std::string name = "default";  ///< stable label (stats, benches, logs)
+  /// Weighted-fair share: with backlog everywhere, a shard serves lanes in
+  /// proportion to their weights. Must be >= 1.
+  int weight = 1;
+  /// Per-lane admission bound: maximum requests of this lane in flight
+  /// (accepted, not yet taken). <= 0 means no per-lane bound — only the
+  /// scheduler-wide queue_capacity applies.
+  int queue_capacity = 0;
+  /// Deadline-based drop: a one-shot request of this lane that has waited
+  /// longer than about this long in its shard's coalescing queue is
+  /// completed as Cancelled instead of served (counted in
+  /// AsyncStats::dropped; the slot still needs take()). <= 0 disables the
+  /// drop. Stream feeds are exempt — skipping one would corrupt the tape.
+  double max_queue_ms = 0.0;
+};
+
+/// Bounded retry with exponential backoff for failed or failed-over
+/// one-shot work: attempt k (2-based) re-queues after
+/// base_backoff_ms * 2^(k-2). max_attempts == 1 means no retry — the
+/// first failure is final.
+struct RetryPolicy {
+  int max_attempts = 1;        ///< total attempts (first try included), >= 1
+  double base_backoff_ms = 0.2;  ///< backoff before the first retry
+
+  [[nodiscard]] bool enabled() const noexcept { return max_attempts > 1; }
 };
 
 struct AsyncOptions {
@@ -134,18 +159,13 @@ struct AsyncOptions {
   /// Maximum concurrently open streams; open_stream returns a rejected
   /// StreamTicket beyond it.
   int max_streams = 64;
-  /// Admission policy (serve/admission.hpp), borrowed for the scheduler's
-  /// whole life: its lane table is copied at construction and its
-  /// classify hooks run on every submit without an explicit lane.
-  /// nullptr = FifoAdmission (one lane, pure FIFO — the pre-policy
-  /// behaviour, bit-compatible).
-  const AdmissionPolicy* admission = nullptr;
-  /// Deterministic chaos plan (serve/fault.hpp). Default-constructed =
-  /// disabled: the drain loop never consults the injector and the serving
-  /// path is exactly the pre-fault one. Validated at construction (throws
-  /// std::invalid_argument on bad rates or scripted points).
-  FaultPlan faults;
-  /// Bounded retry with exponential backoff for faulted one-shot batches.
+  /// Priority lanes, lane 0 first; submit and open_stream name a lane by
+  /// index. The global queue_capacity still bounds total in-flight work:
+  /// lanes subdivide it, never extend it. Empty (default) = one unbounded
+  /// FIFO lane named "default". Throws std::invalid_argument on a
+  /// weight < 1.
+  std::vector<LaneSpec> lanes;
+  /// Bounded retry with exponential backoff for failed one-shot batches.
   /// Default (max_attempts == 1) keeps failures final on first attempt.
   /// Throws std::invalid_argument when max_attempts < 1 or
   /// base_backoff_ms is negative, not finite or beyond 9.2e12 ms.
@@ -198,9 +218,8 @@ struct AsyncStats {
   std::uint64_t dropped = 0;           ///< Cancelled by a lane max_queue_ms
   std::uint64_t retried = 0;           ///< re-queued attempts under RetryPolicy
   std::uint64_t failed_over = 0;       ///< one-shots rerouted off a failed shard
-  std::uint64_t shards_failed = 0;     ///< shards declared failed (death/watchdog)
+  std::uint64_t shards_failed = 0;     ///< shards failed by the watchdog
   std::uint64_t streams_migrated = 0;  ///< live sessions re-pinned to a new shard
-  std::uint64_t faults_injected = 0;   ///< FaultInjector decisions that fired
   std::uint64_t cache_hits = 0;        ///< decision-cache replays (AsyncOptions::cache)
   std::uint64_t cache_misses = 0;      ///< decision-cache lookups that ran fresh
   std::uint64_t cache_evictions = 0;   ///< decision-cache records recycled (CLOCK)
@@ -253,21 +272,16 @@ class AsyncScheduler {
   AsyncScheduler(const AsyncScheduler&) = delete;
   AsyncScheduler& operator=(const AsyncScheduler&) = delete;
 
-  /// Non-blocking admission into the lane the admission policy picks
-  /// (classify; lane 0 without a policy). Returns a rejected Ticket
-  /// (accepted() == false) when queue_capacity requests are already in
-  /// flight or the lane's own queue_capacity is. The request is copied;
-  /// the Instance and SchedulingPolicy it points at are borrowed and must
-  /// stay alive until the ticket is terminal. Throws
+  /// Non-blocking admission into `lane` (clamped to the lane table).
+  /// Returns a rejected Ticket (accepted() == false) when queue_capacity
+  /// requests are already in flight or the lane's own queue_capacity is.
+  /// The request is copied; the Instance and SchedulingPolicy it points at
+  /// are borrowed and must stay alive until the ticket is terminal. Throws
   /// std::invalid_argument on a request without an instance or policy.
-  [[nodiscard]] Ticket submit(const EngineRequest& request);
+  [[nodiscard]] Ticket submit(const EngineRequest& request, int lane = 0);
 
-  /// Same, naming the admission lane explicitly (clamped to the lane
-  /// table). Explicit lane beats classify.
-  [[nodiscard]] Ticket submit(const EngineRequest& request, int lane);
-
-  /// Admission lanes this scheduler serves (>= 1; copied from the policy
-  /// at construction).
+  /// Admission lanes this scheduler serves (>= 1; AsyncOptions::lanes, or
+  /// the one default lane).
   [[nodiscard]] int num_lanes() const noexcept;
 
   /// The lane table entry; throws std::out_of_range on a bad index.
@@ -306,16 +320,13 @@ class AsyncScheduler {
   bool take(const Ticket& ticket, EngineResult& out);
 
   /// Open a streaming session (paper §5 job mix), pinned to one shard for
-  /// its whole life; every feed/close of the stream rides the lane the
-  /// admission policy picks (classify_stream). Non-blocking: returns a
-  /// rejected StreamTicket when max_streams sessions are open or the
-  /// scheduler is stopping. Throws std::invalid_argument on a bad
-  /// configuration (no policy, m < 1, bad reservation).
-  [[nodiscard]] StreamTicket open_stream(const StreamConfig& config);
-
-  /// Same, naming the stream's admission lane explicitly (clamped).
+  /// its whole life; every feed/close of the stream rides `lane` (clamped
+  /// to the lane table). Non-blocking: returns a rejected StreamTicket
+  /// when max_streams sessions are open or the scheduler is stopping.
+  /// Throws std::invalid_argument on a bad configuration (no policy,
+  /// m < 1, bad reservation).
   [[nodiscard]] StreamTicket open_stream(const StreamConfig& config,
-                                         int lane);
+                                         int lane = 0);
 
   /// Enqueue a feed: `count` arrivals plus the stream's new watermark
   /// (same per-stream ordering/validation contract as OnlineStream::feed;

@@ -16,11 +16,8 @@ void check_inputs(int m, const std::vector<OnlineJob>& jobs,
   if (jobs.empty()) {
     throw std::invalid_argument("online_batch_schedule: no jobs");
   }
-  for (const auto& r : reservations) {
-    if (r.proc < 0 || r.proc >= m || !(r.finish > r.start)) {
-      throw std::invalid_argument("online_batch_schedule: bad reservation");
-    }
-  }
+  validate_reservations(m, reservations,
+                        "online_batch_schedule: bad reservation");
   for (const auto& job : jobs) {
     // A NaN release would be a sort key with no strict weak order.
     if (!(std::isfinite(job.release) && job.release >= 0.0)) {
@@ -49,6 +46,16 @@ void rebuild_batch_instance(const OnlineJob* jobs,
 }
 
 }  // namespace
+
+void validate_reservations(int m,
+                           const std::vector<NodeReservation>& reservations,
+                           const char* what) {
+  for (const auto& r : reservations) {
+    if (r.proc < 0 || r.proc >= m || !(r.finish > r.start)) {
+      throw std::invalid_argument(what);
+    }
+  }
+}
 
 void FlatOnlineResult::reset(int num_jobs) {
   schedule.reset(num_jobs);

@@ -49,6 +49,14 @@ struct NodeReservation {
   double finish = 0.0;
 };
 
+/// Throw std::invalid_argument(what) unless every reservation names a
+/// processor in [0, m) and a window with finish > start (NaN fails). The
+/// one check the on-line simulator, OnlineStream::open and the serving
+/// layer's open_stream share; each passes its own message.
+void validate_reservations(int m,
+                           const std::vector<NodeReservation>& reservations,
+                           const char* what);
+
 /// Release-time comparison slack: jobs released within this of the batch
 /// open instant join the batch. Shared by the off-line loop and the
 /// streaming core (sim/stream.hpp), whose watermark test must use the

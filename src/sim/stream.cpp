@@ -68,11 +68,7 @@ void StreamDelivery::clear() {
 void OnlineStream::open(int m,
                         const std::vector<NodeReservation>& reservations) {
   if (m < 1) throw std::invalid_argument("OnlineStream: m < 1");
-  for (const auto& r : reservations) {
-    if (r.proc < 0 || r.proc >= m || !(r.finish > r.start)) {
-      throw std::invalid_argument("OnlineStream: bad reservation");
-    }
-  }
+  validate_reservations(m, reservations, "OnlineStream: bad reservation");
   m_ = m;
   now_ = 0.0;
   watermark_ = 0.0;

@@ -56,15 +56,4 @@ void RatioOfSums::merge(const RatioOfSums& other) noexcept {
   per_run_.merge(other.per_run_);
 }
 
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) throw std::invalid_argument("quantile: empty sample");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q out of range");
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 }  // namespace moldsched

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace moldsched {
 
@@ -60,9 +59,5 @@ class RatioOfSums {
   double denominator_ = 0.0;
   RunningStats per_run_;
 };
-
-/// Quantile of a sample (linear interpolation between order statistics).
-/// `q` in [0,1]; the input vector is copied and sorted.
-[[nodiscard]] double quantile(std::vector<double> values, double q);
 
 }  // namespace moldsched

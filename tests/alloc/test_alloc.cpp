@@ -126,9 +126,8 @@ TEST(Alloc, ServeMetricsOnlyWithLanes) {
   const auto instances = gate::serve_instances();
   const FlatListPolicy policy;
   const auto requests = requests_for(instances, policy);
-  const WeightedLanesAdmission lanes(gate::serve_lanes());
   AsyncOptions options = serve_options();
-  options.admission = &lanes;
+  options.lanes = gate::serve_lanes();
   AsyncScheduler async(options);
   std::vector<Ticket> tickets;
   tickets.reserve(requests.size());

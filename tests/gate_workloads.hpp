@@ -11,13 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "serve/admission.hpp"
+#include "core/policy.hpp"
+#include "serve/async_scheduler.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
 #include "util/rng.hpp"
@@ -101,6 +108,91 @@ inline std::vector<LaneSpec> serve_lanes() {
   lanes[1].weight = 1;
   return lanes;
 }
+
+// ------------------------------------------------------ fault injection
+
+/// A SchedulingPolicy that forwards every call to `inner`, and fails on
+/// demand: it throws or sleeps when handed a chosen instance, or on its
+/// Nth call. Faults reach the serving layer the way real ones do, from
+/// the policy a request or stream runs: a throw fails the engine segment
+/// (and is retried under RetryPolicy), and a sleep longer than
+/// watchdog_ms gets the strand's shard declared failed. Every result
+/// that does come back is the inner policy's, bit for bit, and name()
+/// is the inner policy's name. Arm the faults before serving; calls may
+/// then come from any number of strands.
+class FaultyPolicy final : public SchedulingPolicy {
+ public:
+  explicit FaultyPolicy(const SchedulingPolicy& inner) : inner_(&inner) {}
+
+  /// Throw on the next `times` calls that schedule `instance`.
+  void throw_on(const Instance& instance, int times) {
+    rules_.push_back(Rule{&instance, 0, times, 0.0});
+  }
+  /// Sleep `ms` before every call that schedules `instance`.
+  void sleep_on(const Instance& instance, double ms) {
+    rules_.push_back(Rule{&instance, 0, 0, ms});
+  }
+  /// Sleep `ms` before the `call`-th call (1-based), whatever its batch:
+  /// the way to stall one stream, whose batch instances are its own.
+  void sleep_on_call(int call, double ms) {
+    rules_.push_back(Rule{nullptr, call, 0, ms});
+  }
+
+  /// Faults that have fired so far.
+  [[nodiscard]] int fired() const noexcept {
+    return fired_.load(std::memory_order_acquire);
+  }
+
+  [[nodiscard]] const char* name() const noexcept override {
+    return inner_->name();
+  }
+  [[nodiscard]] std::unique_ptr<PolicyWorkspace> make_workspace()
+      const override {
+    return inner_->make_workspace();
+  }
+  void schedule_into(const Instance& batch, PolicyWorkspace& ws,
+                     FlatPlacements& out) const override {
+    bool fail = false;
+    double sleep_ms = 0.0;
+    {
+      const std::lock_guard lock(mutex_);
+      const int call = ++calls_;
+      for (Rule& rule : rules_) {
+        const bool hit = rule.instance != nullptr ? rule.instance == &batch
+                                                  : rule.call == call;
+        if (!hit) continue;
+        if (rule.throws > 0) {
+          --rule.throws;
+          fail = true;
+        } else if (rule.sleep_ms > 0.0) {
+          sleep_ms += rule.sleep_ms;
+        } else {
+          continue;  // a spent throw
+        }
+        fired_.fetch_add(1, std::memory_order_release);
+      }
+    }
+    if (fail) throw std::runtime_error("FaultyPolicy: injected throw");
+    if (sleep_ms > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(sleep_ms));
+    }
+    inner_->schedule_into(batch, ws, out);
+  }
+
+ private:
+  struct Rule {
+    const Instance* instance;  ///< null: match by call number instead
+    int call;                  ///< 1-based call number (instance == null)
+    int throws;                ///< throws left (a throw rule)
+    double sleep_ms;           ///< stall per hit (a sleep rule)
+  };
+  const SchedulingPolicy* inner_;
+  mutable std::mutex mutex_;
+  mutable std::vector<Rule> rules_;  ///< guarded by mutex_ while serving
+  mutable int calls_ = 0;            ///< guarded by mutex_
+  mutable std::atomic<int> fired_{0};
+};
 
 // ------------------------------------------------- decision cache (Zipf)
 

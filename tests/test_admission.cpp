@@ -1,18 +1,16 @@
-/// Contracts of the pluggable admission layer (serve/admission.hpp):
-/// lane classification and explicit-lane submit, per-lane queue_capacity
-/// rejection and recovery, weighted-fair service across backlogged lanes,
-/// lane-tagged stream feeds with preserved per-stream order, per-lane
-/// stats, and policy/option validation.
+/// Contracts of the serving layer's priority lanes (AsyncOptions::lanes,
+/// serve/async_scheduler.hpp): lane-tagged submit, per-lane
+/// queue_capacity rejection and recovery, weighted-fair service across
+/// backlogged lanes, lane-tagged stream feeds with preserved per-stream
+/// order, per-lane stats, and lane-table validation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/policy.hpp"
 #include "engine/engine.hpp"
-#include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
@@ -67,25 +65,24 @@ TEST(Admission, ExplicitLaneTagsTicketsAndStats) {
   request.instance = &instances[0];
   request.policy = &kFlatList;
 
-  const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
   options.flush_after_ms = 0.0;
-  options.admission = &admission;
+  options.lanes = two_lanes(3, 1);
   AsyncScheduler async(options);
   ASSERT_EQ(async.num_lanes(), 2);
   EXPECT_EQ(async.lane_spec(1).name, "low");
 
   const Ticket high = async.submit(request, 0);
   const Ticket low = async.submit(request, 1);
-  const Ticket classified = async.submit(request);  // default_lane == 0
+  const Ticket unnamed = async.submit(request);  // lane 0 by default
   const Ticket clamped = async.submit(request, 99);  // clamps to last lane
   EXPECT_EQ(high.lane, 0u);
   EXPECT_EQ(low.lane, 1u);
-  EXPECT_EQ(classified.lane, 0u);
+  EXPECT_EQ(unnamed.lane, 0u);
   EXPECT_EQ(clamped.lane, 1u);
   async.drain();
   EngineResult result;
-  for (const Ticket& t : {high, low, classified, clamped}) {
+  for (const Ticket& t : {high, low, unnamed, clamped}) {
     EXPECT_EQ(async.poll(t), TicketStatus::Done);
     EXPECT_TRUE(async.take(t, result));
   }
@@ -105,13 +102,11 @@ TEST(Admission, PerLaneCapacityRejectsAndRecovers) {
   request.instance = &instances[0];
   request.policy = &kFlatList;
 
-  const WeightedLanesAdmission admission(two_lanes(1, 1, /*high_cap=*/0,
-                                                   /*low_cap=*/2));
   AsyncOptions options;
   options.max_batch = 64;
   options.flush_after_ms = 1e6;  // hold everything: pure admission test
   options.queue_capacity = 64;
-  options.admission = &admission;
+  options.lanes = two_lanes(1, 1, /*high_cap=*/0, /*low_cap=*/2);
   AsyncScheduler async(options);
 
   const Ticket a = async.submit(request, 1);
@@ -160,13 +155,12 @@ TEST(Admission, WeightedFairServiceFavoursTheHeavyLane) {
   EngineRequest fast = slow;
   fast.policy = &kFlatList;
 
-  const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
   options.shards = 1;
   options.max_batch = 4;
   options.flush_after_ms = 1e6;
   options.queue_capacity = 256;
-  options.admission = &admission;
+  options.lanes = two_lanes(3, 1);
   AsyncScheduler async(options);
 
   const Ticket head = async.submit(slow, 1);
@@ -214,10 +208,9 @@ TEST(Admission, StreamsRideTheirLaneAndStayOrdered) {
     release += 0.5;
   }
 
-  const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
   options.shards = 2;
-  options.admission = &admission;
+  options.lanes = two_lanes(3, 1);
   AsyncScheduler async(options);
 
   StreamConfig stream_config;
@@ -253,79 +246,21 @@ TEST(Admission, StreamsRideTheirLaneAndStayOrdered) {
   EXPECT_EQ(stats.lanes[1].completed, feeds.size());
 }
 
-TEST(Admission, ClassifierRoutesByContent) {
-  // A custom policy that sends DEMT work to the slow lane by inspecting
-  // the request — the pluggable-admission hook in action.
-  class ByAlgorithm final : public AdmissionPolicy {
-   public:
-    [[nodiscard]] std::vector<LaneSpec> lanes() const override {
-      LaneSpec fast;
-      fast.name = "interactive";
-      fast.weight = 4;
-      LaneSpec slow;
-      slow.name = "batch";
-      slow.weight = 1;
-      return {fast, slow};
-    }
-    [[nodiscard]] int classify(
-        const EngineRequest& request) const noexcept override {
-      return std::strcmp(request.policy->name(), "demt") == 0 ? 1 : 0;
-    }
-  };
-  const auto instances = make_instances(1, 12, 8, 9);
-  const ByAlgorithm admission;
-  const DemtPolicy demt_policy;
-  AsyncOptions options;
-  options.flush_after_ms = 0.0;
-  options.admission = &admission;
-  AsyncScheduler async(options);
-
-  EngineRequest fast;
-  fast.instance = &instances[0];
-  fast.policy = &kFlatList;
-  EngineRequest slow = fast;
-  slow.policy = &demt_policy;
-  const Ticket a = async.submit(fast);
-  const Ticket b = async.submit(slow);
-  EXPECT_EQ(a.lane, 0u);
-  EXPECT_EQ(b.lane, 1u);
-  async.drain();
-  EngineResult result;
-  EXPECT_TRUE(async.take(a, result));
-  EXPECT_TRUE(async.take(b, result));
-}
-
 TEST(Admission, ValidatesPoliciesAndLaneTables) {
-  EXPECT_THROW(WeightedLanesAdmission({}), std::invalid_argument);
-  EXPECT_THROW(WeightedLanesAdmission(two_lanes(0, 1)), std::invalid_argument);
-  EXPECT_THROW(WeightedLanesAdmission(two_lanes(1, 1), 5),
-               std::invalid_argument);
-
-  class NoLanes final : public AdmissionPolicy {
-   public:
-    [[nodiscard]] std::vector<LaneSpec> lanes() const override { return {}; }
-  };
-  const NoLanes broken;
+  // Every lane needs a weight >= 1, wherever it sits in the table.
   AsyncOptions options;
-  options.admission = &broken;
+  options.lanes = two_lanes(0, 1);
   EXPECT_THROW(AsyncScheduler{options}, std::invalid_argument);
-
-  class BadWeight final : public AdmissionPolicy {
-   public:
-    [[nodiscard]] std::vector<LaneSpec> lanes() const override {
-      LaneSpec lane;
-      lane.weight = 0;
-      return {lane};
-    }
-  };
-  const BadWeight bad_weight;
-  options.admission = &bad_weight;
+  options.lanes = two_lanes(1, 0);
   EXPECT_THROW(AsyncScheduler{options}, std::invalid_argument);
+  options.lanes = two_lanes(1, 1);
+  const AsyncScheduler valid(options);
+  EXPECT_EQ(valid.num_lanes(), 2);
 }
 
 TEST(Admission, SingleLaneBehaviourMatchesPrePolicyScheduler) {
-  // A one-lane WeightedLanesAdmission must behave exactly like the
-  // default FifoAdmission: same acceptance, same results.
+  // One explicit lane must behave exactly like the default lane table:
+  // same acceptance, same results.
   const auto instances = make_instances(8, 25, 12, 13);
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -338,11 +273,10 @@ TEST(Admission, SingleLaneBehaviourMatchesPrePolicyScheduler) {
 
   LaneSpec only;
   only.name = "only";
-  const WeightedLanesAdmission admission({only});
   AsyncOptions options;
   options.shards = 2;
   options.max_batch = 4;
-  options.admission = &admission;
+  options.lanes = {only};
   AsyncScheduler async(options);
   std::vector<Ticket> tickets;
   for (const auto& request : requests) {
@@ -370,9 +304,8 @@ TEST(Admission, FailedStreamFeedKeepsLaneTagAndNamesPolicy) {
   const StreamArrival first = moldable_arrival(tmp.task(0), 1.0);
   const StreamArrival backwards = moldable_arrival(tmp.task(1), 0.25);
 
-  const WeightedLanesAdmission admission(two_lanes(3, 1));
   AsyncOptions options;
-  options.admission = &admission;
+  options.lanes = two_lanes(3, 1);
   AsyncScheduler async(options);
 
   StreamConfig stream_config;

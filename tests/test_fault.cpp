@@ -1,18 +1,19 @@
-/// Contracts of the fault-tolerance layer (serve/fault.hpp +
-/// serve/async_scheduler.hpp): the FaultInjector is a deterministic pure
-/// function of its plan, bounded retry recovers injected engine throws
-/// (and reports policy + attempts on exhaustion), timed waits bound a
-/// stalled strand without consuming the ticket, cancel()/max_queue_ms
-/// drop pending one-shots as Cancelled, the watchdog fails a stalled
-/// shard and survivors absorb its queue, and — the acceptance gate —
-/// killing a shard mid-tape re-pins its streams, live sessions and staged
-/// speculation included, with bit-identical deliveries and no lost
-/// tickets.
+/// Contracts of the serving layer's fault tolerance
+/// (serve/async_scheduler.hpp), with faults injected through a policy
+/// that throws or stalls on demand (gate::FaultyPolicy): bounded retry
+/// recovers a throwing batch (and reports policy + attempts on
+/// exhaustion), timed waits bound a stalled strand without consuming the
+/// ticket, cancel()/max_queue_ms drop pending one-shots as Cancelled, the
+/// watchdog fails a stalled shard and survivors absorb its queue, and —
+/// the acceptance gate — killing a shard mid-tape re-pins its streams,
+/// live sessions and staged speculation included, with bit-identical
+/// deliveries and no lost tickets.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,9 +22,7 @@
 #include "engine/engine.hpp"
 #include "gate_workloads.hpp"
 #include "reference/online_reference.hpp"
-#include "serve/admission.hpp"
 #include "serve/async_scheduler.hpp"
-#include "serve/fault.hpp"
 #include "sim/online.hpp"
 #include "sim/stream.hpp"
 #include "util/rng.hpp"
@@ -65,86 +64,23 @@ OfflineScheduler object_offline() {
   };
 }
 
-// ---------------------------------------------------------------------------
-// FaultInjector: pure, seeded, scripted, validated.
-
-TEST(FaultInjector, DeterministicSeededAndScripted) {
-  FaultPlan plan;
-  plan.seed = 42;
-  plan.throw_rate = 0.3;
-  plan.stall_rate = 0.2;
-  plan.death_rate = 0.1;
-  plan.stall_ms = 7.0;
-  const FaultInjector a(plan);
-  const FaultInjector b(plan);
-  EXPECT_TRUE(a.enabled());
-  int throws = 0, stalls = 0, deaths = 0;
-  for (int shard = 0; shard < 4; ++shard) {
-    for (std::uint64_t batch = 0; batch < 200; ++batch) {
-      const FaultDecision da = a.decide(shard, batch);
-      const FaultDecision db = b.decide(shard, batch);
-      EXPECT_EQ(da.kind, db.kind);  // same plan => same decision, always
-      EXPECT_EQ(da.stall_ms, db.stall_ms);
-      if (da.kind == FaultKind::EngineThrow) ++throws;
-      if (da.kind == FaultKind::SlowBatch) {
-        ++stalls;
-        EXPECT_EQ(da.stall_ms, 7.0);
-      }
-      if (da.kind == FaultKind::ShardDeath) ++deaths;
-    }
+/// Block (up to 30 s) until `async` has migrated `count` streams. A shard
+/// the watchdog failed re-pins its streams only after its stalled call
+/// returns, and a feed routed to it before then is failed rather than
+/// served, so a test that feeds a migrating stream again waits here.
+void await_migrations(const AsyncScheduler& async, std::uint64_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (async.stats().streams_migrated < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  // With 800 draws at rates .3/.2/.1, every kind fires many times.
-  EXPECT_GT(throws, 100);
-  EXPECT_GT(stalls, 50);
-  EXPECT_GT(deaths, 20);
-
-  // A different seed reshuffles which points fire.
-  auto reseeded = plan;
-  reseeded.seed = 43;
-  const FaultInjector c(reseeded);
-  int differing = 0;
-  for (std::uint64_t batch = 0; batch < 200; ++batch) {
-    if (a.decide(0, batch).kind != c.decide(0, batch).kind) ++differing;
-  }
-  EXPECT_GT(differing, 0);
-
-  // Scripted points beat the rates and hit exactly their (shard, batch).
-  FaultPlan scripted;
-  scripted.points.push_back(
-      FaultPoint{FaultKind::SlowBatch, /*shard=*/2, /*batch=*/7,
-                 /*stall_ms=*/33.0});
-  scripted.points.push_back(
-      FaultPoint{FaultKind::ShardDeath, /*shard=*/-1, /*batch=*/9, 0.0});
-  const FaultInjector s(scripted);
-  EXPECT_EQ(s.decide(2, 7).kind, FaultKind::SlowBatch);
-  EXPECT_EQ(s.decide(2, 7).stall_ms, 33.0);
-  EXPECT_EQ(s.decide(1, 7).kind, FaultKind::None);
-  EXPECT_EQ(s.decide(2, 6).kind, FaultKind::None);
-  EXPECT_EQ(s.decide(0, 9).kind, FaultKind::ShardDeath);  // -1 = any shard
-  EXPECT_EQ(s.decide(3, 9).kind, FaultKind::ShardDeath);
-
-  const FaultInjector off;  // default plan: chaos disabled
-  EXPECT_FALSE(off.enabled());
-  EXPECT_EQ(off.decide(0, 0).kind, FaultKind::None);
 }
 
-TEST(FaultInjector, ValidatesPlanAndRetryOptions) {
-  FaultPlan plan;
-  plan.throw_rate = -0.1;
-  EXPECT_THROW(FaultInjector{plan}, std::invalid_argument);
-  plan.throw_rate = 1.5;
-  EXPECT_THROW(FaultInjector{plan}, std::invalid_argument);
-  plan.throw_rate = 0.7;
-  plan.death_rate = 0.5;  // sum > 1: the rates partition one draw
-  EXPECT_THROW(FaultInjector{plan}, std::invalid_argument);
-  plan = {};
-  plan.points.push_back(FaultPoint{});  // scripted point without a kind
-  EXPECT_THROW(FaultInjector{plan}, std::invalid_argument);
+// ---------------------------------------------------------------------------
+// Option validation.
 
-  // The scheduler validates its chaos/retry options at construction.
-  AsyncOptions bad_rates;
-  bad_rates.faults.death_rate = 2.0;
-  EXPECT_THROW(AsyncScheduler{bad_rates}, std::invalid_argument);
+TEST(FaultTolerance, ValidatesRetryOptions) {
   AsyncOptions bad_attempts;
   bad_attempts.retry.max_attempts = 0;
   EXPECT_THROW(AsyncScheduler{bad_attempts}, std::invalid_argument);
@@ -167,12 +103,13 @@ TEST(FaultTolerance, RetryRecoversInjectedThrowBitIdentically) {
   std::vector<EngineResult> reference;
   sync.schedule_batch({request}, reference);
 
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.throw_on(instances[0], 1);
+  request.policy = &faulty;
   AsyncOptions options;
   options.shards = 1;
   options.flush_after_ms = 0.0;
   options.retry = RetryPolicy{3, 0.05};
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::EngineThrow, -1, /*batch=*/0, 0.0});
   AsyncScheduler async(options);
 
   const Ticket ticket = async.submit(request);
@@ -188,20 +125,21 @@ TEST(FaultTolerance, RetryRecoversInjectedThrowBitIdentically) {
   EXPECT_EQ(stats.retried, 1u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.completed, 1u);
-  EXPECT_GE(stats.faults_injected, 1u);
+  EXPECT_EQ(faulty.fired(), 1);
 }
 
 TEST(FaultTolerance, RetryExhaustionReportsPolicyAndAttempts) {
   const auto instances = make_instances(1, 16, 8, 6);
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.throw_on(instances[0], INT_MAX);  // every attempt throws
   EngineRequest request;
   request.instance = &instances[0];
-  request.policy = &kFlatList;
+  request.policy = &faulty;
 
   AsyncOptions options;
   options.shards = 1;
   options.flush_after_ms = 0.0;
   options.retry = RetryPolicy{2, 0.05};
-  options.faults.throw_rate = 1.0;  // every batch throws: retry cannot win
   AsyncScheduler async(options);
 
   const Ticket ticket = async.submit(request);
@@ -209,7 +147,7 @@ TEST(FaultTolerance, RetryExhaustionReportsPolicyAndAttempts) {
   EXPECT_EQ(async.wait(ticket), TicketStatus::Failed);
   EXPECT_EQ(async.attempts(ticket), 2u);
   const std::string error = async.error(ticket);
-  EXPECT_NE(error.find("injected fault"), std::string::npos) << error;
+  EXPECT_NE(error.find("injected throw"), std::string::npos) << error;
   EXPECT_NE(error.find("policy: flatlist"), std::string::npos) << error;
   EXPECT_NE(error.find("attempts: 2"), std::string::npos) << error;
   EngineResult result;
@@ -224,27 +162,27 @@ TEST(FaultTolerance, RetryExhaustionReportsPolicyAndAttempts) {
 
 TEST(FaultTolerance, TimedWaitBoundsAStalledStrand) {
   const auto instances = make_instances(1, 16, 8, 7);
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.sleep_on(instances[0], 200.0);
   EngineRequest request;
   request.instance = &instances[0];
-  request.policy = &kFlatList;
+  request.policy = &faulty;
 
   AsyncOptions options;
   options.shards = 1;
   options.flush_after_ms = 0.0;
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::SlowBatch, -1, /*batch=*/0, /*stall_ms=*/200.0});
   AsyncScheduler async(options);
 
   const Ticket ticket = async.submit(request);
   ASSERT_TRUE(ticket.accepted());
-  // The strand sleeps 200ms before serving; a 2ms wait must give up —
+  // The policy sleeps 200ms before scheduling; a 2ms wait must give up —
   // without consuming the ticket, which later completes normally.
   EXPECT_EQ(async.wait(ticket, 2.0), TicketStatus::TimedOut);
   EXPECT_EQ(async.wait(ticket), TicketStatus::Done);
   EngineResult result;
   EXPECT_TRUE(async.take(ticket, result));
   EXPECT_EQ(async.poll(ticket), TicketStatus::Invalid);
-  EXPECT_GE(async.stats().faults_injected, 1u);
+  EXPECT_EQ(faulty.fired(), 1);
 }
 
 TEST(FaultTolerance, CancelDropsPendingOneShotsButNeverStreams) {
@@ -305,13 +243,12 @@ TEST(FaultTolerance, LaneMaxQueueMsDropsStaleRequests) {
   request.instance = &instances[0];
   request.policy = &kFlatList;
 
-  const WeightedLanesAdmission policy(
-      {LaneSpec{"patient", 1, 0, 0.0}, LaneSpec{"deadline", 1, 0, 1.0}});
   AsyncOptions options;
   options.shards = 1;
   options.max_batch = 64;
   options.flush_after_ms = 1e6;
-  options.admission = &policy;
+  options.lanes = {LaneSpec{"patient", 1, 0, 0.0},
+                   LaneSpec{"deadline", 1, 0, 1.0}};
   AsyncScheduler async(options);
 
   const Ticket stale = async.submit(request, 1);
@@ -346,14 +283,14 @@ TEST(FaultTolerance, WatchdogFailsStalledShardAndSurvivorsAbsorbQueue) {
   std::vector<EngineResult> reference;
   sync.schedule_batch(requests, reference);
 
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.sleep_on(instances[0], 400.0);
+  for (EngineRequest& request : requests) request.policy = &faulty;
   AsyncOptions options;
   options.shards = 2;
   options.max_batch = 1;  // the stall pins exactly one request
   options.flush_after_ms = 0.0;
   options.watchdog_ms = 20.0;
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::SlowBatch, /*shard=*/0, /*batch=*/0,
-                 /*stall_ms=*/400.0});
   AsyncScheduler async(options);
 
   std::vector<Ticket> tickets;
@@ -361,9 +298,10 @@ TEST(FaultTolerance, WatchdogFailsStalledShardAndSurvivorsAbsorbQueue) {
     tickets.push_back(async.submit(request));
     ASSERT_TRUE(tickets.back().accepted());
   }
-  // Shard 0 sleeps 400ms inside its first batch; the 20ms watchdog
-  // declares it failed and reroutes its queued work to shard 1, so no
-  // request waits behind the stall — and none is lost or duplicated.
+  // The first request's shard sleeps 400ms inside its batch; the 20ms
+  // watchdog declares it failed and reroutes its queued work to the other
+  // shard, so no request waits behind the stall — and none is lost or
+  // duplicated.
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     EXPECT_EQ(async.wait(tickets[i]), TicketStatus::Done) << i;
     EngineResult result;
@@ -382,8 +320,8 @@ TEST(FaultTolerance, WatchdogFailsStalledShardAndSurvivorsAbsorbQueue) {
 }
 
 TEST(FaultTolerance, WatchdogFailedCloseReleasesTheStreamEntry) {
-  // The stream's shard stalls 300ms inside the batch that holds its feed;
-  // the close queued behind it is failed by the 20ms watchdog. The close
+  // The stream's policy stalls 300ms inside its feed; the close queued
+  // behind it is failed by the 20ms watchdog. The close
   // still owns the stream's table entry, so the stalled strand must free
   // it when it resumes: afterwards nothing is open, the close counts, and
   // the single table entry takes a new stream.
@@ -394,9 +332,6 @@ TEST(FaultTolerance, WatchdogFailedCloseReleasesTheStreamEntry) {
   options.max_streams = 1;
   options.flush_after_ms = 0.0;
   options.watchdog_ms = 20.0;
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::SlowBatch, /*shard=*/-1, /*batch=*/0,
-                 /*stall_ms=*/300.0});
   AsyncScheduler async(options);
 
   const std::vector<OnlineJob> jobs = make_jobs(3, m, 21);
@@ -404,8 +339,10 @@ TEST(FaultTolerance, WatchdogFailedCloseReleasesTheStreamEntry) {
   for (const OnlineJob& job : jobs) {
     arrivals.push_back(moldable_arrival(job.task, job.release));
   }
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.sleep_on_call(1, 300.0);
   const StreamTicket stream =
-      async.open_stream(StreamConfig{m, nullptr, &kFlatList});
+      async.open_stream(StreamConfig{m, nullptr, &faulty});
   ASSERT_TRUE(stream.accepted());
   const Ticket feed = async.submit_stream(stream, arrivals.data(),
                                           arrivals.size(), 1e9);
@@ -465,24 +402,27 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   options.max_batch = 4;
   options.flush_after_ms = 0.0;
   options.retry = RetryPolicy{3, 0.05};
-  // Shard 1 dies at its second non-empty batch — mid-tape for whichever
-  // stream is pinned there.
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::ShardDeath, /*shard=*/1, /*batch=*/1, 0.0});
+  options.watchdog_ms = 20.0;
   AsyncScheduler async(options);
 
-  // Opened back-to-back, the four streams pin to four distinct shards
-  // (round-robin routing), so exactly one sits on the doomed shard.
+  // Stream 1's policy stalls 200ms on its second call, so the watchdog
+  // kills the stream's shard mid-tape. Opened back-to-back, the four
+  // streams pin to four distinct shards (round-robin routing), so the
+  // doomed shard holds exactly one.
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.sleep_on_call(2, 200.0);
+  const SchedulingPolicy* const stalling = &faulty;
   std::vector<StreamTicket> streams;
   for (int s = 0; s < kStreams; ++s) {
-    streams.push_back(async.open_stream(StreamConfig{m, nullptr, &kFlatList}));
+    streams.push_back(async.open_stream(
+        StreamConfig{m, nullptr, s == 1 ? stalling : &kFlatList}));
     ASSERT_TRUE(streams.back().accepted());
   }
 
   // Feed all tapes chunk by chunk (waiting per feed so deliveries and the
-  // scripted batch index stay deterministic), with one-shot traffic
-  // interleaved across every shard — including the dead one, whose strand
-  // forwards late-routed work to survivors.
+  // stalled call stay deterministic), with one-shot traffic interleaved
+  // across every shard — including the dead one, whose strand forwards
+  // late-routed work to survivors.
   std::vector<std::vector<double>> completions(kStreams);
   std::vector<int> next_job(kStreams, 0);
   StreamDelivery delivery;
@@ -508,6 +448,7 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
       ASSERT_EQ(async.wait(feed), TicketStatus::Done)
           << "stream " << s << " chunk " << c << ": " << async.error(feed);
       ASSERT_TRUE(async.take_stream(feed, delivery));
+      if (faulty.fired() > 0) await_migrations(async, 1);
       EXPECT_EQ(delivery.first_job, next_job[static_cast<std::size_t>(s)]);
       next_job[static_cast<std::size_t>(s)] += delivery.num_jobs();
       completions[static_cast<std::size_t>(s)].insert(
@@ -521,6 +462,7 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
       }
     }
   }
+  ASSERT_EQ(faulty.fired(), 1) << "the stall must hit mid-tape";
   for (int s = 0; s < kStreams; ++s) {
     const Ticket close = async.close_stream(streams[s]);
     ASSERT_TRUE(close.accepted());
@@ -556,7 +498,6 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   const AsyncStats stats = async.stats();
   EXPECT_EQ(stats.shards_failed, 1u);
   EXPECT_EQ(stats.streams_migrated, 1u);
-  EXPECT_GE(stats.faults_injected, 1u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(async.in_flight(), 0u);
   EXPECT_EQ(async.open_streams(), 0u);
@@ -633,19 +574,25 @@ TEST(FaultTolerance, KillAShardMidTapeMovesSpeculativeSessionsBitIdentically) {
   AsyncOptions options;
   options.shards = 4;
   options.flush_after_ms = 0.0;
-  // Shard 1 dies at its second non-empty batch: its stream has been fed
-  // once (and may hold staged decisions) when the session moves.
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::ShardDeath, /*shard=*/1, /*batch=*/1, 0.0});
+  options.watchdog_ms = 20.0;
   AsyncScheduler async(options);
+  // In the first pass, stream 1's policy stalls 200ms on its second call:
+  // the watchdog kills the stream's shard while the stream holds a live
+  // session (and possibly staged decisions), which moves when the call
+  // returns.
+  gate::FaultyPolicy faulty(kFlatList);
+  faulty.sleep_on_call(2, 200.0);
   StreamConfig config{m, nullptr, &kFlatList};
   config.speculate = true;
+  StreamConfig faulty_config = config;
+  faulty_config.policy = &faulty;
   StreamDelivery delivery;
   for (int pass = 0; pass < 2; ++pass) {
     SCOPED_TRACE(testing::Message() << "pass " << pass);
     std::vector<StreamTicket> streams;
     for (int s = 0; s < kStreams; ++s) {
-      streams.push_back(async.open_stream(config));
+      streams.push_back(async.open_stream(
+          pass == 0 && s == 1 ? faulty_config : config));
       ASSERT_TRUE(streams.back().accepted());
     }
     for (std::size_t c = 0; c <= chunks; ++c) {
@@ -660,6 +607,7 @@ TEST(FaultTolerance, KillAShardMidTapeMovesSpeculativeSessionsBitIdentically) {
         ASSERT_EQ(async.wait(ticket), TicketStatus::Done)
             << "stream " << s << " feed " << c << ": " << async.error(ticket);
         ASSERT_TRUE(async.take_stream(ticket, delivery));
+        if (faulty.fired() > 0) await_migrations(async, 1);
         SCOPED_TRACE(testing::Message() << "stream " << s << " feed " << c);
         expect_identical_delivery(delivery, reference[s][c]);
       }
@@ -667,6 +615,7 @@ TEST(FaultTolerance, KillAShardMidTapeMovesSpeculativeSessionsBitIdentically) {
   }
 
   const AsyncStats stats = async.stats();
+  EXPECT_EQ(faulty.fired(), 1);
   EXPECT_EQ(stats.shards_failed, 1u);
   EXPECT_EQ(stats.streams_migrated, 1u);
   EXPECT_GT(stats.spec_decided, 0u);
@@ -676,14 +625,17 @@ TEST(FaultTolerance, KillAShardMidTapeMovesSpeculativeSessionsBitIdentically) {
   EXPECT_EQ(async.in_flight(), 0u);
 }
 
-/// The chaos run behind the serving layer's loss gate: a seeded
-/// FaultPlan (random throws, stalls and shard deaths plus a scripted
-/// floor of one of each) over two FlatList streams and rounds of one-shot
-/// traffic, with bounded retry and stream migration active. Every
-/// accepted ticket reaches a terminal state and is taken exactly once,
-/// and every stream, migrated or not, replays the off-line simulator
-/// bit-identically. The watchdog stays off: watchdog failover sheds queued
-/// stream feeds by design, which is not the loss-free path pinned here.
+/// The chaos run behind the serving layer's loss gate: seeded faults
+/// over two FlatList streams and rounds of one-shot traffic, with bounded
+/// retry, the watchdog and stream migration active. One-shot instances
+/// throw once or twice or stall briefly (a floor of one of each plus
+/// seeded picks), and the first call of a seeded stream's policy stalls
+/// past the watchdog, killing that stream's shard. Every accepted ticket
+/// reaches a terminal state and is taken exactly once, and every stream,
+/// migrated or not, replays the off-line simulator bit-identically. Each
+/// stream feed is waited alone, so the watchdog never finds a stream
+/// feed queued behind the stall (failover sheds those by design, which
+/// is not the loss-free path pinned here).
 void run_chaos(std::uint64_t seed) {
   constexpr int kChaosStreams = 2;
   constexpr std::size_t kChunk = 4;
@@ -705,11 +657,25 @@ void run_chaos(std::uint64_t seed) {
         online_batch_schedule_reference(m, tape, object_offline()));
   }
   const auto instances = gate::serve_instances();
+  gate::FaultyPolicy one_shot_faults(kFlatList);
+  one_shot_faults.throw_on(instances[0], 1);
+  one_shot_faults.sleep_on(instances[1], 2.0);
+  Rng fault_rng(seed ^ 0x4641554C54ULL);  // "FAULT"
+  for (std::size_t i = 2; i < instances.size(); ++i) {
+    const double u = fault_rng.uniform();
+    if (u < 0.15) {
+      one_shot_faults.throw_on(instances[i], u < 0.05 ? 2 : 1);
+    } else if (u < 0.20) {
+      one_shot_faults.sleep_on(instances[i], 2.0);
+    }
+  }
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].policy = &kFlatList;
+    requests[i].policy = &one_shot_faults;
   }
+  gate::FaultyPolicy stream_fault(kFlatList);
+  stream_fault.sleep_on_call(1, 250.0);
 
   AsyncOptions options;
   options.shards = 4;
@@ -717,20 +683,15 @@ void run_chaos(std::uint64_t seed) {
   options.flush_after_ms = gate::kServeFlushMs;
   options.queue_capacity = 4096;
   options.retry = RetryPolicy{4, 0.1};
-  options.faults.seed = seed;
-  options.faults.throw_rate = 0.10;
-  options.faults.stall_rate = 0.03;
-  options.faults.death_rate = 0.02;
-  options.faults.stall_ms = 2.0;
-  options.faults.points.push_back(
-      FaultPoint{FaultKind::EngineThrow, -1, 0, 0.0});
-  options.faults.points.push_back(FaultPoint{FaultKind::SlowBatch, 2, 1, 2.0});
-  options.faults.points.push_back(FaultPoint{FaultKind::ShardDeath, 1, 2, 0.0});
+  options.watchdog_ms = 50.0;
   AsyncScheduler async(options);
 
   std::vector<StreamTicket> streams;
+  const auto doomed = static_cast<int>(seed % kChaosStreams);
+  const SchedulingPolicy* const stalling = &stream_fault;
   for (int s = 0; s < kChaosStreams; ++s) {
-    streams.push_back(async.open_stream(StreamConfig{m, nullptr, &kFlatList}));
+    streams.push_back(async.open_stream(StreamConfig{
+        m, nullptr, s == doomed ? stalling : &kFlatList}));
     ASSERT_TRUE(streams.back().accepted());
   }
   std::vector<std::vector<double>> completions(kChaosStreams);
@@ -758,6 +719,7 @@ void run_chaos(std::uint64_t seed) {
         ++lost;
         continue;
       }
+      if (stream_fault.fired() > 0) await_migrations(async, 1);
       EXPECT_EQ(delivery.first_job, next_job[s]) << "stream " << s;
       next_job[s] += delivery.num_jobs();
       completions[s].insert(completions[s].end(), delivery.completion.begin(),
@@ -801,7 +763,11 @@ void run_chaos(std::uint64_t seed) {
   }
   EXPECT_EQ(lost, 0u);
   EXPECT_EQ(duplicated, 0u);
-  EXPECT_GE(async.stats().faults_injected, 1u);
+  const AsyncStats stats = async.stats();
+  EXPECT_GE(stats.retried, 1u);
+  EXPECT_EQ(stream_fault.fired(), 1);
+  EXPECT_GE(stats.shards_failed, 1u);
+  EXPECT_EQ(stats.streams_migrated, 1u);
 }
 
 TEST(FaultTolerance, ChaosRunLosesNothingAndReplaysStreamsBitIdentically) {

@@ -142,7 +142,6 @@ TEST(Policy, ServePolicyPathBitIdenticalForShardCounts) {
   SchedulerEngine sync(EngineOptions{1, true});
   std::vector<EngineResult> reference;
   sync.schedule_batch(requests, reference);
-  const WeightedLanesAdmission lanes(gate::serve_lanes());
   for (int shards : {1, 2, 4}) {
     AsyncOptions options;
     options.shards = shards;
@@ -150,7 +149,7 @@ TEST(Policy, ServePolicyPathBitIdenticalForShardCounts) {
     options.flush_after_ms = gate::kServeFlushMs;
     options.queue_capacity = 4096;
     options.keep_schedules = true;
-    options.admission = &lanes;
+    options.lanes = gate::serve_lanes();
     AsyncScheduler async(options);
     std::vector<Ticket> tickets;
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -245,9 +244,7 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
   options.flush_after_ms = 0.0;
   AsyncScheduler async(options);
   EXPECT_THROW((void)async.submit(request), std::invalid_argument);
-  EXPECT_THROW((void)async.submit(request, 0), std::invalid_argument);
   EXPECT_THROW((void)async.open_stream(config), std::invalid_argument);
-  EXPECT_THROW((void)async.open_stream(config, 0), std::invalid_argument);
   const AsyncStats stats = async.stats();
   EXPECT_EQ(stats.submitted, 0u);
   EXPECT_EQ(stats.rejected, 0u);
@@ -270,10 +267,13 @@ TEST(Policy, MissingPolicyIsRejectedAtEveryEntryPoint) {
 
 /// FlatList with one defect injected into its output, for the output
 /// checks: `Short` drops the last placement, `BadProc` moves the first
-/// task onto processor batch.procs(), one past the batch's machine.
+/// task onto processor batch.procs(), one past the batch's machine, and
+/// the `Ragged*` defects drop the last entry of one array only.
 class MalformedPolicy final : public SchedulingPolicy {
  public:
-  enum class Defect { Short, BadProc };
+  enum class Defect {
+    Short, BadProc, RaggedDuration, RaggedBegin, RaggedCount
+  };
   explicit MalformedPolicy(Defect defect) : defect_(defect) {}
   [[nodiscard]] const char* name() const noexcept override {
     return "malformed";
@@ -285,14 +285,20 @@ class MalformedPolicy final : public SchedulingPolicy {
   void schedule_into(const Instance& batch, PolicyWorkspace& ws,
                      FlatPlacements& out) const override {
     flat_.schedule_into(batch, ws, out);
-    if (defect_ == Defect::Short) {
-      out.start.pop_back();
-      out.duration.pop_back();
-      out.proc_begin.pop_back();
-      out.proc_count.pop_back();
-    } else {
-      out.proc_ids[static_cast<std::size_t>(out.proc_begin[0])] =
-          batch.procs();
+    switch (defect_) {
+      case Defect::Short:
+        out.start.pop_back();
+        out.duration.pop_back();
+        out.proc_begin.pop_back();
+        out.proc_count.pop_back();
+        break;
+      case Defect::BadProc:
+        out.proc_ids[static_cast<std::size_t>(out.proc_begin[0])] =
+            batch.procs();
+        break;
+      case Defect::RaggedDuration: out.duration.pop_back(); break;
+      case Defect::RaggedBegin: out.proc_begin.pop_back(); break;
+      case Defect::RaggedCount: out.proc_count.pop_back(); break;
     }
   }
 
@@ -352,6 +358,17 @@ TEST(Policy, ShortOutputIsRejectedAtEveryEntryPoint) {
 TEST(Policy, OutOfRangeProcessorIsRejectedAtEveryEntryPoint) {
   expect_rejected_at_every_entry_point(
       MalformedPolicy(MalformedPolicy::Defect::BadProc));
+}
+
+TEST(Policy, RaggedOutputArraysAreRejectedAtEveryEntryPoint) {
+  // One array shorter than the others, the task count still right: the
+  // check must compare the lengths before it indexes any array.
+  for (const auto defect : {MalformedPolicy::Defect::RaggedDuration,
+                            MalformedPolicy::Defect::RaggedBegin,
+                            MalformedPolicy::Defect::RaggedCount}) {
+    SCOPED_TRACE(testing::Message() << "defect " << static_cast<int>(defect));
+    expect_rejected_at_every_entry_point(MalformedPolicy(defect));
+  }
 }
 
 TEST(Policy, LptRigidPolicyPlugsInWithoutEngineChanges) {

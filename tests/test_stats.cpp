@@ -100,25 +100,5 @@ TEST(RatioOfSums, MergeAccumulates) {
   EXPECT_EQ(a.count(), 2u);
 }
 
-TEST(Quantile, MedianAndExtremes) {
-  std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.0);
-}
-
-TEST(Quantile, Interpolates) {
-  std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.75), 7.5);
-}
-
-TEST(Quantile, Validation) {
-  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW((void)quantile({1.0}, -0.1), std::invalid_argument);
-  EXPECT_THROW((void)quantile({1.0}, 1.1), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace moldsched
