@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -23,95 +24,74 @@ namespace {
 /// Rng(kShuffleSeed).fork(s), so every DEMT call is deterministic.
 constexpr std::uint64_t kShuffleSeed = 0x5EEDF00DULL;
 
-// ---------------------------------------------------------------------
-// The shuffle-compaction hot path. Every candidate evaluation runs inside
-// one ShuffleWorkspace: the list pass, the item->task expansion, the
-// pull-forward compaction and the fused metric scan touch only flat
-// buffers that are cleared (capacity kept) per candidate, so after the
-// first candidate warms a workspace the loop performs no heap allocation
-// at all.
-struct ShuffleWorkspace {
-  ListPassWorkspace list;
-  FlatPlacements items;             ///< per-item placements from the list pass
-  FlatPlacements tasks;             ///< expanded per-task placements
-  CompactionBuffers compact;
-  std::vector<int> order;           ///< shuffled item order
-  std::vector<std::pair<int, int>> ranges;  ///< batch-range scratch
-};
-
-/// Run the list pass for the items in `order` and expand into per-task
-/// flat placements (stacks share their item's processor range).
-void list_pass_flat(const Instance& instance, const FlatBatchItems& items,
-                    const std::vector<int>& order, ShuffleWorkspace& ws) {
-  ws.list.jobs.clear();
-  for (int idx : order) {
-    const auto i = static_cast<std::size_t>(idx);
-    ws.list.jobs.push_back(ListJob{idx, items.procs[i], items.duration[i]});
-  }
-  list_schedule_into(instance.procs(), items.size(), ws.list, ws.items);
-
-  ws.tasks.reset(instance.num_tasks());
-  for (int idx = 0; idx < items.size(); ++idx) {
-    const auto i = static_cast<std::size_t>(idx);
-    const double item_start = ws.items.start[i];
-    const int base = static_cast<int>(ws.tasks.proc_ids.size());
-    const auto begin = static_cast<std::size_t>(ws.items.proc_begin[i]);
-    const auto count = static_cast<std::size_t>(ws.items.proc_count[i]);
-    for (std::size_t p = begin; p < begin + count; ++p) {
-      ws.tasks.proc_ids.push_back(ws.items.proc_ids[p]);
-    }
-    const int tb = items.tasks_begin(idx);
-    const int tc = items.tasks_count(idx);
-    const bool stack = tc > 1;
-    double offset = 0.0;
-    for (int ti = tb; ti < tb + tc; ++ti) {
-      const auto t =
-          static_cast<std::size_t>(items.task_ids[static_cast<std::size_t>(ti)]);
-      const double d = stack ? instance.task(static_cast<int>(t)).time(1)
-                             : items.duration[i];
-      ws.tasks.start[t] = item_start + offset;
-      ws.tasks.duration[t] = d;
-      ws.tasks.proc_begin[t] = base;
-      ws.tasks.proc_count[t] = static_cast<int>(count);
-      offset += d;
-    }
+/// Write item `item`'s tasks into `out` from `start` on the processor range
+/// proc_ids[base .. base + count): a single task runs for the item's
+/// duration, a stack runs its tasks back to back at their sequential times.
+void expand_item(const Instance& instance, const FlatBatchItems& items,
+                 int item, double start, int base, int count,
+                 FlatPlacements& out) {
+  const int tb = items.tasks_begin(item);
+  const int tc = items.tasks_count(item);
+  const bool stack = tc > 1;
+  double offset = 0.0;
+  for (int ti = tb; ti < tb + tc; ++ti) {
+    const auto t =
+        static_cast<std::size_t>(items.task_ids[static_cast<std::size_t>(ti)]);
+    const double d = stack ? instance.task(static_cast<int>(t)).time(1)
+                           : items.duration[static_cast<std::size_t>(item)];
+    out.start[t] = start + offset;
+    out.duration[t] = d;
+    out.proc_begin[t] = base;
+    out.proc_count[t] = count;
+    offset += d;
   }
 }
 
-/// Generate the candidate's item order from `rng` into ws.order.
+/// Run the list pass for the items in `order` (per-item placements into
+/// `listed`) and expand into per-task placements in `tasks`.
+void list_pass_flat(const Instance& instance, const FlatBatchItems& items,
+                    const std::vector<int>& order, ListPassWorkspace& list,
+                    FlatPlacements& listed, FlatPlacements& tasks) {
+  list.jobs.clear();
+  for (int idx : order) {
+    const auto i = static_cast<std::size_t>(idx);
+    list.jobs.push_back(ListJob{idx, items.procs[i], items.duration[i]});
+  }
+  list_schedule_into(instance.procs(), items.size(), list, listed);
+
+  tasks.reset(instance.num_tasks());
+  for (int idx = 0; idx < items.size(); ++idx) {
+    const auto i = static_cast<std::size_t>(idx);
+    const int base = static_cast<int>(tasks.proc_ids.size());
+    const auto first = listed.proc_ids.begin() + listed.proc_begin[i];
+    tasks.proc_ids.insert(tasks.proc_ids.end(), first,
+                          first + listed.proc_count[i]);
+    expand_item(instance, items, idx, listed.start[i], base,
+                listed.proc_count[i], tasks);
+  }
+}
+
+/// Draw a shuffle candidate's item order from `rng` into `order`; `ranges`
+/// is scratch for the (optionally shuffled) batch order.
 void draw_candidate_order(const std::vector<std::pair<int, int>>& batch_ranges,
                           bool shuffle_batch_order, Rng& rng,
-                          ShuffleWorkspace& ws) {
-  ws.ranges.assign(batch_ranges.begin(), batch_ranges.end());
-  if (shuffle_batch_order) rng.shuffle(ws.ranges);
-  ws.order.clear();
-  for (const auto& [first, last] : ws.ranges) {
-    const auto segment_begin = ws.order.size();
-    for (int i = first; i < last; ++i) ws.order.push_back(i);
+                          std::vector<std::pair<int, int>>& ranges,
+                          std::vector<int>& order) {
+  ranges.assign(batch_ranges.begin(), batch_ranges.end());
+  if (shuffle_batch_order) rng.shuffle(ranges);
+  order.clear();
+  for (const auto& [first, last] : ranges) {
+    const auto segment_begin = order.size();
+    for (int i = first; i < last; ++i) order.push_back(i);
     // Fisher-Yates on the segment in place (same draws as shuffling a
     // per-batch id vector, without one).
-    const std::size_t len = ws.order.size() - segment_begin;
+    const std::size_t len = order.size() - segment_begin;
     for (std::size_t i = len; i > 1; --i) {
       const auto j = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(ws.order[segment_begin + i - 1], ws.order[segment_begin + j]);
+      std::swap(order[segment_begin + i - 1], order[segment_begin + j]);
     }
   }
-}
-
-/// Evaluate one shuffle candidate: generate its order from `rng` (taken by
-/// value — each candidate owns a pre-forked stream), run the list pass and
-/// the pull-forward compaction, and return both metrics from the fused
-/// scan. The final task placements stay in `ws.tasks` for the winner's
-/// materialisation.
-FlatMetrics evaluate_shuffle_candidate(
-    const Instance& instance, const FlatBatchItems& items,
-    const std::vector<std::pair<int, int>>& batch_ranges,
-    bool shuffle_batch_order, Rng rng, ShuffleWorkspace& ws) {
-  draw_candidate_order(batch_ranges, shuffle_batch_order, rng, ws);
-  list_pass_flat(instance, items, ws.order, ws);
-  return pull_forward_metrics(ws.tasks, instance.procs(), ws.compact,
-                              instance);
 }
 
 /// Stable Smith-ratio ordering of the selected item indices. `order`
@@ -144,26 +124,11 @@ void naive_placement(const Instance& instance, const FlatBatchItems& items,
     int next_proc = 0;
     for (int item = batch_ranges[r].first; item < batch_ranges[r].second;
          ++item) {
-      const auto i = static_cast<std::size_t>(item);
-      const int np = items.procs[i];
+      const int np = items.procs[static_cast<std::size_t>(item)];
       const int base = static_cast<int>(out.proc_ids.size());
       for (int p = 0; p < np; ++p) out.proc_ids.push_back(next_proc + p);
       next_proc += np;
-      const int tb = items.tasks_begin(item);
-      const int tc = items.tasks_count(item);
-      const bool stack = tc > 1;
-      double offset = 0.0;
-      for (int ti = tb; ti < tb + tc; ++ti) {
-        const auto t = static_cast<std::size_t>(
-            items.task_ids[static_cast<std::size_t>(ti)]);
-        const double d = stack ? instance.task(static_cast<int>(t)).time(1)
-                               : items.duration[i];
-        out.start[t] = start + offset;
-        out.duration[t] = d;
-        out.proc_begin[t] = base;
-        out.proc_count[t] = np;
-        offset += d;
-      }
+      expand_item(instance, items, item, start, base, np, out);
     }
   }
 }
@@ -171,17 +136,13 @@ void naive_placement(const Instance& instance, const FlatBatchItems& items,
 }  // namespace
 
 /// Every per-call buffer of the driver and the hot path. Reuse carries only
-/// capacity between calls — each field is cleared/re-filled before use.
+/// capacity between calls — each field is cleared/re-filled before use, so
+/// after the first shuffle candidate warms them the loop allocates nothing.
 struct DemtWorkspace::Impl {
   std::vector<int> pending;
   std::vector<bool> remove;
   std::vector<std::pair<int, int>> batch_ranges;
-  std::vector<int> range_grid;      ///< grid index per batch range
-  std::vector<int> identity_order;
-  std::vector<Rng> candidate_rngs;
-  std::vector<double> cand_wc;
-  std::vector<double> cand_cm;
-  ShuffleWorkspace main_ws;
+  std::vector<int> range_grid;  ///< grid index per batch range
   DualTestWorkspace dual;     ///< bisection DP/pick buffers (allocation-free)
   InstanceAllotments tables;  ///< SoA allotment rows, rebuilt per call
   CmaxEstimate estimate;      ///< search result: estimate, bound, test count
@@ -191,8 +152,13 @@ struct DemtWorkspace::Impl {
   FlatBatchItems flat_soa;    ///< selected items of all batches, flat
   std::vector<int> chosen;
   std::vector<int> order_scratch;
-  FlatPlacements naive;
-  CompactionBuffers naive_compact;
+  // The list pass and the shuffle candidates.
+  ListPassWorkspace list;
+  FlatPlacements listed;      ///< per-item placements from the list pass
+  FlatPlacements tasks;       ///< the pass expanded to per-task placements
+  CompactionBuffers compact;
+  std::vector<int> order;     ///< item order of the list pass
+  std::vector<std::pair<int, int>> ranges;  ///< batch-order scratch
 };
 
 DemtWorkspace::DemtWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -214,6 +180,13 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
                         DemtDiagnostics& out_diag) {
   if (instance.empty()) {
     throw std::invalid_argument("demt_schedule: empty instance");
+  }
+  if (options.shuffles < 0) {
+    throw std::invalid_argument("demt_schedule: shuffles must be >= 0");
+  }
+  if (!(options.cmax_budget_factor >= 0.0)) {
+    throw std::invalid_argument(
+        "demt_schedule: cmax_budget_factor must be >= 0 (not NaN)");
   }
   DemtWorkspace::Impl& ws = *workspace.impl_;
   out_diag = DemtDiagnostics{};
@@ -284,93 +257,60 @@ void demt_schedule_into(const Instance& instance, const DemtOptions& options,
   }
   out_diag.num_batches = static_cast<int>(ws.batch_ranges.size());
 
-  // 4. Compaction.
+  // 4. Compaction. The naive schedule is built in `out_placements`, which
+  // keeps whichever schedule is current best from here on.
   naive_placement(instance, ws.flat_soa, ws.batch_ranges, ws.range_grid,
-                       grid, ws.naive);
-  if (options.compaction == DemtOptions::Compaction::None) {
-    out_placements.copy_from(ws.naive);
-    return;
-  }
-  pull_forward(ws.naive, instance.procs(), ws.naive_compact);
-  if (options.compaction == DemtOptions::Compaction::PullForward) {
-    out_placements.copy_from(ws.naive);
-    return;
-  }
+                  grid, out_placements);
+  if (options.compaction == DemtOptions::Compaction::None) return;
+  pull_forward(out_placements, instance.procs(), ws.compact);
+  if (options.compaction == DemtOptions::Compaction::PullForward) return;
+
+  // List pass over the items in ws.order, pulled forward into ws.tasks;
+  // returns both metrics from the fused scan.
+  const auto list_and_compact = [&] {
+    list_pass_flat(instance, ws.flat_soa, ws.order, ws.list, ws.listed,
+                   ws.tasks);
+    pull_forward(ws.tasks, instance.procs(), ws.compact);
+    return ws.tasks.metrics(instance);
+  };
 
   // Full list pass in batch order; batch boundaries survive as index
   // ranges over the flat SoA item array.
-  ShuffleWorkspace& main_ws = ws.main_ws;
-  std::vector<int>& identity_order = ws.identity_order;
-  identity_order.resize(static_cast<std::size_t>(ws.flat_soa.size()));
-  for (std::size_t i = 0; i < identity_order.size(); ++i) {
-    identity_order[i] = static_cast<int>(i);
-  }
-  list_pass_flat(instance, ws.flat_soa, identity_order, main_ws);
-  const FlatMetrics listed = pull_forward_metrics(
-      main_ws.tasks, instance.procs(), main_ws.compact, instance);
+  ws.order.resize(static_cast<std::size_t>(ws.flat_soa.size()));
+  std::iota(ws.order.begin(), ws.order.end(), 0);
+  const FlatMetrics listed = list_and_compact();
 
   // The list pass is the paper's preferred compaction, but it is a
   // heuristic: keep whichever of {pulled naive, listed} dominates on the
   // acceptance rule (minsum first, makespan budget).
-  const FlatMetrics naive_metrics = ws.naive.metrics(instance);
+  const FlatMetrics naive_metrics = out_placements.metrics(instance);
   double best_wc = naive_metrics.weighted_completion_sum;
   double base_cmax = naive_metrics.cmax;
   if (listed.weighted_completion_sum < best_wc || listed.cmax < base_cmax) {
-    out_placements.copy_from(main_ws.tasks);
+    out_placements.copy_from(ws.tasks);
     best_wc = listed.weighted_completion_sum;
     base_cmax = listed.cmax;
-  } else {
-    out_placements.copy_from(ws.naive);
   }
 
-  // 5. Shuffle optimisation: randomise the order within batches (optionally
-  // the batch order too), rerun the list pass, keep improvements within the
-  // makespan budget. Candidates are independent: each owns a stream forked
-  // in candidate order from the seed, all of them are evaluated in the
-  // call's workspace, and a replay of the (minsum, cmax) pairs in candidate
-  // order applies the paper's acceptance rule.
-  const int shuffles = options.shuffles;
-  if (shuffles <= 0) return;
-
-  Rng rng(kShuffleSeed);
-  std::vector<Rng>& candidate_rngs = ws.candidate_rngs;
-  candidate_rngs.clear();
-  candidate_rngs.reserve(static_cast<std::size_t>(shuffles));
-  for (int s = 0; s < shuffles; ++s) {
-    candidate_rngs.push_back(rng.fork(static_cast<std::uint64_t>(s)));
-  }
-  std::vector<double>& cand_wc = ws.cand_wc;
-  cand_wc.assign(static_cast<std::size_t>(shuffles), 0.0);
-  std::vector<double>& cand_cm = ws.cand_cm;
-  cand_cm.assign(static_cast<std::size_t>(shuffles), 0.0);
-
-  for (int s = 0; s < shuffles; ++s) {
-    const FlatMetrics result = evaluate_shuffle_candidate(
-        instance, ws.flat_soa, ws.batch_ranges, options.shuffle_batch_order,
-        candidate_rngs[static_cast<std::size_t>(s)], main_ws);
-    cand_wc[static_cast<std::size_t>(s)] = result.weighted_completion_sum;
-    cand_cm[static_cast<std::size_t>(s)] = result.cmax;
-  }
-
-  // Sequential replay of the acceptance rule, in candidate order.
+  // 5. Shuffle optimisation, one candidate at a time: randomise the order
+  // within batches (optionally the batch order too), rerun the list pass
+  // and the pull-forward, and keep the candidate at once if it lowers the
+  // minsum within the makespan budget; the last accepted one wins.
+  // Candidate s draws from the s-th fork of one seeded stream, so every
+  // call is deterministic.
   const double cmax_budget = base_cmax * options.cmax_budget_factor;
-  int winner = -1;
-  for (int s = 0; s < shuffles; ++s) {
-    const double wc = cand_wc[static_cast<std::size_t>(s)];
-    const double cm = cand_cm[static_cast<std::size_t>(s)];
-    if (wc < best_wc - 1e-12 && cm <= cmax_budget + 1e-12) {
-      best_wc = wc;
-      winner = s;
+  Rng rng(kShuffleSeed);
+  for (int s = 0; s < options.shuffles; ++s) {
+    Rng stream = rng.fork(static_cast<std::uint64_t>(s));
+    draw_candidate_order(ws.batch_ranges, options.shuffle_batch_order, stream,
+                         ws.ranges, ws.order);
+    const FlatMetrics candidate = list_and_compact();
+    if (candidate.weighted_completion_sum < best_wc - 1e-12 &&
+        candidate.cmax <= cmax_budget + 1e-12) {
+      best_wc = candidate.weighted_completion_sum;
+      out_placements.copy_from(ws.tasks);
       ++out_diag.shuffle_improvements;
     }
-  }
-  if (winner >= 0) {
-    // Re-evaluate the winning candidate (its RNG stream regenerates the
-    // same order) and keep its task placements as the result.
-    (void)evaluate_shuffle_candidate(
-        instance, ws.flat_soa, ws.batch_ranges, options.shuffle_batch_order,
-        candidate_rngs[static_cast<std::size_t>(winner)], main_ws);
-    out_placements.copy_from(main_ws.tasks);
   }
 }
 

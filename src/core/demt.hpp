@@ -49,7 +49,8 @@ struct DemtOptions {
   Compaction compaction = Compaction::List;
 
   /// Number of randomised batch-content shuffles ("shuffled several
-  /// times"); 0 disables the stage. Only meaningful with Compaction::List.
+  /// times"); 0 disables the stage, a negative count is rejected. Only
+  /// meaningful with Compaction::List.
   /// Candidates draw from RNG streams forked off one fixed seed, so every
   /// call is deterministic. Items inside a batch are listed by Smith's
   /// ratio (weight / duration decreasing) before the first list pass.
@@ -59,7 +60,8 @@ struct DemtOptions {
   bool shuffle_batch_order = false;
   /// A shuffled schedule is accepted only when it improves the weighted
   /// minsum AND its makespan stays within this factor of the unshuffled
-  /// compact schedule's makespan.
+  /// compact schedule's makespan. NaN or negative is rejected; +inf lifts
+  /// the makespan bound.
   double cmax_budget_factor = 1.0;
 };
 
@@ -79,9 +81,9 @@ struct DemtResult {
   DemtDiagnostics diag;
 };
 
-/// Reusable buffers for repeated demt_schedule_into calls: the shuffle/list/
-/// compaction workspaces of the hot path plus every per-call scratch vector
-/// of the driver (pending sets, batch ranges, candidate RNG streams, ...).
+/// Reusable buffers for repeated demt_schedule_into calls: the list-pass and
+/// compaction workspaces of the shuffle loop plus every per-call scratch
+/// vector of the driver (pending sets, batch ranges, ...).
 /// One workspace per thread/strand — the engine pools one per strand so a
 /// server-style request stream stops re-warming buffers on every request.
 /// Reuse never changes results: a workspace only carries capacity, not
@@ -104,7 +106,8 @@ class DemtWorkspace {
 };
 
 /// Schedule the instance with a fresh workspace (demt_schedule_into into
-/// the result). Throws std::invalid_argument on an empty instance. The
+/// the result). Throws std::invalid_argument on an empty instance, a
+/// negative `shuffles` or a NaN or negative `cmax_budget_factor`. The
 /// returned schedule is always complete and feasible.
 [[nodiscard]] DemtResult demt_schedule(const Instance& instance,
                                        const DemtOptions& options = {});

@@ -1,7 +1,6 @@
 #include "sched/compaction.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 namespace moldsched {
@@ -46,13 +45,6 @@ int pull_forward(FlatPlacements& flat, int m, CompactionBuffers& buffers) {
     }
   }
   return moved;
-}
-
-FlatMetrics pull_forward_metrics(FlatPlacements& flat, int m,
-                                 CompactionBuffers& buffers,
-                                 const Instance& instance) {
-  (void)pull_forward(flat, m, buffers);
-  return flat.metrics(instance);
 }
 
 }  // namespace moldsched

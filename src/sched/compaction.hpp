@@ -21,21 +21,12 @@ struct CompactionBuffers {
   std::vector<double> proc_free;
 };
 
-/// Flat-placement pull-forward used by DEMT's shuffle loop: one sweep in
-/// (start, entry) order against a per-processor free-time front, which
-/// reaches a fixpoint directly (every entry lands tight against a
-/// predecessor's finish or zero) in O(n log n + n * procs) without
-/// allocating. Returns the number of entries that moved. The result is
-/// feasible whenever the input is feasible.
+/// Flat-placement pull-forward used by DEMT's compaction and shuffle loop:
+/// one sweep in (start, entry) order against a per-processor free-time
+/// front, which reaches a fixpoint directly (every entry lands tight
+/// against a predecessor's finish or zero) in O(n log n + n * procs)
+/// without allocating. Returns the number of entries that moved. The
+/// result is feasible whenever the input is feasible.
 int pull_forward(FlatPlacements& flat, int m, CompactionBuffers& buffers);
-
-/// Compaction + candidate metrics in one call: runs the flat pull-forward
-/// sweep, then the fused metric scan over the final starts. The metric
-/// scan stays a separate entry-order pass (summation order is part of the
-/// bit-identity contract), but both metrics come from a single pass. This
-/// is what each DEMT shuffle candidate evaluation calls.
-FlatMetrics pull_forward_metrics(FlatPlacements& flat, int m,
-                                 CompactionBuffers& buffers,
-                                 const Instance& instance);
 
 }  // namespace moldsched

@@ -1312,7 +1312,10 @@ TicketStatus AsyncScheduler::poll(const Ticket& ticket) const noexcept {
                          : TicketStatus::Invalid;
 }
 
-TicketStatus AsyncScheduler::wait(const Ticket& ticket) {
+TicketStatus AsyncScheduler::wait(const Ticket& ticket, double timeout_ms) {
+  if (std::isnan(timeout_ms)) {
+    throw std::invalid_argument("AsyncScheduler: wait timeout_ms is NaN");
+  }
   Impl& im = *impl_;
   TicketStatus status = poll(ticket);
   if (is_terminal(status)) return status;
@@ -1325,47 +1328,32 @@ TicketStatus AsyncScheduler::wait(const Ticket& ticket) {
   if (im.activate(*im.shards[shard])) {
     im.stat_forced_flushes.fetch_add(1, std::memory_order_relaxed);
   }
-  im.waiters.fetch_add(1, std::memory_order_relaxed);
-  // Second half of the Dekker pair with drain_shard (see there).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  {
-    std::unique_lock lock(im.wait_mutex);
-    im.wait_cv.wait(lock, [&] {
-      status = poll(ticket);
-      return is_terminal(status);
-    });
-  }
-  im.waiters.fetch_sub(1, std::memory_order_relaxed);
-  return status;
-}
-
-TicketStatus AsyncScheduler::wait(const Ticket& ticket, double timeout_ms) {
-  Impl& im = *impl_;
-  TicketStatus status = poll(ticket);
-  if (is_terminal(status)) return status;
-  const std::uint32_t shard =
-      im.slots[ticket.slot].shard.load(std::memory_order_relaxed);
-  if (im.activate(*im.shards[shard])) {
-    im.stat_forced_flushes.fetch_add(1, std::memory_order_relaxed);
-  }
   if (timeout_ms <= 0.0) {
     status = poll(ticket);
     return is_terminal(status) ? status : TicketStatus::TimedOut;
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(
-          static_cast<std::int64_t>(std::llround(timeout_ms * 1e6)));
   im.waiters.fetch_add(1, std::memory_order_relaxed);
-  // Second half of the Dekker pair with publish_done (see wait()).
+  // Second half of the Dekker pair with publish_done (see there).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   bool terminal = false;
   {
     std::unique_lock lock(im.wait_mutex);
-    terminal = im.wait_cv.wait_until(lock, deadline, [&] {
+    const auto done = [&] {
       status = poll(ticket);
       return is_terminal(status);
-    });
+    };
+    // Beyond kMaxOptionMs (about 292 years) the deadline would overflow
+    // steady_clock: such a wait is untimed.
+    if (timeout_ms > kMaxOptionMs) {
+      im.wait_cv.wait(lock, done);
+      terminal = true;
+    } else {
+      terminal = im.wait_cv.wait_for(
+          lock,
+          std::chrono::nanoseconds(
+              static_cast<std::int64_t>(std::llround(timeout_ms * 1e6))),
+          done);
+    }
   }
   im.waiters.fetch_sub(1, std::memory_order_relaxed);
   return terminal ? status : TicketStatus::TimedOut;

@@ -18,9 +18,9 @@
 /// lanes means one unbounded FIFO lane.
 ///
 /// Determinism contract: a request's result is a pure function of the
-/// EngineRequest — the engine's per-request determinism (pre-forked
-/// shuffle RNG streams, sequential acceptance replay) makes every DEMT
-/// call self-contained — so results are bit-identical to the synchronous
+/// EngineRequest — each DEMT call runs its shuffle candidates in one loop,
+/// drawing from streams forked off a fixed seed, so it is self-contained —
+/// and results are bit-identical to the synchronous
 /// `SchedulerEngine::schedule_batch` path for any shard count, pool size,
 /// batch size, and flush timing. Only latency and throughput change.
 ///
@@ -66,6 +66,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,7 +79,7 @@ namespace moldsched {
 /// Lifecycle of a submitted request. Terminal states: Rejected, Done,
 /// Failed, Cancelled — plus Invalid once the ticket's slot has been
 /// take()n (or for a ticket this scheduler never issued). TimedOut is
-/// never stored: it is the return value of the timed wait overload when
+/// never stored: it is the return value of wait(ticket, timeout_ms) when
 /// the deadline passes first (the ticket itself stays live).
 enum class TicketStatus {
   Invalid,   ///< unknown ticket: never issued, already taken, slot reused
@@ -291,14 +292,16 @@ class AsyncScheduler {
   [[nodiscard]] TicketStatus poll(const Ticket& ticket) const noexcept;
 
   /// Block until the ticket is terminal (forcing its shard to flush so a
-  /// partial batch cannot stall the caller); returns the terminal status.
-  TicketStatus wait(const Ticket& ticket);
-
-  /// Bounded wait: like wait(), but gives up after about timeout_ms and
-  /// returns TicketStatus::TimedOut. A timed-out ticket is NOT consumed —
-  /// it stays live, keeps its slot, and may still complete; poll/wait/take
-  /// it again later (or cancel it). timeout_ms <= 0 is a flush + poll.
-  TicketStatus wait(const Ticket& ticket, double timeout_ms);
+  /// partial batch cannot stall the caller) and return the terminal
+  /// status, or give up after about timeout_ms and return
+  /// TicketStatus::TimedOut. A timed-out ticket is NOT consumed — it stays
+  /// live, keeps its slot, and may still complete; poll/wait/take it again
+  /// later (or cancel it). timeout_ms <= 0 is a flush + poll; an infinite
+  /// timeout_ms (the default) or one above 9.2e12 ms waits untimed; NaN
+  /// throws std::invalid_argument.
+  TicketStatus wait(
+      const Ticket& ticket,
+      double timeout_ms = std::numeric_limits<double>::infinity());
 
   /// Request cancellation of a pending one-shot ticket. Best-effort and
   /// non-blocking: true means the ticket was live and the flag was set —

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lp/minsum_bound.hpp"
 #include "sched/validator.hpp"
 #include "workloads/generators.hpp"
@@ -31,6 +33,32 @@ TEST(Demt, SubToleranceTaskTimesDoNotDeadlock) {
 TEST(Demt, EmptyInstanceThrows) {
   Instance instance(4);
   EXPECT_THROW(demt_schedule(instance), std::invalid_argument);
+}
+
+TEST(Demt, GarbageOptionsThrow) {
+  // A NaN or negative budget would switch the shuffle stage off, and a
+  // negative shuffle count would act as 0: both are rejected instead.
+  Rng rng(3);
+  const Instance instance =
+      generate_instance(WorkloadFamily::Mixed, 10, 8, rng);
+  for (double factor : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                        -std::numeric_limits<double>::infinity()}) {
+    DemtOptions options;
+    options.cmax_budget_factor = factor;
+    EXPECT_THROW((void)demt_schedule(instance, options), std::invalid_argument)
+        << "cmax_budget_factor " << factor;
+  }
+  DemtOptions options;
+  options.shuffles = -1;
+  EXPECT_THROW((void)demt_schedule(instance, options), std::invalid_argument);
+  // The edges stay legal: no shuffles, a zero or unbounded budget.
+  options.shuffles = 0;
+  EXPECT_NO_THROW((void)demt_schedule(instance, options));
+  options.shuffles = 4;
+  for (double factor : {0.0, std::numeric_limits<double>::infinity()}) {
+    options.cmax_budget_factor = factor;
+    EXPECT_NO_THROW((void)demt_schedule(instance, options));
+  }
 }
 
 class DemtFamilies : public ::testing::TestWithParam<WorkloadFamily> {};

@@ -140,13 +140,17 @@ DualTestResult partition_at(const Instance& instance, double lambda) {
   return out;
 }
 
-void expect_demt_matches_reference(const Instance& instance,
-                                   const DemtOptions& options) {
+/// Returns the reference's accepted shuffle candidates, so a grid can
+/// check that it covers calls where a later candidate replaces an earlier
+/// winner.
+int expect_demt_matches_reference(const Instance& instance,
+                                  const DemtOptions& options) {
   const DemtResult vec = demt_schedule(instance, options);
   const DemtResult ref = demt_schedule_reference(instance, options);
   require_valid(vec.schedule, instance);
   gate::expect_same_entries(vec.schedule, ref.schedule);
   expect_identical_diag(vec.diag, ref.diag);
+  return ref.diag.shuffle_improvements;
 }
 
 // ------------------------------------------------------ knapsack kernels
@@ -813,15 +817,21 @@ TEST(DemtKernel, DemtDifferentialDivisibleMix) {
 
 TEST(DemtKernel, DemtDifferentialGeneratorFamilies) {
   Rng rng(0xD4);
+  int replaced_winners = 0;
   for (WorkloadFamily family : all_families()) {
     for (int m : machine_sizes()) {
       for (int trial = 0; trial < 3; ++trial) {
         const Instance instance =
             generate_instance(family, 8 + trial * 6, m, rng);
-        expect_demt_matches_reference(instance, DemtOptions{});
+        if (expect_demt_matches_reference(instance, DemtOptions{}) >= 2) {
+          ++replaced_winners;
+        }
       }
     }
   }
+  // The last accepted shuffle candidate wins: only a call that accepts two
+  // or more tells that apart from keeping the first.
+  EXPECT_GT(replaced_winners, 0);
 }
 
 TEST(DemtKernel, DemtOptionVariantsDifferential) {

@@ -492,5 +492,35 @@ TEST(AsyncScheduler, TimedWaitDoesNotConsumeTheTicket) {
   EXPECT_EQ(scheduler.poll(ticket), TicketStatus::Invalid);
 }
 
+TEST(AsyncScheduler, TimedWaitBeyondTheClockRangeWaitsUntimed) {
+  // A timeout whose nanosecond count overflows the clock (infinite, or
+  // past about 292 years) must wait for the result, not time out at once.
+  const auto instances = make_instances(3, 20, 16, 8);
+  gate::FaultyPolicy slow(kFlatList);
+  for (const Instance& instance : instances) slow.sleep_on(instance, 50.0);
+  AsyncOptions options;
+  options.shards = 1;
+  AsyncScheduler scheduler(options);
+  const double timeouts[] = {std::numeric_limits<double>::infinity(), 1e13};
+  for (std::size_t i = 0; i < 2; ++i) {
+    EngineRequest request;
+    request.instance = &instances[i];
+    request.policy = &slow;
+    const Ticket ticket = scheduler.submit(request);
+    ASSERT_TRUE(ticket.accepted());
+    EXPECT_EQ(scheduler.wait(ticket, timeouts[i]), TicketStatus::Done)
+        << "timeout_ms " << timeouts[i];
+  }
+  EngineRequest request;
+  request.instance = &instances[2];
+  request.policy = &slow;
+  const Ticket ticket = scheduler.submit(request);
+  ASSERT_TRUE(ticket.accepted());
+  EXPECT_THROW(
+      (void)scheduler.wait(ticket, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+  EXPECT_EQ(scheduler.wait(ticket), TicketStatus::Done);
+}
+
 }  // namespace
 }  // namespace moldsched
