@@ -56,12 +56,6 @@ AsyncOptions validated(AsyncOptions options) {
   if (options.max_streams <= 0) {
     throw std::invalid_argument("AsyncScheduler: max_streams <= 0");
   }
-  if (options.retry.max_attempts < 1) {
-    throw std::invalid_argument("AsyncScheduler: retry.max_attempts < 1");
-  }
-  if (options.retry.base_backoff_ms < 0.0) {
-    throw std::invalid_argument("AsyncScheduler: retry.base_backoff_ms < 0");
-  }
   // Every time is converted with llround(ms * 1e6) to int64 nanoseconds;
   // NaN would also slip past both the <= 0 and the > 0 branches.
   const auto check_ms = [](double ms, const char* name) {
@@ -72,12 +66,12 @@ AsyncOptions validated(AsyncOptions options) {
   };
   check_ms(options.flush_after_ms, "flush_after_ms");
   check_ms(options.watchdog_ms, "watchdog_ms");
-  check_ms(options.retry.base_backoff_ms, "retry.base_backoff_ms");
   if (options.lanes.empty()) options.lanes.emplace_back();  // one FIFO lane
   for (const auto& lane : options.lanes) {
     if (lane.weight < 1) {
       throw std::invalid_argument("AsyncScheduler: lane weight < 1");
     }
+    check_ms(lane.max_queue_ms, "lane max_queue_ms");
   }
   return options;
 }
@@ -146,9 +140,6 @@ struct AsyncScheduler::Impl {
     std::int64_t done_ns = 0;
     SlotKind kind = SlotKind::OneShot;
     std::uint32_t lane = 0;  ///< admission lane; owned with the slot
-    /// Attempt count: 1 at commit, +1 per RetryPolicy re-queue. Atomic so
-    /// attempts() can read it while the strand retries.
-    std::atomic<std::uint32_t> attempts{0};
     /// Cancellation request, keyed by ticket id: cancel(t) stores t.id and
     /// the strand drops the slot at pop time when this matches the slot's
     /// live ticket. Matching by id (not a bool) makes a stale cancel on a
@@ -194,8 +185,8 @@ struct AsyncScheduler::Impl {
   };
 
   /// One engine shard: coalescing queue + engine (with its pooled
-  /// per-strand workspaces) + reusable batch-assembly buffers. The shard
-  /// itself is the PostedTask so dispatching it allocates nothing.
+  /// per-strand workspaces) + the reusable batch of popped slots. The
+  /// shard itself is the PostedTask so dispatching it allocates nothing.
   struct Shard : ThreadPool::PostedTask {
     Shard(Impl& owner, const AsyncOptions& options)
         : impl(&owner),
@@ -240,8 +231,6 @@ struct AsyncScheduler::Impl {
     std::atomic<std::int64_t> heartbeat_ns{0};
     SchedulerEngine engine;
     std::vector<std::uint32_t> batch_slots;
-    std::vector<EngineRequest> batch_requests;
-    std::vector<EngineResult> batch_results;
     /// Closed sessions kept warm with all their capacity, reused LIFO by
     /// the next stream this strand opens. Strand-only.
     std::vector<std::unique_ptr<OnlineStream>> free_sessions;
@@ -301,14 +290,9 @@ struct AsyncScheduler::Impl {
       shards.push_back(std::make_unique<Shard>(*this, options));
       shards.back()->index = static_cast<std::uint32_t>(s);
     }
-    // Retried slots park here between attempts; pre-sized so even the
-    // failure path allocates only once the table-bound is exceeded (never).
-    retry_queue.reserve(static_cast<std::size_t>(options.queue_capacity));
-    retry_scratch.reserve(static_cast<std::size_t>(options.queue_capacity));
-    // One background thread covers every periodic duty: deadline flushes,
-    // the stall watchdog, and retry release after backoff.
-    if (options.flush_after_ms > 0.0 || options.watchdog_ms > 0.0 ||
-        options.retry.enabled()) {
+    // One background thread covers both periodic duties: deadline flushes
+    // and the stall watchdog.
+    if (options.flush_after_ms > 0.0 || options.watchdog_ms > 0.0) {
       maintenance = std::thread([this] { maintenance_loop(); });
     }
   }
@@ -392,7 +376,7 @@ struct AsyncScheduler::Impl {
   }
 
   /// Hand an already-claimed slot to `target`'s coalescing queue (the
-  /// requeue half of failover and retry release). Caller activates.
+  /// requeue half of failover). Caller activates.
   void push_to_shard(std::uint32_t slot_index, Shard& target) {
     Slot& slot = slots[slot_index];
     slot.shard.store(target.index, std::memory_order_relaxed);
@@ -444,10 +428,7 @@ struct AsyncScheduler::Impl {
   /// Complete a popped one-shot as Cancelled (caller's cancel() or a lane
   /// max_queue_ms drop). The caller batches the live-count publish.
   void complete_cancelled(Slot& slot, bool deadline_drop) {
-    slot.result.cmax = 0.0;
-    slot.result.weighted_completion_sum = 0.0;
-    slot.result.has_schedule = false;
-    slot.result.diag = DemtDiagnostics{};
+    clear_result(slot.result);
     slot.error.assign(deadline_drop
                           ? "AsyncScheduler: dropped after lane max_queue_ms"
                           : "AsyncScheduler: cancelled by caller");
@@ -458,40 +439,25 @@ struct AsyncScheduler::Impl {
     slot.status.store(TicketStatus::Cancelled, std::memory_order_release);
   }
 
-  /// Park a failed slot for its next attempt: ready after an exponential
-  /// backoff (`attempt` is the upcoming attempt number, >= 2).
-  void schedule_retry(std::uint32_t slot_index, std::int64_t now,
-                      std::uint32_t attempt) {
-    const auto base_ns = static_cast<std::int64_t>(
-        std::llround(std::max(0.0, options.retry.base_backoff_ms) * 1e6));
-    const int shift = std::min<int>(attempt >= 2 ? attempt - 2 : 0, 30);
-    const std::lock_guard lock(retry_mutex);
-    retry_queue.push_back(RetryItem{slot_index, now + (base_ns << shift)});
+  /// Default metrics for a one-shot that was not served (Failed or
+  /// Cancelled); the schedule buffers keep their capacity.
+  static void clear_result(EngineResult& result) {
+    result.cmax = 0.0;
+    result.weighted_completion_sum = 0.0;
+    result.has_schedule = false;
+    result.diag = DemtDiagnostics{};
   }
 
-  /// Maintenance duty: move every backoff-expired retry slot onto an
-  /// alive shard's queue.
-  void release_retries(std::int64_t now) {
-    retry_scratch.clear();
-    {
-      const std::lock_guard lock(retry_mutex);
-      std::size_t keep = 0;
-      for (const RetryItem& item : retry_queue) {
-        if (item.ready_ns <= now) {
-          retry_scratch.push_back(item.slot);
-        } else {
-          retry_queue[keep++] = item;
-        }
-      }
-      retry_queue.resize(keep);
-    }
-    for (const std::uint32_t slot_index : retry_scratch) {
-      Shard* target = pick_alive(
-          failover_rr.fetch_add(1, std::memory_order_relaxed));
-      if (target == nullptr) target = shards.front().get();
-      push_to_shard(slot_index, *target);
-      activate(*target);
-    }
+  /// Send a one-shot taken off a failed shard's ring to an alive shard
+  /// (`fallback` only if none is alive, which try_declare_failed rules
+  /// out) and count the failover.
+  void reroute_one_shot(std::uint32_t slot_index, Shard& fallback) {
+    Shard* target =
+        pick_alive(failover_rr.fetch_add(1, std::memory_order_relaxed));
+    if (target == nullptr) target = &fallback;  // unreachable
+    push_to_shard(slot_index, *target);
+    activate(*target);
+    stat_failed_over.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Full failover, on the failed shard's own strand (the only owner of
@@ -527,12 +493,7 @@ struct AsyncScheduler::Impl {
     const auto forward = [&](std::uint32_t slot_index) {
       Slot& slot = slots[slot_index];
       if (slot.kind == SlotKind::OneShot) {
-        Shard* target = pick_alive(
-            failover_rr.fetch_add(1, std::memory_order_relaxed));
-        if (target == nullptr) target = &shard;  // unreachable
-        push_to_shard(slot_index, *target);
-        activate(*target);
-        stat_failed_over.fetch_add(1, std::memory_order_relaxed);
+        reroute_one_shot(slot_index, shard);
         return;
       }
       const std::uint32_t pin =
@@ -564,16 +525,11 @@ struct AsyncScheduler::Impl {
     for (auto& ring : shard.pending) {
       while (ring->try_pop(index)) {
         shard.pending_count.fetch_sub(1, std::memory_order_relaxed);
-        if (slots[index].kind != SlotKind::OneShot) {
+        if (slots[index].kind == SlotKind::OneShot) {
+          reroute_one_shot(index, shard);
+        } else {
           watchdog_stream_slot(index);
-          continue;
         }
-        Shard* target = pick_alive(
-            failover_rr.fetch_add(1, std::memory_order_relaxed));
-        if (target == nullptr) target = &shard;  // unreachable
-        push_to_shard(index, *target);
-        activate(*target);
-        stat_failed_over.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -615,79 +571,39 @@ struct AsyncScheduler::Impl {
     }
   }
 
-  /// Serve batch_slots[first, last) — all OneShot — as one engine batch.
-  /// Failed slots with retry budget left go back to Pending through the
-  /// retry queue instead of finalising.
+  /// Serve batch_slots[first, last) — all OneShot — as one batch, with
+  /// one engine call per request into the slot's own result: a request
+  /// whose policy throws fails alone, with its own message, and the other
+  /// requests of the batch are unaffected.
   void run_one_shot_segment(Shard& shard, std::size_t first,
                             std::size_t last) {
-    const std::size_t count = last - first;
-    if (shard.batch_requests.size() < count) {
-      shard.batch_requests.resize(count);
-      shard.batch_results.resize(count);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      Slot& slot = slots[shard.batch_slots[first + i]];
-      shard.batch_requests[i] = slot.request;
+    std::size_t failed = 0;
+    for (std::size_t i = first; i < last; ++i) {
+      Slot& slot = slots[shard.batch_slots[i]];
       slot.status.store(TicketStatus::Running, std::memory_order_relaxed);
-    }
-    bool failed = false;
-    try {
-      shard.engine.schedule_batch_into(shard.batch_requests.data(), count,
-                                       shard.batch_results.data());
-    } catch (const std::exception& e) {
-      failed = true;
-      for (std::size_t i = 0; i < count; ++i) {
-        slots[shard.batch_slots[first + i]].error.assign(e.what());
+      TicketStatus status = TicketStatus::Failed;
+      try {
+        shard.engine.schedule_batch_into(&slot.request, 1, &slot.result);
+        slot.error.clear();
+        status = TicketStatus::Done;
+      } catch (const std::exception& e) {
+        slot.error.assign(e.what());
+      } catch (...) {
+        slot.error.assign("AsyncScheduler: unknown engine error");
       }
-    } catch (...) {
-      failed = true;
-      for (std::size_t i = 0; i < count; ++i) {
-        slots[shard.batch_slots[first + i]].error.assign(
-            "AsyncScheduler: unknown engine error");
-      }
-    }
-    const std::int64_t done = now_ns();
-    std::size_t finalized_done = 0;
-    std::size_t finalized_failed = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      Slot& slot = slots[shard.batch_slots[first + i]];
-      if (failed) {
-        const std::uint32_t tried = slot.attempts.load(
-            std::memory_order_relaxed);
-        if (options.retry.enabled() &&
-            tried < static_cast<std::uint32_t>(options.retry.max_attempts)) {
-          // Back to Pending: the slot stays live (same ticket, same lane
-          // token) and re-queues after backoff, possibly on another shard.
-          slot.attempts.store(tried + 1, std::memory_order_relaxed);
-          slot.status.store(TicketStatus::Pending, std::memory_order_release);
-          stat_retried.fetch_add(1, std::memory_order_relaxed);
-          schedule_retry(shard.batch_slots[first + i], done, tried + 1);
-          continue;
-        }
-        slot.result.cmax = 0.0;
-        slot.result.weighted_completion_sum = 0.0;
-        slot.result.has_schedule = false;
-        slot.result.diag = DemtDiagnostics{};
+      if (status == TicketStatus::Failed) {
+        clear_result(slot.result);
         slot.error += " (policy: ";
         slot.error += slot.request.policy->name();
-        if (tried > 1) {
-          slot.error += ", attempts: ";
-          slot.error += std::to_string(tried);
-        }
         slot.error += ")";
-        ++finalized_failed;
-      } else {
-        slot.result = std::move(shard.batch_results[i]);
-        slot.error.clear();
-        ++finalized_done;
+        ++failed;
       }
-      slot.done_ns = done;
+      slot.done_ns = now_ns();
       lane_completed[slot.lane].fetch_add(1, std::memory_order_relaxed);
-      slot.status.store(failed ? TicketStatus::Failed : TicketStatus::Done,
-                        std::memory_order_release);
+      slot.status.store(status, std::memory_order_release);
     }
     stat_batches.fetch_add(1, std::memory_order_relaxed);
-    publish_done(finalized_done, finalized_failed);
+    publish_done(last - first - failed, failed);
   }
 
   /// Execute one stream feed/close slot on the stream's pinned shard.
@@ -891,10 +807,9 @@ struct AsyncScheduler::Impl {
     }
   }
 
-  /// One background thread, three periodic duties: deadline flushes (the
-  /// old flusher), the strand-stall watchdog, and retry release after
-  /// backoff. The tick is the tightest duty's cadence, clamped to
-  /// [50us, 50ms].
+  /// One background thread, two periodic duties: deadline flushes (the
+  /// old flusher) and the strand-stall watchdog. The tick is the tighter
+  /// duty's cadence, clamped to [50us, 50ms].
   void maintenance_loop() {
     const auto flush_ns = options.flush_after_ms > 0.0
         ? static_cast<std::int64_t>(std::llround(options.flush_after_ms * 1e6))
@@ -909,11 +824,6 @@ struct AsyncScheduler::Impl {
     // A quarter of the watchdog keeps stall detection prompt relative to
     // the threshold the user asked for.
     if (watchdog_ns > 0) tick_ns = std::min(tick_ns, watchdog_ns / 4);
-    if (options.retry.enabled()) {
-      tick_ns = std::min(
-          tick_ns, static_cast<std::int64_t>(
-                       std::llround(options.retry.base_backoff_ms * 1e6)) / 2);
-    }
     const auto tick = std::chrono::nanoseconds(
         std::max<std::int64_t>(tick_ns, 50'000));
     std::unique_lock lock(maintenance_mutex);
@@ -956,7 +866,6 @@ struct AsyncScheduler::Impl {
           }
         }
       }
-      if (options.retry.enabled()) release_retries(now);
     }
   }
 
@@ -1051,7 +960,6 @@ struct AsyncScheduler::Impl {
 
   std::atomic<std::uint64_t> stat_cancelled{0};
   std::atomic<std::uint64_t> stat_dropped{0};
-  std::atomic<std::uint64_t> stat_retried{0};
   std::atomic<std::uint64_t> stat_failed_over{0};
   std::atomic<std::uint64_t> stat_shards_failed{0};
   std::atomic<std::uint64_t> stat_streams_migrated{0};
@@ -1063,16 +971,6 @@ struct AsyncScheduler::Impl {
   /// fast-path guard (0 = skip the alive scan entirely).
   std::atomic<int> failed_shard_count{0};
   std::atomic<std::uint32_t> failover_rr{0};  ///< spread for pick_alive
-
-  /// A retried slot waits here (owned by no ring) until its backoff
-  /// deadline; the maintenance thread releases it back to an alive shard.
-  struct RetryItem {
-    std::uint32_t slot = 0;
-    std::int64_t ready_ns = 0;
-  };
-  std::mutex retry_mutex;
-  std::vector<RetryItem> retry_queue;        ///< guarded by retry_mutex
-  std::vector<std::uint32_t> retry_scratch;  ///< maintenance-thread only
 
   std::atomic<int> waiters{0};
   std::mutex wait_mutex;
@@ -1101,7 +999,6 @@ Ticket AsyncScheduler::Impl::commit_slot(std::uint32_t slot_index,
   slot.shard.store(shard_index, std::memory_order_relaxed);
   slot.submit_ns = now_ns();
   slot.done_ns = 0;
-  slot.attempts.store(1, std::memory_order_relaxed);
   slot.ticket.store(id, std::memory_order_relaxed);
   slot.status.store(TicketStatus::Pending, std::memory_order_release);
   in_use_count.fetch_add(1, std::memory_order_relaxed);
@@ -1138,7 +1035,9 @@ AsyncScheduler::AsyncScheduler(AsyncOptions options)
 AsyncScheduler::~AsyncScheduler() {
   Impl& im = *impl_;
   im.stopping.store(true, std::memory_order_release);
-  drain();  // needs the maintenance thread alive: retries drain through it
+  // Drain first: the watchdog may still have to reroute a stalled shard's
+  // queue.
+  drain();
   if (im.maintenance.joinable()) {
     {
       const std::lock_guard lock(im.maintenance_mutex);
@@ -1374,11 +1273,6 @@ bool AsyncScheduler::cancel(const Ticket& ticket) {
   return slot->ticket.load(std::memory_order_acquire) == ticket.id;
 }
 
-std::uint32_t AsyncScheduler::attempts(const Ticket& ticket) const noexcept {
-  const Impl::Slot* slot = impl_->live_slot(ticket);
-  return slot != nullptr ? slot->attempts.load(std::memory_order_relaxed) : 0;
-}
-
 bool AsyncScheduler::take(const Ticket& ticket, EngineResult& out) {
   Impl& im = *impl_;
   Impl::Slot* slot = im.live_slot(ticket);
@@ -1490,7 +1384,6 @@ AsyncStats AsyncScheduler::stats() const {
       im.stat_stream_rejected.load(std::memory_order_relaxed);
   stats.cancelled = im.stat_cancelled.load(std::memory_order_relaxed);
   stats.dropped = im.stat_dropped.load(std::memory_order_relaxed);
-  stats.retried = im.stat_retried.load(std::memory_order_relaxed);
   stats.failed_over = im.stat_failed_over.load(std::memory_order_relaxed);
   stats.shards_failed = im.stat_shards_failed.load(std::memory_order_relaxed);
   stats.streams_migrated =

@@ -42,15 +42,15 @@
 /// table owns each stream's OnlineStream session; a close returns it to
 /// the executing shard's free list for the next stream to reuse.
 ///
-/// Fault tolerance: a batch whose policy throws fails, and is retried
-/// with exponential backoff under RetryPolicy; a watchdog declares a
+/// Fault tolerance: a request whose policy throws fails alone — the
+/// other requests of its batch still finish Done; a watchdog declares a
 /// shard whose strand stops heartbeating failed; a failed shard's queued
 /// one-shot work fails over to surviving shards, and its pinned streams
 /// re-pin to a new shard, taking their live session along, and resume
 /// bit-identically. Callers can bound their own exposure with
 /// wait(ticket, timeout_ms), cancel(ticket), and per-lane queue-age drops
-/// (LaneSpec::max_queue_ms). With no watchdog and no retry the scheduler
-/// runs the plain hot path — bit-identical, allocation-free.
+/// (LaneSpec::max_queue_ms). With no watchdog the scheduler runs the
+/// plain hot path — bit-identical, allocation-free.
 ///
 /// Threading: submit/poll/wait/take/flush are safe from any number of
 /// threads. Each Ticket has one consumer: two threads must not wait on,
@@ -87,7 +87,7 @@ enum class TicketStatus {
   Pending,   ///< accepted; waiting in its shard's coalescing queue
   Running,   ///< being served inside an engine batch on a shard strand
   Done,      ///< result available through take()
-  Failed,    ///< the engine threw for this batch; error(ticket) explains
+  Failed,    ///< this request's policy threw; error(ticket) explains
   Cancelled, ///< dropped before running: cancel() or a lane max_queue_ms
   TimedOut,  ///< wait(ticket, timeout_ms) deadline passed; ticket still live
 };
@@ -124,17 +124,6 @@ struct LaneSpec {
   double max_queue_ms = 0.0;
 };
 
-/// Bounded retry with exponential backoff for failed or failed-over
-/// one-shot work: attempt k (2-based) re-queues after
-/// base_backoff_ms * 2^(k-2). max_attempts == 1 means no retry — the
-/// first failure is final.
-struct RetryPolicy {
-  int max_attempts = 1;        ///< total attempts (first try included), >= 1
-  double base_backoff_ms = 0.2;  ///< backoff before the first retry
-
-  [[nodiscard]] bool enabled() const noexcept { return max_attempts > 1; }
-};
-
 struct AsyncOptions {
   /// Engine shards. Each shard owns one SchedulerEngine (and through it a
   /// pooled workspace set) and one coalescing queue; accepted requests are
@@ -164,13 +153,8 @@ struct AsyncOptions {
   /// index. The global queue_capacity still bounds total in-flight work:
   /// lanes subdivide it, never extend it. Empty (default) = one unbounded
   /// FIFO lane named "default". Throws std::invalid_argument on a
-  /// weight < 1.
+  /// weight < 1, or a max_queue_ms not finite or beyond 9.2e12 ms.
   std::vector<LaneSpec> lanes;
-  /// Bounded retry with exponential backoff for failed one-shot batches.
-  /// Default (max_attempts == 1) keeps failures final on first attempt.
-  /// Throws std::invalid_argument when max_attempts < 1 or
-  /// base_backoff_ms is negative, not finite or beyond 9.2e12 ms.
-  RetryPolicy retry;
   /// Liveness watchdog: a shard whose strand has been inside a drain for
   /// longer than about this long without a heartbeat is declared failed —
   /// its queued one-shots fail over to surviving shards and its streams
@@ -217,7 +201,6 @@ struct AsyncStats {
   std::uint64_t stream_rejected = 0;   ///< open_stream refusals (table full)
   std::uint64_t cancelled = 0;         ///< reached Cancelled (cancel())
   std::uint64_t dropped = 0;           ///< Cancelled by a lane max_queue_ms
-  std::uint64_t retried = 0;           ///< re-queued attempts under RetryPolicy
   std::uint64_t failed_over = 0;       ///< one-shots rerouted off a failed shard
   std::uint64_t shards_failed = 0;     ///< shards failed by the watchdog
   std::uint64_t streams_migrated = 0;  ///< live sessions re-pinned to a new shard
@@ -312,10 +295,6 @@ class AsyncScheduler {
   /// feed would corrupt the stream's tape.
   bool cancel(const Ticket& ticket);
 
-  /// Attempt count of a live or terminal ticket: 1 = first attempt, each
-  /// RetryPolicy re-queue adds one. 0 for unknown/taken tickets.
-  [[nodiscard]] std::uint32_t attempts(const Ticket& ticket) const noexcept;
-
   /// Move the result out and free the slot for admission. True only when
   /// the ticket was Done (or Failed/Cancelled: `out` is then default
   /// metrics) and names a one-shot request (stream tickets go through
@@ -359,9 +338,9 @@ class AsyncScheduler {
   /// Streams currently open (accepted, close not yet executed).
   [[nodiscard]] std::size_t open_streams() const noexcept;
 
-  /// Error message of a Failed or Cancelled ticket ("" otherwise). Failed
-  /// messages name the failing policy and, under retry, the attempt count.
-  /// Valid until take().
+  /// Error message of a Failed or Cancelled ticket ("" otherwise). A
+  /// Failed one-shot's message is its own policy's exception text plus
+  /// " (policy: <name>)". Valid until take().
   [[nodiscard]] std::string error(const Ticket& ticket) const;
 
   /// Submit-to-done latency of a Done/Failed/Cancelled ticket, in seconds

@@ -114,12 +114,12 @@ inline std::vector<LaneSpec> serve_lanes() {
 /// A SchedulingPolicy that forwards every call to `inner`, and fails on
 /// demand: it throws or sleeps when handed a chosen instance, or on its
 /// Nth call. Faults reach the serving layer the way real ones do, from
-/// the policy a request or stream runs: a throw fails the engine segment
-/// (and is retried under RetryPolicy), and a sleep longer than
-/// watchdog_ms gets the strand's shard declared failed. Every result
-/// that does come back is the inner policy's, bit for bit, and name()
-/// is the inner policy's name. Arm the faults before serving; calls may
-/// then come from any number of strands.
+/// the policy a request or stream runs: a throw fails the one request
+/// whose call threw, and a sleep longer than watchdog_ms gets the
+/// strand's shard declared failed. Every result that does come back is
+/// the inner policy's, bit for bit, and name() is the inner policy's
+/// name. Arm the faults before serving; calls may then come from any
+/// number of strands.
 class FaultyPolicy final : public SchedulingPolicy {
  public:
   explicit FaultyPolicy(const SchedulingPolicy& inner) : inner_(&inner) {}
@@ -138,9 +138,13 @@ class FaultyPolicy final : public SchedulingPolicy {
     rules_.push_back(Rule{nullptr, call, 0, ms});
   }
 
-  /// Faults that have fired so far.
+  /// Faults that have fired so far, throws and sleeps.
   [[nodiscard]] int fired() const noexcept {
     return fired_.load(std::memory_order_acquire);
+  }
+  /// Calls that have thrown so far.
+  [[nodiscard]] int throws_fired() const noexcept {
+    return throws_fired_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] const char* name() const noexcept override {
@@ -172,7 +176,10 @@ class FaultyPolicy final : public SchedulingPolicy {
         fired_.fetch_add(1, std::memory_order_release);
       }
     }
-    if (fail) throw std::runtime_error("FaultyPolicy: injected throw");
+    if (fail) {
+      throws_fired_.fetch_add(1, std::memory_order_release);
+      throw std::runtime_error("FaultyPolicy: injected throw");
+    }
     if (sleep_ms > 0.0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(sleep_ms));
@@ -192,6 +199,7 @@ class FaultyPolicy final : public SchedulingPolicy {
   mutable std::vector<Rule> rules_;  ///< guarded by mutex_ while serving
   mutable int calls_ = 0;            ///< guarded by mutex_
   mutable std::atomic<int> fired_{0};
+  mutable std::atomic<int> throws_fired_{0};
 };
 
 // ------------------------------------------------- decision cache (Zipf)

@@ -1,8 +1,8 @@
 /// Contracts of the serving layer's fault tolerance
 /// (serve/async_scheduler.hpp), with faults injected through a policy
-/// that throws or stalls on demand (gate::FaultyPolicy): bounded retry
-/// recovers a throwing batch (and reports policy + attempts on
-/// exhaustion), timed waits bound a stalled strand without consuming the
+/// that throws or stalls on demand (gate::FaultyPolicy): a request whose
+/// policy throws fails alone while its batch neighbours finish Done and
+/// bit-identical, timed waits bound a stalled strand without consuming the
 /// ticket, cancel()/max_queue_ms drop pending one-shots as Cancelled, the
 /// watchdog fails a stalled shard and survivors absorb its queue, and —
 /// the acceptance gate — killing a shard mid-tape re-pins its streams,
@@ -13,9 +13,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/policy.hpp"
@@ -78,83 +78,74 @@ void await_migrations(const AsyncScheduler& async, std::uint64_t count) {
 }
 
 // ---------------------------------------------------------------------------
-// Option validation.
+// Per-request failure isolation.
 
-TEST(FaultTolerance, ValidatesRetryOptions) {
-  AsyncOptions bad_attempts;
-  bad_attempts.retry.max_attempts = 0;
-  EXPECT_THROW(AsyncScheduler{bad_attempts}, std::invalid_argument);
-  AsyncOptions bad_backoff;
-  bad_backoff.retry.max_attempts = 2;
-  bad_backoff.retry.base_backoff_ms = -1.0;
-  EXPECT_THROW(AsyncScheduler{bad_backoff}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Retry with backoff.
-
-TEST(FaultTolerance, RetryRecoversInjectedThrowBitIdentically) {
-  const auto instances = make_instances(1, 24, 8, 5);
-  EngineRequest request;
-  request.instance = &instances[0];
-  request.policy = &kFlatList;
-
+TEST(FaultTolerance, OneFailingRequestLeavesItsBatchNeighboursDone) {
+  // Three valid DEMT requests and one zero-task instance, on which
+  // demt_schedule throws, coalesce into one engine batch on one shard.
+  // Only the empty one fails, with its own message; its neighbours equal
+  // the synchronous engine's results bit for bit.
+  const DemtPolicy demt;
+  const auto instances = make_instances(3, 20, 8, 31);
+  std::vector<EngineRequest> valid(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    valid[i].instance = &instances[i];
+    valid[i].policy = &demt;
+  }
   SchedulerEngine sync(EngineOptions{1, false});
   std::vector<EngineResult> reference;
-  sync.schedule_batch({request}, reference);
+  sync.schedule_batch(valid, reference);
 
-  gate::FaultyPolicy faulty(kFlatList);
-  faulty.throw_on(instances[0], 1);
-  request.policy = &faulty;
-  AsyncOptions options;
-  options.shards = 1;
-  options.flush_after_ms = 0.0;
-  options.retry = RetryPolicy{3, 0.05};
-  AsyncScheduler async(options);
-
-  const Ticket ticket = async.submit(request);
-  ASSERT_TRUE(ticket.accepted());
-  EXPECT_EQ(async.wait(ticket), TicketStatus::Done);
-  EXPECT_EQ(async.attempts(ticket), 2u);  // one throw, one clean attempt
-  EngineResult result;
-  ASSERT_TRUE(async.take(ticket, result));
-  EXPECT_EQ(result.cmax, reference[0].cmax);
-  EXPECT_EQ(result.weighted_completion_sum,
-            reference[0].weighted_completion_sum);
-  const AsyncStats stats = async.stats();
-  EXPECT_EQ(stats.retried, 1u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(faulty.fired(), 1);
-}
-
-TEST(FaultTolerance, RetryExhaustionReportsPolicyAndAttempts) {
-  const auto instances = make_instances(1, 16, 8, 6);
-  gate::FaultyPolicy faulty(kFlatList);
-  faulty.throw_on(instances[0], INT_MAX);  // every attempt throws
-  EngineRequest request;
-  request.instance = &instances[0];
-  request.policy = &faulty;
+  const Instance empty(8);
+  EngineRequest failing;
+  failing.instance = &empty;
+  failing.policy = &demt;
+  std::vector<EngineRequest> requests = valid;
+  requests.insert(requests.begin() + 1, failing);  // mid-batch
 
   AsyncOptions options;
   options.shards = 1;
-  options.flush_after_ms = 0.0;
-  options.retry = RetryPolicy{2, 0.05};
+  options.max_batch = 4;
+  options.flush_after_ms = 1e6;  // one batch, dispatched by size or flush()
   AsyncScheduler async(options);
+  std::vector<Ticket> tickets;
+  for (const EngineRequest& request : requests) {
+    tickets.push_back(async.submit(request));
+    ASSERT_TRUE(tickets.back().accepted());
+  }
+  async.flush();
 
-  const Ticket ticket = async.submit(request);
-  ASSERT_TRUE(ticket.accepted());
-  EXPECT_EQ(async.wait(ticket), TicketStatus::Failed);
-  EXPECT_EQ(async.attempts(ticket), 2u);
-  const std::string error = async.error(ticket);
-  EXPECT_NE(error.find("injected throw"), std::string::npos) << error;
-  EXPECT_NE(error.find("policy: flatlist"), std::string::npos) << error;
-  EXPECT_NE(error.find("attempts: 2"), std::string::npos) << error;
+  EXPECT_EQ(async.wait(tickets[1]), TicketStatus::Failed);
+  EXPECT_EQ(async.error(tickets[1]),
+            "demt_schedule: empty instance (policy: demt)");
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    if (i == 1) continue;
+    const std::size_t ref = i == 0 ? 0 : i - 1;
+    ASSERT_EQ(async.wait(tickets[i]), TicketStatus::Done)
+        << i << ": " << async.error(tickets[i]);
+    EngineResult result;
+    ASSERT_TRUE(async.take(tickets[i], result));
+    EXPECT_EQ(result.cmax, reference[ref].cmax) << i;
+    EXPECT_EQ(result.weighted_completion_sum,
+              reference[ref].weighted_completion_sum)
+        << i;
+    const DemtDiagnostics& got = result.diag;
+    const DemtDiagnostics& want = reference[ref].diag;
+    EXPECT_EQ(got.cmax_estimate, want.cmax_estimate) << i;
+    EXPECT_EQ(got.cmax_lower_bound, want.cmax_lower_bound) << i;
+    EXPECT_EQ(got.grid_k, want.grid_k) << i;
+    EXPECT_EQ(got.num_batches, want.num_batches) << i;
+    EXPECT_EQ(got.merged_stacks, want.merged_stacks) << i;
+    EXPECT_EQ(got.shuffle_improvements, want.shuffle_improvements) << i;
+    EXPECT_EQ(got.dual_tests, want.dual_tests) << i;
+  }
   EngineResult result;
-  EXPECT_TRUE(async.take(ticket, result));
+  EXPECT_TRUE(async.take(tickets[1], result));
+  async.drain();  // the counters publish after the last status
   const AsyncStats stats = async.stats();
-  EXPECT_EQ(stats.retried, 1u);
+  EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.batches, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +392,6 @@ TEST(FaultTolerance, KillAShardMidTapeMigratesStreamsBitIdentically) {
   options.shards = 4;
   options.max_batch = 4;
   options.flush_after_ms = 0.0;
-  options.retry = RetryPolicy{3, 0.05};
   options.watchdog_ms = 20.0;
   AsyncScheduler async(options);
 
@@ -626,13 +616,15 @@ TEST(FaultTolerance, KillAShardMidTapeMovesSpeculativeSessionsBitIdentically) {
 }
 
 /// The chaos run behind the serving layer's loss gate: seeded faults
-/// over two FlatList streams and rounds of one-shot traffic, with bounded
-/// retry, the watchdog and stream migration active. One-shot instances
-/// throw once or twice or stall briefly (a floor of one of each plus
-/// seeded picks), and the first call of a seeded stream's policy stalls
-/// past the watchdog, killing that stream's shard. Every accepted ticket
-/// reaches a terminal state and is taken exactly once, and every stream,
-/// migrated or not, replays the off-line simulator bit-identically. Each
+/// over two FlatList streams and rounds of one-shot traffic, with the
+/// watchdog and stream migration active. One-shot instances throw on
+/// their next one or two calls or stall briefly (a floor of one of each
+/// plus seeded picks), and the first call of a seeded stream's policy
+/// stalls past the watchdog, killing that stream's shard. Every accepted
+/// ticket reaches a terminal state and is taken exactly once; exactly the
+/// requests whose policy threw fail, and every Done one-shot equals the
+/// synchronous engine's result bit for bit. Every stream, migrated or
+/// not, replays the off-line simulator bit-identically. Each
 /// stream feed is waited alone, so the watchdog never finds a stream
 /// feed queued behind the stall (failover sheds those by design, which
 /// is not the loss-free path pinned here).
@@ -672,8 +664,12 @@ void run_chaos(std::uint64_t seed) {
   std::vector<EngineRequest> requests(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     requests[i].instance = &instances[i];
-    requests[i].policy = &one_shot_faults;
+    requests[i].policy = &kFlatList;
   }
+  SchedulerEngine sync(EngineOptions{1, false});
+  std::vector<EngineResult> reference;
+  sync.schedule_batch(requests, reference);
+  for (EngineRequest& request : requests) request.policy = &one_shot_faults;
   gate::FaultyPolicy stream_fault(kFlatList);
   stream_fault.sleep_on_call(1, 250.0);
 
@@ -682,7 +678,6 @@ void run_chaos(std::uint64_t seed) {
   options.max_batch = gate::kServeMaxBatch;
   options.flush_after_ms = gate::kServeFlushMs;
   options.queue_capacity = 4096;
-  options.retry = RetryPolicy{4, 0.1};
   options.watchdog_ms = 50.0;
   AsyncScheduler async(options);
 
@@ -725,19 +720,32 @@ void run_chaos(std::uint64_t seed) {
       completions[s].insert(completions[s].end(), delivery.completion.begin(),
                             delivery.completion.end());
     }
-    std::vector<Ticket> tickets;
-    for (const auto& request : requests) {
-      const Ticket ticket = async.submit(request);
-      if (ticket.accepted()) tickets.push_back(ticket);
+    std::vector<std::pair<Ticket, std::size_t>> tickets;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Ticket ticket = async.submit(requests[i]);
+      if (ticket.accepted()) tickets.emplace_back(ticket, i);
     }
-    for (const Ticket& ticket : tickets) {
+    for (const auto& [ticket, index] : tickets) {
       const TicketStatus status = async.wait(ticket, 30000.0);
-      // Failed = retry exhausted: terminal and accounted, not lost.
+      // Failed = this request's policy threw: terminal and accounted.
       if (status != TicketStatus::Done && status != TicketStatus::Failed) {
         ++lost;
         continue;
       }
-      if (!async.take(ticket, result)) ++lost;
+      const std::string error = async.error(ticket);
+      if (!async.take(ticket, result)) {
+        ++lost;
+        continue;
+      }
+      if (status == TicketStatus::Done) {
+        EXPECT_EQ(result.cmax, reference[index].cmax) << index;
+        EXPECT_EQ(result.weighted_completion_sum,
+                  reference[index].weighted_completion_sum)
+            << index;
+      } else {
+        EXPECT_EQ(error, "FaultyPolicy: injected throw (policy: flatlist)")
+            << index;
+      }
       if (async.take(ticket, result) ||
           async.poll(ticket) != TicketStatus::Invalid) {
         ++duplicated;
@@ -763,8 +771,11 @@ void run_chaos(std::uint64_t seed) {
   }
   EXPECT_EQ(lost, 0u);
   EXPECT_EQ(duplicated, 0u);
+  async.drain();  // the counters publish after the last status
   const AsyncStats stats = async.stats();
-  EXPECT_GE(stats.retried, 1u);
+  EXPECT_GE(one_shot_faults.throws_fired(), 1);
+  EXPECT_EQ(stats.failed,
+            static_cast<std::uint64_t>(one_shot_faults.throws_fired()));
   EXPECT_EQ(stream_fault.fired(), 1);
   EXPECT_GE(stats.shards_failed, 1u);
   EXPECT_EQ(stats.streams_migrated, 1u);

@@ -361,15 +361,16 @@ TEST(AsyncScheduler, RejectsBadOptions) {
     AsyncOptions watchdog;
     watchdog.watchdog_ms = bad;
     EXPECT_THROW(AsyncScheduler{watchdog}, std::invalid_argument) << bad;
-    AsyncOptions backoff;
-    backoff.retry.base_backoff_ms = bad;
-    EXPECT_THROW(AsyncScheduler{backoff}, std::invalid_argument) << bad;
+    // A NaN queue age would silently disable the lane's drop.
+    AsyncOptions queue_age;
+    queue_age.lanes = {LaneSpec{"stale", 1, 0, bad}};
+    EXPECT_THROW(AsyncScheduler{queue_age}, std::invalid_argument) << bad;
   }
   // Large finite times stay legal.
   AsyncOptions large;
   large.flush_after_ms = 1e9;
   large.watchdog_ms = 1e6;
-  large.retry.base_backoff_ms = 1e6;
+  large.lanes = {LaneSpec{"patient", 1, 0, 1e6}};
   EXPECT_NO_THROW(AsyncScheduler{large});
 }
 
@@ -466,7 +467,6 @@ TEST(AsyncScheduler, FailedOneShotErrorNamesPolicyAndLane) {
   EXPECT_EQ(scheduler.wait(ticket), TicketStatus::Failed);
   const std::string message = scheduler.error(ticket);
   EXPECT_NE(message.find("policy: demt"), std::string::npos) << message;
-  EXPECT_EQ(scheduler.attempts(ticket), 1u);
   EngineResult result;
   EXPECT_TRUE(scheduler.take(ticket, result));
 }
