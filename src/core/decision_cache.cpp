@@ -151,6 +151,7 @@ DecisionCache::DecisionCache(DecisionCacheOptions options)
   for (std::size_t s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->records.resize(base + (s < extra ? 1 : 0));
+    shard->seen.resize(shard->records.size());
     shards_.push_back(std::move(shard));
   }
 }
@@ -222,6 +223,22 @@ void DecisionCache::insert(const InstanceSignature& sig,
   if (policy_key == 0) return;
   Shard& shard = shard_for(sig.hash);
   std::lock_guard<std::mutex> lock(shard.mu);
+  // Doorkeeper: the first sighting of (sig, policy_key) only sets its bit,
+  // so a shape that never recurs costs no record. Once half the bits are
+  // set they are all cleared, which keeps the chance that a one-off finds
+  // its bit already set (and is stored anyway) below one half.
+  const std::uint64_t key = mix(sig.hash, policy_key);
+  std::uint64_t& word = shard.seen[key % shard.seen.size()];
+  const std::uint64_t bit = std::uint64_t{1} << (key >> 58);
+  if ((word & bit) == 0) {
+    if (2 * shard.seen_bits >= 64 * shard.seen.size()) {
+      std::fill(shard.seen.begin(), shard.seen.end(), 0);
+      shard.seen_bits = 0;
+    }
+    word |= bit;
+    ++shard.seen_bits;
+    return;
+  }
   Record* victim = nullptr;
   for (std::size_t i = 0; i < shard.live; ++i) {
     Record& r = shard.records[i];
@@ -288,6 +305,8 @@ void DecisionCache::clear() {
     }
     shard->live = 0;
     shard->hand = 0;
+    std::fill(shard->seen.begin(), shard->seen.end(), 0);
+    shard->seen_bits = 0;
   }
 }
 

@@ -31,7 +31,17 @@
 ///     CLOCK (second-chance) eviction hand per shard; records are pooled,
 ///     so an eviction recycles the record's buffers in place and a warm
 ///     hit performs **zero heap allocations** (gated by
-///     Alloc.CacheHitsServeDemtMetricsOnly in tests/alloc/).
+///     Alloc.CacheHitsServeDemtMetricsOnly in tests/alloc/). Admission
+///     goes through a doorkeeper in the style of TinyLFU (Einziger,
+///     Friedman & Manes, arXiv:1512.00727): each shard keeps a fixed
+///     bitset of 64 bits per record, one bit per (signature, policy key).
+///     A shape's first insert only sets its bit; the second stores the
+///     record. A shape that never recurs therefore costs no record and no
+///     descriptor copy (Alloc.FirstSightingInsertAllocatesNothing), and a
+///     flood of one-offs evicts few of the shapes that do recur. The price
+///     is one extra policy run per recurring shape. A one-off is stored
+///     only when another shape set its bit, and the bitset is cleared once
+///     half its bits are set, so that happens to fewer than half of them.
 ///
 /// Bit-identity contract: quantization only *buckets* candidates. A hit
 /// is declared only after an exact, in-order comparison of every task
@@ -146,7 +156,9 @@ struct DecisionCacheOptions {
 struct DecisionCacheStats {
   std::uint64_t hits = 0;       ///< lookups replayed from a record
   std::uint64_t misses = 0;     ///< lookups that found no exact record
-  std::uint64_t inserts = 0;    ///< records stored (refreshes included)
+  /// Records stored, refreshes included; a first sighting, which only
+  /// marks the doorkeeper, is not counted.
+  std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;  ///< records recycled by the CLOCK hand
   std::size_t size = 0;         ///< live records right now
 };
@@ -172,14 +184,16 @@ class DecisionCache {
               DemtDiagnostics& diag);
 
   /// Store (or refresh) the record for (sig, policy_key, instance):
-  /// copies the task descriptors and the flat placements. No-op when
-  /// policy_key is 0. Evicts via CLOCK when the shard is full, recycling
-  /// the victim's buffers in place.
+  /// copies the task descriptors and the flat placements. Stores on the
+  /// second sighting; the first one only marks the doorkeeper (see the
+  /// file comment). No-op when policy_key is 0. Evicts via CLOCK when the
+  /// shard is full, recycling the victim's buffers in place.
   void insert(const InstanceSignature& sig, std::uint64_t policy_key,
               const Instance& instance, const FlatPlacements& flat,
               const DemtDiagnostics& diag);
 
-  /// Drop every record (capacity and counters are kept).
+  /// Drop every record and forget every sighting (capacity and counters
+  /// are kept).
   void clear();
 
   [[nodiscard]] DecisionCacheStats stats() const;
@@ -217,6 +231,9 @@ class DecisionCache {
     std::vector<Record> records;  ///< fixed capacity, allocated up front
     std::size_t live = 0;         ///< records ever filled (append cursor)
     std::size_t hand = 0;         ///< CLOCK hand
+    /// Doorkeeper bitset, one 64-bit word per record, allocated up front.
+    std::vector<std::uint64_t> seen;
+    std::size_t seen_bits = 0;    ///< bits set in `seen`
   };
 
   [[nodiscard]] Shard& shard_for(std::uint64_t hash) noexcept;

@@ -177,8 +177,9 @@ TEST(Alloc, CacheHitsServeDemtMetricsOnly) {
     async.drain();
     for (const Ticket& ticket : tickets) (void)async.take(ticket, result);
   };
-  // The cold misses fill the cache in the first round; every later
-  // request replays a cached decision.
+  // A shape is stored on its second sighting, so the misses of the first
+  // two rounds fill the cache; every later request replays a cached
+  // decision.
   for (int r = 0; r < 2 + gate::kServeReps; ++r) round();
   const std::uint64_t misses = cache.stats().misses;
   EXPECT_EQ(allocs_during([&] {
@@ -186,6 +187,33 @@ TEST(Alloc, CacheHitsServeDemtMetricsOnly) {
             }),
             0u);
   EXPECT_EQ(cache.stats().misses, misses);
+}
+
+TEST(Alloc, FirstSightingInsertAllocatesNothing) {
+  SKIP_WITHOUT_HOOK();
+  // A shape's first insert only marks the doorkeeper: no record buffer
+  // grows, so a never-repeating workload costs the cache no memory.
+  const gate::EngineWorkload workload =
+      gate::engine_workload(gate::kEngineAllocRequests);
+  const FlatListPolicy policy;
+  SignatureScratch scratch;
+  auto ws = policy.make_workspace();
+  std::vector<InstanceSignature> sigs;
+  std::vector<FlatPlacements> flats(workload.instances.size());
+  for (std::size_t i = 0; i < workload.instances.size(); ++i) {
+    sigs.push_back(canonical_signature(workload.instances[i], 32, scratch));
+    policy.schedule_into(workload.instances[i], *ws, flats[i]);
+  }
+  DecisionCache cache(DecisionCacheOptions{});
+  const DemtDiagnostics diag;
+  EXPECT_EQ(allocs_during([&] {
+              for (std::size_t i = 0; i < sigs.size(); ++i) {
+                cache.insert(sigs[i], policy.cache_key(),
+                             workload.instances[i], flats[i], diag);
+              }
+            }),
+            0u);
+  EXPECT_EQ(cache.stats().inserts, 0u);
 }
 
 TEST(Alloc, SpeculativeStreamFeeds) {

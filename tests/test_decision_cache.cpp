@@ -4,7 +4,7 @@
 ///    bit-identical to cache-off across policies {demt, flatlist},
 ///    serve shards {1, 2, 4}, repeated/interleaved shapes, and eviction
 ///    pressure (capacity 1 forces thrash), plus unit tests of the
-///    replay, CLOCK bound, and stats surfaces.
+///    replay, CLOCK bound, doorkeeper admission, and stats surfaces.
 ///
 ///  - `Canonical`: property tests of canonical_signature — invariant
 ///    under task permutation and duplicate-shape resubmission, distinct
@@ -20,6 +20,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/decision_cache.hpp"
@@ -130,6 +131,8 @@ TEST(DecisionCache, LookupMissesThenReplaysExactly) {
   EXPECT_FALSE(cache.lookup(sig, policy.cache_key(), instance, replay, diag));
   DemtDiagnostics stored;
   stored.num_batches = 7;  // any marker: diag must round-trip verbatim
+  // The first sighting only marks the doorkeeper; the second stores.
+  cache.insert(sig, policy.cache_key(), instance, fresh, stored);
   cache.insert(sig, policy.cache_key(), instance, fresh, stored);
   ASSERT_TRUE(cache.lookup(sig, policy.cache_key(), instance, replay, diag));
   gate::expect_identical_placements(replay, fresh);
@@ -215,6 +218,9 @@ TEST(DecisionCache, ExactVerificationRejectsBucketMates) {
 
   DecisionCache cache(DecisionCacheOptions{8, 1, 32});
   DemtDiagnostics diag;
+  // Two sightings store a; b shares a's signature, hence its doorkeeper
+  // bit, so b's first insert stores.
+  cache.insert(sig_a, policy.cache_key(), a, flat_a, diag);
   cache.insert(sig_a, policy.cache_key(), a, flat_a, diag);
   EXPECT_FALSE(cache.lookup(sig_b, policy.cache_key(), b, replay, diag));
   cache.insert(sig_b, policy.cache_key(), b, flat_b, diag);
@@ -240,13 +246,16 @@ TEST(DecisionCache, PermutedResubmissionIsItsOwnRecord) {
 
   DecisionCache cache(DecisionCacheOptions{8, 1, 32});
   DemtDiagnostics diag;
+  // Two sightings store a (the first only marks the doorkeeper).
+  cache.insert(signature_of(a), policy.cache_key(), a, flat_a, diag);
   cache.insert(signature_of(a), policy.cache_key(), a, flat_a, diag);
   // The permuted twin shares the bucket but must MISS (bit-identity wins
   // over hit rate: replaying across a permutation could differ when sort
   // keys tie) ...
   EXPECT_FALSE(cache.lookup(signature_of(b), policy.cache_key(), b, replay,
                             diag));
-  // ... and then coexist as its own record under the same signature.
+  // ... and then coexist as its own record under the same signature (the
+  // twin shares a's doorkeeper bit, so one insert stores it).
   cache.insert(signature_of(b), policy.cache_key(), b, flat_b, diag);
   ASSERT_TRUE(
       cache.lookup(signature_of(a), policy.cache_key(), a, replay, diag));
@@ -276,11 +285,13 @@ TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   SchedulerEngine cached(EngineOptions{1, true, &cache});
   SchedulerEngine plain(EngineOptions{1, true});
 
-  std::vector<EngineRequest> requests(4);
+  std::vector<EngineRequest> requests(6);
   requests[0] = EngineRequest{&instances[0], &fast_policy};
   requests[1] = EngineRequest{&instances[0], &thorough_policy};
-  requests[2] = requests[0];  // replay of the fast decision
-  requests[3] = requests[1];  // replay of the thorough decision
+  requests[2] = requests[0];  // second sighting: stores the fast decision
+  requests[3] = requests[1];  // second sighting: stores the thorough one
+  requests[4] = requests[0];  // replay of the fast decision
+  requests[5] = requests[1];  // replay of the thorough decision
   std::vector<EngineResult> with_cache, without_cache;
   cached.schedule_batch(requests, with_cache);
   plain.schedule_batch(requests, without_cache);
@@ -291,7 +302,7 @@ TEST(DecisionCache, DistinctPolicyKeysDoNotPoisonEachOther) {
   }
   const DecisionCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.size, 2u);
 }
 
@@ -334,9 +345,12 @@ TEST(DecisionCache, ClockEvictionBoundsEveryShard) {
   FlatPlacements flat, replay;
   for (const Instance& instance : instances) {
     run_fresh(policy, instance, flat);
-    cache.insert(signature_of(instance), policy.cache_key(), instance, flat,
-                 diag);
-    EXPECT_LE(cache.stats().size, 2u);
+    // The first sighting only marks the doorkeeper; the second stores.
+    for (int sighting = 0; sighting < 2; ++sighting) {
+      cache.insert(signature_of(instance), policy.cache_key(), instance, flat,
+                   diag);
+      EXPECT_LE(cache.stats().size, 2u);
+    }
   }
   const DecisionCacheStats stats = cache.stats();
   EXPECT_EQ(stats.size, 2u);
@@ -357,7 +371,8 @@ TEST(DecisionCache, ClockEvictionBoundsEveryShard) {
 
 TEST(DecisionCache, SharedAcrossEnginesLikeServeShards) {
   // One cache backing several engines (exactly how AsyncScheduler wires
-  // its shards): a shape first served by engine A replays on engine B.
+  // its shards): a shape stored by engine A replays on engine B. A serves
+  // the batch twice, because a shape is stored on its second sighting.
   const auto instances = make_instances(3, 20, 10, 808);
   DemtOptions demt;
   demt.shuffles = 2;
@@ -372,6 +387,7 @@ TEST(DecisionCache, SharedAcrossEnginesLikeServeShards) {
     requests.push_back(EngineRequest{&instance, &policy});
   }
   std::vector<EngineResult> via_a, via_b, fresh;
+  a.schedule_batch(requests, via_a);
   a.schedule_batch(requests, via_a);
   EXPECT_EQ(cache.stats().hits, 0u);
   b.schedule_batch(requests, via_b);
@@ -391,13 +407,223 @@ TEST(DecisionCache, HitMaterializesValidSchedule) {
   const DemtPolicy policy(demt);
   DecisionCache cache(DecisionCacheOptions{8, 1, 32});
   SchedulerEngine engine(EngineOptions{1, true, &cache});
-  std::vector<EngineRequest> requests(2, EngineRequest{&instances[0], &policy});
+  // Stored on the second sighting, replayed on the third.
+  std::vector<EngineRequest> requests(3, EngineRequest{&instances[0], &policy});
   std::vector<EngineResult> results;
   engine.schedule_batch(requests, results);
   ASSERT_EQ(cache.stats().hits, 1u);
-  ASSERT_TRUE(results[1].has_schedule);
-  expect_identical(results[0], results[1]);
-  require_valid(results[1].schedule, instances[0]);
+  ASSERT_TRUE(results[2].has_schedule);
+  expect_identical(results[0], results[2]);
+  require_valid(results[2].schedule, instances[0]);
+}
+
+TEST(DecisionCache, FirstSightingStoresNothingSecondStoresThirdReplays) {
+  const auto instances = make_instances(1, 24, 12, 1512);
+  DemtOptions demt;
+  demt.shuffles = 2;
+  const DemtPolicy policy(demt);
+  DecisionCache cache(DecisionCacheOptions{8, 1, 32});
+  SchedulerEngine cached(EngineOptions{1, true, &cache});
+  SchedulerEngine plain(EngineOptions{1, true});
+  const std::vector<EngineRequest> requests{
+      EngineRequest{&instances[0], &policy}};
+  std::vector<EngineResult> fresh, result;
+  plain.schedule_batch(requests, fresh);
+
+  cached.schedule_batch(requests, result);
+  DecisionCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  expect_identical(result[0], fresh[0]);
+
+  cached.schedule_batch(requests, result);
+  stats = cache.stats();
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  expect_identical(result[0], fresh[0]);
+
+  cached.schedule_batch(requests, result);
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+  expect_identical(result[0], fresh[0]);
+  EXPECT_EQ(result[0].diag.dual_tests, fresh[0].diag.dual_tests);
+}
+
+TEST(DecisionCache, ClearForgetsSightingsAsWellAsRecords) {
+  const auto instances = make_instances(2, 12, 8, 2024);
+  const FlatListPolicy policy;
+  DecisionCache cache(DecisionCacheOptions{8, 1, 32});
+  DemtDiagnostics diag;
+  FlatPlacements flat, replay;
+  const Instance& stored = instances[0];
+  const Instance& sighted = instances[1];
+  run_fresh(policy, stored, flat);
+  cache.insert(signature_of(stored), policy.cache_key(), stored, flat, diag);
+  cache.insert(signature_of(stored), policy.cache_key(), stored, flat, diag);
+  run_fresh(policy, sighted, flat);
+  cache.insert(signature_of(sighted), policy.cache_key(), sighted, flat, diag);
+  ASSERT_EQ(cache.stats().size, 1u);
+
+  cache.clear();
+  EXPECT_EQ(cache.stats().size, 0u);
+  // Both shapes need two sightings again: the one that was stored and the
+  // one that was only marked.
+  for (const Instance* instance : {&stored, &sighted}) {
+    run_fresh(policy, *instance, flat);
+    const InstanceSignature sig = signature_of(*instance);
+    cache.insert(sig, policy.cache_key(), *instance, flat, diag);
+    EXPECT_EQ(cache.stats().size, 0u);
+    EXPECT_FALSE(cache.lookup(sig, policy.cache_key(), *instance, replay, diag));
+  }
+  EXPECT_EQ(cache.stats().inserts, 1u);
+  for (const Instance* instance : {&stored, &sighted}) {
+    run_fresh(policy, *instance, flat);
+    const InstanceSignature sig = signature_of(*instance);
+    cache.insert(sig, policy.cache_key(), *instance, flat, diag);
+    ASSERT_TRUE(cache.lookup(sig, policy.cache_key(), *instance, replay, diag));
+    gate::expect_identical_placements(replay, flat);
+  }
+  EXPECT_EQ(cache.stats().size, 2u);
+  EXPECT_EQ(cache.stats().inserts, 3u);
+}
+
+TEST(DecisionCache, DoorkeeperForgetsOnceHalfItsBitsAreSet) {
+  // Capacity 1: a 64-bit doorkeeper, cleared when a new bit would make
+  // more than 32 set. Shape A sets one bit, then one-offs with random
+  // signatures set `new_bits` more (a one-off that finds its bit set is
+  // stored instead, so inserts tell the two apart). After 31 more, A's
+  // bit is still set and its second sighting stores it; the 32nd clears
+  // the bitset, so A's second sighting is a first one again.
+  const auto instances = make_instances(1, 12, 8, 5150);
+  const Instance& a = instances[0];
+  const FlatListPolicy policy;
+  FlatPlacements flat;
+  run_fresh(policy, a, flat);
+  const DemtDiagnostics diag;
+  for (const int new_bits : {31, 32}) {
+    SCOPED_TRACE(testing::Message() << new_bits << " new bits");
+    DecisionCache cache(DecisionCacheOptions{1, 1, 32});
+    cache.insert(signature_of(a), policy.cache_key(), a, flat, diag);
+    Rng rng(99);
+    std::uint64_t sightings = 0;
+    while (sightings - cache.stats().inserts <
+           static_cast<std::uint64_t>(new_bits)) {
+      cache.insert(InstanceSignature{rng.next_u64()}, policy.cache_key(), a,
+                   flat, diag);
+      ++sightings;
+    }
+    const std::uint64_t before = cache.stats().inserts;
+    cache.insert(signature_of(a), policy.cache_key(), a, flat, diag);
+    EXPECT_EQ(cache.stats().inserts - before, new_bits == 31 ? 1u : 0u);
+  }
+}
+
+TEST(DecisionCache, RecurringSetSurvivesAFloodOfOneOffs) {
+  // One shard of 16 records (a 1024-bit doorkeeper). Each round looks up
+  // 4 recurring shapes, inserting on a miss, then sights 24 one-off shapes
+  // once each, 5 rounds in all. Storing every miss, the 24 one-offs of a
+  // round evict the whole set; with the doorkeeper, the 120 one-offs set
+  // at most 124 of the 1024 bits, so few are stored and the set hits from
+  // its third round on.
+  constexpr int kRecurring = 4;
+  constexpr int kFlood = 24;
+  constexpr int kRounds = 5;
+  const auto recurring = make_instances(kRecurring, 12, 8, 7001);
+  const auto one_offs = make_instances(kFlood * kRounds, 12, 8, 7002);
+  const FlatListPolicy policy;
+  DecisionCache cache(DecisionCacheOptions{16, 1, 32});
+  DemtDiagnostics diag;
+  FlatPlacements flat, replay;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int r = 0; r < kRecurring; ++r) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " shape " << r);
+      const Instance& instance = recurring[static_cast<std::size_t>(r)];
+      const InstanceSignature sig = signature_of(instance);
+      run_fresh(policy, instance, flat);
+      if (cache.lookup(sig, policy.cache_key(), instance, replay, diag)) {
+        gate::expect_identical_placements(replay, flat);
+      } else {
+        EXPECT_LT(round, 2);
+        cache.insert(sig, policy.cache_key(), instance, flat, diag);
+      }
+    }
+    for (int k = 0; k < kFlood; ++k) {
+      const Instance& instance =
+          one_offs[static_cast<std::size_t>(round * kFlood + k)];
+      const InstanceSignature sig = signature_of(instance);
+      EXPECT_FALSE(cache.lookup(sig, policy.cache_key(), instance, replay,
+                                diag));
+      run_fresh(policy, instance, flat);
+      cache.insert(sig, policy.cache_key(), instance, flat, diag);
+    }
+  }
+  const DecisionCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits,
+            static_cast<std::uint64_t>(kRecurring * (kRounds - 2)));
+  EXPECT_LE(stats.size, 16u);
+  // Under one in eight one-offs got past the doorkeeper.
+  EXPECT_LT(stats.inserts,
+            static_cast<std::uint64_t>(kRecurring + kFlood * kRounds / 8));
+}
+
+TEST(DecisionCache, ConcurrentSightingsFromSharedEngines) {
+  // Four engines on four threads share one cache (as serve shards do) and
+  // run the same fresh shapes, each in its own order, for three passes.
+  constexpr int kThreads = 4;
+  constexpr int kPasses = 3;
+  const auto instances = make_instances(8, 20, 10, 4242);
+  DemtOptions demt;
+  demt.shuffles = 2;
+  const DemtPolicy policy(demt);
+  SchedulerEngine plain(EngineOptions{1, true});
+  std::vector<EngineRequest> in_order;
+  for (const Instance& instance : instances) {
+    in_order.push_back(EngineRequest{&instance, &policy});
+  }
+  std::vector<EngineResult> fresh;
+  plain.schedule_batch(in_order, fresh);
+
+  DecisionCache cache(DecisionCacheOptions{32, 4, 32});
+  std::vector<std::vector<int>> orders(kThreads);
+  std::vector<std::vector<std::vector<EngineResult>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<int>& order = orders[static_cast<std::size_t>(t)];
+    order.resize(instances.size());
+    std::iota(order.begin(), order.end(), 0);
+    Rng(static_cast<std::uint64_t>(100 + t)).shuffle(order);
+    threads.emplace_back([&, t] {
+      SchedulerEngine engine(EngineOptions{1, true, &cache});
+      std::vector<EngineRequest> requests;
+      for (const int shape : orders[static_cast<std::size_t>(t)]) {
+        requests.push_back(in_order[static_cast<std::size_t>(shape)]);
+      }
+      auto& mine = results[static_cast<std::size_t>(t)];
+      mine.resize(kPasses);
+      for (auto& pass : mine) engine.schedule_batch(requests, pass);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& order = orders[static_cast<std::size_t>(t)];
+    for (int pass = 0; pass < kPasses; ++pass) {
+      const auto& got =
+          results[static_cast<std::size_t>(t)][static_cast<std::size_t>(pass)];
+      ASSERT_EQ(got.size(), order.size());
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "thread " << t << " pass " << pass << " slot " << i);
+        expect_identical(got[i], fresh[static_cast<std::size_t>(order[i])]);
+      }
+    }
+  }
+  const DecisionCacheStats stats = cache.stats();
+  EXPECT_LE(stats.size, instances.size());
+  EXPECT_GT(stats.hits, 0u);
 }
 
 /// Serve-layer differential: cache-on vs cache-off must be bit-identical

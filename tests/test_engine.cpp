@@ -232,8 +232,8 @@ TEST(Engine, EveryKeptScheduleIsValidAndReplays) {
   // Every schedule the engine emits, checked as emitted: the validator and
   // the event simulator on each EngineResult of one mixed batch (three
   // policies x four families x m in {1, 4, 64, 257}), with the decision
-  // cache off and on. With the cache on, the batch runs twice so the
-  // second pass is served from replayed decisions.
+  // cache off and on. With the cache on, the batch runs three times: the
+  // second pass stores each decision and the third replays it.
   const DemtPolicy demt;
   const FlatListPolicy flat_list;
   const LptRigidPolicy lpt;
@@ -258,7 +258,7 @@ TEST(Engine, EveryKeptScheduleIsValidAndReplays) {
     options.keep_schedules = true;
     options.cache = cached ? &cache : nullptr;
     SchedulerEngine engine(options);
-    for (int pass = 0; pass < (cached ? 2 : 1); ++pass) {
+    for (int pass = 0; pass < (cached ? 3 : 1); ++pass) {
       const auto results = engine.schedule_batch(requests);
       ASSERT_EQ(results.size(), requests.size());
       for (std::size_t i = 0; i < results.size(); ++i) {
